@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,69 +31,24 @@ DISCRETE_INFERENCE_MAX_LEVELS = 20
 
 
 @dataclass(frozen=True)
-class ColumnScaler:
-    """Maps one raw CSV column onto the model scale and back."""
-
-    name: str
-    kind: str
-    lo: float = 0.0
-    hi: float = 1.0
-    levels: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("continuous", "discrete"):
-            raise InputError(f"unknown column kind {self.kind!r}")
-        if self.kind == "continuous" and not self.hi > self.lo:
-            raise InputError(f"column {self.name!r} is constant; cannot scale")
-        if self.kind == "discrete" and len(self.levels) < 2:
-            raise InputError(f"column {self.name!r} needs at least 2 levels")
-
-    def domain(self) -> PredictorDomain:
-        if self.kind == "continuous":
-            return PredictorDomain.continuous(self.lo, self.hi)
-        return PredictorDomain.discrete(len(self.levels))
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """To domain scale: raw units for continuous, 1..K for discrete."""
-        if self.kind == "continuous":
-            return values.astype(float)
-        level_of = {v: i + 1 for i, v in enumerate(self.levels)}
-        out = np.empty(len(values))
-        for i, v in enumerate(values):
-            if v not in level_of:
-                raise InputError(
-                    f"column {self.name!r}: value {v!r} is not a training level")
-            out[i] = level_of[v]
-        return out
-
-    def to_json(self) -> dict:
-        doc = {"name": self.name, "kind": self.kind}
-        if self.kind == "continuous":
-            doc["lo"], doc["hi"] = self.lo, self.hi
-        else:
-            doc["levels"] = list(self.levels)
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ColumnScaler":
-        if doc["kind"] == "continuous":
-            return cls(name=doc["name"], kind="continuous",
-                       lo=float(doc["lo"]), hi=float(doc["hi"]))
-        return cls(name=doc["name"], kind="discrete",
-                   levels=tuple(float(v) for v in doc["levels"]))
-
-
-@dataclass(frozen=True)
 class IngestedTable:
-    """A parsed CSV: model-ready dataset plus the per-column scalers."""
+    """A parsed CSV: model-ready dataset plus the predictor column names."""
 
     dataset: Dataset
     response: str
-    scalers: tuple[ColumnScaler, ...]
+    predictor_names: tuple[str, ...]
 
-    @property
-    def predictor_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.scalers)
+
+def _column_to_json(name: str, domain: PredictorDomain) -> dict:
+    if domain.is_continuous:
+        return {"name": name, "kind": domain.kind, "lo": domain.lo, "hi": domain.hi}
+    return {"name": name, "kind": domain.kind, "levels": list(domain.levels)}
+
+
+def _column_from_json(doc: dict) -> PredictorDomain:
+    if doc["kind"] == "continuous":
+        return PredictorDomain.continuous(float(doc["lo"]), float(doc["hi"]))
+    return PredictorDomain.discrete(tuple(float(v) for v in doc["levels"]))
 
 
 def _read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
@@ -131,22 +87,21 @@ def _parse_numeric_table(header, raw_rows):
     return table
 
 
-def _infer_scaler(name: str, values: np.ndarray, override: str | None) -> ColumnScaler:
+def _infer_domain(name: str, values: np.ndarray, override: str | None) -> PredictorDomain:
     distinct = np.unique(values)
+    if distinct.size < 2:
+        raise InputError(f"column {name!r} is constant; cannot scale")
     if override == "discrete" or (
             override is None
             and distinct.size <= DISCRETE_INFERENCE_MAX_LEVELS
             and np.all(values == np.round(values))):
-        if distinct.size < 2:
-            raise InputError(f"column {name!r} is constant; cannot scale")
-        return ColumnScaler(name=name, kind="discrete", levels=tuple(distinct))
-    return ColumnScaler(name=name, kind="continuous",
-                        lo=float(values.min()), hi=float(values.max()))
+        return PredictorDomain.discrete(tuple(distinct.tolist()))
+    return PredictorDomain.continuous(values.min(), values.max())
 
 
 def ingest(csv_path: str, response_column: str,
            continuous_overrides=(), discrete_overrides=()) -> IngestedTable:
-    """Parse a CSV into a model-ready dataset with stored column scalers.
+    """Parse a CSV into a model-ready dataset whose domains hold the scaling.
 
     Continuous columns are min-max scaled to [0, 1]; integer-valued columns
     with at most 20 distinct values are treated as discrete factors unless
@@ -170,21 +125,16 @@ def ingest(csv_path: str, response_column: str,
     table = _parse_numeric_table(header, raw_rows)
     resp_idx = header.index(response_column)
     y = table[:, resp_idx]
-    scalers = []
-    columns = []
-    for j, name in enumerate(header):
-        if j == resp_idx:
-            continue
-        scaler = _infer_scaler(name, table[:, j], overrides.get(name))
-        scalers.append(scaler)
-        columns.append(scaler.apply(table[:, j]))
-    if not scalers:
+    cols = [j for j in range(len(header)) if j != resp_idx]
+    if not cols:
         raise InputError("no predictor columns besides the response")
-    x = np.column_stack(columns)
-    domains = tuple(s.domain() for s in scalers)
+    names = tuple(header[j] for j in cols)
+    x = table[:, cols]
+    domains = [_infer_domain(name, x[:, j], overrides.get(name))
+               for j, name in enumerate(names)]
     dataset = Dataset.from_raw(x, y, domains)
     return IngestedTable(dataset=dataset, response=response_column,
-                         scalers=tuple(scalers))
+                         predictor_names=names)
 
 
 def parse_model(text: str, n_predictors: int):
@@ -262,8 +212,8 @@ def run_fit(args) -> int:
     t_start = time.perf_counter()
     table = ingest(args.data, args.response,
                    args.continuous or (), args.discrete or ())
-    effects = parse_model(args.model, len(table.scalers))
-    spec = build_model([s.domain() for s in table.scalers], effects)
+    effects = parse_model(args.model, len(table.predictor_names))
+    spec = build_model(table.dataset.domains, effects)
     config = _config_from_args(args)
     sel = SELECTORS[args.method](table.dataset, spec, config)
     t_fit = time.perf_counter()
@@ -273,7 +223,8 @@ def run_fit(args) -> int:
     fit_seconds = time.perf_counter() - t_fit
     doc = {
         "response": table.response,
-        "columns": [s.to_json() for s in table.scalers],
+        "columns": [_column_to_json(name, dom) for name, dom
+                    in zip(table.predictor_names, table.dataset.domains)],
         "model": args.model,
         "n": table.dataset.n,
         "selection": _selection_to_json(sel),
@@ -323,9 +274,9 @@ def _load_fit_document(path: str):
         raise InputError(f"cannot open {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
-    scalers = tuple(ColumnScaler.from_json(c) for c in doc["columns"])
-    effects = parse_model(doc["model"], len(scalers))
-    spec = build_model([s.domain() for s in scalers], effects)
+    names = tuple(c["name"] for c in doc["columns"])
+    effects = parse_model(doc["model"], len(names))
+    spec = build_model([_column_from_json(c) for c in doc["columns"]], effects)
     fit_doc = doc["fit"]
     params = SmoothingParams(log10_nlam=float(fit_doc["log10_nlam"]),
                              log10_theta=tuple(
@@ -341,13 +292,13 @@ def _load_fit_document(path: str):
         basis=BasisSelection(indices=np.arange(basis_rows.shape[0])),
         basis_rows=basis_rows,
     )
-    return doc, scalers, spec, fit
+    return doc, names, spec, fit
 
 
 def run_predict(args) -> int:
-    doc, scalers, spec, fit = _load_fit_document(args.fit)
+    doc, names, spec, fit = _load_fit_document(args.fit)
     header, raw_rows = _read_csv_table(args.data)
-    missing = [s.name for s in scalers if s.name not in header]
+    missing = [name for name in names if name not in header]
     if missing:
         raise InputError(f"input is missing predictor columns: {missing}")
     with open(args.out, "w", newline="") as handle:
@@ -355,11 +306,7 @@ def run_predict(args) -> int:
         writer.writerow(["prediction", "out_of_range"])
         if raw_rows:
             table = _parse_numeric_table(header, raw_rows)
-            cols = []
-            for s in scalers:
-                cols.append(s.apply(table[:, header.index(s.name)]))
-            x = np.column_stack(cols)
-            import warnings
+            x = table[:, [header.index(name) for name in names]]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 eta, flags = predict(fit, spec, x)

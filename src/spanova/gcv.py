@@ -11,8 +11,8 @@ points cover the selection strategies:
 
 The nlam profile at fixed theta is evaluated through one symmetric-pencil
 eigendecomposition of (K'K, Q_r), after which every score costs O(nq); the
-official ``gcv_score`` uses the direct factorization of the solver so the
-two paths can be cross-checked.
+official ``gcv_score`` and every accepted state use the solver's stacked-QR
+fit, so the two paths can be cross-checked.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .solver import CompiledDesign, DesignBlocks, SmoothingParams, gcv_from_fit
+from .solver import CompiledDesign, DesignBlocks, SmoothingParams, _stacked_fit, gcv_from_fit
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -109,26 +109,28 @@ class LambdaProfile:
 
     def __init__(self, design: CompiledDesign):
         self.design = design
+        t, k, y = design.t, design.k, design.y
         try:
             l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("penalty matrix is not positive definite") from exc
-        x = sla.solve_triangular(l_chol, design.ktk, lower=True, check_finite=False)
+        x = sla.solve_triangular(l_chol, k.T @ k, lower=True, check_finite=False)
         m_mat = sla.solve_triangular(l_chol, x.T, lower=True, check_finite=False)
         w, u = np.linalg.eigh((m_mat + m_mat.T) / 2.0)
         self.w = np.clip(w, 0.0, None)
         p = sla.solve_triangular(l_chol.T, u, lower=False, check_finite=False)
         self.p = p
-        self.bt = p.T @ design.ktt
-        self.yt = p.T @ design.kty
+        self.bt = p.T @ (k.T @ t)
+        self.yt = p.T @ (k.T @ y)
+        self.ttt = t.T @ t
+        self.tty = t.T @ y
 
     def _state(self, nlam: float):
-        des = self.design
         g = 1.0 / (self.w + nlam)
         gb = g[:, None] * self.bt
-        schur = des.ttt - self.bt.T @ gb
+        schur = self.ttt - self.bt.T @ gb
         try:
-            d = np.linalg.solve(schur, des.tty - gb.T @ self.yt)
+            d = np.linalg.solve(schur, self.tty - gb.T @ self.yt)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("null-space system is singular") from exc
         z = g * (self.yt - self.bt @ d)
@@ -158,30 +160,12 @@ class LambdaProfile:
 
 
 def _exact_score(design: CompiledDesign, nlam: float) -> float:
-    """Score via a stacked least-squares QR evaluation; +inf on failure.
-
-    The penalized problem equals an ordinary least-squares fit of [y; 0] on
-    [[T, K]; [0, sqrt(nlam) L']] with Q_r = LL', whose QR factorization has
-    condition sqrt of the normal equations'.  tr(A) = ||[T K] R^{-1}||_F^2.
-    """
+    """Score from the solver's stacked-QR fit; +inf on numerical failure."""
     try:
-        l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+        _, _, fitted, trace_a = _stacked_fit(design, nlam)
+    except NumericalError:
         return float("inf")
-    x_top = np.hstack([design.t, design.k])
-    x_bot = np.hstack([
-        np.zeros((design.nq, design.m)),
-        math.sqrt(nlam) * l_chol.T,
-    ])
-    q_fac, r_fac = np.linalg.qr(np.vstack([x_top, x_bot]))
-    if np.abs(np.diag(r_fac)).min() == 0.0:
-        return float("inf")
-    rhs = q_fac[: design.n].T @ design.y
-    beta = sla.solve_triangular(r_fac, rhs, lower=False, check_finite=False)
-    resid = design.y - x_top @ beta
-    half = sla.solve_triangular(r_fac, x_top.T, trans="T", lower=False,
-                                check_finite=False)
-    trace_a = float((half * half).sum())
+    resid = design.y - fitted
     return gcv_from_fit(float(resid @ resid), trace_a, design.n)
 
 

@@ -194,10 +194,8 @@ class ModelSpec:
 def _term_width(term: AnovaTerm, domains) -> int:
     """Column count a term contributes to the null basis."""
     width = 1
-    for j, lab in zip(term.predictors, term.labels):
-        if domains[j].is_continuous:
-            width *= 1
-        else:
+    for j in term.predictors:
+        if not domains[j].is_continuous:
             width *= domains[j].n_levels - 1
     return width
 

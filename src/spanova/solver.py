@@ -12,10 +12,11 @@ this reproduces the classic full-rank smoothing-spline solution; with q < n
 it is the random-basis approximation whose cost per smoothing-parameter
 choice is O(n q^2).
 
-Elimination order: c is removed through a Cholesky factorization of
-G = K'K + nlam * Q_r (Q_r carries a small stabilizing ridge), then the M x M
-Schur complement is solved for d.  The effective degrees of freedom tr(A)
-come from the same factorizations.
+Every fit and score solves the problem in its stacked least-squares form:
+[y; 0] on [[T, K]; [0, sqrt(nlam) L']] with Q_r = LL' (Q_r carries a small
+stabilizing ridge), by one triangular factor R of a QR factorization, at the
+square root of the normal equations' condition number.  The effective
+degrees of freedom tr(A) come from the same R.
 """
 
 from __future__ import annotations
@@ -191,10 +192,10 @@ def assemble(dataset: Dataset, spec: ModelSpec, basis: BasisSelection, theta) ->
 
 
 class CompiledDesign:
-    """Cross products of (T, K, Q, y), reused across nlam evaluations.
+    """Validated inputs (T, K, Q_r, y) of one penalized solve.
 
-    For a fixed theta the nlam profile only changes the factorization of
-    G = K'K + nlam Q_r, so the O(n q^2) products are formed once here.
+    Q_r is Q plus a ridge of RIDGE_SCALE times its mean diagonal, so its
+    Cholesky factor exists when Q is only semidefinite.
     """
 
     def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray):
@@ -218,121 +219,57 @@ class CompiledDesign:
         self.nq = nq
         ridge = RIDGE_SCALE * np.trace(q) / nq
         self.q_r = q + ridge * np.eye(nq)
-        self.ktk = k.T @ k
-        self.ktt = k.T @ t
-        self.kty = k.T @ y
-        self.ttt = t.T @ t
-        self.tty = t.T @ y
-        self.yty = float(y @ y)
-
-    def factorize(self, nlam: float) -> "PenalizedFactor":
-        return PenalizedFactor(self, nlam)
-
-
-class PenalizedFactor:
-    """Factorized penalized normal equations at one (theta, nlam) choice."""
-
-    def __init__(self, design: CompiledDesign, nlam: float):
-        if nlam <= 0 or not np.isfinite(nlam):
-            raise InputError("nlam must be positive and finite")
-        self.design = design
-        self.nlam = float(nlam)
-        g = design.ktk + nlam * design.q_r
-        try:
-            self._g_chol = sla.cho_factor(g, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"solver: singular penalized system (nlam={nlam:g})") from exc
-        self._u = sla.cho_solve(self._g_chol, design.ktt, check_finite=False)
-        schur = design.ttt - design.ktt.T @ self._u
-        schur = (schur + schur.T) / 2.0
-        try:
-            self._s_chol = sla.cho_factor(schur, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("solver: null-space system is singular") from exc
-
-    def coefficients(self, y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Solve for (d, c); default response is the one used to compile."""
-        des = self.design
-        if y is None:
-            kty, tty = des.kty, des.tty
-        else:
-            y = np.asarray(y, dtype=float)
-            kty, tty = des.k.T @ y, des.t.T @ y
-        gikty = sla.cho_solve(self._g_chol, kty, check_finite=False)
-        d = sla.cho_solve(self._s_chol, tty - des.ktt.T @ gikty, check_finite=False)
-        c = gikty - self._u @ d
-        return d, c
-
-    def fitted(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return self.design.t @ d + self.design.k @ c
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """The hat map A(nlam) applied to a response vector."""
-        d, c = self.coefficients(y)
-        return self.fitted(d, c)
-
-    def trace_hat(self) -> float:
-        """tr A(nlam) without forming A.
-
-        Uses tr(A) = (M + q) - nlam * (tr(G^{-1} Q_r) + tr(S^{-1} U' Q_r U))
-        with U = G^{-1} K'T.
-        """
-        des = self.design
-        giq = sla.cho_solve(self._g_chol, des.q_r, check_finite=False)
-        tr1 = float(np.trace(giq))
-        w = self._u.T @ (des.q_r @ self._u)
-        tr2 = float(np.trace(sla.cho_solve(self._s_chol, w, check_finite=False)))
-        return des.m + des.nq - self.nlam * (tr1 + tr2)
-
-
-def solve_penalized(t, k, q, y, nlam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ||y - T d - K c||^2 + nlam c'Qc; return (d, c)."""
-    design = CompiledDesign(t, k, q, y)
-    return design.factorize(nlam).coefficients()
 
 
 def _stacked_fit(design: CompiledDesign, nlam: float):
-    """Penalized fit via one SVD of the stacked least-squares form.
+    """Penalized fit via one R-only QR of the augmented stacked system.
 
-    The penalized problem equals ordinary least squares of [y; 0] on
-    [[T, K]; [0, sqrt(nlam) L']] with Q_r = LL', which an SVD solves at
-    the square root of the normal equations' condition number.  Used when
-    the Cholesky of K'K + nlam Q_r fails, i.e. when nlam is far below the
-    conditioning floor of K'K.  Returns (d, c, fitted, trace_a).
+    With X = [[T, K]; [0, sqrt(nlam) L']] and Q_r = LL', the triangular
+    factor of [X, [y; 0]] carries the rotated response in its last column,
+    so beta comes from one triangular solve and no n-row orthogonal factor
+    is formed.  Since
+    R'R = X'X = [T K]'[T K] + nlam blockdiag(0, Q_r),
+    tr(A) = (M + q) - nlam ||L' R_22^{-1}||_F^2 with R_22 the trailing
+    q x q block of R.  Returns (d, c, fitted, trace_a).
     """
+    if nlam <= 0 or not np.isfinite(nlam):
+        raise InputError("nlam must be positive and finite")
     try:
         l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("solver: penalty matrix is not positive definite") from exc
-    x_top = np.hstack([design.t, design.k])
-    x_bot = np.hstack([
-        np.zeros((design.nq, design.m)),
-        float(nlam) ** 0.5 * l_chol.T,
-    ])
-    stack = np.vstack([x_top, x_bot])
-    u, sv, vt = np.linalg.svd(stack, full_matrices=False)
-    keep = sv > sv[0] * max(stack.shape) * np.finfo(float).eps
-    u, sv, vt = u[:, keep], sv[keep], vt[keep]
-    rhs = u[: design.n].T @ design.y
-    beta = vt.T @ (rhs / sv)
-    d, c = beta[: design.m], beta[design.m:]
-    fitted = x_top @ beta
-    half = (x_top @ vt.T) / sv
-    trace_a = float(np.einsum("ij,ij->", half, u[: design.n]))
+    n, m, p = design.n, design.m, design.m + design.nq
+    stack = np.zeros((n + design.nq, p + 1), order="F")
+    stack[:n, :m] = design.t
+    stack[:n, m:p] = design.k
+    stack[:n, p] = design.y
+    stack[n:, m:p] = float(nlam) ** 0.5 * l_chol.T
+    r = sla.qr(stack, mode="r", overwrite_a=True, check_finite=False)[0][:p]
+    if np.abs(np.diag(r)).min() == 0.0:
+        raise NumericalError(f"solver: singular stacked system (nlam={nlam:g})")
+    beta = sla.solve_triangular(r[:, :p], r[:, p], lower=False, check_finite=False)
+    d, c = beta[:m], beta[m:]
+    fitted = design.t @ d + design.k @ c
+    w = sla.solve_triangular(r[m:, m:p], l_chol, trans="T", lower=False,
+                             check_finite=False)
+    trace_a = p - float(nlam) * float((w * w).sum())
     return d, c, fitted, trace_a
+
+
+def solve_penalized(t, k, q, y, nlam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||y - T d - K c||^2 + nlam c'Qc; return (d, c)."""
+    return _stacked_fit(CompiledDesign(t, k, q, y), nlam)[:2]
 
 
 def hat_trace(t, k, q, nlam: float):
     """Return (tr A(nlam), apply_A) for the penalized smoother.
 
-    ``apply_A`` maps a response vector to its fitted values under the same
-    factorization, so linearity and idempotence properties can be checked
-    directly.
+    ``apply_A`` maps a response vector to its fitted values by solving the
+    same penalized problem with that response, so linearity and idempotence
+    properties can be checked directly.
     """
-    n = np.asarray(t).shape[0]
-    design = CompiledDesign(t, k, q, np.zeros(n))
-    factor = design.factorize(nlam)
-    return factor.trace_hat(), factor.apply
+    trace_a = _stacked_fit(CompiledDesign(t, k, q, np.zeros(np.shape(t)[0])), nlam)[3]
+    return trace_a, lambda v: _stacked_fit(CompiledDesign(t, k, q, v), nlam)[2]
 
 
 def gcv_from_fit(rss: float, trace_a: float, n: int) -> float:
@@ -362,23 +299,16 @@ def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
               blocks: DesignBlocks | None = None) -> FitResult:
     """Fit at fixed smoothing parameters; assembles blocks unless given.
 
-    Falls back to a stacked SVD solve when the penalized normal equations
-    are too ill-conditioned to factorize, so any positive nlam yields a
-    fit.
+    The stacked QR solve works at the square root of the normal equations'
+    condition number, so any positive nlam yields a fit.
     """
     if blocks is None:
         if basis is None:
             raise InputError("fit_model needs a basis selection or prebuilt blocks")
         blocks = assemble_blocks(dataset, spec, basis)
     k, q = blocks.combine(params.theta)
-    design = CompiledDesign(blocks.t, k, q, dataset.y)
-    try:
-        factor = design.factorize(params.nlam)
-        d, c = factor.coefficients()
-        fitted = factor.fitted(d, c)
-        trace_a = factor.trace_hat()
-    except NumericalError:
-        d, c, fitted, trace_a = _stacked_fit(design, params.nlam)
+    d, c, fitted, trace_a = _stacked_fit(CompiledDesign(blocks.t, k, q, dataset.y),
+                                         params.nlam)
     resid = dataset.y - fitted
     score = gcv_from_fit(float(resid @ resid), trace_a, dataset.n)
     return FitResult(d=d, c=c, fitted=fitted, trace_a=trace_a, gcv=score,

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from spanova.cli import (
-    ColumnScaler,
+    _column_from_json,
+    _column_to_json,
     _config_from_args,
     build_parser,
     ingest,
     main,
     parse_model,
 )
+from spanova.kernels import PredictorDomain
 from spanova.util import InputError
 
 
@@ -34,7 +36,7 @@ def test_ingest_minmax_and_discrete_inference(tmp_path):
                      [[0.0, 1, 1.0], [5.0, 2, 2.0], [10.0, 1, 3.0], [2.5, 2, 4.0]])
     table = ingest(path, "y")
     assert table.predictor_names == ("a", "b")
-    a, b = table.scalers
+    a, b = table.dataset.domains
     assert a.kind == "continuous" and (a.lo, a.hi) == (0.0, 10.0)
     assert b.kind == "discrete" and b.levels == (1.0, 2.0)
     assert table.dataset.x[:, 0] == pytest.approx([0.0, 0.5, 1.0, 0.25])
@@ -46,7 +48,7 @@ def test_ingest_many_integer_levels_stay_continuous(tmp_path):
     rows = [[float(i), float(i)] for i in range(30)]
     path = write_csv(tmp_path / "d.csv", ["a", "y"], rows)
     table = ingest(path, "y")
-    assert table.scalers[0].kind == "continuous"
+    assert table.dataset.domains[0].kind == "continuous"
     assert table.dataset.x[:, 0] == pytest.approx(np.arange(30) / 29.0)
 
 
@@ -54,9 +56,9 @@ def test_ingest_overrides(tmp_path):
     path = write_csv(tmp_path / "d.csv", ["a", "b", "y"],
                      [[0.1, 1, 1.0], [0.2, 2, 2.0], [0.1, 1, 3.0], [0.2, 2, 4.0]])
     table = ingest(path, "y", discrete_overrides=["a"], continuous_overrides=["b"])
-    assert table.scalers[0].kind == "discrete"
-    assert table.scalers[0].levels == (0.1, 0.2)
-    assert table.scalers[1].kind == "continuous"
+    assert table.dataset.domains[0].kind == "discrete"
+    assert table.dataset.domains[0].levels == (0.1, 0.2)
+    assert table.dataset.domains[1].kind == "continuous"
     with pytest.raises(InputError):
         ingest(path, "y", continuous_overrides=["a"], discrete_overrides=["a"])
     with pytest.raises(InputError):
@@ -87,15 +89,16 @@ def test_ingest_error_reporting(tmp_path):
         ingest(const, "y")
 
 
-def test_column_scaler_round_trip_and_unknown_level():
-    s = ColumnScaler(name="b", kind="discrete", levels=(2.0, 5.0, 9.0))
-    assert s.apply(np.array([5.0, 2.0, 9.0])) == pytest.approx([2.0, 1.0, 3.0])
-    with pytest.raises(InputError, match="training level"):
-        s.apply(np.array([4.0]))
-    restored = ColumnScaler.from_json(s.to_json())
-    assert restored == s
-    c = ColumnScaler(name="a", kind="continuous", lo=1.0, hi=3.0)
-    assert ColumnScaler.from_json(c.to_json()) == c
+def test_column_domain_round_trip_and_unknown_level():
+    s = PredictorDomain.discrete((2.0, 5.0, 9.0))
+    assert s.rescale(np.array([5.0, 2.0, 9.0]))[0] == pytest.approx([2.0, 1.0, 3.0])
+    with pytest.raises(InputError, match="unknown discrete level"):
+        s.rescale(np.array([4.0]))
+    doc = _column_to_json("b", s)
+    assert doc == {"name": "b", "kind": "discrete", "levels": [2.0, 5.0, 9.0]}
+    assert _column_from_json(doc) == s
+    c = PredictorDomain.continuous(1.0, 3.0)
+    assert _column_from_json(_column_to_json("a", c)) == c
 
 
 def test_parse_model_grammar():
@@ -210,6 +213,31 @@ def test_predict_column_mismatch(fitted_paths, tmp_path):
     code = main(["predict", "--fit", str(fit_path), "--data", str(data),
                  "--out", str(tmp_path / "pred.csv")])
     assert code == 2
+
+
+def test_fit_predict_round_trip_with_discrete_column(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 150
+    a = rng.uniform(size=n)
+    b = rng.choice([2, 5, 9], size=n)
+    y = np.sin(2 * np.pi * a) + 0.5 * (b == 5) + 0.2 * rng.standard_normal(n)
+    train = write_csv(tmp_path / "train.csv", ["a", "b", "y"],
+                      [[repr(float(u)), int(v), repr(float(w))] for u, v, w in zip(a, b, y)])
+    fit, fitted = tmp_path / "fit.json", tmp_path / "fitted.csv"
+    assert main(["fit", "--data", train, "--response", "y", "--model", "1,2",
+                 "--method", "skip", "--seed", "2", "--out", str(fit),
+                 "--fitted-out", str(fitted)]) == 0
+    columns = json.loads(fit.read_text())["columns"]
+    assert columns[1] == {"name": "b", "kind": "discrete", "levels": [2.0, 5.0, 9.0]}
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--fit", str(fit), "--data", train, "--out", str(out)]) == 0
+    _, fitted_rows = read_csv(fitted)
+    _, pred_rows = read_csv(out)
+    preds = np.array([float(r[0]) for r in pred_rows])
+    assert np.max(np.abs(preds - np.array([float(r[0]) for r in fitted_rows]))) < 1e-10
+    unknown = write_csv(tmp_path / "unknown.csv", ["a", "b"], [[0.5, 4]])
+    assert main(["predict", "--fit", str(fit), "--data", unknown,
+                 "--out", str(tmp_path / "pred4.csv")]) == 2
 
 
 def test_fit_order_method_records_rate_lambda(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import full_two_way_model, main_effects_model
+from spanova.gcv import gcv_score
 from spanova.solver import (
-    CompiledDesign,
     SmoothingParams,
     assemble,
     assemble_blocks,
@@ -45,6 +45,19 @@ def dense_kkt_solution(t, k, q_r, y, nlam):
     rhs = np.concatenate([t.T @ y, k.T @ y])
     sol = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     return sol[:m], sol[m:]
+
+
+def dense_stacked_reference(t, k, q_r, y, nlam):
+    """(d, fitted, tr A) from a dense SVD least-squares solve of the stacked form."""
+    n, m = t.shape
+    nq = k.shape[1]
+    top = np.hstack([t, k])
+    stack = np.vstack([top, np.hstack([np.zeros((nq, m)),
+                                       np.sqrt(nlam) * np.linalg.cholesky(q_r).T])])
+    beta = np.linalg.lstsq(stack, np.concatenate([y, np.zeros(nq)]), rcond=None)[0]
+    u, sv, _ = np.linalg.svd(stack, full_matrices=False)
+    u = u[:, sv > sv[0] * max(stack.shape) * np.finfo(float).eps]
+    return beta[:m], top @ beta, float((u[:n] ** 2).sum())
 
 
 # ------------------------------------------------------------------- solving
@@ -136,30 +149,32 @@ def test_fit_model_tiny_nlam_yields_finite_fit():
     assert np.isfinite(fit.fitted).all()
     assert np.isfinite(fit.d).all() and np.isfinite(fit.c).all()
     assert np.isfinite(fit.gcv) and fit.gcv > 0
-    # effectively unpenalized: the fit saturates the basis
-    assert fit.trace_a == pytest.approx(blocks.n_null + blocks.q, abs=0.1)
+    # effectively unpenalized: the fit saturates the basis, whose tied rows
+    # 0 and 1 give K two equal columns, so rank([T, K]) = M + q - 1
+    k, q = blocks.combine(np.ones(1))
+    assert fit.trace_a == pytest.approx(
+        np.linalg.matrix_rank(np.hstack([blocks.t, k])), abs=0.1)
+    q_r = q + 1e-10 * np.trace(q) / q.shape[0] * np.eye(q.shape[0])
+    _, _, trace_ref = dense_stacked_reference(blocks.t, k, q_r, ds.y, 1e-12)
+    assert fit.trace_a == pytest.approx(trace_ref, abs=1e-6)
     resid = ds.y - fit.fitted
     assert np.abs(blocks.t.T @ resid).max() < 1e-9
 
 
-def test_fit_model_fallback_matches_factorized_path(monkeypatch):
-    """The stacked SVD fallback reproduces the Cholesky fit."""
+def test_fit_model_matches_dense_stacked_reference():
+    """The fit and its score match a dense stacked solve and ``gcv_score``."""
     ds, spec, basis = make_problem(0, 40, d=1, q=20)
     blocks = assemble_blocks(ds, spec, basis)
-    params = SmoothingParams.from_values(1e-2, [1.0])
-    ref = fit_model(ds, spec, params, blocks=blocks)
-
-    def refuse(self, nlam):
-        from spanova.util import NumericalError
-
-        raise NumericalError("forced")
-
-    monkeypatch.setattr(CompiledDesign, "factorize", refuse)
-    alt = fit_model(ds, spec, params, blocks=blocks)
-    np.testing.assert_allclose(alt.fitted, ref.fitted, atol=1e-9)
-    np.testing.assert_allclose(alt.d, ref.d, atol=1e-9)
-    assert alt.trace_a == pytest.approx(ref.trace_a, rel=1e-6)
-    assert alt.gcv == pytest.approx(ref.gcv, rel=1e-8)
+    k, q = blocks.combine(np.ones(1))
+    q_r = q + 1e-10 * np.trace(q) / q.shape[0] * np.eye(q.shape[0])
+    for nlam in (1e-8, 1e-4, 1e-2, 1.0):
+        fit = fit_model(ds, spec, SmoothingParams.from_values(nlam, [1.0]),
+                        blocks=blocks)
+        d_ref, fitted_ref, trace_ref = dense_stacked_reference(blocks.t, k, q_r, ds.y, nlam)
+        np.testing.assert_allclose(fit.fitted, fitted_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fit.d, d_ref, rtol=0, atol=1e-9)
+        assert fit.trace_a == pytest.approx(trace_ref, abs=1e-8)
+        assert fit.gcv == pytest.approx(gcv_score(blocks.t, k, q, ds.y, nlam), rel=1e-12)
 
 
 # ------------------------------------------------------------------ hat trace
