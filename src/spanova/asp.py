@@ -17,10 +17,12 @@ the same result type so the strategies can be benchmarked uniformly.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -192,11 +194,14 @@ _OPENBLAS_THREAD_API = (
 )
 
 
+@functools.cache
 def _openblas_thread_controls() -> dict:
     """(getter, setter) of each loaded OpenBLAS copy, keyed by file name.
 
     Loaded libraries are read from /proc/self/maps; where that file does not
-    exist nothing is found, and thread counts are left as they are.
+    exist nothing is found, and thread counts are left as they are.  The
+    lookup runs once per process (both copies are loaded with spanova), and
+    forked workers inherit its result.
     """
     try:
         with open("/proc/self/maps") as handle:
@@ -228,16 +233,46 @@ def _cap_blas_threads(limit: int) -> None:
             setter(limit)
 
 
-def _subsample_pool(workers: int) -> ProcessPoolExecutor:
+@contextmanager
+def _capped_blas_threads(limit: int):
+    """Run the block with every loaded OpenBLAS copy at most ``limit`` threads.
+
+    The counts it lowered are restored on exit.
+    """
+    saved = [(getter(), setter) for getter, setter in _openblas_thread_controls().values()]
+    for count, setter in saved:
+        if count > limit:
+            setter(limit)
+    try:
+        yield
+    finally:
+        for count, setter in saved:
+            if count > limit:
+                setter(count)
+
+
+def _pool_blas_threads(workers: int) -> int:
+    """BLAS threads per process when ``workers`` processes share the CPUs."""
+    return max(1, (os.cpu_count() or 1) // workers)
+
+
+@contextmanager
+def _subsample_pool(workers: int):
     """Process pool whose workers share the CPUs' BLAS threads between them.
 
-    Each worker caps its BLAS at cpu_count // workers threads (at least one),
-    so the pool does not run more threads than there are CPUs; the parent's
-    own BLAS threads are left alone.
+    Workers run BLAS at cpu_count // workers threads (at least one), so the
+    pool does not run more threads than there are CPUs.  The cap is set in
+    the calling process for the pool's lifetime, so forked workers inherit
+    it: a forked worker that lowered its own count would first restart
+    OpenBLAS's thread server, whose new threads spin for about 0.1 s and
+    take the CPUs from the fits.  The initializer applies the same cap
+    where workers are not forked.  The caller's counts are restored on exit.
     """
-    threads = max(1, (os.cpu_count() or 1) // workers)
-    return ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
-                               initargs=(threads,))
+    threads = _pool_blas_threads(workers)
+    with _capped_blas_threads(threads), ProcessPoolExecutor(
+            max_workers=workers, initializer=_cap_blas_threads,
+            initargs=(threads,)) as pool:
+        yield pool
 
 
 def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
@@ -319,17 +354,22 @@ def asp_uniform(dataset: Dataset, spec: ModelSpec,
     t0 = time.perf_counter()
     flags: list[str] = []
     b = subsample_size(dataset.n, config, spec.null_dim)
-    fits, dropped = _run_subsample_fits(
-        dataset, spec, [b] * config.n_subsamples, config, 21)
-    if dropped:
-        flags.append(f"subsamples-dropped:{dropped}")
-    if len(fits) < min(2, config.n_subsamples):
-        raise NumericalError("too few subsample fits survived")
-    lam_sub, theta = _aggregate(fits)
-    if config.estimate_smoothness and dataset.n > b:
-        p = float(estimate_p(dataset, spec, lam_sub, theta, b, config))
-    else:
-        p = config.p_default
+    workers = min(config.worker_count, config.n_subsamples)
+    # estimate_p's 2b-row problem is as small as the fits, so it shares the
+    # pool's cap; restoring the caller's threads only afterwards also keeps
+    # the restarted thread server's spinning threads out of estimate_p.
+    with _capped_blas_threads(_pool_blas_threads(workers)):
+        fits, dropped = _run_subsample_fits(
+            dataset, spec, [b] * config.n_subsamples, config, 21)
+        if dropped:
+            flags.append(f"subsamples-dropped:{dropped}")
+        if len(fits) < min(2, config.n_subsamples):
+            raise NumericalError("too few subsample fits survived")
+        lam_sub, theta = _aggregate(fits)
+        if config.estimate_smoothness and dataset.n > b:
+            p = float(estimate_p(dataset, spec, lam_sub, theta, b, config))
+        else:
+            p = config.p_default
     r = config.r_default
     lam_full = extrapolate_lambda(lam_sub, dataset.n, b, r, p)
     params = SmoothingParams.from_values(dataset.n * lam_full, theta)
@@ -398,18 +438,22 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
     kept_sizes: list[int] = []
     all_fits: list[SubsampleFit] = []
     top_fits: tuple[SubsampleFit, ...] = ()
-    for idx, b in enumerate(sizes):
-        fits, dropped = _run_subsample_fits(
-            dataset, spec, [b] * config.n_subsamples, config, 41 + idx)
-        if dropped:
-            flags.append(f"subsamples-dropped:{b}:{dropped}")
-        if not fits:
-            continue
-        lam, _ = _aggregate(fits)
-        per_size_lam.append(lam)
-        kept_sizes.append(b)
-        all_fits.extend(fits)
-        top_fits = fits
+    # one cap for the whole ladder: restoring the caller's counts between
+    # sizes would restart its thread server every time
+    workers = min(config.worker_count, config.n_subsamples)
+    with _capped_blas_threads(_pool_blas_threads(workers)):
+        for idx, b in enumerate(sizes):
+            fits, dropped = _run_subsample_fits(
+                dataset, spec, [b] * config.n_subsamples, config, 41 + idx)
+            if dropped:
+                flags.append(f"subsamples-dropped:{b}:{dropped}")
+            if not fits:
+                continue
+            lam, _ = _aggregate(fits)
+            per_size_lam.append(lam)
+            kept_sizes.append(b)
+            all_fits.extend(fits)
+            top_fits = fits
     if len(kept_sizes) < 2:
         raise NumericalError("too few subsample sizes survived")
     rate = fit_rate(kept_sizes, per_size_lam)

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -318,4 +319,23 @@ def test_pool_workers_cap_blas_threads():
     assert set(capped) == set(parent)
     assert all(count <= cap for count in capped.values()), capped
     assert kept == capped
+    assert _blas_thread_counts() == parent
+
+
+def _thread_count():
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not asp._openblas_thread_controls()
+                    or not os.path.isdir("/proc/self/task")
+                    or multiprocessing.get_start_method() != "fork",
+                    reason="needs OpenBLAS thread controls, /proc and forked workers")
+def test_forked_pool_workers_start_no_blas_threads(monkeypatch):
+    """Workers inherit the caller's cap instead of restarting OpenBLAS's
+    thread server, whose new threads would spin against the fits."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers, one BLAS thread each
+    parent = _blas_thread_counts()
+    with asp._subsample_pool(2) as pool:
+        assert pool.submit(_thread_count).result(timeout=60) == 1
+        assert all(count == 1 for count in pool.submit(_blas_thread_counts).result(timeout=60).values())
     assert _blas_thread_counts() == parent
