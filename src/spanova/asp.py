@@ -256,23 +256,18 @@ def _pool_blas_threads(workers: int) -> int:
     return max(1, (os.cpu_count() or 1) // workers)
 
 
-@contextmanager
-def _subsample_pool(workers: int):
-    """Process pool whose workers share the CPUs' BLAS threads between them.
+def _subsample_pool(workers: int) -> ProcessPoolExecutor:
+    """Process pool for the subsample fits.
 
-    Workers run BLAS at cpu_count // workers threads (at least one), so the
-    pool does not run more threads than there are CPUs.  The cap is set in
-    the calling process for the pool's lifetime, so forked workers inherit
-    it: a forked worker that lowered its own count would first restart
-    OpenBLAS's thread server, whose new threads spin for about 0.1 s and
-    take the CPUs from the fits.  The initializer applies the same cap
-    where workers are not forked.  The caller's counts are restored on exit.
+    Callers hold ``_capped_blas_threads(_pool_blas_threads(workers))`` while
+    the pool runs, so forked workers inherit cpu_count // workers BLAS
+    threads and the pool does not run more threads than there are CPUs.  A
+    forked worker that lowered its own count would restart OpenBLAS's thread
+    server, whose new threads spin for about 0.1 s against the first fit;
+    the initializer applies the cap only where workers are not forked.
     """
-    threads = _pool_blas_threads(workers)
-    with _capped_blas_threads(threads), ProcessPoolExecutor(
-            max_workers=workers, initializer=_cap_blas_threads,
-            initargs=(threads,)) as pool:
-        yield pool
+    return ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
+                               initargs=(_pool_blas_threads(workers),))
 
 
 def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
@@ -355,9 +350,10 @@ def asp_uniform(dataset: Dataset, spec: ModelSpec,
     flags: list[str] = []
     b = subsample_size(dataset.n, config, spec.null_dim)
     workers = min(config.worker_count, config.n_subsamples)
-    # estimate_p's 2b-row problem is as small as the fits, so it shares the
-    # pool's cap; restoring the caller's threads only afterwards also keeps
-    # the restarted thread server's spinning threads out of estimate_p.
+    # The cap covers the pool and estimate_p, whose 2b-row problem is as
+    # small as the fits.  Forking stops the caller's OpenBLAS threads; the
+    # ones restarted when the cap is lifted spin for about 0.1 s, and that
+    # cost falls on the caller's next BLAS work.
     with _capped_blas_threads(_pool_blas_threads(workers)):
         fits, dropped = _run_subsample_fits(
             dataset, spec, [b] * config.n_subsamples, config, 21)

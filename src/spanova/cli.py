@@ -307,6 +307,12 @@ def run_predict(args) -> int:
         if raw_rows:
             table = _parse_numeric_table(header, raw_rows)
             x = table[:, [header.index(name) for name in names]]
+            for name, dom, col in zip(names, spec.domains, x.T):
+                if not dom.is_continuous:
+                    try:
+                        dom.rescale(col)
+                    except InputError as exc:
+                        raise InputError(f"column {name!r}: {exc}") from None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 eta, flags = predict(fit, spec, x)

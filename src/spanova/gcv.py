@@ -51,25 +51,20 @@ class GcvResult:
 
 
 def golden_minimize(score, lo: float = LOG_NLAM_LO, hi: float = LOG_NLAM_HI,
-                    tol: float = LAMBDA_TOL, coarse_step: float = COARSE_STEP,
-                    batch=None):
-    """Minimize a scalar function on [lo, hi]: coarse scan, then golden section.
+                    tol: float = LAMBDA_TOL, coarse_step: float = COARSE_STEP):
+    """Minimize a function on [lo, hi]: coarse scan, then golden section.
 
-    The coarse scan locates the best basin on an evenly spaced grid; golden
-    section then refines inside the neighboring interval to absolute
-    tolerance ``tol``.  ``batch``, when given, is the elementwise form of
-    ``score`` over an array and evaluates the whole coarse grid in one call.
-    Returns (x, score(x), hit_boundary).  Raises when every evaluation is
-    non-finite.
+    ``score`` is evaluated elementwise over an array of points.  The coarse
+    scan scores its whole evenly spaced grid in one call to locate the best
+    basin; golden section then refines inside the neighboring interval, one
+    point per call, to absolute tolerance ``tol``.  Returns
+    (x, score(x), hit_boundary).  Raises when every evaluation is non-finite.
     """
     if not lo < hi:
         raise InputError("empty search interval")
     n_cells = max(1, int(round((hi - lo) / coarse_step)))
     grid = np.linspace(lo, hi, n_cells + 1)
-    if batch is not None:
-        vals = np.asarray(batch(grid), dtype=float)
-    else:
-        vals = np.array([score(g) for g in grid], dtype=float)
+    vals = np.asarray(score(grid), dtype=float)
     if not np.isfinite(vals).any():
         raise NumericalError("score is non-finite over the whole search range")
     i = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
@@ -126,81 +121,63 @@ class LambdaProfile:
         self.w = np.clip(w, 0.0, None)
         p = sla.solve_triangular(l_chol.T, u, lower=False, check_finite=False)
         self.p = p
-        self.tkp = np.hstack([t, k @ p])
         self.bt = p.T @ (k.T @ t)
         self.yt = p.T @ (k.T @ y)
         self.ttt = t.T @ t
         self.tty = t.T @ y
 
-    def _pencil(self, nlam):
-        """Pencil terms at each nlam of a 1-D array, one row or matrix each.
+    def _solve(self, nlam):
+        """Pencil solution at each nlam of a 1-D array, one row each.
 
-        Returns g = 1/(w + nlam), G B, the null-space Schur complement and
-        its right-hand side.
+        Returns g = 1/(w + nlam), the null-space coefficients d, the pencil
+        coordinates z and tr(S^{-1} B'G^2 B), where S is the null-space
+        Schur complement; one solve gives d and S^{-1} B'G^2 B together.
+        Raises LinAlgError when some S is singular.
         """
-        g = 1.0 / (self.w + nlam[:, None])
+        g = 1.0 / np.add.outer(nlam, self.w)
         gb = g[:, :, None] * self.bt
         schur = self.ttt - self.bt.T @ gb
         rhs = self.tty - (g * self.yt) @ self.bt
-        return g, gb, schur, rhs
+        sol = np.linalg.solve(schur, np.concatenate(
+            [rhs[:, :, None], np.swapaxes(gb, 1, 2) @ gb], axis=2))
+        d = sol[:, :, 0]
+        z = g * (self.yt - d @ self.bt.T)
+        return g, d, z, np.einsum("lii->l", sol[:, :, 1:])
 
-    def scores(self, log10_nlam) -> np.ndarray:
-        """GCV scores at nlam = 10**log10_nlam, elementwise over an array.
+    def score(self, log10_nlam):
+        """GCV score at nlam = 10**log10_nlam, elementwise over an array.
 
         All points share one batched evaluation; a point whose null-space
         system is singular scores +inf.
         """
         des = self.design
-        x = np.atleast_1d(np.asarray(log10_nlam, dtype=float))
-        nlam = 10.0 ** x
-        g, gb, schur, rhs = self._pencil(nlam)
-        # one solve gives d (first column) and Schur^{-1} B'G^2 B (the rest)
+        x = np.asarray(log10_nlam, dtype=float)
+        nlam = 10.0 ** x.reshape(-1)
         try:
-            sol = np.linalg.solve(schur, np.concatenate([rhs[:, :, None], gb.mT @ gb], axis=2))
+            g, d, z, tr2 = self._solve(nlam)
         except np.linalg.LinAlgError:
-            if x.size == 1:
-                return np.array([np.inf])
-            return np.concatenate([self.scores(v) for v in x])
-        d = sol[:, :, 0]
-        z = g * (self.yt - d @ self.bt.T)
-        resid = des.y - np.concatenate([d, z], axis=1) @ self.tkp.T
+            if nlam.size == 1:
+                return np.full(x.shape, np.inf)
+            return np.array([self.score(v) for v in x.flat]).reshape(x.shape)
+        # einsum's own loops, not BLAS: at two BLAS threads a threaded
+        # product here (or K P formed once) left numpy's OpenBLAS threads
+        # spinning against the exact scores' QR; a b = 595 subsample fit
+        # took about 20% longer
+        resid = (des.y - np.einsum("lm,nm->ln", d, des.t)
+                 - np.einsum("lq,nq->ln", z @ self.p.T, des.k))
         rss = np.einsum("ij,ij->i", resid, resid)
-        tr2 = np.einsum("lii->l", sol[:, :, 1:])
         trace_a = des.m + des.nq - nlam * (g.sum(axis=1) + tr2)
         denom = (des.n - trace_a) / des.n
-        return np.divide(rss / des.n, denom * denom, out=np.full_like(rss, np.inf),
-                         where=denom > 0.0)
-
-    def score(self, log10_nlam: float) -> float:
-        """GCV score at nlam = 10**log10_nlam; +inf on numerical failure.
-
-        The arithmetic of ``scores`` without the batch axis: golden section
-        evaluates one point at a time, and at subsample sizes the batch
-        axis costs more than the arithmetic.
-        """
-        des = self.design
-        nlam = 10.0 ** float(log10_nlam)
-        g = 1.0 / (self.w + nlam)
-        gb = g[:, None] * self.bt
-        try:
-            sol = np.linalg.solve(self.ttt - self.bt.T @ gb,
-                                  np.column_stack([self.tty - gb.T @ self.yt, gb.T @ gb]))
-        except np.linalg.LinAlgError:
-            return float("inf")
-        d = sol[:, 0]
-        z = g * (self.yt - self.bt @ d)
-        resid = des.y - self.tkp @ np.concatenate([d, z])
-        trace_a = des.m + des.nq - nlam * (float(g.sum()) + float(np.trace(sol[:, 1:])))
-        return gcv_from_fit(float(resid @ resid), trace_a, des.n)
+        out = np.divide(rss / des.n, denom * denom, out=np.full_like(rss, np.inf),
+                        where=denom > 0.0)
+        return out.reshape(x.shape)
 
     def coefficients(self, nlam: float) -> tuple[np.ndarray, np.ndarray]:
-        g, _, schur, rhs = self._pencil(np.array([float(nlam)]))
         try:
-            d = np.linalg.solve(schur[0], rhs[0])
+            _, d, z, _ = self._solve(np.array([float(nlam)]))
         except np.linalg.LinAlgError as exc:
             raise NumericalError("null-space system is singular") from exc
-        z = g[0] * (self.yt - self.bt @ d)
-        return d, self.p @ z
+        return d[0], self.p @ z[0]
 
 
 def _exact_score(design: CompiledDesign, nlam: float) -> float:
@@ -234,7 +211,7 @@ def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
     """
     design = CompiledDesign(t, k, q, y)
     profile = LambdaProfile(design)
-    x, _, hit_boundary = golden_minimize(profile.score, batch=profile.scores)
+    x, _, hit_boundary = golden_minimize(profile.score)
     score = _exact_score(design, 10.0 ** x)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     params = SmoothingParams(x, tuple(float(v) for v in np.log10(theta)))
@@ -260,7 +237,7 @@ def skip_stage_one(blocks: DesignBlocks, y: np.ndarray):
         raise NumericalError("a kernel block has nonpositive trace")
     theta1 = 1.0 / blocks.part_traces
     _, profile1 = _profile_at(blocks, y, theta1)
-    x1, _, _ = golden_minimize(profile1.score, batch=profile1.scores)
+    x1, _, _ = golden_minimize(profile1.score)
     _, c = profile1.coefficients(10.0 ** x1)
     return theta1, x1, c
 
@@ -286,7 +263,7 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
         flags.append("theta-floor")
         theta0 = np.where(theta0 > 0.0, theta0, 1e-12 * top)
     design2, profile2 = _profile_at(blocks, y, theta0)
-    x2, _, hit_boundary = golden_minimize(profile2.score, batch=profile2.scores)
+    x2, _, hit_boundary = golden_minimize(profile2.score)
     score = _exact_score(design2, 10.0 ** x2)
     if hit_boundary:
         flags.append("lambda-boundary")
@@ -371,7 +348,7 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30,
         # nlam search at the updated theta, on the pinned scale
         pin_scale()
         design, profile = _profile_at(blocks, y, theta)
-        x, _, hit_boundary = golden_minimize(profile.score, batch=profile.scores)
+        x, _, hit_boundary = golden_minimize(profile.score)
         cand = _exact_score(design, 10.0 ** x)
         if cand < score:
             log_nlam = x

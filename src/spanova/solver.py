@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy.linalg as sla
 
 from .data import Dataset
 from .kernels import ModelSpec, null_basis_matrix, term_gram, term_gram_diag
@@ -117,15 +117,6 @@ class DesignBlocks:
     basis: BasisSelection
     basis_rows: np.ndarray
 
-    def __post_init__(self):
-        # The parts are kept as rows of one (S, ...) array, so combine()
-        # weights them in one pass; an array passed in is used as it is, a
-        # sequence of parts is stacked once.
-        self._k_stack = np.asarray(self.k_parts, dtype=float)
-        self._q_stack = np.asarray(self.q_parts, dtype=float)
-        self.k_parts = tuple(self._k_stack)
-        self.q_parts = tuple(self._q_stack)
-
     @property
     def n(self) -> int:
         return self.t.shape[0]
@@ -147,10 +138,11 @@ class DesignBlocks:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_penalized,):
             raise InputError(f"theta must have length {self.n_penalized}")
-        # einsum's own loop, not BLAS: a threaded BLAS call here would leave
-        # numpy's OpenBLAS threads spinning against the solver's QR
-        k = np.einsum("s,s...->...", theta, self._k_stack)
-        q = np.einsum("s,s...->...", theta, self._q_stack)
+        k = theta[0] * self.k_parts[0]
+        q = theta[0] * self.q_parts[0]
+        for w, kp, qp in zip(theta[1:], self.k_parts[1:], self.q_parts[1:]):
+            k += w * kp
+            q += w * qp
         return k, q
 
 
@@ -174,18 +166,18 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     if np.linalg.matrix_rank(t) < m:
         raise InputError("null basis is rank deficient on this sample")
     z = dataset.x[basis.indices]
-    k_parts = np.empty((spec.n_penalized, dataset.n, basis.q))
-    q_parts = np.empty((spec.n_penalized, basis.q, basis.q))
+    k_parts = []
+    q_parts = []
     traces = []
-    for i, term in enumerate(spec.penalized_terms):
-        k_parts[i] = term_gram(term, spec.domains, dataset.x, z)
+    for term in spec.penalized_terms:
+        k_parts.append(term_gram(term, spec.domains, dataset.x, z))
         q_block = term_gram(term, spec.domains, z, z)
-        q_parts[i] = (q_block + q_block.T) / 2.0
+        q_parts.append((q_block + q_block.T) / 2.0)
         traces.append(float(term_gram_diag(term, spec.domains, dataset.x).sum()))
     return DesignBlocks(
         t=t,
-        k_parts=k_parts,
-        q_parts=q_parts,
+        k_parts=tuple(k_parts),
+        q_parts=tuple(q_parts),
         part_traces=np.asarray(traces),
         basis=basis,
         basis_rows=z.copy(),
@@ -217,7 +209,7 @@ class CompiledDesign:
         nq = k.shape[1]
         if q.shape != (nq, nq):
             raise InputError("Q must be square with K's column count")
-        if not (np.abs(q - q.T) <= 1e-10).all():
+        if not np.allclose(q, q.T, atol=1e-10, rtol=0.0):
             raise InputError("Q must be symmetric")
         self.t = t
         self.k = k
@@ -242,26 +234,24 @@ def _stacked_fit(design: CompiledDesign, nlam: float):
     """
     if nlam <= 0 or not np.isfinite(nlam):
         raise InputError("nlam must be positive and finite")
-    # LAPACK is called directly: the scipy.linalg wrappers' checks cost more
-    # than the factorizations themselves at subsample sizes.
-    l_chol, info = lapack.dpotrf(design.q_r, lower=1)
-    if info != 0:
-        raise NumericalError("solver: penalty matrix is not positive definite")
+    try:
+        l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("solver: penalty matrix is not positive definite") from exc
     n, m, p = design.n, design.m, design.m + design.nq
     stack = np.zeros((n + design.nq, p + 1), order="F")
     stack[:n, :m] = design.t
     stack[:n, m:p] = design.k
     stack[:n, p] = design.y
     stack[n:, m:p] = float(nlam) ** 0.5 * l_chol.T
-    # R is the upper triangle of qr[:p, :p]; dtrtrs reads nothing below it
-    qr = lapack.dgeqrf(stack, overwrite_a=1)[0]
-    r = qr[:p, :p]
-    if np.abs(np.diagonal(r)).min() == 0.0:
+    r = sla.qr(stack, mode="r", overwrite_a=True, check_finite=False)[0][:p]
+    if np.abs(np.diag(r)).min() == 0.0:
         raise NumericalError(f"solver: singular stacked system (nlam={nlam:g})")
-    beta = lapack.dtrtrs(r, qr[:p, p])[0]
+    beta = sla.solve_triangular(r[:, :p], r[:, p], lower=False, check_finite=False)
     d, c = beta[:m], beta[m:]
     fitted = design.t @ d + design.k @ c
-    w = lapack.dtrtrs(r[m:, m:], l_chol, trans=1)[0]
+    w = sla.solve_triangular(r[m:, m:p], l_chol, trans="T", lower=False,
+                             check_finite=False)
     trace_a = p - float(nlam) * float((w * w).sum())
     return d, c, fitted, trace_a
 

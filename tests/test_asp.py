@@ -335,7 +335,7 @@ def test_forked_pool_workers_start_no_blas_threads(monkeypatch):
     thread server, whose new threads would spin against the fits."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers, one BLAS thread each
     parent = _blas_thread_counts()
-    with asp._subsample_pool(2) as pool:
+    with asp._capped_blas_threads(asp._pool_blas_threads(2)), asp._subsample_pool(2) as pool:
         assert pool.submit(_thread_count).result(timeout=60) == 1
         assert all(count == 1 for count in pool.submit(_blas_thread_counts).result(timeout=60).values())
     assert _blas_thread_counts() == parent

@@ -215,7 +215,7 @@ def test_predict_column_mismatch(fitted_paths, tmp_path):
     assert code == 2
 
 
-def test_fit_predict_round_trip_with_discrete_column(tmp_path):
+def test_fit_predict_round_trip_with_discrete_column(tmp_path, capsys):
     rng = np.random.default_rng(4)
     n = 150
     a = rng.uniform(size=n)
@@ -236,8 +236,10 @@ def test_fit_predict_round_trip_with_discrete_column(tmp_path):
     preds = np.array([float(r[0]) for r in pred_rows])
     assert np.max(np.abs(preds - np.array([float(r[0]) for r in fitted_rows]))) < 1e-10
     unknown = write_csv(tmp_path / "unknown.csv", ["a", "b"], [[0.5, 4]])
+    capsys.readouterr()
     assert main(["predict", "--fit", str(fit), "--data", unknown,
                  "--out", str(tmp_path / "pred4.csv")]) == 2
+    assert "column 'b': unknown discrete level(s) [4.0]" in capsys.readouterr().err
 
 
 def test_fit_order_method_records_rate_lambda(tmp_path):
