@@ -35,6 +35,8 @@ from .solver import (
     SmoothingParams,
     assemble_blocks,
     basis_count,
+    null_design,
+    part_traces,
     select_basis,
 )
 from .util import InputError, NumericalError, derive_rng, round_half_up
@@ -171,18 +173,23 @@ def _subsample_basis_count(b: int, null_dim: int, config: AspConfig) -> int:
     return min(max(q, null_dim + 1), b)
 
 
-def _fit_subsample(args):
-    """Cross-validate one subsample; module-level so worker processes can run it."""
-    dataset, spec, b, config, stream = args
+def _draw_subsample(dataset: Dataset, spec: ModelSpec, b: int, config: AspConfig,
+                    stream) -> tuple[Dataset, BasisSelection]:
+    """The b rows and the basis rows of one subsample fit."""
     rng = derive_rng(config.seed, *stream)
     rows = np.sort(rng.choice(dataset.n, size=b, replace=False))
-    sub = dataset.take(rows)
     q = _subsample_basis_count(b, spec.null_dim, config)
     basis = BasisSelection(indices=rng.choice(b, size=q, replace=False))
+    return dataset.take(rows), basis
+
+
+def _fit_subsample(args):
+    """Cross-validate one subsample; module-level so worker processes can run it."""
+    sub, spec, basis, config = args
     blocks = assemble_blocks(sub, spec, basis)
     res = full_gcv(blocks, sub.y, max_iter=config.gcv_max_iter, tol=config.gcv_tol)
-    lam = res.params.nlam / b
-    return SubsampleFit(size=b, lam=lam, theta=tuple(res.params.theta),
+    lam = res.params.nlam / sub.n
+    return SubsampleFit(size=sub.n, lam=lam, theta=tuple(res.params.theta),
                         score=res.score, converged=res.converged)
 
 
@@ -274,12 +281,13 @@ def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
     """Fit all requested subsamples, in parallel when configured.
 
     Returns (fits, dropped) where failed subsamples are dropped; ordering
-    follows the request list so the reduction is deterministic.
+    follows the request list so the reduction is deterministic.  Rows are
+    drawn here, so a worker receives its b rows and not the whole dataset.
     """
-    jobs = [
-        (dataset, spec, b, config, (stream_tag, k))
-        for k, b in enumerate(sizes)
-    ]
+    jobs = []
+    for k, b in enumerate(sizes):
+        sub, basis = _draw_subsample(dataset, spec, b, config, (stream_tag, k))
+        jobs.append((sub, spec, basis, config))
     workers = min(config.worker_count, len(jobs))
     results: list[SubsampleFit | None] = []
     if workers > 1:
@@ -503,12 +511,15 @@ def skip_selection(dataset: Dataset, spec: ModelSpec,
 
 def order_selection(dataset: Dataset, spec: ModelSpec,
                     config: AspConfig = AspConfig()) -> SelectionResult:
-    """Order-based baseline: rate-law lambda, trace-normalized theta."""
+    """Order-based baseline: rate-law lambda, trace-normalized theta.
+
+    Runs the input checks of ``assemble_blocks`` but builds no kernel block.
+    """
     t0 = time.perf_counter()
     basis = full_sample_basis(dataset.n, spec.null_dim, config)
-    blocks = assemble_blocks(dataset, spec, basis)
+    null_design(dataset, spec, basis)
     lam = order_based(dataset.n, config.r_default, config.p_default, config.order_c)
-    theta = tuple(1.0 / blocks.part_traces)
+    theta = tuple(1.0 / part_traces(dataset, spec))
     params = SmoothingParams.from_values(dataset.n * lam, theta)
     return SelectionResult(
         method="order", params=params, lambda_full=lam, theta=theta,

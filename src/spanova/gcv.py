@@ -10,9 +10,14 @@ points cover the selection strategies:
   updates of log theta and re-minimization in nlam.
 
 The nlam profile at fixed theta is evaluated through one symmetric-pencil
-eigendecomposition of (K'K, Q_r), after which every score costs O(nq); the
-official ``gcv_score`` and every accepted state use the solver's stacked-QR
-fit, so the two paths can be cross-checked.
+eigendecomposition of (K'K, Q_r), after which every score costs O(rows q);
+the official ``gcv_score`` and every accepted state use the solver's
+stacked-QR fit, so the two paths can be cross-checked.
+
+``full_gcv`` first compresses the n rows to p = M + S q rows
+(``DesignBlocks.compress``), so every exact score, profile and theta trial
+of its search, skip's included, costs the same at any n; its coordinate
+sweep moves K(theta) and Q(theta) one block at a time.
 """
 
 from __future__ import annotations
@@ -102,7 +107,8 @@ class LambdaProfile:
         P'Q_r P = I,   P'K'K P = diag(w).
 
     The residual sum of squares is evaluated from the explicit residual
-    vector at O(nq) per score.  The cheaper O(q^2) moment expansion
+    vector at O(rows q) per score, O(pq) on compressed blocks, plus the
+    design's rss_offset.  The cheaper O(q^2) moment expansion
     cancels catastrophically once nlam falls below the resolution of the
     small pencil eigenvalues, which can fabricate a score minimum at the
     search boundary.
@@ -165,10 +171,10 @@ class LambdaProfile:
         # took about 20% longer
         resid = (des.y - np.einsum("lm,nm->ln", d, des.t)
                  - np.einsum("lq,nq->ln", z @ self.p.T, des.k))
-        rss = np.einsum("ij,ij->i", resid, resid)
+        rss = np.einsum("ij,ij->i", resid, resid) + des.rss_offset
         trace_a = des.m + des.nq - nlam * (g.sum(axis=1) + tr2)
-        denom = (des.n - trace_a) / des.n
-        out = np.divide(rss / des.n, denom * denom, out=np.full_like(rss, np.inf),
+        denom = (des.n_obs - trace_a) / des.n_obs
+        out = np.divide(rss / des.n_obs, denom * denom, out=np.full_like(rss, np.inf),
                         where=denom > 0.0)
         return out.reshape(x.shape)
 
@@ -187,7 +193,7 @@ def _exact_score(design: CompiledDesign, nlam: float) -> float:
     except NumericalError:
         return float("inf")
     resid = design.y - fitted
-    return gcv_from_fit(float(resid @ resid), trace_a, design.n)
+    return gcv_from_fit(float(resid @ resid) + design.rss_offset, trace_a, design.n_obs)
 
 
 def gcv_score(t, k, q, y, params) -> float:
@@ -220,9 +226,12 @@ def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
                      flags=("lambda-boundary",) if hit_boundary else ())
 
 
+def _design(blocks: DesignBlocks, y: np.ndarray, k: np.ndarray, q: np.ndarray):
+    return CompiledDesign(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
+
+
 def _profile_at(blocks: DesignBlocks, y: np.ndarray, theta: np.ndarray):
-    k, q = blocks.combine(theta)
-    design = CompiledDesign(blocks.t, k, q, y)
+    design = _design(blocks, y, *blocks.combine(theta))
     return design, LambdaProfile(design)
 
 
@@ -249,6 +258,10 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
     score in nlam and extract c.  Step 2: theta_delta0 =
     theta_delta^2 c'Q_delta c, then minimize in nlam again.  A zero
     quadratic form is floored at 1e-12 of the largest weight and flagged.
+
+    theta_0 scales with y^2, while the nlam window is fixed, so step 2
+    searches at theta_0 pinned to geometric mean 1 (the score depends on
+    nlam/theta only) and reports nlam on theta_0's own scale.
     """
     y = np.asarray(y, dtype=float)
     flags: list[str] = []
@@ -262,12 +275,13 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
     elif (theta0 <= 0.0).any():
         flags.append("theta-floor")
         theta0 = np.where(theta0 > 0.0, theta0, 1e-12 * top)
-    design2, profile2 = _profile_at(blocks, y, theta0)
+    shift = float(np.mean(np.log10(theta0)))
+    design2, profile2 = _profile_at(blocks, y, theta0 * 10.0 ** (-shift))
     x2, _, hit_boundary = golden_minimize(profile2.score)
     score = _exact_score(design2, 10.0 ** x2)
     if hit_boundary:
         flags.append("lambda-boundary")
-    params = SmoothingParams(x2, tuple(float(v) for v in np.log10(theta0)))
+    params = SmoothingParams(x2 + shift, tuple(float(v) for v in np.log10(theta0)))
     return GcvResult(params=params, score=score, iterations=2,
                      converged=not hit_boundary, score_trace=(score,),
                      flags=tuple(flags))
@@ -289,14 +303,18 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30,
     to geometric-mean theta = 1 after the init and after every coordinate
     sweep; otherwise a drifting common scale can push the optimum of the
     identified coordinates outside the fixed nlam search window.
+
+    The rows are compressed once (``DesignBlocks.compress``), and each
+    theta trial moves K and Q by one block (``DesignBlocks.reweight``), so a
+    trial costs O(pq) plus a (p + q)-row QR whatever n and S are.
     """
-    y = np.asarray(y, dtype=float)
+    blocks, y = blocks.compress(y)
     init = skip_select(blocks, y)
     s = blocks.n_penalized
     theta = init.params.theta.copy()
     log_nlam = init.params.log10_nlam
     score = init.score
-    # the init flag would describe skip's own, unpinned window
+    # boundary hits are reported for full_gcv's own nlam searches only
     flags = set(init.flags) - {"lambda-boundary"}
     trace = [score]
     h = 0.1
@@ -309,23 +327,19 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30,
 
     pin_scale()
 
-    def exact(theta_vec, nlam):
-        k, q = blocks.combine(theta_vec)
-        return _exact_score(CompiledDesign(blocks.t, k, q, y), nlam)
-
     iterations = 0
     converged = False
     for _ in range(max_iter):
         iterations += 1
         nlam = 10.0 ** log_nlam
-        # coordinate sweep at fixed nlam
+        # coordinate sweep at fixed nlam, K and Q moved one block per trial
+        k, q = blocks.combine(theta)
         for delta in range(s):
             lt0 = math.log10(theta[delta])
 
             def eval_at(lt):
-                trial = theta.copy()
-                trial[delta] = 10.0 ** lt
-                return exact(trial, nlam)
+                trial = blocks.reweight(k, q, delta, 10.0 ** lt - theta[delta])
+                return _exact_score(_design(blocks, y, *trial), nlam)
 
             f_plus = eval_at(lt0 + h)
             f_minus = eval_at(lt0 - h)
@@ -342,7 +356,9 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30,
             for trial_step in (step, step / 2, step / 4):
                 f_try = eval_at(lt0 + trial_step)
                 if f_try < score:
-                    theta[delta] = 10.0 ** (lt0 + trial_step)
+                    new = 10.0 ** (lt0 + trial_step)
+                    k, q = blocks.reweight(k, q, delta, new - theta[delta])
+                    theta[delta] = new
                     score = f_try
                     break
         # nlam search at the updated theta, on the pinned scale

@@ -26,7 +26,7 @@ from spanova.asp import (
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import main_effects_model
 from spanova.simulate import SCENARIOS, gen_data
-from spanova.util import InputError
+from spanova.util import InputError, derive_rng
 
 
 def sine_dataset(n, seed=0, noise=0.2):
@@ -284,6 +284,46 @@ def test_order_selection_uses_trace_normalized_theta():
     basis = select_basis(250, basis_count(250), seed=cfg.seed)
     blocks = assemble_blocks(data, spec, basis)
     assert res.theta == pytest.approx(1.0 / blocks.part_traces, rel=1e-12)
+
+
+def test_order_selection_checks_inputs_without_kernel_blocks(monkeypatch):
+    from spanova.kernels import full_two_way_model
+
+    rng = np.random.default_rng(6)
+    x = np.column_stack([rng.uniform(size=60), np.full(60, 0.5)])
+    spec = full_two_way_model(unit_domains(2))
+    data = Dataset(x=x, y=rng.standard_normal(60), domains=spec.domains)
+    # a constant predictor duplicates the intercept column
+    with pytest.raises(InputError, match="rank deficient"):
+        order_selection(data, spec, AspConfig(jobs=1))
+
+    def no_blocks(*args):
+        raise AssertionError("order_selection assembled kernel blocks")
+
+    monkeypatch.setattr(asp, "assemble_blocks", no_blocks)
+    data, spec = sine_dataset(250, seed=5)
+    assert order_selection(data, spec, AspConfig(jobs=1)).theta[0] > 0
+
+
+def test_subsample_jobs_carry_only_their_rows(monkeypatch):
+    data, spec = sine_dataset(400, seed=8)
+    seen = []
+    fit_one = asp._fit_subsample
+
+    def record(job):
+        seen.append(job)
+        return fit_one(job)
+
+    monkeypatch.setattr(asp, "_fit_subsample", record)
+    res = asp_uniform(data, spec, FAST)
+    b = res.subsample_size
+    assert len(seen) == FAST.n_subsamples
+    for k, (sub, _, basis, _) in enumerate(seen):
+        rng = derive_rng(FAST.seed, 21, k)
+        rows = np.sort(rng.choice(data.n, size=b, replace=False))
+        np.testing.assert_array_equal(sub.x, data.x[rows])
+        np.testing.assert_array_equal(sub.y, data.y[rows])
+        assert basis.indices.max() < b
 
 
 def test_asp_uniform_pool_matches_serial():

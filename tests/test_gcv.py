@@ -1,9 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanova.data import Dataset, unit_domains
 from spanova.gcv import (
     GcvResult,
+    LambdaProfile,
+    _exact_score,
     full_gcv,
     gcv_score,
     golden_minimize,
@@ -12,12 +18,14 @@ from spanova.gcv import (
     skip_stage_one,
 )
 from spanova.kernels import ModelSpec, main_effects_model
+from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     BasisSelection,
     CompiledDesign,
     DesignBlocks,
     SmoothingParams,
     assemble_blocks,
+    basis_count,
     fit_model,
     select_basis,
 )
@@ -55,6 +63,19 @@ def collinear_problem(n=120, q=16):
     ds = Dataset(x=x, y=y, domains=spec.domains)
     blocks = assemble_blocks(ds, spec, BasisSelection(indices=np.arange(q)))
     return ds, spec, blocks
+
+
+def scenario_problem(scenario, n, seed=0):
+    sim = gen_data(scenario, n, 5.0, seed=seed)
+    blocks = assemble_blocks(sim.dataset, SCENARIOS[scenario].spec,
+                             select_basis(n, basis_count(n), seed=seed))
+    return sim.dataset, blocks
+
+
+def design_at(blocks, y, theta):
+    """The exact-score inputs at theta, on the rows ``blocks`` holds."""
+    k, q = blocks.combine(theta)
+    return CompiledDesign(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
 
 
 def dense_svd_score(t, k, q, y, nlam):
@@ -136,6 +157,78 @@ def test_theta_lambda_redundancy():
     f1 = fit_model(ds, spec, p1, blocks=blocks)
     f2 = fit_model(ds, spec, p2, blocks=blocks)
     np.testing.assert_allclose(f1.fitted, f2.fitted, atol=1e-10)
+
+
+# --------------------------------------------------------- compressed scores
+
+
+def assert_compressed_scores_match(blocks, y, thetas, log_nlams, profile=True):
+    small, f = blocks.compress(y)
+    assert small.n == blocks.n_null + blocks.n_penalized * blocks.q < blocks.n
+    assert small.n_obs == blocks.n
+    for theta in thetas:
+        direct, compressed = design_at(blocks, y, theta), design_at(small, f, theta)
+        assert compressed.n == small.n and compressed.n_obs == blocks.n
+        lam_profile = LambdaProfile(compressed)
+        for lg in log_nlams:
+            want = _exact_score(direct, 10.0**lg)
+            assert _exact_score(compressed, 10.0**lg) == pytest.approx(want, rel=1e-10)
+            if profile:
+                assert lam_profile.score(lg) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("scenario", ["u2", "m1", "m2"])
+def test_compressed_exact_score_matches_direct(scenario):
+    """At nlam <= 1e-6, u2's direct score itself moves by about 1e-10 under
+    a row permutation, so the points stay above that."""
+    ds, blocks = scenario_problem(scenario, 1500)
+    rng = np.random.default_rng(3)
+    thetas = [np.ones(blocks.n_penalized)]
+    thetas += [10.0 ** rng.uniform(-1.0, 1.0, blocks.n_penalized) for _ in range(2)]
+    assert_compressed_scores_match(blocks, ds.y, thetas, (-5.0, -3.0, -1.0, 1.0))
+
+
+def test_compressed_exact_score_matches_direct_on_tied_basis():
+    """The profile is left out: the tied columns of compressed K are equal
+    only to rounding, so the pencil's null eigenvalue comes out near 1e-7
+    instead of 0, and below that nlam the profile counts one degree of
+    freedom too many (its score about 2% high at nlam = 1e-8)."""
+    ds, spec, blocks = collinear_problem()
+    assert np.linalg.matrix_rank(np.hstack([blocks.t, blocks.k_parts[0]])) < \
+        blocks.n_null + blocks.q
+    assert_compressed_scores_match(blocks, ds.y, [np.ones(1), np.array([7.0])],
+                                   (-8.0, -5.0, -2.0, 1.0), profile=False)
+
+
+@functools.cache
+def compressed_two_term():
+    ds, spec, blocks = two_term_problem(23, n=200, q=18)
+    return blocks.compress(ds.y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_scale=st.floats(-3.0, 3.0), log_nlam=st.floats(-6.0, 2.0),
+       log_theta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_compressed_score_invariant_to_common_scale(log_scale, log_nlam, log_theta):
+    """Only nlam/theta is identified: (theta, nlam) -> (s theta, s nlam)."""
+    small, f = compressed_two_term()
+    theta, s = 10.0 ** np.array(log_theta), 10.0**log_scale
+    base = _exact_score(design_at(small, f, theta), 10.0**log_nlam)
+    scaled = _exact_score(design_at(small, f, s * theta), s * 10.0**log_nlam)
+    assert np.isfinite(base)
+    assert scaled == pytest.approx(base, rel=1e-10)
+
+
+def test_full_gcv_on_compressed_blocks_matches_direct_search():
+    """full_gcv compresses on entry; compressed input gives the same search."""
+    ds, spec, blocks = two_term_problem(24, n=300, q=18)
+    small, f = blocks.compress(ds.y)
+    assert small.n < blocks.n
+    direct, compressed = full_gcv(blocks, ds.y), full_gcv(small, f)
+    assert compressed.params == direct.params
+    assert compressed.score == direct.score
+    fit = fit_model(ds, spec, direct.params, blocks=blocks)
+    assert fit.gcv == pytest.approx(direct.score, rel=1e-10)
 
 
 # ----------------------------------------------------------------- minimizer
@@ -291,6 +384,21 @@ def test_skip_floors_zero_quadratic_form():
     assert "theta-floor" in res.flags
     theta = res.params.theta
     assert theta[1] == pytest.approx(1e-12 * theta[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("scenario, n", [("m1", 2000), ("m4", 1000)])
+def test_skip_select_invariant_to_response_scale(scenario, n):
+    """theta_0 scales with y^2; the nlam it reports follows, on any scale."""
+    ds, blocks = scenario_problem(scenario, n)
+    base = skip_select(blocks, ds.y)
+    assert not base.flags
+    for a in (1e-4, 1e4):
+        res = skip_select(blocks, a * ds.y)
+        assert res.params.log10_nlam - 2 * np.log10(a) == \
+            pytest.approx(base.params.log10_nlam, abs=1e-3)
+        np.testing.assert_allclose(np.asarray(res.params.log10_theta) - 2 * np.log10(a),
+                                   base.params.log10_theta, atol=1e-6)
+        assert res.flags == base.flags
 
 
 # ------------------------------------------------------------------ full gcv

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from spanova import solver
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import full_two_way_model, main_effects_model
 from spanova.gcv import gcv_score
+from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     SmoothingParams,
     assemble,
@@ -307,6 +309,57 @@ def test_combine_weights_blocks():
     np.testing.assert_allclose(q, q_ref, atol=1e-14)
     with pytest.raises(InputError):
         blocks.combine(np.ones(4))
+
+
+def test_reweight_matches_fresh_combine():
+    """A sweep's one-block updates of K and Q agree with a fresh combine."""
+    ds, spec, basis = make_problem(3, 200, d=2, q=16)
+    blocks = assemble_blocks(ds, spec, basis)
+    rng = np.random.default_rng(4)
+    theta = 10.0 ** rng.uniform(-1.0, 1.0, blocks.n_penalized)
+    k, q = blocks.combine(theta)
+    for delta in list(range(blocks.n_penalized)) * 3:
+        new = 10.0 ** rng.uniform(-1.0, 1.0)
+        k, q = blocks.reweight(k, q, delta, new - theta[delta])
+        theta[delta] = new
+    k_ref, q_ref = blocks.combine(theta)
+    np.testing.assert_allclose(k, k_ref, rtol=0.0, atol=1e-12 * np.abs(k_ref).max())
+    np.testing.assert_allclose(q, q_ref, rtol=0.0, atol=1e-12 * np.abs(q_ref).max())
+
+
+@pytest.mark.parametrize("chunk", [7, 40, 2048])
+def test_compress_keeps_cross_products(monkeypatch, chunk):
+    """[T, K_1 .. K_S, y]'[T, K_1 .. K_S, y] survives the chunked QR; y'y
+    is split into f'f and rss_offset.  150 rows leave a partial last chunk
+    at every size but the largest, which takes them in one."""
+    monkeypatch.setattr(solver, "COMPRESS_CHUNK", chunk)
+    ds, spec, basis = make_problem(5, 150, d=1, q=17)
+    blocks = assemble_blocks(ds, spec, basis)
+    small, f = blocks.compress(ds.y)
+    p = blocks.n_null + blocks.q
+    assert small.t.shape == (p, blocks.n_null) and f.shape == (p,)
+    assert small.n_obs == 150 and small.q_parts is blocks.q_parts
+    full = np.hstack([blocks.t, *blocks.k_parts])
+    reduced = np.hstack([small.t, *small.k_parts])
+    scale = np.abs(full.T @ full).max()
+    np.testing.assert_allclose(reduced.T @ reduced, full.T @ full, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(reduced.T @ f, full.T @ ds.y, rtol=0.0, atol=1e-12 * scale)
+    assert f @ f + small.rss_offset == pytest.approx(ds.y @ ds.y, rel=1e-12)
+    assert np.allclose(np.tril(reduced[:, :p], -1), 0.0)
+    with pytest.raises(InputError):
+        blocks.compress(ds.y[:-1])
+
+
+def test_compress_is_noop_when_p_reaches_n():
+    """m4's 87 penalized terms give p = M + S q far above n."""
+    sim = gen_data("m4", 300, 5.0, seed=0)
+    blocks = assemble_blocks(sim.dataset, SCENARIOS["m4"].spec,
+                             select_basis(300, basis_count(300), seed=0))
+    assert blocks.n_null + blocks.n_penalized * blocks.q + 1 >= blocks.n
+    small, f = blocks.compress(sim.dataset.y)
+    assert small is blocks
+    np.testing.assert_array_equal(f, sim.dataset.y)
+    assert small.n_obs == 300 and small.rss_offset == 0.0
 
 
 def test_smoothing_params_round_trip():
