@@ -17,7 +17,9 @@ stacked-QR fit, so the two paths can be cross-checked.
 ``full_gcv`` first compresses the n rows to p = M + S q rows
 (``DesignBlocks.compress``), so every exact score, profile and theta trial
 of its search, skip's included, costs the same at any n; its coordinate
-sweep moves K(theta) and Q(theta) one block at a time.
+sweep moves K(theta) and Q(theta) one block at a time.  The search's
+factorizations, solves and row products run on scipy's LAPACK and BLAS
+(see ``solver``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .solver import CompiledDesign, DesignBlocks, SmoothingParams, _stacked_fit, gcv_from_fit
+from .solver import (CompiledDesign, DesignBlocks, SmoothingParams, _dot, _gram, _stacked_fit,
+                     gcv_from_fit)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -121,31 +124,34 @@ class LambdaProfile:
             l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("penalty matrix is not positive definite") from exc
-        x = sla.solve_triangular(l_chol, k.T @ k, lower=True, check_finite=False)
+        x = sla.solve_triangular(l_chol, _gram(k), lower=True, check_finite=False)
         m_mat = sla.solve_triangular(l_chol, x.T, lower=True, check_finite=False)
-        w, u = np.linalg.eigh((m_mat + m_mat.T) / 2.0)
+        w, u = sla.eigh((m_mat + m_mat.T) / 2.0, check_finite=False)
         self.w = np.clip(w, 0.0, None)
         p = sla.solve_triangular(l_chol.T, u, lower=False, check_finite=False)
         self.p = p
-        self.bt = p.T @ (k.T @ t)
-        self.yt = p.T @ (k.T @ y)
-        self.ttt = t.T @ t
-        self.tty = t.T @ y
+        self.bt = _dot(p.T, _dot(k.T, t))
+        self.yt = _dot(p.T, _dot(k.T, y))
+        self.ttt = _gram(t)
+        self.tty = _dot(t.T, y)
 
     def _solve(self, nlam):
         """Pencil solution at each nlam of a 1-D array, one row each.
 
         Returns g = 1/(w + nlam), the null-space coefficients d, the pencil
         coordinates z and tr(S^{-1} B'G^2 B), where S is the null-space
-        Schur complement; one solve gives d and S^{-1} B'G^2 B together.
-        Raises LinAlgError when some S is singular.
+        Schur complement; one LAPACK dgesv per nlam gives d and
+        S^{-1} B'G^2 B together.  Raises LinAlgError when some S is singular.
         """
         g = 1.0 / np.add.outer(nlam, self.w)
         gb = g[:, :, None] * self.bt
         schur = self.ttt - self.bt.T @ gb
         rhs = self.tty - (g * self.yt) @ self.bt
-        sol = np.linalg.solve(schur, np.concatenate(
-            [rhs[:, :, None], np.swapaxes(gb, 1, 2) @ gb], axis=2))
+        sol = np.concatenate([rhs[:, :, None], np.swapaxes(gb, 1, 2) @ gb], axis=2)
+        for s_l, sol_l in zip(schur, sol):
+            _, _, sol_l[...], info = sla.lapack.dgesv(s_l, sol_l)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular null-space system")
         d = sol[:, :, 0]
         z = g * (self.yt - d @ self.bt.T)
         return g, d, z, np.einsum("lii->l", sol[:, :, 1:])
@@ -165,10 +171,9 @@ class LambdaProfile:
             if nlam.size == 1:
                 return np.full(x.shape, np.inf)
             return np.array([self.score(v) for v in x.flat]).reshape(x.shape)
-        # einsum's own loops, not BLAS: at two BLAS threads a threaded
-        # product here (or K P formed once) left numpy's OpenBLAS threads
-        # spinning against the exact scores' QR; a b = 595 subsample fit
-        # took about 20% longer
+        # einsum's own loops, not BLAS: a scipy dgemm here measured no
+        # faster (asp-u on m1 at n = 20000), and a threaded numpy product
+        # would stall the exact scores' scipy QRs (see solver)
         resid = (des.y - np.einsum("lm,nm->ln", d, des.t)
                  - np.einsum("lq,nq->ln", z @ self.p.T, des.k))
         rss = np.einsum("ij,ij->i", resid, resid) + des.rss_offset

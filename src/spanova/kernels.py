@@ -326,26 +326,50 @@ def term_kernel(term: AnovaTerm, domains, row, row2) -> float:
     return float(val)
 
 
+def _gram_factor(domain: PredictorDomain, label: str, xc: np.ndarray, zc: np.ndarray) -> np.ndarray:
+    """One predictor's kernel factor between two point sets, shape (n, m)."""
+    if not domain.is_continuous:
+        return (xc[:, None] == zc[None, :]).astype(float) - 1.0 / domain.n_levels
+    if label == LABEL_PARAMETRIC:
+        return np.outer(_k1(xc), _k1(zc))
+    return np.outer(_k2(xc), _k2(zc)) - _k4(np.abs(xc[:, None] - zc[None, :]))
+
+
+def term_grams(terms, domains, x_rows: np.ndarray, z_rows: np.ndarray):
+    """Gram blocks of several terms between two point sets, in term order.
+
+    Yields one (n, m) block per term, each a fresh array the caller owns.
+    Every (predictor, label) factor is formed once and dropped after the
+    last term that uses it, so terms that share factors (the interactions
+    of a two-way model) cost one product per extra factor.  A block is the
+    product of its factors in predictor order, so it equals ``term_gram``
+    bit for bit.
+    """
+    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
+    keys = [tuple(zip(term.predictors, term.labels)) for term in terms]
+    last_use = {key: i for i, term_keys in enumerate(keys) for key in term_keys}
+    factors = {}
+    for i, term_keys in enumerate(keys):
+        for j, lab in term_keys:
+            if (j, lab) not in factors:
+                factors[j, lab] = _gram_factor(domains[j], lab, x_rows[:, j], z_rows[:, j])
+        first, *rest = term_keys
+        block = factors.pop(first) if last_use[first] == i else factors[first].copy()
+        for key in rest:
+            block *= factors[key]
+            if last_use[key] == i:
+                del factors[key]
+        yield block
+        del block  # so the caller's reference is the only one while the next block forms
+
+
 def term_gram(term: AnovaTerm, domains, x_rows: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
     """Gram block of one term between two point sets, shape (n, m).
 
     Vectorized equivalent of evaluating ``term_kernel`` pairwise.
     """
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
-    out = np.ones((x_rows.shape[0], z_rows.shape[0]))
-    for j, lab in zip(term.predictors, term.labels):
-        xc = x_rows[:, j]
-        zc = z_rows[:, j]
-        if domains[j].is_continuous:
-            if lab == LABEL_PARAMETRIC:
-                out *= np.outer(_k1(xc), _k1(zc))
-            else:
-                out *= np.outer(_k2(xc), _k2(zc)) - _k4(np.abs(xc[:, None] - zc[None, :]))
-        else:
-            k = domains[j].n_levels
-            out *= (xc[:, None] == zc[None, :]).astype(float) - 1.0 / k
-    return out
+    return next(term_grams((term,), domains, x_rows, z_rows))
 
 
 def term_gram_diag(term: AnovaTerm, domains, x_rows: np.ndarray) -> np.ndarray:

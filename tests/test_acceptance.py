@@ -323,10 +323,12 @@ def test_09a_two_way_benchmark_accuracy(capsys, two_way_benchmark):
 
 
 def test_09b_two_way_selection_speed(capsys, two_way_benchmark):
-    """Expected FAIL: at n = 3000 roughly a quarter of the benchmark
-    selection's floating-point work recurs inside the subsample fits, so
-    the < 0.2x target is out of reach at this size; the ratio reaches
-    ~0.02-0.05 near n = 20000.  README.md documents the measurements."""
+    """Expected FAIL: at n = 3000 full GCV searches once on rows
+    compressed to p = 299, while asp-u runs the same search five times on
+    subsamples, so the < 0.2x target is out of reach at this size.
+    Measured on a 2-CPU machine: 1.7-1.9 at n = 3000, 0.46-0.47 at
+    n = 20000 and 0.14 at n = 50000.  README.md documents the
+    measurements."""
     rows, _ = two_way_benchmark
     t_asp = float(np.median([r.wall_time_seconds for r in rows if r.method == "asp-u"]))
     t_gcv = float(np.median([r.wall_time_seconds for r in rows if r.method == "gcv"]))

@@ -462,3 +462,32 @@ def test_full_gcv_beats_three_dimensional_grid():
                 if val < best:
                     best = val
     assert fg.score <= best * (1 + 1e-3)
+
+
+# ------------------------------------------------------------- one BLAS copy
+
+
+def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
+    """The search and the fit run their LAPACK work on scipy's OpenBLAS.
+
+    numpy and scipy bundle separate OpenBLAS copies, and calls alternating
+    between them at two threads stall each other, so a numpy.linalg call
+    that creeps back into these paths fails here.
+    """
+    from spanova import asp
+    from spanova.solver import _stacked_fit
+
+    ds, blocks = scenario_problem("m1", 400, seed=2)
+    theta = np.ones(blocks.n_penalized)
+    expected = (full_gcv(blocks, ds.y), skip_select(blocks, ds.y))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg called in the search or the fit")
+
+    for name in ("eigh", "solve", "cholesky", "qr", "svd", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    assert (full_gcv(blocks, ds.y), skip_select(blocks, ds.y)) == expected
+    d, c, fitted, trace_a = _stacked_fit(design_at(blocks, ds.y, theta), 1e-3)
+    assert np.isfinite(fitted).all() and 0.0 < trace_a < ds.n
+    sel = asp.asp_uniform(ds, SCENARIOS["m1"].spec, asp.AspConfig(jobs=1))
+    assert np.isfinite(sel.params.log10_nlam)

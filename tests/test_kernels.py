@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from spanova.data import Dataset
 from spanova.kernels import (
     AnovaTerm,
     PredictorDomain,
@@ -16,8 +17,11 @@ from spanova.kernels import (
     null_basis_matrix,
     term_gram,
     term_gram_diag,
+    term_grams,
     term_kernel,
 )
+from spanova.simulate import SCENARIOS
+from spanova.solver import BasisSelection, assemble_blocks
 from spanova.util import InputError
 
 
@@ -303,6 +307,62 @@ def test_term_gram_psd_for_interactions():
         gram = term_gram(term, spec.domains, x, x)
         w = np.linalg.eigvalsh((gram + gram.T) / 2)
         assert w.min() > -1e-10 * max(w.max(), 1.0)
+
+
+def loop_term_gram(term, domains, x, z):
+    """Reference: one term's block, every factor formed afresh."""
+    out = np.ones((x.shape[0], z.shape[0]))
+    for j, lab in zip(term.predictors, term.labels):
+        xc, zc = x[:, j], z[:, j]
+        if not domains[j].is_continuous:
+            out *= (xc[:, None] == zc[None, :]).astype(float) - 1.0 / domains[j].n_levels
+        elif lab == "01":
+            out *= np.outer(xc - 0.5, zc - 0.5)
+        else:
+            out *= (np.outer(eval_bernoulli(2, xc), eval_bernoulli(2, zc))
+                    - eval_bernoulli(4, np.abs(xc[:, None] - zc[None, :])))
+    return out
+
+
+def mixed_spec():
+    domains = unit(2) + (PredictorDomain.discrete(3),)
+    return full_two_way_model(domains)
+
+
+def spec_rows(spec, n, seed):
+    rng = np.random.default_rng(seed)
+    cols = [rng.uniform(size=n) if dom.is_continuous
+            else rng.integers(1, dom.n_levels + 1, size=n).astype(float)
+            for dom in spec.domains]
+    return np.column_stack(cols)
+
+
+ASSEMBLY_SPECS = [SCENARIOS[name].spec for name in ("u2", "m1", "m2", "m4")] + [mixed_spec()]
+
+
+@pytest.mark.parametrize("spec", ASSEMBLY_SPECS, ids=["u2", "m1", "m2", "m4", "discrete"])
+def test_term_grams_bitwise_equal_to_per_term_grams(spec):
+    x = spec_rows(spec, 40, seed=3)
+    z = x[::4]
+    terms = spec.penalized_terms
+    blocks = term_grams(terms, spec.domains, x, z)
+    for term, block in zip(terms, blocks, strict=True):
+        assert np.array_equal(block, term_gram(term, spec.domains, x, z))
+        assert np.array_equal(block, loop_term_gram(term, spec.domains, x, z))
+        block[...] = np.nan  # the caller owns each block: later ones are unaffected
+
+
+@pytest.mark.parametrize("spec", ASSEMBLY_SPECS, ids=["u2", "m1", "m2", "m4", "discrete"])
+def test_assemble_blocks_unchanged_by_shared_factors(spec):
+    x = spec_rows(spec, 120, seed=4)
+    ds = Dataset(x=x, y=np.zeros(120), domains=spec.domains)
+    basis = BasisSelection(indices=np.arange(0, 120, 3))
+    blocks = assemble_blocks(ds, spec, basis)
+    z = x[basis.indices]
+    for term, kp, qp in zip(spec.penalized_terms, blocks.k_parts, blocks.q_parts, strict=True):
+        assert np.array_equal(kp, loop_term_gram(term, spec.domains, x, z))
+        q_ref = loop_term_gram(term, spec.domains, z, z)
+        assert np.array_equal(qp, (q_ref + q_ref.T) / 2.0)
 
 
 # --------------------------------------------------------------------- domains
