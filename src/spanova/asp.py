@@ -183,6 +183,12 @@ def _draw_subsample(dataset: Dataset, spec: ModelSpec, b: int, config: AspConfig
     return dataset.take(rows), basis
 
 
+def _check_response(dataset: Dataset) -> None:
+    """Raise unless y varies: a constant response leaves GCV nothing to fit."""
+    if dataset.y.size and (dataset.y == dataset.y[0]).all():
+        raise InputError("response is constant; no smoothing parameter can be selected")
+
+
 def _fit_subsample(args):
     """Cross-validate one subsample; module-level so worker processes can run it."""
     sub, spec, basis, config = args
@@ -355,6 +361,7 @@ def asp_uniform(dataset: Dataset, spec: ModelSpec,
     default rate order r.
     """
     t0 = time.perf_counter()
+    _check_response(dataset)
     flags: list[str] = []
     b = subsample_size(dataset.n, config, spec.null_dim)
     workers = min(config.worker_count, config.n_subsamples)
@@ -428,6 +435,7 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
     over ``n_subsamples`` draws.  theta comes from the largest size.
     """
     t0 = time.perf_counter()
+    _check_response(dataset)
     flags: list[str] = []
     lo = subsample_size(dataset.n, config, spec.null_dim)
     hi_cfg = replace(config, b_coef=config.b_max_coef)
@@ -485,6 +493,7 @@ def gcv_select(dataset: Dataset, spec: ModelSpec,
                config: AspConfig = AspConfig()) -> SelectionResult:
     """Full-sample iterative cross-validation wrapped as a selection result."""
     t0 = time.perf_counter()
+    _check_response(dataset)
     basis = full_sample_basis(dataset.n, spec.null_dim, config)
     blocks = assemble_blocks(dataset, spec, basis)
     res = full_gcv(blocks, dataset.y, max_iter=config.gcv_max_iter, tol=config.gcv_tol)
@@ -499,6 +508,7 @@ def skip_selection(dataset: Dataset, spec: ModelSpec,
                    config: AspConfig = AspConfig()) -> SelectionResult:
     """Full-sample starting-value selection wrapped as a selection result."""
     t0 = time.perf_counter()
+    _check_response(dataset)
     basis = full_sample_basis(dataset.n, spec.null_dim, config)
     blocks = assemble_blocks(dataset, spec, basis)
     res = skip_select(blocks, dataset.y)

@@ -9,10 +9,11 @@ points cover the selection strategies:
 * ``full_gcv``: skip initialization followed by alternating coordinate
   updates of log theta and re-minimization in nlam.
 
-The nlam profile at fixed theta is evaluated through one symmetric-pencil
-eigendecomposition of (K'K, Q_r), after which every score costs O(rows q);
-the official ``gcv_score`` and every accepted state use the solver's
-stacked-QR fit, so the two paths can be cross-checked.
+The nlam profile at fixed theta takes one R-only QR of [T, K L^{-T}, y]
+(Q_r = LL') and one SVD of its q x q kernel block, after which every score
+is an O(q) sum (``LambdaProfile``); the official ``gcv_score`` and every
+accepted state use the solver's stacked-QR fit, so the two paths can be
+cross-checked.
 
 ``full_gcv`` first compresses the n rows to p = M + S q rows
 (``DesignBlocks.compress``), so every exact score, profile and theta trial
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .solver import (CompiledDesign, DesignBlocks, SmoothingParams, _dot, _gram, _stacked_fit,
-                     gcv_from_fit)
+from .solver import (CompiledDesign, DesignBlocks, SmoothingParams, _dot, _r_factor,
+                     _stacked_fit, gcv_from_fit)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -101,94 +102,67 @@ def golden_minimize(score, lo: float = LOG_NLAM_LO, hi: float = LOG_NLAM_HI,
 class LambdaProfile:
     """GCV score as a function of nlam at fixed theta.
 
-    One Cholesky of Q_r and one eigendecomposition of L^{-1}K'K L^{-T}
-    reduce each evaluation to diagonal operations plus an M x M solve:
-    with (w, U) the pencil eigensystem and P = L^{-T}U,
+    With Q_r = LL' and a = L'c the fit is a ridge regression on
+    [T, K L^{-T}].  One R-only QR of [T, K L^{-T}, y], the factor the
+    compression and ``_stacked_fit`` take, gives
 
-        G(nlam)^{-1} = P diag(1/(w + nlam)) P',
-        tr(G^{-1}Q_r) = sum 1/(w + nlam),
-        P'Q_r P = I,   P'K'K P = diag(w).
+        R = [[R_TT, R_TK, r_Ty], [0, R_KK, r_Ky], [0, 0, rho]],
 
-    The residual sum of squares is evaluated from the explicit residual
-    vector at O(rows q) per score, O(pq) on compressed blocks, plus the
-    design's rss_offset.  The cheaper O(q^2) moment expansion
-    cancels catastrophically once nlam falls below the resolution of the
-    small pencil eigenvalues, which can fabricate a score minimum at the
-    search boundary.
+    and one SVD R_KK = U diag(s) V' with g = U'r_Ky reduces every score to
+    O(q) sums of nonnegative terms, with no solve:
+
+        rss(nlam) = rho^2 + rss_offset + sum (nlam/(s^2 + nlam))^2 g^2,
+        tr A(nlam) = M + sum s^2/(s^2 + nlam).
+
+    K'K is never formed, so a rank-deficient K costs no accuracy.
     """
 
     def __init__(self, design: CompiledDesign):
         self.design = design
-        t, k, y = design.t, design.k, design.y
+        n, m, p = design.n, design.m, design.m + design.nq
         try:
-            l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
+            self.l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("penalty matrix is not positive definite") from exc
-        x = sla.solve_triangular(l_chol, _gram(k), lower=True, check_finite=False)
-        m_mat = sla.solve_triangular(l_chol, x.T, lower=True, check_finite=False)
-        w, u = sla.eigh((m_mat + m_mat.T) / 2.0, check_finite=False)
-        self.w = np.clip(w, 0.0, None)
-        p = sla.solve_triangular(l_chol.T, u, lower=False, check_finite=False)
-        self.p = p
-        self.bt = _dot(p.T, _dot(k.T, t))
-        self.yt = _dot(p.T, _dot(k.T, y))
-        self.ttt = _gram(t)
-        self.tty = _dot(t.T, y)
-
-    def _solve(self, nlam):
-        """Pencil solution at each nlam of a 1-D array, one row each.
-
-        Returns g = 1/(w + nlam), the null-space coefficients d, the pencil
-        coordinates z and tr(S^{-1} B'G^2 B), where S is the null-space
-        Schur complement; one LAPACK dgesv per nlam gives d and
-        S^{-1} B'G^2 B together.  Raises LinAlgError when some S is singular.
-        """
-        g = 1.0 / np.add.outer(nlam, self.w)
-        gb = g[:, :, None] * self.bt
-        schur = self.ttt - self.bt.T @ gb
-        rhs = self.tty - (g * self.yt) @ self.bt
-        sol = np.concatenate([rhs[:, :, None], np.swapaxes(gb, 1, 2) @ gb], axis=2)
-        for s_l, sol_l in zip(schur, sol):
-            _, _, sol_l[...], info = sla.lapack.dgesv(s_l, sol_l)
-            if info > 0:
-                raise np.linalg.LinAlgError("singular null-space system")
-        d = sol[:, :, 0]
-        z = g * (self.yt - d @ self.bt.T)
-        return g, d, z, np.einsum("lii->l", sol[:, :, 1:])
+        # zero rows pad the stack to a square R; K is whitened in place
+        stack = np.zeros((max(n, p + 1), p + 1), order="F")
+        stack[:n, :m] = design.t
+        stack[:n, m:p] = design.k
+        stack[:n, p] = design.y
+        sla.blas.dtrsm(1.0, self.l_chol, stack[:, m:p], side=1, lower=1, trans_a=1,
+                       overwrite_b=1)
+        self.r = r = _r_factor(stack)
+        if (np.diag(r)[:m] == 0.0).any():
+            raise NumericalError("null design is rank deficient")
+        try:
+            u, self.s, self.vt = sla.svd(r[m:p, m:p], check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("profile SVD did not converge") from exc
+        self.s2 = self.s * self.s
+        self.g = _dot(u.T, r[m:p, p])
+        self.rss_floor = float(r[p, p]) ** 2 + design.rss_offset
 
     def score(self, log10_nlam):
-        """GCV score at nlam = 10**log10_nlam, elementwise over an array.
-
-        All points share one batched evaluation; a point whose null-space
-        system is singular scores +inf.
-        """
+        """GCV score at nlam = 10**log10_nlam, elementwise over an array."""
         des = self.design
         x = np.asarray(log10_nlam, dtype=float)
-        nlam = 10.0 ** x.reshape(-1)
-        try:
-            g, d, z, tr2 = self._solve(nlam)
-        except np.linalg.LinAlgError:
-            if nlam.size == 1:
-                return np.full(x.shape, np.inf)
-            return np.array([self.score(v) for v in x.flat]).reshape(x.shape)
-        # einsum's own loops, not BLAS: a scipy dgemm here measured no
-        # faster (asp-u on m1 at n = 20000), and a threaded numpy product
-        # would stall the exact scores' scipy QRs (see solver)
-        resid = (des.y - np.einsum("lm,nm->ln", d, des.t)
-                 - np.einsum("lq,nq->ln", z @ self.p.T, des.k))
-        rss = np.einsum("ij,ij->i", resid, resid) + des.rss_offset
-        trace_a = des.m + des.nq - nlam * (g.sum(axis=1) + tr2)
+        nlam = 10.0 ** x.reshape(-1, 1)
+        shrink = nlam / (self.s2 + nlam)
+        rss = self.rss_floor + ((shrink * self.g) ** 2).sum(axis=1)
+        trace_a = des.m + (self.s2 / (self.s2 + nlam)).sum(axis=1)
         denom = (des.n_obs - trace_a) / des.n_obs
         out = np.divide(rss / des.n_obs, denom * denom, out=np.full_like(rss, np.inf),
                         where=denom > 0.0)
         return out.reshape(x.shape)
 
     def coefficients(self, nlam: float) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            _, d, z, _ = self._solve(np.array([float(nlam)]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("null-space system is singular") from exc
-        return d[0], self.p @ z[0]
+        """(d, c) at nlam: a = V diag(s/(s^2 + nlam)) g, c = L^{-T} a."""
+        m, r = self.design.m, self.r
+        a = _dot(self.vt.T, self.s / (self.s2 + nlam) * self.g)
+        c = sla.solve_triangular(self.l_chol, a, trans="T", lower=True, check_finite=False)
+        d = sla.solve_triangular(r[:m, :m], r[:m, -1] - _dot(r[:m, m:-1], a),
+                                 lower=False, check_finite=False)
+        return d, c
 
 
 def _exact_score(design: CompiledDesign, nlam: float) -> float:

@@ -26,14 +26,12 @@ diagonal entry.  Every score on the compressed blocks adds rho^2 to its
 residual sum of squares and divides by the observation count, so it equals
 the n-row score while its cost no longer depends on n.
 
-The QRs, solves, eigensystems and row products of the fit and the search
-run on scipy's LAPACK and BLAS (``_dot``, ``_gram``), not numpy's.  Each
-package bundles its own OpenBLAS, and at two threads calls that alternate
-between the two copies stall each other.  Measured on a 2-CPU machine, each
-call next to a scipy QR: a 389 x 77 K'K took 6-8 ms through numpy and
-0.2 ms through scipy's dsyrk; T d + K c on 20000 rows took 5 ms through
-numpy and 0.6 ms through scipy's dgemv.  Products too small to start BLAS
-threads stay with numpy.
+The QRs, solves, SVDs and row products of the fit and the search run on
+scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
+own OpenBLAS, and at two threads calls that alternate between the two
+copies stall each other.  Measured on a 2-CPU machine next to a scipy QR,
+T d + K c on 20000 rows took 5 ms through numpy and 0.6 ms through scipy's
+dgemv.  Products too small to start BLAS threads stay with numpy.
 
 Callers keep the default BLAS thread count; only the subsample pool caps
 it (``asp._capped_blas_threads``).  On a 2-CPU machine, compressing 20000
@@ -250,13 +248,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return sla.blas.dgemv(1.0, a_arg, b, trans=trans_a)
     b_arg, trans_b = (b, 0) if b.flags.f_contiguous else (b.T, 1)
     return sla.blas.dgemm(1.0, a_arg, b_arg, trans_a=trans_a, trans_b=trans_b)
-
-
-def _gram(a: np.ndarray) -> np.ndarray:
-    """a'a by scipy's dsyrk, with both triangles filled."""
-    upper = (sla.blas.dsyrk(1.0, a, trans=1) if a.flags.f_contiguous
-             else sla.blas.dsyrk(1.0, a.T, trans=0))
-    return upper + np.triu(upper, 1).T
 
 
 def null_design(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> np.ndarray:

@@ -305,6 +305,22 @@ def test_order_selection_checks_inputs_without_kernel_blocks(monkeypatch):
     assert order_selection(data, spec, AspConfig(jobs=1)).theta[0] > 0
 
 
+@pytest.mark.parametrize("selector", [gcv_select, skip_selection, asp_uniform,
+                                      asp_asymptotic])
+def test_selectors_reject_constant_response(selector, monkeypatch):
+    """A constant y has no smoothing parameter to select; the check runs
+    before any kernel block is assembled."""
+    data = gen_data("m1", 2000, snr=5.0, seed=0).dataset
+    data = Dataset(x=data.x, y=np.full(data.n, 3.0), domains=data.domains)
+
+    def no_blocks(*args):
+        raise AssertionError("kernel blocks assembled for a constant response")
+
+    monkeypatch.setattr(asp, "assemble_blocks", no_blocks)
+    with pytest.raises(InputError, match="response is constant"):
+        selector(data, SCENARIOS["m1"].spec, AspConfig(jobs=1))
+
+
 def test_subsample_jobs_carry_only_their_rows(monkeypatch):
     data, spec = sine_dataset(400, seed=8)
     seen = []

@@ -284,6 +284,17 @@ def test_exit_code_on_missing_file(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_fit_exit_code_on_constant_response(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    path = write_csv(tmp_path / "flat.csv", ["x", "y"],
+                     [[float(v), 3.0] for v in rng.uniform(size=60)])
+    code = main(["fit", "--data", path, "--response", "y", "--model", "1",
+                 *FIT_ARGS, "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    assert "response is constant" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_jobs_environment_fallback(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["fit", "--data", "d", "--response", "y",

@@ -24,6 +24,7 @@ from spanova.solver import (
     CompiledDesign,
     DesignBlocks,
     SmoothingParams,
+    _stacked_fit,
     assemble_blocks,
     basis_count,
     fit_model,
@@ -162,7 +163,7 @@ def test_theta_lambda_redundancy():
 # --------------------------------------------------------- compressed scores
 
 
-def assert_compressed_scores_match(blocks, y, thetas, log_nlams, profile=True):
+def assert_compressed_scores_match(blocks, y, thetas, log_nlams):
     small, f = blocks.compress(y)
     assert small.n == blocks.n_null + blocks.n_penalized * blocks.q < blocks.n
     assert small.n_obs == blocks.n
@@ -173,8 +174,7 @@ def assert_compressed_scores_match(blocks, y, thetas, log_nlams, profile=True):
         for lg in log_nlams:
             want = _exact_score(direct, 10.0**lg)
             assert _exact_score(compressed, 10.0**lg) == pytest.approx(want, rel=1e-10)
-            if profile:
-                assert lam_profile.score(lg) == pytest.approx(want, rel=1e-6)
+            assert lam_profile.score(lg) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("scenario", ["u2", "m1", "m2"])
@@ -189,15 +189,30 @@ def test_compressed_exact_score_matches_direct(scenario):
 
 
 def test_compressed_exact_score_matches_direct_on_tied_basis():
-    """The profile is left out: the tied columns of compressed K are equal
-    only to rounding, so the pencil's null eigenvalue comes out near 1e-7
-    instead of 0, and below that nlam the profile counts one degree of
-    freedom too many (its score about 2% high at nlam = 1e-8)."""
+    """The tied columns of compressed K are equal only to rounding; the
+    profile never forms K'K, so it scores them as the exact path does."""
     ds, spec, blocks = collinear_problem()
     assert np.linalg.matrix_rank(np.hstack([blocks.t, blocks.k_parts[0]])) < \
         blocks.n_null + blocks.q
     assert_compressed_scores_match(blocks, ds.y, [np.ones(1), np.array([7.0])],
-                                   (-8.0, -5.0, -2.0, 1.0), profile=False)
+                                   (-8.0, -5.0, -2.0, 1.0))
+
+
+def test_profile_coefficients_match_stacked_fit():
+    """The profile's (d, c) equal the stacked-QR fit's on compressed rows.
+
+    The tied basis is left out: its c is not identified along the tied
+    direction, so two correct solvers may return different c there.
+    """
+    ds, blocks = scenario_problem("m1", 1500)
+    small, f = blocks.compress(ds.y)
+    design = design_at(small, f, np.ones(blocks.n_penalized))
+    profile = LambdaProfile(design)
+    for nlam in (1e-8, 1e-4, 1.0):
+        d, c = profile.coefficients(nlam)
+        d_ref, c_ref, _, _ = _stacked_fit(design, nlam)
+        assert np.abs(d - d_ref).max() <= 1e-9 * np.abs(d_ref).max()
+        assert np.abs(c - c_ref).max() <= 1e-9 * np.abs(c_ref).max()
 
 
 @functools.cache
@@ -263,7 +278,7 @@ def test_profile_batch_scores_match_single_scores_and_exact():
     np.testing.assert_allclose(profile.score(grid), [profile.score(g) for g in grid],
                                rtol=1e-12)
     for lg in (-9.0, -5.0, -2.0, 1.0):
-        assert profile.score(lg) == pytest.approx(_exact_score(design, 10.0**lg), rel=1e-6)
+        assert profile.score(lg) == pytest.approx(_exact_score(design, 10.0**lg), rel=1e-9)
 
 
 def test_minimize_lambda_within_one_grid_step():
@@ -323,7 +338,7 @@ def test_minimize_lambda_survives_collinear_basis():
     design = CompiledDesign(blocks.t, k, q, ds.y)
     for lg in (-12.0, -9.0, -6.0, -3.0):
         assert profile.score(lg) == pytest.approx(
-            _exact_score(design, 10.0**lg), rel=1e-6)
+            _exact_score(design, 10.0**lg), rel=1e-9)
 
 
 # ---------------------------------------------------------------------- skip
@@ -475,7 +490,6 @@ def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
     that creeps back into these paths fails here.
     """
     from spanova import asp
-    from spanova.solver import _stacked_fit
 
     ds, blocks = scenario_problem("m1", 400, seed=2)
     theta = np.ones(blocks.n_penalized)
