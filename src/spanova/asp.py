@@ -47,7 +47,6 @@ class AspConfig:
     """Tuning constants of the subsample-extrapolation selectors."""
 
     b_coef: float = 50.0
-    b_exp: float = 0.25
     b_max_coef: float = 120.0
     n_sizes: int = 10
     n_subsamples: int = 5
@@ -59,7 +58,6 @@ class AspConfig:
     basis_exp: float = 2.0 / 9.0
     estimate_smoothness: bool = True
     gcv_max_iter: int = 30
-    gcv_tol: float = 1e-5
     seed: int = 0
     jobs: int | None = None
 
@@ -164,13 +162,14 @@ def subsample_size(n: int, config: AspConfig = AspConfig(), null_dim: int = 0) -
     lo = null_dim + 10
     if n < lo:
         raise InputError(f"n={n} too small for a subsample of at least {lo}")
-    b = round_half_up(config.b_coef * float(n) ** config.b_exp)
+    b = round_half_up(config.b_coef * float(n) ** 0.25)
     return min(max(b, lo), n)
 
 
-def _subsample_basis_count(b: int, null_dim: int, config: AspConfig) -> int:
-    q = round_half_up(config.basis_coef * float(b) ** config.basis_exp)
-    return min(max(q, null_dim + 1), b)
+def _basis_size(n: int, null_dim: int, config: AspConfig) -> int:
+    """Basis rows for n fitted rows: ``basis_count``, clamped to [M + 1, n]."""
+    q = basis_count(n, coef=config.basis_coef, exp=config.basis_exp)
+    return min(max(q, null_dim + 1), n)
 
 
 def _draw_subsample(dataset: Dataset, spec: ModelSpec, b: int, config: AspConfig,
@@ -178,7 +177,7 @@ def _draw_subsample(dataset: Dataset, spec: ModelSpec, b: int, config: AspConfig
     """The b rows and the basis rows of one subsample fit."""
     rng = derive_rng(config.seed, *stream)
     rows = np.sort(rng.choice(dataset.n, size=b, replace=False))
-    q = _subsample_basis_count(b, spec.null_dim, config)
+    q = _basis_size(b, spec.null_dim, config)
     basis = BasisSelection(indices=rng.choice(b, size=q, replace=False))
     return dataset.take(rows), basis
 
@@ -189,11 +188,18 @@ def _check_response(dataset: Dataset) -> None:
         raise InputError("response is constant; no smoothing parameter can be selected")
 
 
-def _fit_subsample(args):
-    """Cross-validate one subsample; module-level so worker processes can run it."""
+def _fit_subsample(args) -> SubsampleFit | None:
+    """Cross-validate one subsample; module-level so worker processes can run it.
+
+    Returns None when the subsample's input or numerics fail, so the caller
+    drops it.
+    """
     sub, spec, basis, config = args
-    blocks = assemble_blocks(sub, spec, basis)
-    res = full_gcv(blocks, sub.y, max_iter=config.gcv_max_iter, tol=config.gcv_tol)
+    try:
+        blocks = assemble_blocks(sub, spec, basis)
+        res = full_gcv(blocks, sub.y, max_iter=config.gcv_max_iter)
+    except (NumericalError, InputError):
+        return None
     lam = res.params.nlam / sub.n
     return SubsampleFit(size=sub.n, lam=lam, theta=tuple(res.params.theta),
                         score=res.score, converged=res.converged)
@@ -295,21 +301,11 @@ def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
         sub, basis = _draw_subsample(dataset, spec, b, config, (stream_tag, k))
         jobs.append((sub, spec, basis, config))
     workers = min(config.worker_count, len(jobs))
-    results: list[SubsampleFit | None] = []
     if workers > 1:
         with _subsample_pool(workers) as pool:
-            futures = [pool.submit(_fit_subsample, j) for j in jobs]
-            for fut in futures:
-                try:
-                    results.append(fut.result())
-                except (NumericalError, InputError):
-                    results.append(None)
+            results = list(pool.map(_fit_subsample, jobs))
     else:
-        for j in jobs:
-            try:
-                results.append(_fit_subsample(j))
-            except (NumericalError, InputError):
-                results.append(None)
+        results = list(map(_fit_subsample, jobs))
     fits = tuple(r for r in results if r is not None)
     return fits, len(jobs) - len(fits)
 
@@ -329,16 +325,13 @@ def estimate_p(dataset: Dataset, spec: ModelSpec, lambda_sub: float, theta,
                b: int, config: AspConfig = AspConfig()) -> int:
     """Pick p in {1, 2} by scoring the extrapolated lambda on a larger subsample.
 
-    A subsample of size B = b_factor*b (capped at n) is scored at
+    A subsample of size B = b_factor*b (capped at n), drawn as a subsample
+    fit draws its rows and basis, is scored at
     lambda_p = lambda_sub * (B/b)^{-r/(pr+1)} for both candidate p values,
     with theta held fixed; the smaller score wins and ties go to p = 1.
     """
-    big = min(int(round(config.b_factor * b)), dataset.n)
-    rng = derive_rng(config.seed, 31)
-    rows = np.sort(rng.choice(dataset.n, size=big, replace=False))
-    sub = dataset.take(rows)
-    q = _subsample_basis_count(big, spec.null_dim, config)
-    basis = BasisSelection(indices=rng.choice(big, size=q, replace=False))
+    big = min(round_half_up(config.b_factor * b), dataset.n)
+    sub, basis = _draw_subsample(dataset, spec, big, config, (31,))
     blocks = assemble_blocks(sub, spec, basis)
     k, qmat = blocks.combine(np.asarray(theta, dtype=float))
     best_p, best_score = 1, np.inf
@@ -484,9 +477,7 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
 
 def full_sample_basis(n: int, null_dim: int, config: AspConfig = AspConfig()) -> BasisSelection:
     """The basis-row draw shared by every full-sample selection and fit."""
-    q = min(max(basis_count(n, coef=config.basis_coef, exp=config.basis_exp),
-                null_dim + 1), n)
-    return select_basis(n, q, seed=config.seed)
+    return select_basis(n, _basis_size(n, null_dim, config), seed=config.seed)
 
 
 def gcv_select(dataset: Dataset, spec: ModelSpec,
@@ -496,7 +487,7 @@ def gcv_select(dataset: Dataset, spec: ModelSpec,
     _check_response(dataset)
     basis = full_sample_basis(dataset.n, spec.null_dim, config)
     blocks = assemble_blocks(dataset, spec, basis)
-    res = full_gcv(blocks, dataset.y, max_iter=config.gcv_max_iter, tol=config.gcv_tol)
+    res = full_gcv(blocks, dataset.y, max_iter=config.gcv_max_iter)
     lam = res.params.nlam / dataset.n
     return SelectionResult(
         method="gcv", params=res.params, lambda_full=lam,

@@ -166,7 +166,10 @@ def _config_from_args(args) -> AspConfig:
     jobs = getattr(args, "jobs", None)
     if jobs is None:
         env = os.environ.get("SPANOVA_JOBS")
-        jobs = int(env) if env else None
+        try:
+            jobs = int(env) if env else None
+        except ValueError:
+            raise InputError(f"SPANOVA_JOBS must be an integer, got {env!r}") from None
     p_text = getattr(args, "p", "auto")
     estimate = p_text == "auto"
     if estimate:
@@ -274,24 +277,27 @@ def _load_fit_document(path: str):
         raise InputError(f"cannot open {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
-    names = tuple(c["name"] for c in doc["columns"])
-    effects = parse_model(doc["model"], len(names))
-    spec = build_model([_column_from_json(c) for c in doc["columns"]], effects)
-    fit_doc = doc["fit"]
-    params = SmoothingParams(log10_nlam=float(fit_doc["log10_nlam"]),
-                             log10_theta=tuple(
-                                 float(np.log10(v)) for v in fit_doc["theta"]))
-    basis_rows = np.asarray(fit_doc["basis_rows"], dtype=float)
-    fit = FitResult(
-        d=np.asarray(fit_doc["d"], dtype=float),
-        c=np.asarray(fit_doc["c"], dtype=float),
-        fitted=np.empty(0),
-        trace_a=float(fit_doc["trace_a"]),
-        gcv=float(fit_doc["gcv"]),
-        params=params,
-        basis=BasisSelection(indices=np.arange(basis_rows.shape[0])),
-        basis_rows=basis_rows,
-    )
+    try:
+        names = tuple(c["name"] for c in doc["columns"])
+        effects = parse_model(doc["model"], len(names))
+        spec = build_model([_column_from_json(c) for c in doc["columns"]], effects)
+        fit_doc = doc["fit"]
+        params = SmoothingParams(log10_nlam=float(fit_doc["log10_nlam"]),
+                                 log10_theta=tuple(
+                                     float(np.log10(v)) for v in fit_doc["theta"]))
+        basis_rows = np.asarray(fit_doc["basis_rows"], dtype=float)
+        fit = FitResult(
+            d=np.asarray(fit_doc["d"], dtype=float),
+            c=np.asarray(fit_doc["c"], dtype=float),
+            fitted=np.empty(0),
+            trace_a=float(fit_doc["trace_a"]),
+            gcv=float(fit_doc["gcv"]),
+            params=params,
+            basis=BasisSelection(indices=np.arange(basis_rows.shape[0])),
+            basis_rows=basis_rows,
+        )
+    except KeyError as exc:
+        raise InputError(f"{path} is not a fit document: missing key {exc}") from None
     return doc, names, spec, fit
 
 

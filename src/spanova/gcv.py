@@ -9,11 +9,12 @@ points cover the selection strategies:
 * ``full_gcv``: skip initialization followed by alternating coordinate
   updates of log theta and re-minimization in nlam.
 
-The nlam profile at fixed theta takes one R-only QR of [T, K L^{-T}, y]
-(Q_r = LL') and one SVD of its q x q kernel block, after which every score
-is an O(q) sum (``LambdaProfile``); the official ``gcv_score`` and every
-accepted state use the solver's stacked-QR fit, so the two paths can be
-cross-checked.
+Scores and fits are split as in Wood (2004): the nlam scan at fixed theta
+scores a reduced profile, one R-only QR of [T, K L^{-T}, y] (Q_r = LL') and
+one SVD of its q x q kernel block, after which every score is an O(q) sum
+(``LambdaProfile``), and the scan's minimum is the score of record.  Every
+coefficient solve, theta trial and ``gcv_score`` goes through the solver's
+stacked-QR fit (``_stacked_fit``).
 
 ``full_gcv`` first compresses the n rows to p = M + S q rows
 (``DesignBlocks.compress``), so every exact score, profile and theta trial
@@ -39,6 +40,8 @@ LOG_NLAM_LO = -12.0
 LOG_NLAM_HI = 3.0
 LAMBDA_TOL = 1e-4
 COARSE_STEP = 0.25
+# full_gcv stops when an iteration improves the score by less than this, relatively
+SCORE_TOL = 1e-5
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -59,19 +62,17 @@ class GcvResult:
     flags: tuple[str, ...] = ()
 
 
-def golden_minimize(score, lo: float = LOG_NLAM_LO, hi: float = LOG_NLAM_HI,
-                    tol: float = LAMBDA_TOL, coarse_step: float = COARSE_STEP):
-    """Minimize a function on [lo, hi]: coarse scan, then golden section.
+def golden_minimize(score):
+    """Minimize a score of log10(nlam) on [-12, 3]: coarse scan, then golden section.
 
     ``score`` is evaluated elementwise over an array of points.  The coarse
-    scan scores its whole evenly spaced grid in one call to locate the best
-    basin; golden section then refines inside the neighboring interval, one
-    point per call, to absolute tolerance ``tol``.  Returns
+    scan scores its whole grid, COARSE_STEP apart, in one call to locate the
+    best basin; golden section then refines inside the neighboring
+    interval, one point per call, to absolute tolerance LAMBDA_TOL.  Returns
     (x, score(x), hit_boundary).  Raises when every evaluation is non-finite.
     """
-    if not lo < hi:
-        raise InputError("empty search interval")
-    n_cells = max(1, int(round((hi - lo) / coarse_step)))
+    lo, hi, tol = LOG_NLAM_LO, LOG_NLAM_HI, LAMBDA_TOL
+    n_cells = int(round((hi - lo) / COARSE_STEP))
     grid = np.linspace(lo, hi, n_cells + 1)
     vals = np.asarray(score(grid), dtype=float)
     if not np.isfinite(vals).any():
@@ -100,7 +101,7 @@ def golden_minimize(score, lo: float = LOG_NLAM_LO, hi: float = LOG_NLAM_HI,
 
 
 class LambdaProfile:
-    """GCV score as a function of nlam at fixed theta.
+    """GCV score as a function of nlam at fixed theta; it only scores.
 
     With Q_r = LL' and a = L'c the fit is a ridge regression on
     [T, K L^{-T}].  One R-only QR of [T, K L^{-T}, y], the factor the
@@ -114,14 +115,16 @@ class LambdaProfile:
         rss(nlam) = rho^2 + rss_offset + sum (nlam/(s^2 + nlam))^2 g^2,
         tr A(nlam) = M + sum s^2/(s^2 + nlam).
 
-    K'K is never formed, so a rank-deficient K costs no accuracy.
+    K'K is never formed, so a rank-deficient K costs no accuracy.  Only
+    s^2, g, the rss floor and the design are kept; the coefficients at a
+    chosen nlam come from ``_stacked_fit``.
     """
 
     def __init__(self, design: CompiledDesign):
         self.design = design
         n, m, p = design.n, design.m, design.m + design.nq
         try:
-            self.l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
+            l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("penalty matrix is not positive definite") from exc
         # zero rows pad the stack to a square R; K is whitened in place
@@ -129,16 +132,16 @@ class LambdaProfile:
         stack[:n, :m] = design.t
         stack[:n, m:p] = design.k
         stack[:n, p] = design.y
-        sla.blas.dtrsm(1.0, self.l_chol, stack[:, m:p], side=1, lower=1, trans_a=1,
+        sla.blas.dtrsm(1.0, l_chol, stack[:, m:p], side=1, lower=1, trans_a=1,
                        overwrite_b=1)
-        self.r = r = _r_factor(stack)
+        r = _r_factor(stack)
         if (np.diag(r)[:m] == 0.0).any():
             raise NumericalError("null design is rank deficient")
         try:
-            u, self.s, self.vt = sla.svd(r[m:p, m:p], check_finite=False)
+            u, s, _ = sla.svd(r[m:p, m:p], check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("profile SVD did not converge") from exc
-        self.s2 = self.s * self.s
+        self.s2 = s * s
         self.g = _dot(u.T, r[m:p, p])
         self.rss_floor = float(r[p, p]) ** 2 + design.rss_offset
 
@@ -154,15 +157,6 @@ class LambdaProfile:
         out = np.divide(rss / des.n_obs, denom * denom, out=np.full_like(rss, np.inf),
                         where=denom > 0.0)
         return out.reshape(x.shape)
-
-    def coefficients(self, nlam: float) -> tuple[np.ndarray, np.ndarray]:
-        """(d, c) at nlam: a = V diag(s/(s^2 + nlam)) g, c = L^{-T} a."""
-        m, r = self.design.m, self.r
-        a = _dot(self.vt.T, self.s / (self.s2 + nlam) * self.g)
-        c = sla.solve_triangular(self.l_chol, a, trans="T", lower=True, check_finite=False)
-        d = sla.solve_triangular(r[:m, :m], r[:m, -1] - _dot(r[:m, m:-1], a),
-                                 lower=False, check_finite=False)
-        return d, c
 
 
 def _exact_score(design: CompiledDesign, nlam: float) -> float:
@@ -194,10 +188,8 @@ def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
     ``theta`` is bookkeeping only: K and Q are used as given.  A minimum on
     the bracket boundary is returned with ``converged=False``.
     """
-    design = CompiledDesign(t, k, q, y)
-    profile = LambdaProfile(design)
-    x, _, hit_boundary = golden_minimize(profile.score)
-    score = _exact_score(design, 10.0 ** x)
+    profile = LambdaProfile(CompiledDesign(t, k, q, y))
+    x, score, hit_boundary = golden_minimize(profile.score)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     params = SmoothingParams(x, tuple(float(v) for v in np.log10(theta)))
     return GcvResult(params=params, score=score, iterations=1,
@@ -209,14 +201,14 @@ def _design(blocks: DesignBlocks, y: np.ndarray, k: np.ndarray, q: np.ndarray):
     return CompiledDesign(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
 
 
-def _profile_at(blocks: DesignBlocks, y: np.ndarray, theta: np.ndarray):
-    design = _design(blocks, y, *blocks.combine(theta))
-    return design, LambdaProfile(design)
+def _profile_at(blocks: DesignBlocks, y: np.ndarray, theta: np.ndarray) -> LambdaProfile:
+    return LambdaProfile(_design(blocks, y, *blocks.combine(theta)))
 
 
 def skip_stage_one(blocks: DesignBlocks, y: np.ndarray):
-    """First skip stage: trace-normalized theta, nlam search, coefficients.
+    """First skip stage: trace-normalized theta, nlam scan, coefficients.
 
+    The profile scan picks nlam; c comes from the stacked-QR fit there.
     Returns (theta_1, log10_nlam, c) so the second-stage arithmetic can be
     reproduced externally.
     """
@@ -224,9 +216,9 @@ def skip_stage_one(blocks: DesignBlocks, y: np.ndarray):
     if (blocks.part_traces <= 0).any():
         raise NumericalError("a kernel block has nonpositive trace")
     theta1 = 1.0 / blocks.part_traces
-    _, profile1 = _profile_at(blocks, y, theta1)
+    profile1 = _profile_at(blocks, y, theta1)
     x1, _, _ = golden_minimize(profile1.score)
-    _, c = profile1.coefficients(10.0 ** x1)
+    _, c, _, _ = _stacked_fit(profile1.design, 10.0 ** x1)
     return theta1, x1, c
 
 
@@ -255,9 +247,8 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
         flags.append("theta-floor")
         theta0 = np.where(theta0 > 0.0, theta0, 1e-12 * top)
     shift = float(np.mean(np.log10(theta0)))
-    design2, profile2 = _profile_at(blocks, y, theta0 * 10.0 ** (-shift))
-    x2, _, hit_boundary = golden_minimize(profile2.score)
-    score = _exact_score(design2, 10.0 ** x2)
+    profile2 = _profile_at(blocks, y, theta0 * 10.0 ** (-shift))
+    x2, score, hit_boundary = golden_minimize(profile2.score)
     if hit_boundary:
         flags.append("lambda-boundary")
     params = SmoothingParams(x2 + shift, tuple(float(v) for v in np.log10(theta0)))
@@ -266,15 +257,14 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
                      flags=tuple(flags))
 
 
-def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30,
-             tol: float = 1e-5) -> GcvResult:
+def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResult:
     """Iterative multi-theta GCV minimization.
 
     Starts from ``skip_select``; each iteration takes one quasi-Newton step
     per log10(theta_delta) coordinate with nlam held fixed (central
     differences, step clamped to one decade, uphill proposals rejected
     after two backtracks), then re-minimizes over nlam.  Stops when the
-    relative score improvement falls below ``tol``.  The accepted-state
+    relative score improvement falls below SCORE_TOL.  The accepted-state
     score trace is nonincreasing by construction.
 
     The objective is invariant under (theta, nlam) -> (s theta, s nlam),
@@ -285,7 +275,10 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30,
 
     The rows are compressed once (``DesignBlocks.compress``), and each
     theta trial moves K and Q by one block (``DesignBlocks.reweight``), so a
-    trial costs O(pq) plus a (p + q)-row QR whatever n and S are.
+    trial costs O(pq) plus a (p + q)-row QR whatever n and S are.  Theta
+    trials are scored by that stacked QR and nlam searches by the profile;
+    the two agree to about 1e-12 relative, so only a near-exact tie between
+    a trial and a search minimum could be decided either way.
     """
     blocks, y = blocks.compress(y)
     init = skip_select(blocks, y)
@@ -342,9 +335,7 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30,
                     break
         # nlam search at the updated theta, on the pinned scale
         pin_scale()
-        design, profile = _profile_at(blocks, y, theta)
-        x, _, hit_boundary = golden_minimize(profile.score)
-        cand = _exact_score(design, 10.0 ** x)
+        x, cand, hit_boundary = golden_minimize(_profile_at(blocks, y, theta).score)
         if cand < score:
             log_nlam = x
             score = cand
@@ -352,7 +343,7 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30,
                 flags.add("lambda-boundary")
         prev = trace[-1]
         trace.append(score)
-        if prev - score < tol * max(abs(prev), 1e-300):
+        if prev - score < SCORE_TOL * max(abs(prev), 1e-300):
             converged = True
             break
 

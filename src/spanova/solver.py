@@ -237,17 +237,13 @@ def _r_factor(stack: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b by scipy's BLAS, for 2-D a and 1-D or 2-D b.
+    """a @ b by scipy's dgemv, for 2-D a and 1-D b.
 
-    Each operand goes in as whichever of itself or its transpose is
-    F-contiguous, with the matching transpose flag, so f2py copies no
-    contiguous operand.
+    a goes in as whichever of itself or its transpose is F-contiguous, with
+    the matching transpose flag, so f2py copies no contiguous matrix.
     """
     a_arg, trans_a = (a, 0) if a.flags.f_contiguous else (a.T, 1)
-    if b.ndim == 1:
-        return sla.blas.dgemv(1.0, a_arg, b, trans=trans_a)
-    b_arg, trans_b = (b, 0) if b.flags.f_contiguous else (b.T, 1)
-    return sla.blas.dgemm(1.0, a_arg, b_arg, trans_a=trans_a, trans_b=trans_b)
+    return sla.blas.dgemv(1.0, a_arg, b, trans=trans_a)
 
 
 def null_design(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> np.ndarray:
@@ -462,8 +458,8 @@ def demmler_reinsch(t: np.ndarray, k_full: np.ndarray) -> EigenSystem:
     return EigenSystem(z=z0 @ vecs, values=values)
 
 
-def predict(fit: FitResult, spec: ModelSpec, new_raw: np.ndarray,
-            theta: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def predict(fit: FitResult, spec: ModelSpec,
+            new_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a fitted model at raw-scale rows.
 
     Continuous values outside the training range are clamped to the range
@@ -485,11 +481,9 @@ def predict(fit: FitResult, spec: ModelSpec, new_raw: np.ndarray,
             stacklevel=2,
         )
     xs = np.column_stack(cols)
-    if theta is None:
-        theta = fit.params.theta
     eta = null_basis_matrix(spec, xs) @ fit.d
     for block, w in zip(term_grams(spec.penalized_terms, spec.domains, xs, fit.basis_rows),
-                        theta):
+                        fit.params.theta):
         eta += w * (block @ fit.c)
         del block  # freed before the next term's block is formed
     return eta, flags

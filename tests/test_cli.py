@@ -295,6 +295,28 @@ def test_fit_exit_code_on_constant_response(tmp_path, capsys):
     assert not (tmp_path / "f.json").exists()
 
 
+def test_fit_exit_code_on_non_integer_jobs_environment(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(5)
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], rng.uniform(size=(60, 2)).tolist())
+    monkeypatch.setenv("SPANOVA_JOBS", "two")
+    code = main(["fit", "--data", path, "--response", "y", "--model", "1",
+                 "--method", "order", "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "SPANOVA_JOBS" in err
+
+
+def test_predict_exit_code_on_fit_document_missing_a_key(tmp_path, capsys):
+    fit = tmp_path / "bad.json"
+    fit.write_text('{"columns": []}')
+    data = write_csv(tmp_path / "new.csv", ["x"], [[0.5]])
+    code = main(["predict", "--fit", str(fit), "--data", data,
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "'model'" in err
+
+
 def test_jobs_environment_fallback(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["fit", "--data", "d", "--response", "y",

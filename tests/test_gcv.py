@@ -198,23 +198,6 @@ def test_compressed_exact_score_matches_direct_on_tied_basis():
                                    (-8.0, -5.0, -2.0, 1.0))
 
 
-def test_profile_coefficients_match_stacked_fit():
-    """The profile's (d, c) equal the stacked-QR fit's on compressed rows.
-
-    The tied basis is left out: its c is not identified along the tied
-    direction, so two correct solvers may return different c there.
-    """
-    ds, blocks = scenario_problem("m1", 1500)
-    small, f = blocks.compress(ds.y)
-    design = design_at(small, f, np.ones(blocks.n_penalized))
-    profile = LambdaProfile(design)
-    for nlam in (1e-8, 1e-4, 1.0):
-        d, c = profile.coefficients(nlam)
-        d_ref, c_ref, _, _ = _stacked_fit(design, nlam)
-        assert np.abs(d - d_ref).max() <= 1e-9 * np.abs(d_ref).max()
-        assert np.abs(c - c_ref).max() <= 1e-9 * np.abs(c_ref).max()
-
-
 @functools.cache
 def compressed_two_term():
     ds, spec, blocks = two_term_problem(23, n=200, q=18)
@@ -292,6 +275,9 @@ def test_minimize_lambda_within_one_grid_step():
         scores = [gcv_score(blocks.t, k, q, ds.y, 10.0**g) for g in grid]
         best = grid[int(np.argmin(scores))]
         assert abs(res.params.log10_nlam - best) <= step + 1e-12
+        # the scan's minimum is the score of record: the stacked QR agrees
+        assert res.score == pytest.approx(
+            gcv_score(blocks.t, k, q, ds.y, res.params.nlam), rel=1e-9)
 
 
 def test_minimize_lambda_flags_monotone_score():
@@ -334,7 +320,7 @@ def test_minimize_lambda_survives_collinear_basis():
     assert abs(res.params.log10_nlam - best) <= grid[1] - grid[0] + 1e-12
     assert res.converged
     # the profile stays truthful deep below the resolvable spectrum
-    _, profile = _profile_at(blocks, ds.y, np.ones(1))
+    profile = _profile_at(blocks, ds.y, np.ones(1))
     design = CompiledDesign(blocks.t, k, q, ds.y)
     for lg in (-12.0, -9.0, -6.0, -3.0):
         assert profile.score(lg) == pytest.approx(
@@ -407,6 +393,9 @@ def test_skip_select_invariant_to_response_scale(scenario, n):
     ds, blocks = scenario_problem(scenario, n)
     base = skip_select(blocks, ds.y)
     assert not base.flags
+    # the scan's minimum is the score of record: the fit at its params agrees
+    fit = fit_model(ds, SCENARIOS[scenario].spec, base.params, blocks=blocks)
+    assert fit.gcv == pytest.approx(base.score, rel=1e-9)
     for a in (1e-4, 1e4):
         res = skip_select(blocks, a * ds.y)
         assert res.params.log10_nlam - 2 * np.log10(a) == \
@@ -414,6 +403,39 @@ def test_skip_select_invariant_to_response_scale(scenario, n):
         np.testing.assert_allclose(np.asarray(res.params.log10_theta) - 2 * np.log10(a),
                                    base.params.log10_theta, atol=1e-6)
         assert res.flags == base.flags
+
+
+# ------------------------------------------------------------- invariances
+
+
+def assert_same_selection(res, base, score_scale=1.0):
+    assert res.params.log10_nlam == pytest.approx(base.params.log10_nlam, abs=1e-8)
+    np.testing.assert_allclose(res.params.log10_theta, base.params.log10_theta,
+                               rtol=0.0, atol=1e-8)
+    assert res.score / score_scale == pytest.approx(base.score, rel=1e-8)
+
+
+@pytest.mark.parametrize("scenario", ["u2", "m1", "m2"])
+def test_selection_invariant_to_row_order(scenario):
+    """Permuted rows, with the basis indices carried along, select the same."""
+    n = 1000
+    ds, blocks = scenario_problem(scenario, n)
+    perm = np.random.default_rng(5).permutation(n)
+    moved_to = np.argsort(perm)  # row i of ds is row moved_to[i] of shuffled
+    shuffled = ds.take(perm)
+    shuffled_blocks = assemble_blocks(shuffled, SCENARIOS[scenario].spec,
+                                      BasisSelection(indices=moved_to[blocks.basis.indices]))
+    for select in (full_gcv, skip_select):
+        assert_same_selection(select(shuffled_blocks, shuffled.y), select(blocks, ds.y))
+
+
+def test_full_gcv_invariant_to_affine_response():
+    """y -> a y + b scales the score by a^2 and moves no parameter: theta is
+    pinned to geometric mean 1 and the intercept absorbs b."""
+    ds, blocks = scenario_problem("m1", 1000)
+    base = full_gcv(blocks, ds.y)
+    for a, b in ((1e4, 0.0), (1e-4, 0.0), (1e8, 0.0), (1e-8, 0.0), (1.0, 1e3), (3.0, -7.0)):
+        assert_same_selection(full_gcv(blocks, a * ds.y + b), base, score_scale=a * a)
 
 
 # ------------------------------------------------------------------ full gcv
@@ -471,7 +493,7 @@ def test_full_gcv_beats_three_dimensional_grid():
     best = np.inf
     for lt1 in np.linspace(-2, 6, 20):
         for lt2 in np.linspace(-2, 6, 20):
-            _, profile = _profile_at(blocks, ds.y, np.array([10.0**lt1, 10.0**lt2]))
+            profile = _profile_at(blocks, ds.y, np.array([10.0**lt1, 10.0**lt2]))
             for lg in np.linspace(-12, 3, 40):
                 val = profile.score(lg)
                 if val < best:
