@@ -33,6 +33,7 @@ from .kernels import ModelSpec
 from .solver import (
     BasisSelection,
     SmoothingParams,
+    assemble,
     assemble_blocks,
     basis_count,
     null_design,
@@ -332,12 +333,11 @@ def estimate_p(dataset: Dataset, spec: ModelSpec, lambda_sub: float, theta,
     """
     big = min(round_half_up(config.b_factor * b), dataset.n)
     sub, basis = _draw_subsample(dataset, spec, big, config, (31,))
-    blocks = assemble_blocks(sub, spec, basis)
-    k, qmat = blocks.combine(np.asarray(theta, dtype=float))
+    t, k, qmat = assemble(sub, spec, basis, theta)
     best_p, best_score = 1, np.inf
     for p in (1, 2):
         lam_p = extrapolate_lambda(lambda_sub, big, b, config.r_default, p)
-        score = gcv_score(blocks.t, k, qmat, sub.y, big * lam_p)
+        score = gcv_score(t, k, qmat, sub.y, big * lam_p)
         # strict inequality: ties keep the earlier (smaller) p
         if score < best_score:
             best_p, best_score = p, score

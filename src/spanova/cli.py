@@ -24,7 +24,7 @@ from .asp import AspConfig, SelectionResult, full_sample_basis
 from .data import Dataset
 from .kernels import PredictorDomain, build_model
 from .simulate import SCENARIOS, SELECTORS, gen_data, run_benchmark
-from .solver import BasisSelection, FitResult, SmoothingParams, assemble_blocks, fit_model, predict
+from .solver import BasisSelection, FitResult, SmoothingParams, fit_model, predict
 from .util import InputError, NumericalError
 
 DISCRETE_INFERENCE_MAX_LEVELS = 20
@@ -65,7 +65,17 @@ def _read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_numeric_table(header, raw_rows):
-    """All cells to float; missing and non-numeric cells reported by position."""
+    """All cells to float; missing and non-numeric cells reported by position.
+
+    A table whose rows all have the header's width is parsed by one numpy
+    conversion, which accepts the same cells as ``float``; only when a row
+    is ragged or a cell fails does the per-cell loop run, to find them.
+    """
+    if all(len(row) == len(header) for row in raw_rows):
+        try:
+            return np.array(raw_rows, dtype=float).reshape(len(raw_rows), len(header))
+        except ValueError:
+            pass
     missing, bad = [], []
     table = np.empty((len(raw_rows), len(header)))
     for i, row in enumerate(raw_rows):
@@ -85,6 +95,16 @@ def _parse_numeric_table(header, raw_rows):
         row, col = bad[0]
         raise InputError(f"non-numeric cell at row {row}, column {col!r}")
     return table
+
+
+def _write_csv_lines(path: str, lines) -> None:
+    """Write CSV lines in one write, with the CRLF line ends of ``csv.writer``.
+
+    Every field written this way is a float repr, a bare word or a plain
+    column name, which ``csv.writer`` would not quote either.
+    """
+    with open(path, "w", newline="") as handle:
+        handle.write("".join(f"{line}\r\n" for line in lines))
 
 
 def _infer_domain(name: str, values: np.ndarray, override: str | None) -> PredictorDomain:
@@ -221,8 +241,7 @@ def run_fit(args) -> int:
     sel = SELECTORS[args.method](table.dataset, spec, config)
     t_fit = time.perf_counter()
     basis = full_sample_basis(table.dataset.n, spec.null_dim, config)
-    blocks = assemble_blocks(table.dataset, spec, basis)
-    fit = fit_model(table.dataset, spec, sel.params, blocks=blocks)
+    fit = fit_model(table.dataset, spec, sel.params, basis=basis)
     fit_seconds = time.perf_counter() - t_fit
     doc = {
         "response": table.response,
@@ -258,11 +277,8 @@ def run_fit(args) -> int:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     if args.fitted_out:
-        with open(args.fitted_out, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["fitted"])
-            for value in fit.fitted:
-                writer.writerow([repr(float(value))])
+        _write_csv_lines(args.fitted_out,
+                         ["fitted", *(repr(value) for value in fit.fitted.tolist())])
     print(f"fit written to {args.out}"
           f" (method={sel.method}, lambda={sel.lambda_full:.6g},"
           f" edf={fit.trace_a:.2f})")
@@ -298,6 +314,13 @@ def _load_fit_document(path: str):
         )
     except KeyError as exc:
         raise InputError(f"{path} is not a fit document: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise InputError(f"{path} is not a fit document: {exc}") from None
+    if (basis_rows.ndim != 2 or basis_rows.shape[1] != len(names)
+            or fit.d.shape != (spec.null_dim,) or fit.c.shape != (basis_rows.shape[0],)
+            or len(params.log10_theta) != spec.n_penalized):
+        raise InputError(f"{path} is not a fit document: coefficient shapes do not match"
+                         " its model")
     return doc, names, spec, fit
 
 
@@ -307,23 +330,22 @@ def run_predict(args) -> int:
     missing = [name for name in names if name not in header]
     if missing:
         raise InputError(f"input is missing predictor columns: {missing}")
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["prediction", "out_of_range"])
-        if raw_rows:
-            table = _parse_numeric_table(header, raw_rows)
-            x = table[:, [header.index(name) for name in names]]
-            for name, dom, col in zip(names, spec.domains, x.T):
-                if not dom.is_continuous:
-                    try:
-                        dom.rescale(col)
-                    except InputError as exc:
-                        raise InputError(f"column {name!r}: {exc}") from None
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                eta, flags = predict(fit, spec, x)
-            for value, flag in zip(eta, flags):
-                writer.writerow([repr(float(value)), str(bool(flag)).lower()])
+    lines = ["prediction,out_of_range"]
+    if raw_rows:
+        table = _parse_numeric_table(header, raw_rows)
+        x = table[:, [header.index(name) for name in names]]
+        for name, dom, col in zip(names, spec.domains, x.T):
+            if not dom.is_continuous:
+                try:
+                    dom.rescale(col)
+                except InputError as exc:
+                    raise InputError(f"column {name!r}: {exc}") from None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eta, flags = predict(fit, spec, x)
+        lines += [f"{value!r},{'true' if flag else 'false'}"
+                  for value, flag in zip(eta.tolist(), flags.tolist())]
+    _write_csv_lines(args.out, lines)
     n_rows = len(raw_rows)
     print(f"{n_rows} prediction{'s' if n_rows != 1 else ''} written to {args.out}")
     return 0

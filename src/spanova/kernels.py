@@ -327,12 +327,30 @@ def term_kernel(term: AnovaTerm, domains, row, row2) -> float:
 
 
 def _gram_factor(domain: PredictorDomain, label: str, xc: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """One predictor's kernel factor between two point sets, shape (n, m)."""
+    """One predictor's kernel factor between two point sets, shape (n, m).
+
+    The smooth factor k2(x)k2(z) - k4(|x - z|) is formed in two (n, m)
+    buffers by the same operations, in the same order, as ``_k2`` and
+    ``_k4`` on whole arrays, so it is bit-identical to that expression.
+    """
     if not domain.is_continuous:
-        return (xc[:, None] == zc[None, :]).astype(float) - 1.0 / domain.n_levels
+        out = np.equal.outer(xc, zc).astype(float)
+        out -= 1.0 / domain.n_levels
+        return out
     if label == LABEL_PARAMETRIC:
         return np.outer(_k1(xc), _k1(zc))
-    return np.outer(_k2(xc), _k2(zc)) - _k4(np.abs(xc[:, None] - zc[None, :]))
+    s2 = np.subtract.outer(xc, zc)
+    np.abs(s2, out=s2)
+    s2 -= 0.5
+    s2 *= s2
+    k4 = np.multiply(s2, s2)
+    s2 /= 2.0
+    k4 -= s2
+    k4 += 7.0 / 240.0
+    k4 /= 24.0
+    out = np.multiply.outer(_k2(xc), _k2(zc), out=s2)
+    out -= k4
+    return out
 
 
 def term_grams(terms, domains, x_rows: np.ndarray, z_rows: np.ndarray):

@@ -26,6 +26,14 @@ diagonal entry.  Every score on the compressed blocks adds rho^2 to its
 residual sum of squares and divides by the observation count, so it equals
 the n-row score while its cost no longer depends on n.
 
+Only the theta search needs the S per-term n x q blocks K_delta
+(``assemble_blocks``).  A fit at one theta, ``predict`` and the p estimate
+form K(theta) = sum_delta theta_delta K_delta directly
+(``kernel_design``), COMPRESS_CHUNK rows at a time, so no per-term n-row
+block exists and the refit holds about 2 n q doubles (K(theta) and the
+stacked solve's copy), not S n q.  K(theta) equals the sum of the blocks
+bit for bit.
+
 The QRs, solves, SVDs and row products of the fit and the search run on
 scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
 own OpenBLAS, and at two threads calls that alternate between the two
@@ -54,7 +62,8 @@ from .util import InputError, NumericalError, derive_rng, round_half_up
 
 # Relative size of the ridge added to Q before factorization.
 RIDGE_SCALE = 1e-10
-# Rows of [T, K_1 ... K_S, y] formed at once while compressing.
+# Rows formed at once: of [T, K_1 ... K_S, y] while compressing, and of
+# K(theta) while a fit or a prediction forms it.
 COMPRESS_CHUNK = 2048
 # Block size of the compact-WY QR.
 QR_BLOCK = 32
@@ -168,15 +177,8 @@ class DesignBlocks:
 
     def combine(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Weighted kernel design and penalty, K(theta) and Q(theta)."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_penalized,):
-            raise InputError(f"theta must have length {self.n_penalized}")
-        k = theta[0] * self.k_parts[0]
-        q = theta[0] * self.q_parts[0]
-        for w, kp, qp in zip(theta[1:], self.k_parts[1:], self.q_parts[1:]):
-            k += w * kp
-            q += w * qp
-        return k, q
+        theta = _theta_vector(theta, self.n_penalized)
+        return _weighted_sum(theta, self.k_parts), _weighted_sum(theta, self.q_parts)
 
     def reweight(self, k, q, delta: int, dw: float) -> tuple[np.ndarray, np.ndarray]:
         """K and Q after theta_delta moves by ``dw``, from K(theta), Q(theta).
@@ -222,6 +224,29 @@ class DesignBlocks:
         return blocks, r[:p, p]
 
 
+def _theta_vector(theta, n_penalized: int) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n_penalized,):
+        raise InputError(f"theta must have length {n_penalized}")
+    return theta
+
+
+def _weighted_sum(theta: np.ndarray, parts, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_delta theta_delta parts_delta, accumulated in term order.
+
+    ``parts`` may be a generator; the sum goes into ``out`` when given.
+    The operations and their order do not depend on where the parts come
+    from, so a sum over blocks formed one row chunk at a time equals the
+    same rows of the sum over whole blocks bit for bit.
+    """
+    for i, (w, part) in enumerate(zip(theta, parts)):
+        if i == 0:
+            out = np.multiply(w, part, out=out)
+        else:
+            out += w * part
+    return out
+
+
 def _r_factor(stack: np.ndarray) -> np.ndarray:
     """Upper-triangular factor of a Householder QR of ``stack`` (overwritten).
 
@@ -258,7 +283,9 @@ def null_design(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> np.
     if basis.indices[-1] >= dataset.n:
         raise InputError("basis indices exceed the dataset")
     t = null_basis_matrix(spec, dataset.x)
-    if np.linalg.matrix_rank(t) < m:
+    # numpy.linalg.matrix_rank's rule, on scipy's LAPACK
+    sv = sla.svdvals(t, check_finite=False)
+    if (sv > sv.max() * max(t.shape) * np.finfo(float).eps).sum() < m:
         raise InputError("null basis is rank deficient on this sample")
     return t
 
@@ -278,22 +305,49 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     """
     t = null_design(dataset, spec, basis)
     z = dataset.x[basis.indices]
-    terms = spec.penalized_terms
     return DesignBlocks(
         t=t,
-        k_parts=tuple(term_grams(terms, spec.domains, dataset.x, z)),
-        q_parts=tuple((qb + qb.T) / 2.0 for qb in term_grams(terms, spec.domains, z, z)),
+        k_parts=tuple(term_grams(spec.penalized_terms, spec.domains, dataset.x, z)),
+        q_parts=_penalty_parts(spec, z),
         part_traces=part_traces(dataset, spec),
         basis=basis,
-        basis_rows=z.copy(),
+        basis_rows=z,
     )
 
 
+def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Symmetrized per-term kernel Grams Q_delta at the basis rows."""
+    return tuple((qb + qb.T) / 2.0 for qb in term_grams(spec.penalized_terms, spec.domains, z, z))
+
+
+def kernel_design(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta) -> np.ndarray:
+    """K(theta) = sum_delta theta_delta K_delta between two point sets.
+
+    Formed COMPRESS_CHUNK rows at a time into one (n, m) array, so no
+    per-term n-row block exists; the extra memory is a few chunk-row
+    blocks.  Equals the same rows of ``DesignBlocks.combine``'s K bit for
+    bit.
+    """
+    theta = _theta_vector(theta, spec.n_penalized)
+    out = np.empty((x_rows.shape[0], z_rows.shape[0]))
+    for lo in range(0, x_rows.shape[0], COMPRESS_CHUNK):
+        rows = slice(lo, lo + COMPRESS_CHUNK)
+        grams = term_grams(spec.penalized_terms, spec.domains, x_rows[rows], z_rows)
+        _weighted_sum(theta, grams, out=out[rows])
+    return out
+
+
 def assemble(dataset: Dataset, spec: ModelSpec, basis: BasisSelection, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble (T, K, Q) for one theta: the inputs of the penalized solve."""
-    blocks = assemble_blocks(dataset, spec, basis)
-    k, q = blocks.combine(theta)
-    return blocks.t, k, q
+    """Assemble (T, K(theta), Q(theta)) for one theta: the inputs of the penalized solve.
+
+    Runs the checks of ``assemble_blocks`` but forms K(theta) directly
+    (``kernel_design``), never the per-term blocks; the result equals
+    ``assemble_blocks(...).combine(theta)`` bit for bit.
+    """
+    t = null_design(dataset, spec, basis)
+    z = dataset.x[basis.indices]
+    k = kernel_design(spec, dataset.x, z, theta)
+    return t, k, _weighted_sum(np.asarray(theta, dtype=float), _penalty_parts(spec, z))
 
 
 class CompiledDesign:
@@ -408,22 +462,27 @@ class FitResult:
 def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
               basis: BasisSelection | None = None,
               blocks: DesignBlocks | None = None) -> FitResult:
-    """Fit at fixed smoothing parameters; assembles blocks unless given.
+    """Fit at fixed smoothing parameters.
 
-    The stacked QR solve works at the square root of the normal equations'
-    condition number, so any positive nlam yields a fit.
+    K(theta) comes from ``blocks.combine`` when blocks are given, else from
+    ``assemble`` on ``basis``, which builds no per-term block; both give
+    the same K(theta) bit for bit and share the solve below.  The stacked
+    QR works at the square root of the normal equations' condition number,
+    so any positive nlam yields a fit.
     """
-    if blocks is None:
-        if basis is None:
-            raise InputError("fit_model needs a basis selection or prebuilt blocks")
-        blocks = assemble_blocks(dataset, spec, basis)
-    k, q = blocks.combine(params.theta)
-    d, c, fitted, trace_a = _stacked_fit(CompiledDesign(blocks.t, k, q, dataset.y),
-                                         params.nlam)
+    if blocks is not None:
+        t, (k, q), basis = blocks.t, blocks.combine(params.theta), blocks.basis
+        basis_rows = blocks.basis_rows
+    elif basis is None:
+        raise InputError("fit_model needs a basis selection or prebuilt blocks")
+    else:
+        t, k, q = assemble(dataset, spec, basis, params.theta)
+        basis_rows = dataset.x[basis.indices]
+    d, c, fitted, trace_a = _stacked_fit(CompiledDesign(t, k, q, dataset.y), params.nlam)
     resid = dataset.y - fitted
     score = gcv_from_fit(float(resid @ resid), trace_a, dataset.n)
     return FitResult(d=d, c=c, fitted=fitted, trace_a=trace_a, gcv=score,
-                     params=params, basis=blocks.basis, basis_rows=blocks.basis_rows)
+                     params=params, basis=basis, basis_rows=basis_rows)
 
 
 @dataclass
@@ -465,6 +524,8 @@ def predict(fit: FitResult, spec: ModelSpec,
     Continuous values outside the training range are clamped to the range
     boundary, flagged in the returned mask, and reported once via a warning.
     Unknown discrete levels raise.  Returns (predictions, out_of_range).
+    K(theta) c is summed over COMPRESS_CHUNK-row chunks of K(theta), so
+    the kernel part needs memory for one chunk, not for all new rows.
     """
     new_raw = np.atleast_2d(np.asarray(new_raw, dtype=float))
     if new_raw.shape[1] != spec.n_predictors:
@@ -481,9 +542,9 @@ def predict(fit: FitResult, spec: ModelSpec,
             stacklevel=2,
         )
     xs = np.column_stack(cols)
-    eta = null_basis_matrix(spec, xs) @ fit.d
-    for block, w in zip(term_grams(spec.penalized_terms, spec.domains, xs, fit.basis_rows),
-                        fit.params.theta):
-        eta += w * (block @ fit.c)
-        del block  # freed before the next term's block is formed
+    eta = _dot(null_basis_matrix(spec, xs), fit.d)
+    for lo in range(0, xs.shape[0], COMPRESS_CHUNK):
+        rows = slice(lo, lo + COMPRESS_CHUNK)
+        eta[rows] += _dot(kernel_design(spec, xs[rows], fit.basis_rows, fit.params.theta),
+                          fit.c)
     return eta, flags

@@ -202,6 +202,21 @@ def test_asp_uniform_deterministic():
     assert a.fits == b.fits
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e4])
+def test_asp_uniform_invariant_to_response_scale(scale):
+    """y -> a y moves neither nlam nor theta: every subsample search and
+    the p estimate see the same scores up to the factor a^2."""
+    data = gen_data("m1", 2000, snr=5.0, seed=0).dataset
+    spec = SCENARIOS["m1"].spec
+    base = asp_uniform(data, spec, AspConfig(jobs=1))
+    scaled = asp_uniform(Dataset(x=data.x, y=scale * data.y, domains=data.domains), spec,
+                         AspConfig(jobs=1))
+    assert scaled.p == base.p
+    assert scaled.params.log10_nlam == pytest.approx(base.params.log10_nlam, abs=1e-8)
+    np.testing.assert_allclose(scaled.params.log10_theta, base.params.log10_theta,
+                               rtol=0.0, atol=1e-8)
+
+
 def test_asp_uniform_aggregates_medians_of_logs():
     data, spec = sine_dataset(400, seed=11)
     res = asp_uniform(data, spec, FAST)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from spanova.cli import (
     _column_from_json,
     _column_to_json,
     _config_from_args,
+    _parse_numeric_table,
     build_parser,
     ingest,
     main,
@@ -87,6 +89,25 @@ def test_ingest_error_reporting(tmp_path):
                       [["3.3", "1"], ["3.3", "2"]])
     with pytest.raises(InputError, match="constant"):
         ingest(const, "y")
+
+
+def test_numeric_table_fast_path_reads_cells_as_float_does():
+    """The one-call numpy parse of a rectangular table agrees with float()
+    per cell; cells it rejects still go to the per-cell loop, which names
+    the row and the column."""
+    cells = ["1", "-2", "+3", "1e5", "-1.5E-3", "3e+02", " 2.5 ", "\t7\t", "1_0",
+             ".5", "5.", "-0"]
+    table = _parse_numeric_table(["a", "y"], [[cell, "0.5"] for cell in cells])
+    assert table.shape == (len(cells), 2)
+    expected = [float(cell) for cell in cells]
+    np.testing.assert_array_equal(table[:, 0], expected)
+    np.testing.assert_array_equal(np.signbit(table[:, 0]), np.signbit(expected))
+    for bad in ("1__0", "_1", "0x10", "1,5", "1e"):
+        with pytest.raises(InputError, match="row 3, column 'a'"):
+            _parse_numeric_table(["a", "y"], [["1", "2"], ["3", "4"], [bad, "5"]])
+    for rows in ([["1", "2"], ["3"]], [["1", "2"], [" ", "4"]]):
+        with pytest.raises(InputError, match="rows with missing cells: 2$"):
+            _parse_numeric_table(["a", "y"], rows)
 
 
 def test_column_domain_round_trip_and_unknown_level():
@@ -315,6 +336,43 @@ def test_predict_exit_code_on_fit_document_missing_a_key(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "input error" in err and "'model'" in err
+
+
+def csv_writer_bytes(rows):
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def test_output_files_are_the_bytes_csv_writer_writes(fitted_paths, tmp_path):
+    sim, fit_path, fitted_path, _ = fitted_paths
+    _, fitted_rows = read_csv(fitted_path)
+    assert fitted_path.read_bytes() == csv_writer_bytes(
+        [["fitted"], *([repr(float(r[0]))] for r in fitted_rows)])
+    data = write_csv(tmp_path / "far.csv", ["x1"], [[5.0], [0.5], [-1.0]])
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--fit", str(fit_path), "--data", data, "--out", str(out)]) == 0
+    _, pred_rows = read_csv(out)
+    assert [r[1] for r in pred_rows] == ["true", "false", "true"]
+    assert out.read_bytes() == csv_writer_bytes(
+        [["prediction", "out_of_range"], *([repr(float(v)), f] for v, f in pred_rows)])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda doc: [],
+    lambda doc: {**doc, "fit": {**doc["fit"], "c": "abc"}},
+    lambda doc: {**doc, "fit": {**doc["fit"], "c": doc["fit"]["c"][:-1]}},
+    lambda doc: {**doc, "fit": {**doc["fit"], "basis_rows": 5}},
+], ids=["list", "non-numeric-c", "short-c", "scalar-basis-rows"])
+def test_predict_exit_code_on_malformed_fit_document(fitted_paths, tmp_path, capsys, corrupt):
+    sim, fit_path, _, _ = fitted_paths
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(fit_path.read_text()))))
+    capsys.readouterr()
+    code = main(["predict", "--fit", str(bad), "--data", str(sim),
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_jobs_environment_fallback(monkeypatch):

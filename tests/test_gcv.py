@@ -505,25 +505,35 @@ def test_full_gcv_beats_three_dimensional_grid():
 
 
 def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
-    """The search and the fit run their LAPACK work on scipy's OpenBLAS.
+    """The search, the fit and predict run their LAPACK work on scipy's OpenBLAS.
 
     numpy and scipy bundle separate OpenBLAS copies, and calls alternating
     between them at two threads stall each other, so a numpy.linalg call
-    that creeps back into these paths fails here.
+    that creeps back into these paths fails here.  numpy's helpers such as
+    ``matrix_rank`` call the module-internal functions of
+    ``numpy.linalg._linalg``, so those are patched too.
     """
     from spanova import asp
+    from spanova.solver import predict
 
     ds, blocks = scenario_problem("m1", 400, seed=2)
+    spec = SCENARIOS["m1"].spec
     theta = np.ones(blocks.n_penalized)
     expected = (full_gcv(blocks, ds.y), skip_select(blocks, ds.y))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("numpy.linalg called in the search or the fit")
 
-    for name in ("eigh", "solve", "cholesky", "qr", "svd", "lstsq"):
-        monkeypatch.setattr(np.linalg, name, forbidden)
+    for module in (np.linalg, np.linalg._linalg):
+        for name in ("eigh", "solve", "cholesky", "qr", "svd", "lstsq", "matrix_rank"):
+            monkeypatch.setattr(module, name, forbidden)
     assert (full_gcv(blocks, ds.y), skip_select(blocks, ds.y)) == expected
     d, c, fitted, trace_a = _stacked_fit(design_at(blocks, ds.y, theta), 1e-3)
     assert np.isfinite(fitted).all() and 0.0 < trace_a < ds.n
-    sel = asp.asp_uniform(ds, SCENARIOS["m1"].spec, asp.AspConfig(jobs=1))
-    assert np.isfinite(sel.params.log10_nlam)
+    config = asp.AspConfig(jobs=1)
+    for selector in (asp.asp_uniform, asp.gcv_select, asp.skip_selection):
+        sel = selector(ds, spec, config)
+        assert np.isfinite(sel.params.log10_nlam)
+    fit = fit_model(ds, spec, sel.params, basis=asp.full_sample_basis(ds.n, spec.null_dim))
+    pred, _ = predict(fit, spec, ds.x[:50])
+    np.testing.assert_allclose(pred, fit.fitted[:50], rtol=1e-10, atol=1e-12)

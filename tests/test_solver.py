@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spanova import solver
 from spanova.data import Dataset, unit_domains
-from spanova.kernels import full_two_way_model, main_effects_model
+from spanova.kernels import PredictorDomain, full_two_way_model, main_effects_model
 from spanova.gcv import gcv_score
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
@@ -403,3 +405,90 @@ def test_predict_clamps_and_warns():
     assert flags.tolist() == [True, False]
     ref, _ = predict(fit, spec, np.array([[1.0]]))
     assert pred[0] == pytest.approx(ref[0], abs=1e-12)
+
+
+# ------------------------------------------------- refits from K(theta) alone
+
+
+def discrete_problem(n=300, seed=6):
+    """A continuous and a 3-level discrete predictor with their interaction."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.uniform(size=n), rng.integers(1, 4, size=n).astype(float)])
+    y = np.sin(2 * np.pi * x[:, 0]) + 0.5 * (x[:, 1] == 2) + 0.2 * rng.standard_normal(n)
+    spec = full_two_way_model((PredictorDomain.continuous(), PredictorDomain.discrete(3)))
+    return Dataset(x=x, y=y, domains=spec.domains), spec
+
+
+@pytest.mark.parametrize("name, n", [("u2", 300), ("m1", 3000), ("m2", 400), ("m4", 300),
+                                     ("discrete", 300)])
+def test_fit_from_basis_equals_fit_from_blocks(name, n):
+    """K(theta) formed row chunk by row chunk equals blocks.combine bit for
+    bit (m1 spans two chunks), so both entry points give the same fit."""
+    if name == "discrete":
+        ds, spec = discrete_problem(n)
+    else:
+        ds, spec = gen_data(name, n, 5.0, seed=1).dataset, SCENARIOS[name].spec
+    basis = select_basis(ds.n, basis_count(ds.n), seed=3)
+    blocks = assemble_blocks(ds, spec, basis)
+    theta = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, spec.n_penalized)
+    params = SmoothingParams.from_values(1e-4, theta)
+    t, k, q = assemble(ds, spec, basis, theta)
+    k_ref, q_ref = blocks.combine(theta)
+    assert np.array_equal(t, blocks.t) and np.array_equal(k, k_ref) and np.array_equal(q, q_ref)
+    direct = fit_model(ds, spec, params, basis=basis)
+    ref = fit_model(ds, spec, params, blocks=blocks)
+    for field in ("d", "c", "fitted", "basis_rows"):
+        assert np.array_equal(getattr(direct, field), getattr(ref, field)), field
+    assert direct.trace_a == ref.trace_a and direct.gcv == ref.gcv
+
+
+def test_refit_memory_stays_near_one_kernel_design():
+    """The per-term n-row blocks took 8 n q doubles; K(theta) plus the
+    stacked solve's copy of it take about 2."""
+    sim = gen_data("m1", 20000, 5.0, seed=0)
+    basis = select_basis(20000, basis_count(20000), seed=0)
+    params = SmoothingParams.from_values(1e-4, np.ones(SCENARIOS["m1"].spec.n_penalized))
+    tracemalloc.start()
+    try:
+        fit_model(sim.dataset, SCENARIOS["m1"].spec, params, basis=basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 20000 * basis.q * 8
+
+
+def test_refits_and_predict_form_no_per_term_n_row_block(monkeypatch, tmp_path):
+    """fit_model(basis=), ``spanova fit``'s refit, estimate_p and predict
+    never call assemble_blocks, and every kernel block they form has at
+    most COMPRESS_CHUNK rows."""
+    import spanova
+    from spanova import asp, cli, simulate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-term blocks assembled")
+
+    for module in (spanova, solver, asp, cli, simulate):
+        monkeypatch.setattr(module, "assemble_blocks", forbidden, raising=False)
+    block_rows = []
+    real_grams = solver.term_grams
+
+    def recording(terms, domains, x_rows, z_rows):
+        block_rows.append(np.atleast_2d(x_rows).shape[0])
+        return real_grams(terms, domains, x_rows, z_rows)
+
+    monkeypatch.setattr(solver, "term_grams", recording)
+    n = 5000
+    sim = gen_data("m1", n, 5.0, seed=4)
+    spec = SCENARIOS["m1"].spec
+    basis = select_basis(n, basis_count(n), seed=4)
+    fit = fit_model(sim.dataset, spec, SmoothingParams.from_values(1e-3, np.ones(5)),
+                    basis=basis)
+    pred, _ = predict(fit, spec, sim.dataset.x)
+    np.testing.assert_allclose(pred, fit.fitted, rtol=0.0, atol=1e-10)
+    assert asp.estimate_p(sim.dataset, spec, 1e-6, np.ones(5), 400) in (1, 2)
+    train = tmp_path / "train.csv"
+    assert cli.main(["simulate", "--scenario", "m1", "--n", str(n), "--snr", "5",
+                     "--out", str(train)]) == 0
+    assert cli.main(["fit", "--data", str(train), "--response", "y", "--model", "1,2,1:2",
+                     "--method", "order", "--out", str(tmp_path / "fit.json")]) == 0
+    assert block_rows and max(block_rows) <= solver.COMPRESS_CHUNK < n
