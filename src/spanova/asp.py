@@ -480,34 +480,30 @@ def full_sample_basis(n: int, null_dim: int, config: AspConfig = AspConfig()) ->
     return select_basis(n, _basis_size(n, null_dim, config), seed=config.seed)
 
 
-def gcv_select(dataset: Dataset, spec: ModelSpec,
-               config: AspConfig = AspConfig()) -> SelectionResult:
-    """Full-sample iterative cross-validation wrapped as a selection result."""
+def _full_sample_search(method: str, search, dataset: Dataset, spec: ModelSpec,
+                        config: AspConfig) -> SelectionResult:
+    """Run ``search(blocks, y)`` on the full-sample blocks as a selection result."""
     t0 = time.perf_counter()
     _check_response(dataset)
     basis = full_sample_basis(dataset.n, spec.null_dim, config)
-    blocks = assemble_blocks(dataset, spec, basis)
-    res = full_gcv(blocks, dataset.y, max_iter=config.gcv_max_iter)
-    lam = res.params.nlam / dataset.n
+    res = search(assemble_blocks(dataset, spec, basis), dataset.y)
     return SelectionResult(
-        method="gcv", params=res.params, lambda_full=lam,
+        method=method, params=res.params, lambda_full=res.params.nlam / dataset.n,
         theta=tuple(res.params.theta), n=dataset.n,
         seconds=time.perf_counter() - t0, flags=res.flags)
+
+
+def gcv_select(dataset: Dataset, spec: ModelSpec,
+               config: AspConfig = AspConfig()) -> SelectionResult:
+    """Full-sample iterative cross-validation wrapped as a selection result."""
+    search = functools.partial(full_gcv, max_iter=config.gcv_max_iter)
+    return _full_sample_search("gcv", search, dataset, spec, config)
 
 
 def skip_selection(dataset: Dataset, spec: ModelSpec,
                    config: AspConfig = AspConfig()) -> SelectionResult:
     """Full-sample starting-value selection wrapped as a selection result."""
-    t0 = time.perf_counter()
-    _check_response(dataset)
-    basis = full_sample_basis(dataset.n, spec.null_dim, config)
-    blocks = assemble_blocks(dataset, spec, basis)
-    res = skip_select(blocks, dataset.y)
-    lam = res.params.nlam / dataset.n
-    return SelectionResult(
-        method="skip", params=res.params, lambda_full=lam,
-        theta=tuple(res.params.theta), n=dataset.n,
-        seconds=time.perf_counter() - t0, flags=res.flags)
+    return _full_sample_search("skip", skip_select, dataset, spec, config)
 
 
 def order_selection(dataset: Dataset, spec: ModelSpec,

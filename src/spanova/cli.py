@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -24,10 +25,12 @@ from .asp import AspConfig, SelectionResult, full_sample_basis
 from .data import Dataset
 from .kernels import PredictorDomain, build_model
 from .simulate import SCENARIOS, SELECTORS, gen_data, run_benchmark
-from .solver import BasisSelection, FitResult, SmoothingParams, fit_model, predict
+from .solver import FitResult, SmoothingParams, fit_model, predict
 from .util import InputError, NumericalError
 
 DISCRETE_INFERENCE_MAX_LEVELS = 20
+# Output lines joined per write in ``_write_csv_lines``.
+CSV_WRITE_LINES = 65536
 
 
 @dataclass(frozen=True)
@@ -97,14 +100,20 @@ def _parse_numeric_table(header, raw_rows):
     return table
 
 
-def _write_csv_lines(path: str, lines) -> None:
-    """Write CSV lines in one write, with the CRLF line ends of ``csv.writer``.
+def _write_csv_lines(path: str, header: str, lines) -> None:
+    """Write a header and CSV lines with the CRLF line ends of ``csv.writer``.
 
-    Every field written this way is a float repr, a bare word or a plain
-    column name, which ``csv.writer`` would not quote either.
+    ``lines`` may be a generator: it is joined and written CSV_WRITE_LINES
+    lines at a time, so the text of a large file is never held whole.
+    Every field written this way is a float or int repr, a bare word, a
+    plain column name, a checked scenario id or a validated method name,
+    which ``csv.writer`` would not quote either.
     """
+    lines = iter(lines)
     with open(path, "w", newline="") as handle:
-        handle.write("".join(f"{line}\r\n" for line in lines))
+        handle.write(f"{header}\r\n")
+        while chunk := list(itertools.islice(lines, CSV_WRITE_LINES)):
+            handle.write("\r\n".join(chunk) + "\r\n")
 
 
 def _infer_domain(name: str, values: np.ndarray, override: str | None) -> PredictorDomain:
@@ -251,7 +260,7 @@ def run_fit(args) -> int:
         "n": table.dataset.n,
         "selection": _selection_to_json(sel),
         "fit": {
-            "q": int(fit.basis.q),
+            "q": len(fit.basis_rows),
             "basis_rows": fit.basis_rows.tolist(),
             "d": fit.d.tolist(),
             "c": fit.c.tolist(),
@@ -277,8 +286,7 @@ def run_fit(args) -> int:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     if args.fitted_out:
-        _write_csv_lines(args.fitted_out,
-                         ["fitted", *(repr(value) for value in fit.fitted.tolist())])
+        _write_csv_lines(args.fitted_out, "fitted", map(repr, fit.fitted.tolist()))
     print(f"fit written to {args.out}"
           f" (method={sel.method}, lambda={sel.lambda_full:.6g},"
           f" edf={fit.trace_a:.2f})")
@@ -309,7 +317,6 @@ def _load_fit_document(path: str):
             trace_a=float(fit_doc["trace_a"]),
             gcv=float(fit_doc["gcv"]),
             params=params,
-            basis=BasisSelection(indices=np.arange(basis_rows.shape[0])),
             basis_rows=basis_rows,
         )
     except KeyError as exc:
@@ -330,22 +337,20 @@ def run_predict(args) -> int:
     missing = [name for name in names if name not in header]
     if missing:
         raise InputError(f"input is missing predictor columns: {missing}")
-    lines = ["prediction,out_of_range"]
-    if raw_rows:
-        table = _parse_numeric_table(header, raw_rows)
-        x = table[:, [header.index(name) for name in names]]
-        for name, dom, col in zip(names, spec.domains, x.T):
-            if not dom.is_continuous:
-                try:
-                    dom.rescale(col)
-                except InputError as exc:
-                    raise InputError(f"column {name!r}: {exc}") from None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            eta, flags = predict(fit, spec, x)
-        lines += [f"{value!r},{'true' if flag else 'false'}"
-                  for value, flag in zip(eta.tolist(), flags.tolist())]
-    _write_csv_lines(args.out, lines)
+    table = _parse_numeric_table(header, raw_rows)
+    x = table[:, [header.index(name) for name in names]]
+    for name, dom, col in zip(names, spec.domains, x.T):
+        if not dom.is_continuous:
+            try:
+                dom.rescale(col)
+            except InputError as exc:
+                raise InputError(f"column {name!r}: {exc}") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        eta, flags = predict(fit, spec, x)
+    _write_csv_lines(args.out, "prediction,out_of_range",
+                     (f"{value!r},{'true' if flag else 'false'}"
+                      for value, flag in zip(eta.tolist(), flags.tolist())))
     n_rows = len(raw_rows)
     print(f"{n_rows} prediction{'s' if n_rows != 1 else ''} written to {args.out}")
     return 0
@@ -356,19 +361,15 @@ def run_simulate(args) -> int:
         raise InputError(f"unknown scenario {args.scenario!r};"
                          f" choose from {sorted(SCENARIOS)}")
     sim = gen_data(args.scenario, args.n, args.snr, seed=args.seed)
-    d = sim.dataset.d
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = [f"x{j + 1}" for j in range(d)] + ["y"]
-        if args.with_truth:
-            header.append("eta")
-        writer.writerow(header)
-        for i in range(sim.n):
-            row = [repr(float(v)) for v in sim.dataset.x[i]]
-            row.append(repr(float(sim.dataset.y[i])))
-            if args.with_truth:
-                row.append(repr(float(sim.eta[i])))
-            writer.writerow(row)
+    header = [f"x{j + 1}" for j in range(sim.dataset.d)] + ["y"]
+    columns = [sim.dataset.x, sim.dataset.y]
+    if args.with_truth:
+        header.append("eta")
+        columns.append(sim.eta)
+    table = np.column_stack(columns)
+    rows = (row for lo in range(0, sim.n, CSV_WRITE_LINES)
+            for row in table[lo:lo + CSV_WRITE_LINES].tolist())
+    _write_csv_lines(args.out, ",".join(header), (",".join(map(repr, row)) for row in rows))
     print(f"{sim.n} rows written to {args.out} (sigma={sim.sigma:.6g})")
     return 0
 
@@ -394,29 +395,21 @@ def run_bench(args) -> int:
                 records.extend(run_benchmark(
                     scenario, n, snr, methods, args.replicates, seed=args.seed,
                     config=config, benchmark_max_iter=args.benchmark_max_iter))
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "n", "snr", "method", "replicate",
-                         "loss", "log_re", "wall_time_seconds"])
-        for r in records:
-            writer.writerow([r.scenario, r.n, repr(r.snr), r.method, r.replicate,
-                             repr(r.loss), repr(r.log_re),
-                             repr(r.wall_time_seconds)])
+    _write_csv_lines(
+        args.out, "scenario,n,snr,method,replicate,loss,log_re,wall_time_seconds",
+        (f"{r.scenario},{r.n},{r.snr!r},{r.method},{r.replicate},"
+         f"{r.loss!r},{r.log_re!r},{r.wall_time_seconds!r}" for r in records))
     cells: dict[tuple, list] = {}
     for r in records:
         cells.setdefault((r.scenario, r.n, r.snr, r.method), []).append(r)
     summary = _summary_path(args.out)
-    with open(summary, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "n", "snr", "method", "replicates",
-                         "median_log_re", "median_wall_time_seconds"])
-        for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], k[3])):
-            group = cells[key]
-            writer.writerow([
-                key[0], key[1], repr(key[2]), key[3], len(group),
-                repr(float(np.median([r.log_re for r in group]))),
-                repr(float(np.median([r.wall_time_seconds for r in group]))),
-            ])
+    _write_csv_lines(
+        summary, "scenario,n,snr,method,replicates,median_log_re,median_wall_time_seconds",
+        (f"{scenario},{n},{snr!r},{method},{len(group)},"
+         f"{float(np.median([r.log_re for r in group]))!r},"
+         f"{float(np.median([r.wall_time_seconds for r in group]))!r}"
+         for (scenario, n, snr, method), group
+         in sorted(cells.items(), key=lambda item: item[0])))
     print(f"{len(records)} rows written to {args.out}; summary in {summary}")
     return 0
 

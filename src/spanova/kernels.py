@@ -434,7 +434,9 @@ def null_basis_matrix(spec: ModelSpec, x_rows: np.ndarray) -> np.ndarray:
         block = np.ones((n, 1))
         for j, lab in zip(term.predictors, term.labels):
             fac = _null_factor_block(spec.domains[j], lab, x_rows[:, j])
-            block = (block[:, :, None] * fac[:, None, :]).reshape(n, -1)
+            # the width is explicit: reshape cannot infer -1 from zero rows
+            block = (block[:, :, None] * fac[:, None, :]).reshape(
+                n, block.shape[1] * fac.shape[1])
         blocks.append(block)
     return np.concatenate(blocks, axis=1)
 

@@ -32,7 +32,7 @@ from .asp import (
 )
 from .data import Dataset, unit_domains
 from .kernels import ModelSpec, build_model, eval_bernoulli, full_two_way_model, main_effects_model
-from .solver import assemble_blocks, demmler_reinsch, fit_model
+from .solver import demmler_reinsch, fit_model
 from .util import InputError, derive_rng
 
 
@@ -390,10 +390,9 @@ def run_benchmark(identifier: str, n: int, snr: float, methods, replicates: int,
         bench_cfg = rep_cfg if benchmark_max_iter is None else replace(
             rep_cfg, gcv_max_iter=benchmark_max_iter)
         basis = full_sample_basis(n, scn.spec.null_dim, rep_cfg)
-        blocks = assemble_blocks(data.dataset, scn.spec, basis)
 
         def refit(sel: SelectionResult):
-            return fit_model(data.dataset, scn.spec, sel.params, blocks=blocks)
+            return fit_model(data.dataset, scn.spec, sel.params, basis=basis)
 
         bench_sel = gcv_select(data.dataset, scn.spec, bench_cfg)
         bench_fit = refit(bench_sel)

@@ -103,7 +103,6 @@ class BasisSelection:
     """Indices of the rows used as kernel basis points."""
 
     indices: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=int)
@@ -131,7 +130,7 @@ def select_basis(n: int, q: int, seed: int | None = None) -> BasisSelection:
         raise InputError(f"basis size {q} outside [1, {n}]")
     rng = derive_rng(0 if seed is None else seed, 11)
     idx = rng.choice(n, size=q, replace=False)
-    return BasisSelection(indices=idx, seed=seed)
+    return BasisSelection(indices=idx)
 
 
 @dataclass
@@ -151,7 +150,6 @@ class DesignBlocks:
     q_parts: tuple[np.ndarray, ...]
     part_traces: np.ndarray
     basis: BasisSelection
-    basis_rows: np.ndarray
     n_obs: int | None = None
     rss_offset: float = 0.0
 
@@ -266,7 +264,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     a goes in as whichever of itself or its transpose is F-contiguous, with
     the matching transpose flag, so f2py copies no contiguous matrix.
+    dgemv rejects a zero-row a, whose product is empty.
     """
+    if a.shape[0] == 0:
+        return np.zeros(0)
     a_arg, trans_a = (a, 0) if a.flags.f_contiguous else (a.T, 1)
     return sla.blas.dgemv(1.0, a_arg, b, trans=trans_a)
 
@@ -311,7 +312,6 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
         q_parts=_penalty_parts(spec, z),
         part_traces=part_traces(dataset, spec),
         basis=basis,
-        basis_rows=z,
     )
 
 
@@ -455,34 +455,23 @@ class FitResult:
     trace_a: float
     gcv: float
     params: SmoothingParams
-    basis: BasisSelection
     basis_rows: np.ndarray
 
 
 def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
-              basis: BasisSelection | None = None,
-              blocks: DesignBlocks | None = None) -> FitResult:
-    """Fit at fixed smoothing parameters.
+              basis: BasisSelection) -> FitResult:
+    """Fit at fixed smoothing parameters on the given basis rows.
 
-    K(theta) comes from ``blocks.combine`` when blocks are given, else from
-    ``assemble`` on ``basis``, which builds no per-term block; both give
-    the same K(theta) bit for bit and share the solve below.  The stacked
-    QR works at the square root of the normal equations' condition number,
-    so any positive nlam yields a fit.
+    ``assemble`` forms K(theta) directly, so no per-term block is built.
+    The stacked QR works at the square root of the normal equations'
+    condition number, so any positive nlam yields a fit.
     """
-    if blocks is not None:
-        t, (k, q), basis = blocks.t, blocks.combine(params.theta), blocks.basis
-        basis_rows = blocks.basis_rows
-    elif basis is None:
-        raise InputError("fit_model needs a basis selection or prebuilt blocks")
-    else:
-        t, k, q = assemble(dataset, spec, basis, params.theta)
-        basis_rows = dataset.x[basis.indices]
+    t, k, q = assemble(dataset, spec, basis, params.theta)
     d, c, fitted, trace_a = _stacked_fit(CompiledDesign(t, k, q, dataset.y), params.nlam)
     resid = dataset.y - fitted
     score = gcv_from_fit(float(resid @ resid), trace_a, dataset.n)
     return FitResult(d=d, c=c, fitted=fitted, trace_a=trace_a, gcv=score,
-                     params=params, basis=basis, basis_rows=basis_rows)
+                     params=params, basis_rows=dataset.x[basis.indices])
 
 
 @dataclass

@@ -16,6 +16,7 @@ from spanova.cli import (
     parse_model,
 )
 from spanova.kernels import PredictorDomain
+from spanova.simulate import gen_data
 from spanova.util import InputError
 
 
@@ -224,8 +225,7 @@ def test_predict_empty_input(fitted_paths, tmp_path):
     out = tmp_path / "pred.csv"
     assert main(["predict", "--fit", str(fit_path), "--data", str(data),
                  "--out", str(out)]) == 0
-    header, rows = read_csv(out)
-    assert header == ["prediction", "out_of_range"] and rows == []
+    assert out.read_bytes() == b"prediction,out_of_range\r\n"
 
 
 def test_predict_column_mismatch(fitted_paths, tmp_path):
@@ -356,6 +356,29 @@ def test_output_files_are_the_bytes_csv_writer_writes(fitted_paths, tmp_path):
     assert [r[1] for r in pred_rows] == ["true", "false", "true"]
     assert out.read_bytes() == csv_writer_bytes(
         [["prediction", "out_of_range"], *([repr(float(v)), f] for v, f in pred_rows)])
+
+
+def test_simulate_and_bench_files_are_the_bytes_csv_writer_writes(tmp_path):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--scenario", "m1", "--n", "40", "--snr", "5", "--seed", "3",
+                 "--with-truth", "--out", str(out)]) == 0
+    sim = gen_data("m1", 40, 5.0, seed=3)
+    rows = [[repr(float(v)) for v in (*x, y, eta)]
+            for x, y, eta in zip(sim.dataset.x, sim.dataset.y, sim.eta)]
+    assert out.read_bytes() == csv_writer_bytes([["x1", "x2", "y", "eta"], *rows])
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--scenario", "u2", "--n", "250,90", "--snr", "5",
+                 "--methods", "order", "--replicates", "2", "--gcv-max-iter", "5",
+                 "--seed", "1", "--jobs", "1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert out.read_bytes() == csv_writer_bytes([header, *rows])
+    assert all(r[i] == repr(float(r[i])) for r in rows for i in (2, 5, 6, 7))
+    summary = tmp_path / "bench_summary.csv"
+    header, rows = read_csv(summary)
+    assert summary.read_bytes() == csv_writer_bytes([header, *rows])
+    assert [(r[1], r[3]) for r in rows] == [("90", "gcv"), ("90", "order"),
+                                            ("250", "gcv"), ("250", "order")]
+    assert all(r[i] == repr(float(r[i])) for r in rows for i in (2, 5, 6))
 
 
 @pytest.mark.parametrize("corrupt", [

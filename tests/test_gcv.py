@@ -155,8 +155,8 @@ def test_theta_lambda_redundancy():
     beta = 3.7
     p1 = SmoothingParams.from_values(1e-3, [1.0, 2.0])
     p2 = SmoothingParams.from_values(beta * 1e-3, [beta * 1.0, beta * 2.0])
-    f1 = fit_model(ds, spec, p1, blocks=blocks)
-    f2 = fit_model(ds, spec, p2, blocks=blocks)
+    f1 = fit_model(ds, spec, p1, basis=blocks.basis)
+    f2 = fit_model(ds, spec, p2, basis=blocks.basis)
     np.testing.assert_allclose(f1.fitted, f2.fitted, atol=1e-10)
 
 
@@ -225,7 +225,7 @@ def test_full_gcv_on_compressed_blocks_matches_direct_search():
     direct, compressed = full_gcv(blocks, ds.y), full_gcv(small, f)
     assert compressed.params == direct.params
     assert compressed.score == direct.score
-    fit = fit_model(ds, spec, direct.params, blocks=blocks)
+    fit = fit_model(ds, spec, direct.params, basis=blocks.basis)
     assert fit.gcv == pytest.approx(direct.score, rel=1e-10)
 
 
@@ -379,7 +379,6 @@ def test_skip_floors_zero_quadratic_form():
         q_parts=(blocks.q_parts[0], np.zeros_like(blocks.q_parts[0])),
         part_traces=np.array([blocks.part_traces[0], 1.0]),
         basis=blocks.basis,
-        basis_rows=blocks.basis_rows,
     )
     res = skip_select(dead, ds.y)
     assert "theta-floor" in res.flags
@@ -394,7 +393,7 @@ def test_skip_select_invariant_to_response_scale(scenario, n):
     base = skip_select(blocks, ds.y)
     assert not base.flags
     # the scan's minimum is the score of record: the fit at its params agrees
-    fit = fit_model(ds, SCENARIOS[scenario].spec, base.params, blocks=blocks)
+    fit = fit_model(ds, SCENARIOS[scenario].spec, base.params, basis=blocks.basis)
     assert fit.gcv == pytest.approx(base.score, rel=1e-9)
     for a in (1e-4, 1e4):
         res = skip_select(blocks, a * ds.y)
@@ -463,8 +462,8 @@ def test_full_gcv_single_term_reduces_to_lambda_search():
     fg = full_gcv(blocks, ds.y)
     k, q = blocks.combine(fg.params.theta)
     ml = minimize_lambda(blocks.t, k, q, ds.y, theta=fg.params.theta)
-    f1 = fit_model(ds, spec, fg.params, blocks=blocks)
-    f2 = fit_model(ds, spec, ml.params, blocks=blocks)
+    f1 = fit_model(ds, spec, fg.params, basis=blocks.basis)
+    f2 = fit_model(ds, spec, ml.params, basis=blocks.basis)
     np.testing.assert_allclose(f1.fitted, f2.fitted, atol=1e-8)
 
 

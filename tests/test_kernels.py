@@ -251,6 +251,15 @@ def test_null_basis_matrix_matches_rowwise():
         np.testing.assert_allclose(mat[i], null_basis(spec, x[i]), atol=1e-14)
 
 
+@pytest.mark.parametrize("spec", [
+    *(scn.spec for scn in SCENARIOS.values()),
+    full_two_way_model((PredictorDomain.continuous(), PredictorDomain.discrete(3))),
+], ids=[*SCENARIOS, "discrete"])
+def test_null_basis_matrix_on_zero_rows(spec):
+    mat = null_basis_matrix(spec, np.zeros((0, spec.n_predictors)))
+    assert mat.shape == (0, spec.null_dim)
+
+
 def test_null_basis_discrete_contrasts_manual_spec():
     # unpenalized factor contrasts are available through a hand-built spec
     from spanova.kernels import ModelSpec

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
+from spanova import asp, simulate
 from spanova.asp import AspConfig
 from spanova.simulate import (
     SCENARIOS,
@@ -272,9 +273,29 @@ def test_selection_stays_in_grid_basin_on_hostile_replicate():
         gcv_score(blocks.t, k, q, data.dataset.y, 10.0**lg)
         for lg in np.linspace(-12, 3, 61))
     assert sel_score <= grid_best * (1 + 1e-3)
-    fit = fit_model(data.dataset, spec, sel.params, basis=basis, blocks=blocks)
+    fit = fit_model(data.dataset, spec, sel.params, basis=basis)
     assert loss(fit.fitted, data.eta) < 0.02
     # the historical runaway parameters must at least fit without crashing
     runaway = SmoothingParams(-11.814, (16.760,))
-    old = fit_model(data.dataset, spec, runaway, basis=basis, blocks=blocks)
+    old = fit_model(data.dataset, spec, runaway, basis=basis)
     assert np.isfinite(old.fitted).all() and np.isfinite(old.gcv)
+
+
+def test_run_benchmark_refits_build_no_per_term_blocks(monkeypatch):
+    """Only the gcv and skip searches assemble per-term blocks; the refits
+    form K(theta) from the basis."""
+    calls = []
+    real = asp.assemble_blocks
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("run_benchmark assembled per-term blocks")
+
+    monkeypatch.setattr(asp, "assemble_blocks", counting)
+    monkeypatch.setattr(simulate, "assemble_blocks", forbidden, raising=False)
+    records = run_benchmark("u2", 300, 5.0, ["order", "skip"], 1, config=AspConfig(jobs=1))
+    assert [r.method for r in records] == ["gcv", "order", "skip"]
+    assert len(calls) == 2

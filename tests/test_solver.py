@@ -149,7 +149,7 @@ def test_fit_model_tiny_nlam_yields_finite_fit():
     ds = Dataset(x=x, y=y, domains=spec.domains)
     blocks = assemble_blocks(ds, spec, BasisSelection(indices=np.arange(16)))
     fit = fit_model(ds, spec, SmoothingParams.from_values(1e-12, [1.0]),
-                    blocks=blocks)
+                    basis=blocks.basis)
     assert np.isfinite(fit.fitted).all()
     assert np.isfinite(fit.d).all() and np.isfinite(fit.c).all()
     assert np.isfinite(fit.gcv) and fit.gcv > 0
@@ -173,7 +173,7 @@ def test_fit_model_matches_dense_stacked_reference():
     q_r = q + 1e-10 * np.trace(q) / q.shape[0] * np.eye(q.shape[0])
     for nlam in (1e-8, 1e-4, 1e-2, 1.0):
         fit = fit_model(ds, spec, SmoothingParams.from_values(nlam, [1.0]),
-                        blocks=blocks)
+                        basis=blocks.basis)
         d_ref, fitted_ref, trace_ref = dense_stacked_reference(blocks.t, k, q_r, ds.y, nlam)
         np.testing.assert_allclose(fit.fitted, fitted_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(fit.d, d_ref, rtol=0, atol=1e-9)
@@ -421,9 +421,9 @@ def discrete_problem(n=300, seed=6):
 
 @pytest.mark.parametrize("name, n", [("u2", 300), ("m1", 3000), ("m2", 400), ("m4", 300),
                                      ("discrete", 300)])
-def test_fit_from_basis_equals_fit_from_blocks(name, n):
+def test_assemble_equals_blocks_combine(name, n):
     """K(theta) formed row chunk by row chunk equals blocks.combine bit for
-    bit (m1 spans two chunks), so both entry points give the same fit."""
+    bit (m1 spans two chunks), as do T and Q(theta)."""
     if name == "discrete":
         ds, spec = discrete_problem(n)
     else:
@@ -431,15 +431,23 @@ def test_fit_from_basis_equals_fit_from_blocks(name, n):
     basis = select_basis(ds.n, basis_count(ds.n), seed=3)
     blocks = assemble_blocks(ds, spec, basis)
     theta = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, spec.n_penalized)
-    params = SmoothingParams.from_values(1e-4, theta)
     t, k, q = assemble(ds, spec, basis, theta)
     k_ref, q_ref = blocks.combine(theta)
     assert np.array_equal(t, blocks.t) and np.array_equal(k, k_ref) and np.array_equal(q, q_ref)
-    direct = fit_model(ds, spec, params, basis=basis)
-    ref = fit_model(ds, spec, params, blocks=blocks)
-    for field in ("d", "c", "fitted", "basis_rows"):
-        assert np.array_equal(getattr(direct, field), getattr(ref, field)), field
-    assert direct.trace_a == ref.trace_a and direct.gcv == ref.gcv
+
+
+@pytest.mark.parametrize("name", ["m1", "discrete"])
+def test_predict_on_zero_rows_returns_empty_arrays(name):
+    if name == "discrete":
+        ds, spec = discrete_problem()
+    else:
+        ds, spec = gen_data(name, 300, 5.0, seed=1).dataset, SCENARIOS[name].spec
+    basis = select_basis(ds.n, basis_count(ds.n), seed=3)
+    params = SmoothingParams.from_values(1e-4, np.ones(spec.n_penalized))
+    fit = fit_model(ds, spec, params, basis=basis)
+    eta, flags = predict(fit, spec, np.zeros((0, spec.n_predictors)))
+    assert eta.shape == (0,) and eta.dtype == float
+    assert flags.shape == (0,) and flags.dtype == bool
 
 
 def test_refit_memory_stays_near_one_kernel_design():
