@@ -63,6 +63,11 @@ class AspConfig:
     jobs: int | None = None
 
     def __post_init__(self):
+        for name in ("b_coef", "b_max_coef", "b_factor", "r_default", "p_default",
+                     "order_c", "basis_coef", "basis_exp"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.b_coef <= 0 or self.b_max_coef < self.b_coef:
             raise InputError("subsample coefficients must satisfy 0 < b_coef <= b_max_coef")
         if self.n_sizes < 2:
@@ -277,7 +282,7 @@ def _pool_blas_threads(workers: int) -> int:
 
 
 def _subsample_pool(workers: int) -> ProcessPoolExecutor:
-    """Process pool for the subsample fits.
+    """Process pool of ``workers`` (see ``_pool_workers``) for the subsample fits.
 
     Callers hold ``_capped_blas_threads(_pool_blas_threads(workers))`` while
     the pool runs, so forked workers inherit cpu_count // workers BLAS
@@ -290,18 +295,25 @@ def _subsample_pool(workers: int) -> ProcessPoolExecutor:
                                initargs=(_pool_blas_threads(workers),))
 
 
-def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
-    """Fit all requested subsamples, in parallel when configured.
+def _pool_workers(config: AspConfig, n_jobs: int) -> int:
+    """Pool size for ``n_jobs`` fits, and the worker count the BLAS cap assumes."""
+    return min(config.worker_count, n_jobs)
 
-    Returns (fits, dropped) where failed subsamples are dropped; ordering
-    follows the request list so the reduction is deterministic.  Rows are
-    drawn here, so a worker receives its b rows and not the whole dataset.
+
+def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
+    """Fit one subsample per entry of ``sizes``, through one pool when configured.
+
+    Job j draws stream (stream_tag + j // n_subsamples, j % n_subsamples).
+    Returns (fits, dropped): failed subsamples are dropped, the rest keep
+    the request order.  A worker receives its b rows, not the whole dataset.
     """
+    per = config.n_subsamples
     jobs = []
-    for k, b in enumerate(sizes):
-        sub, basis = _draw_subsample(dataset, spec, b, config, (stream_tag, k))
+    for j, b in enumerate(sizes):
+        sub, basis = _draw_subsample(dataset, spec, b, config,
+                                     (stream_tag + j // per, j % per))
         jobs.append((sub, spec, basis, config))
-    workers = min(config.worker_count, len(jobs))
+    workers = _pool_workers(config, len(jobs))
     if workers > 1:
         with _subsample_pool(workers) as pool:
             results = list(pool.map(_fit_subsample, jobs))
@@ -357,12 +369,11 @@ def asp_uniform(dataset: Dataset, spec: ModelSpec,
     _check_response(dataset)
     flags: list[str] = []
     b = subsample_size(dataset.n, config, spec.null_dim)
-    workers = min(config.worker_count, config.n_subsamples)
     # The cap covers the pool and estimate_p, whose 2b-row problem is as
     # small as the fits.  Forking stops the caller's OpenBLAS threads; the
     # ones restarted when the cap is lifted spin for about 0.1 s, and that
     # cost falls on the caller's next BLAS work.
-    with _capped_blas_threads(_pool_blas_threads(workers)):
+    with _capped_blas_threads(_pool_blas_threads(_pool_workers(config, config.n_subsamples))):
         fits, dropped = _run_subsample_fits(
             dataset, spec, [b] * config.n_subsamples, config, 21)
         if dropped:
@@ -425,11 +436,11 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
 
     Subsample sizes are log-spaced between round(b_coef n^{1/4}) and
     round(b_max_coef n^{1/4}); each size contributes the log-median lambda
-    over ``n_subsamples`` draws.  theta comes from the largest size.
+    over ``n_subsamples`` draws.  theta comes from the largest size.  One
+    pool fits every draw of the ladder.
     """
     t0 = time.perf_counter()
     _check_response(dataset)
-    flags: list[str] = []
     lo = subsample_size(dataset.n, config, spec.null_dim)
     hi_cfg = replace(config, b_coef=config.b_max_coef)
     hi = subsample_size(dataset.n, hi_cfg, spec.null_dim)
@@ -439,39 +450,28 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
     sizes = sorted({int(round_half_up(v)) for v in raw})
     if len(sizes) < 2:
         raise InputError("size ladder collapsed to one size")
-    per_size_lam: list[float] = []
-    kept_sizes: list[int] = []
-    all_fits: list[SubsampleFit] = []
-    top_fits: tuple[SubsampleFit, ...] = ()
-    # one cap for the whole ladder: restoring the caller's counts between
-    # sizes would restart its thread server every time
-    workers = min(config.worker_count, config.n_subsamples)
-    with _capped_blas_threads(_pool_blas_threads(workers)):
-        for idx, b in enumerate(sizes):
-            fits, dropped = _run_subsample_fits(
-                dataset, spec, [b] * config.n_subsamples, config, 41 + idx)
-            if dropped:
-                flags.append(f"subsamples-dropped:{b}:{dropped}")
-            if not fits:
-                continue
-            lam, _ = _aggregate(fits)
-            per_size_lam.append(lam)
-            kept_sizes.append(b)
-            all_fits.extend(fits)
-            top_fits = fits
+    per = config.n_subsamples
+    ladder = [b for b in sizes for _ in range(per)]
+    with _capped_blas_threads(_pool_blas_threads(_pool_workers(config, len(ladder)))):
+        fits, _ = _run_subsample_fits(dataset, spec, ladder, config, 41)
+    by_size = {b: [f for f in fits if f.size == b] for b in sizes}
+    flags = [f"subsamples-dropped:{b}:{per - len(group)}"
+             for b, group in by_size.items() if len(group) < per]
+    kept_sizes = [b for b in sizes if by_size[b]]
     if len(kept_sizes) < 2:
         raise NumericalError("too few subsample sizes survived")
+    per_size_lam = [_aggregate(by_size[b])[0] for b in kept_sizes]
     rate = fit_rate(kept_sizes, per_size_lam)
     if rate.clamped:
         flags.append("gamma-clamped")
-    _, theta = _aggregate(top_fits)
+    _, theta = _aggregate(by_size[kept_sizes[-1]])
     lam_full = rate.c * float(dataset.n) ** (-rate.gamma)
     params = SmoothingParams.from_values(dataset.n * lam_full, theta)
     return SelectionResult(
         method="asp-a", params=params, lambda_full=lam_full, theta=theta,
         n=dataset.n, subsample_size=kept_sizes[-1],
         lambda_sub=per_size_lam[-1], p=rate.p, r=rate.r, rate=rate,
-        fits=tuple(all_fits), seconds=time.perf_counter() - t0,
+        fits=fits, seconds=time.perf_counter() - t0,
         flags=tuple(flags))
 
 

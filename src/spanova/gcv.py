@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .solver import (CompiledDesign, DesignBlocks, SmoothingParams, _dot, _r_factor,
-                     _stacked_fit, gcv_from_fit)
+from .solver import (CompiledDesign, DesignBlocks, SmoothingParams, _checked_design, _dot,
+                     _r_factor, _stacked_fit, gcv_from_fit)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -179,7 +179,7 @@ def gcv_score(t, k, q, y, params) -> float:
     nlam = params.nlam if isinstance(params, SmoothingParams) else float(params)
     if nlam <= 0:
         raise InputError("nlam must be positive")
-    return _exact_score(CompiledDesign(t, k, q, y), nlam)
+    return _exact_score(_checked_design(t, k, q, y), nlam)
 
 
 def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
@@ -188,7 +188,7 @@ def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
     ``theta`` is bookkeeping only: K and Q are used as given.  A minimum on
     the bracket boundary is returned with ``converged=False``.
     """
-    profile = LambdaProfile(CompiledDesign(t, k, q, y))
+    profile = LambdaProfile(_checked_design(t, k, q, y))
     x, score, hit_boundary = golden_minimize(profile.score)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     params = SmoothingParams(x, tuple(float(v) for v in np.log10(theta)))

@@ -232,16 +232,19 @@ def _theta_vector(theta, n_penalized: int) -> np.ndarray:
 def _weighted_sum(theta: np.ndarray, parts, out: np.ndarray | None = None) -> np.ndarray:
     """sum_delta theta_delta parts_delta, accumulated in term order.
 
-    ``parts`` may be a generator; the sum goes into ``out`` when given.
-    The operations and their order do not depend on where the parts come
-    from, so a sum over blocks formed one row chunk at a time equals the
-    same rows of the sum over whole blocks bit for bit.
+    ``parts`` may be a generator; the sum goes into ``out`` when given, and
+    later terms are scaled in one reused buffer.  The operations and their
+    order do not depend on where the parts come from, so a sum over blocks
+    formed one row chunk at a time equals the same rows of the sum over
+    whole blocks bit for bit.
     """
+    scaled = None
     for i, (w, part) in enumerate(zip(theta, parts)):
         if i == 0:
             out = np.multiply(w, part, out=out)
         else:
-            out += w * part
+            scaled = np.multiply(w, part, out=scaled)
+            out += scaled
     return out
 
 
@@ -351,7 +354,11 @@ def assemble(dataset: Dataset, spec: ModelSpec, basis: BasisSelection, theta) ->
 
 
 class CompiledDesign:
-    """Validated inputs (T, K, Q_r, y) of one penalized solve.
+    """Inputs (T, K, Q_r, y) of one penalized solve, trusted as given.
+
+    The public array-level entry points check shapes and Q's symmetry once
+    (``_checked_design``); a search's trials and ``fit_model`` pass a Q
+    that is a weighted sum of symmetrized parts, and skip the checks.
 
     Q_r is Q plus a ridge of RIDGE_SCALE times its mean diagonal, so its
     Cholesky factor exists when Q is only semidefinite.  ``n`` is the row
@@ -362,28 +369,25 @@ class CompiledDesign:
 
     def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray,
                  n_obs: int | None = None, rss_offset: float = 0.0):
-        t = np.asarray(t, dtype=float)
-        k = np.asarray(k, dtype=float)
-        q = np.asarray(q, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n, m = t.shape
-        if k.shape[0] != n or y.shape != (n,):
-            raise InputError("T, K and y row counts disagree")
-        nq = k.shape[1]
-        if q.shape != (nq, nq):
-            raise InputError("Q must be square with K's column count")
-        if not np.allclose(q, q.T, atol=1e-10, rtol=0.0):
-            raise InputError("Q must be symmetric")
-        self.t = t
-        self.k = k
-        self.y = y
-        self.n = n
-        self.n_obs = n if n_obs is None else int(n_obs)
+        self.t, self.k, self.y = (np.asarray(a, dtype=float) for a in (t, k, y))
+        self.n, self.m = self.t.shape
+        self.nq = self.k.shape[1]
+        self.n_obs = self.n if n_obs is None else int(n_obs)
         self.rss_offset = float(rss_offset)
-        self.m = m
-        self.nq = nq
-        ridge = RIDGE_SCALE * np.trace(q) / nq
-        self.q_r = q + ridge * np.eye(nq)
+        q = np.asarray(q, dtype=float)
+        self.q_r = q + RIDGE_SCALE * np.trace(q) / self.nq * np.eye(self.nq)
+
+
+def _checked_design(t, k, q, y) -> CompiledDesign:
+    """``CompiledDesign`` of outside arrays, built after the checks it skips."""
+    t, k, q, y = (np.asarray(a, dtype=float) for a in (t, k, q, y))
+    if k.shape[0] != t.shape[0] or y.shape != t.shape[:1]:
+        raise InputError("T, K and y row counts disagree")
+    if q.shape != (k.shape[1],) * 2:
+        raise InputError("Q must be square with K's column count")
+    if not np.allclose(q, q.T, atol=1e-10, rtol=0.0):
+        raise InputError("Q must be symmetric")
+    return CompiledDesign(t, k, q, y)
 
 
 def _stacked_fit(design: CompiledDesign, nlam: float):
@@ -423,7 +427,7 @@ def _stacked_fit(design: CompiledDesign, nlam: float):
 
 def solve_penalized(t, k, q, y, nlam: float) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ||y - T d - K c||^2 + nlam c'Qc; return (d, c)."""
-    return _stacked_fit(CompiledDesign(t, k, q, y), nlam)[:2]
+    return _stacked_fit(_checked_design(t, k, q, y), nlam)[:2]
 
 
 def hat_trace(t, k, q, nlam: float):
@@ -433,8 +437,8 @@ def hat_trace(t, k, q, nlam: float):
     same penalized problem with that response, so linearity and idempotence
     properties can be checked directly.
     """
-    trace_a = _stacked_fit(CompiledDesign(t, k, q, np.zeros(np.shape(t)[0])), nlam)[3]
-    return trace_a, lambda v: _stacked_fit(CompiledDesign(t, k, q, v), nlam)[2]
+    trace_a = _stacked_fit(_checked_design(t, k, q, np.zeros(np.shape(t)[0])), nlam)[3]
+    return trace_a, lambda v: _stacked_fit(_checked_design(t, k, q, v), nlam)[2]
 
 
 def gcv_from_fit(rss: float, trace_a: float, n: int) -> float:

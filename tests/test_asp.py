@@ -24,7 +24,7 @@ from spanova.asp import (
     subsample_size,
 )
 from spanova.data import Dataset, unit_domains
-from spanova.kernels import main_effects_model
+from spanova.kernels import PredictorDomain, full_two_way_model, main_effects_model
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.util import InputError, derive_rng
 
@@ -106,6 +106,13 @@ def test_config_validation():
         AspConfig(p_default=3.0)
     with pytest.raises(InputError):
         AspConfig(b_factor=0.5)
+    for name in ("b_coef", "b_max_coef", "b_factor", "r_default", "p_default",
+                 "order_c", "basis_coef", "basis_exp"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InputError, match=f"^{name} must be finite"):
+                AspConfig(**{name: value})
+    # finiteness is the only new rule: a zero order constant stays accepted
+    assert AspConfig(order_c=0.0).order_c == 0.0
 
 
 def test_fit_rate_recovers_noiseless_law():
@@ -270,6 +277,113 @@ def test_asp_asymptotic_deterministic():
     assert a.lambda_full == b.lambda_full
     assert a.theta == b.theta
     assert a.rate == b.rate
+
+
+ASP_A_SMALL = AspConfig(b_coef=15.0, b_max_coef=40.0, n_sizes=4, n_subsamples=2,
+                        gcv_max_iter=5, jobs=1, seed=23)
+
+
+def test_asp_asymptotic_pool_matches_serial(monkeypatch):
+    """One pool fits the whole ladder, with the serial path's draws and fits.
+
+    With one CPU reported, the serial path and each pool worker run one BLAS
+    thread, so the fits agree bit for bit.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    data, spec = sine_dataset(400, seed=17)
+    serial = asp_asymptotic(data, spec, ASP_A_SMALL)
+    pooled = asp_asymptotic(data, spec, replace(ASP_A_SMALL, jobs=2))
+    assert len(serial.fits) == ASP_A_SMALL.n_sizes * ASP_A_SMALL.n_subsamples
+    assert pooled.fits == serial.fits
+    assert pooled.params == serial.params
+    assert pooled.rate == serial.rate
+
+
+def test_asp_asymptotic_flags_and_skips_a_dropped_size(monkeypatch):
+    data, spec = sine_dataset(400, seed=9)
+    full = asp_asymptotic(data, spec, ASP_A_SMALL)
+    sizes = sorted({f.size for f in full.fits})
+    assert len(sizes) >= 3
+    lost = sizes[1]
+    fit_one = asp._fit_subsample
+    monkeypatch.setattr(asp, "_fit_subsample",
+                        lambda job: None if job[0].n == lost else fit_one(job))
+    res = asp_asymptotic(data, spec, ASP_A_SMALL)
+    assert f"subsamples-dropped:{lost}:{ASP_A_SMALL.n_subsamples}" in res.flags
+    # the other sizes keep their own draws, and the rate leaves the lost size out
+    assert res.fits == tuple(f for f in full.fits if f.size != lost)
+    kept = [b for b in sizes if b != lost]
+    lams = [_aggregate([f for f in full.fits if f.size == b])[0] for b in kept]
+    assert res.rate == fit_rate(kept, lams)
+
+
+def test_asp_uniform_flags_dropped_subsamples(monkeypatch):
+    data, spec = sine_dataset(400, seed=8)
+    full = asp_uniform(data, spec, FAST)
+    seen = []
+    fit_one = asp._fit_subsample
+
+    def drop_first(job):
+        seen.append(job)
+        return None if len(seen) == 1 else fit_one(job)
+
+    monkeypatch.setattr(asp, "_fit_subsample", drop_first)
+    res = asp_uniform(data, spec, FAST)
+    assert "subsamples-dropped:1" in res.flags
+    assert res.fits == full.fits[1:]
+
+
+def rare_level_dataset(n=2000, seed=3):
+    """Continuous x 4-level data whose fourth level holds 0.1% of the rows."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(size=n)
+    level = rng.integers(1, 4, size=n).astype(float)
+    level[rng.choice(n, size=n // 1000, replace=False)] = 4.0
+    y = np.sin(2 * np.pi * x1) + 0.3 * level + 0.2 * rng.standard_normal(n)
+    domains = (PredictorDomain.continuous(), PredictorDomain.discrete(4))
+    return Dataset(x=np.column_stack([x1, level]), y=y, domains=domains)
+
+
+@pytest.mark.parametrize("selector", [gcv_select, asp_uniform, asp_asymptotic])
+def test_selectors_survive_a_rare_discrete_level(selector, monkeypatch):
+    data = rare_level_dataset()
+    spec = full_two_way_model(data.domains)
+    subsamples = []
+    fit_one = asp._fit_subsample
+
+    def record(job):
+        subsamples.append(job[0])
+        return fit_one(job)
+
+    monkeypatch.setattr(asp, "_fit_subsample", record)
+    cfg = AspConfig(n_sizes=3, n_subsamples=2, gcv_max_iter=4, jobs=1, seed=2)
+    res = selector(data, spec, cfg)
+    assert np.isfinite(res.params.log10_nlam)
+    assert np.isfinite(res.params.log10_theta).all()
+    if subsamples:
+        # the rare level is missing from some subsample, which still fits
+        assert any((sub.x[:, 1] != 4.0).all() for sub in subsamples)
+        assert not any("subsamples-dropped" in flag for flag in res.flags)
+
+
+@pytest.mark.parametrize("selector", [gcv_select, skip_selection, asp_uniform,
+                                      order_selection])
+def test_selectors_on_a_discrete_only_model(selector):
+    """A model of one discrete predictor has a shrinkage term and no spline.
+
+    Open question, not decided here: whether asp-u should carry the spline
+    rate law over to a shrinkage-only term, as it does today.
+    """
+    rng = np.random.default_rng(4)
+    level = rng.integers(1, 6, size=600).astype(float)
+    means = np.array([0.0, 0.5, -0.3, 1.0, 0.2])
+    y = means[level.astype(int) - 1] + 0.3 * rng.standard_normal(600)
+    domains = (PredictorDomain.discrete(5),)
+    data = Dataset(x=level[:, None], y=y, domains=domains)
+    cfg = AspConfig(n_subsamples=2, gcv_max_iter=4, jobs=1, seed=2)
+    res = selector(data, main_effects_model(domains), cfg)
+    assert np.isfinite(res.params.log10_nlam)
+    assert np.isfinite(res.params.log10_theta).all()
 
 
 def test_full_sample_wrappers():

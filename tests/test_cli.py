@@ -327,6 +327,20 @@ def test_fit_exit_code_on_non_integer_jobs_environment(tmp_path, capsys, monkeyp
     assert "input error" in err and "SPANOVA_JOBS" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--b-coef", "nan"), ("--basis-coef", "nan"),
+                                         ("--basis-exp", "inf"), ("--r", "inf"),
+                                         ("--order-c", "nan")])
+def test_fit_exit_code_on_non_finite_numeric_flag(tmp_path, capsys, flag, value):
+    rng = np.random.default_rng(6)
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], rng.uniform(size=(300, 2)).tolist())
+    code = main(["fit", "--data", path, "--response", "y", "--model", "1",
+                 *FIT_ARGS, flag, value, "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "must be finite" in err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_predict_exit_code_on_fit_document_missing_a_key(tmp_path, capsys):
     fit = tmp_path / "bad.json"
     fit.write_text('{"columns": []}')

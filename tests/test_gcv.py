@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spanova import gcv, solver
 from spanova.data import Dataset, unit_domains
 from spanova.gcv import (
     GcvResult,
@@ -445,6 +446,27 @@ def test_full_gcv_improves_on_skip():
     sk = skip_select(blocks, ds.y)
     fg = full_gcv(blocks, ds.y)
     assert fg.score <= sk.score + 1e-12
+
+
+def test_full_gcv_runs_no_input_check(monkeypatch):
+    """Theta trials and profiles build their designs unchecked; only the
+    public array-level entry points run the shape and symmetry checks."""
+    calls = []
+    real = solver._checked_design
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (solver, gcv):
+        monkeypatch.setattr(module, "_checked_design", counting)
+    ds, spec, blocks = two_term_problem(12)
+    fg = full_gcv(blocks, ds.y, max_iter=3)
+    assert fg.iterations >= 1
+    assert calls == []
+    k, q = blocks.combine(fg.params.theta)
+    gcv_score(blocks.t, k, q, ds.y, fg.params)
+    assert len(calls) == 1
 
 
 def test_full_gcv_trace_nonincreasing_and_deterministic():

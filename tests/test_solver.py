@@ -6,7 +6,7 @@ import pytest
 from spanova import solver
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import PredictorDomain, full_two_way_model, main_effects_model
-from spanova.gcv import gcv_score
+from spanova.gcv import gcv_score, minimize_lambda
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     SmoothingParams,
@@ -500,3 +500,30 @@ def test_refits_and_predict_form_no_per_term_n_row_block(monkeypatch, tmp_path):
     assert cli.main(["fit", "--data", str(train), "--response", "y", "--model", "1,2,1:2",
                      "--method", "order", "--out", str(tmp_path / "fit.json")]) == 0
     assert block_rows and max(block_rows) <= solver.COMPRESS_CHUNK < n
+
+
+ENTRY_POINTS = {
+    "gcv_score": lambda t, k, q, y: gcv_score(t, k, q, y, 1e-2),
+    "minimize_lambda": minimize_lambda,
+    "solve_penalized": lambda t, k, q, y: solve_penalized(t, k, q, y, 1e-2),
+    "hat_trace": lambda t, k, q, y: hat_trace(t, k, q, 1e-2)[1](y),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_array_entry_points_check_their_inputs(entry):
+    """The public array-level entry points reject what CompiledDesign trusts."""
+    call = ENTRY_POINTS[entry]
+    ds, spec, basis = make_problem(3, 40, q=12)
+    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    call(t, k, q, ds.y)
+    asym = q.copy()
+    asym[0, 1] += 1e-6
+    with pytest.raises(InputError, match="symmetric"):
+        call(t, k, asym, ds.y)
+    with pytest.raises(InputError, match="row counts"):
+        call(t, k[:-1], q, ds.y)
+    with pytest.raises(InputError, match="row counts"):
+        call(t, k, q, ds.y[:-1])
+    with pytest.raises(InputError, match="square"):
+        call(t, k, q[:-1, :-1], ds.y)
