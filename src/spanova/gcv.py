@@ -4,8 +4,9 @@ The score is G = n^{-1} ||(I - A)y||^2 / [n^{-1} tr(I - A)]^2.  Three entry
 points cover the selection strategies:
 
 * ``minimize_lambda``: one-dimensional search in nlam at fixed theta.
-* ``skip_select``: the two-step starting-value algorithm; its output can be
-  used directly, skipping the iterative refinement.
+* ``skip_search`` (``skip_select`` on blocks): the two-step starting-value
+  algorithm; its output can be used directly, skipping the iterative
+  refinement.
 * ``full_gcv``: skip initialization followed by alternating coordinate
   updates of log theta and re-minimization in nlam.
 
@@ -16,12 +17,15 @@ one SVD of its q x q kernel block, after which every score is an O(q) sum
 coefficient solve, theta trial and ``gcv_score`` goes through the solver's
 stacked-QR fit (``_stacked_fit``).
 
-``full_gcv`` first compresses the n rows to p = M + S q rows
-(``DesignBlocks.compress``), so every exact score, profile and theta trial
-of its search, skip's included, costs the same at any n; its coordinate
-sweep moves K(theta) and Q(theta) one block at a time.  The search's
-factorizations, solves and row products run on scipy's LAPACK and BLAS
-(see ``solver``).
+``full_gcv`` runs on the n rows compressed to p = M + S q rows
+(``DesignBlocks.compress``, or streamed by ``solver.compressed_blocks``
+without any per-term n-row block), so every exact score, profile and
+theta trial of its search, skip's included, costs the same at any n; its
+coordinate sweep moves K(theta) and Q(theta) one block at a time.
+``skip_search`` needs only a design at each of two thetas, so a
+full-sample skip compresses [T, K(theta), y] (M + q + 1 columns) once per
+stage, streamed from the rows.  The search's factorizations, solves and
+row products run on scipy's LAPACK and BLAS (see ``solver``).
 """
 
 from __future__ import annotations
@@ -205,6 +209,22 @@ def _profile_at(blocks: DesignBlocks, y: np.ndarray, theta: np.ndarray) -> Lambd
     return LambdaProfile(_design(blocks, y, *blocks.combine(theta)))
 
 
+def _designs(blocks: DesignBlocks, y: np.ndarray):
+    """The design provider theta -> CompiledDesign of blocks held in memory."""
+    y = np.asarray(y, dtype=float)
+    return lambda theta: _design(blocks, y, *blocks.combine(theta))
+
+
+def _stage_one(design_at, part_traces: np.ndarray):
+    if (part_traces <= 0).any():
+        raise NumericalError("a kernel block has nonpositive trace")
+    theta1 = 1.0 / part_traces
+    profile1 = LambdaProfile(design_at(theta1))
+    x1, _, _ = golden_minimize(profile1.score)
+    _, c, _, _ = _stacked_fit(profile1.design, 10.0 ** x1)
+    return theta1, x1, c
+
+
 def skip_stage_one(blocks: DesignBlocks, y: np.ndarray):
     """First skip stage: trace-normalized theta, nlam scan, coefficients.
 
@@ -212,18 +232,16 @@ def skip_stage_one(blocks: DesignBlocks, y: np.ndarray):
     Returns (theta_1, log10_nlam, c) so the second-stage arithmetic can be
     reproduced externally.
     """
-    y = np.asarray(y, dtype=float)
-    if (blocks.part_traces <= 0).any():
-        raise NumericalError("a kernel block has nonpositive trace")
-    theta1 = 1.0 / blocks.part_traces
-    profile1 = _profile_at(blocks, y, theta1)
-    x1, _, _ = golden_minimize(profile1.score)
-    _, c, _, _ = _stacked_fit(profile1.design, 10.0 ** x1)
-    return theta1, x1, c
+    return _stage_one(_designs(blocks, y), blocks.part_traces)
 
 
-def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
-    """Two-step starting-value selection.
+def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
+    """Two-step starting-value selection over a design provider.
+
+    ``design_at(theta)`` returns the ``CompiledDesign`` of [T, K(theta), y]
+    with Q(theta) = sum_delta theta_delta Q_delta, either from blocks held
+    in memory (``skip_select``) or streamed over the n rows
+    (``solver.DesignRows.design_at``); the arithmetic is the same.
 
     Step 1: theta_delta = 1/tr(R_delta) over the fitted rows, minimize the
     score in nlam and extract c.  Step 2: theta_delta0 =
@@ -234,10 +252,9 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
     searches at theta_0 pinned to geometric mean 1 (the score depends on
     nlam/theta only) and reports nlam on theta_0's own scale.
     """
-    y = np.asarray(y, dtype=float)
     flags: list[str] = []
-    theta1, _, c = skip_stage_one(blocks, y)
-    quad = np.array([c @ qp @ c for qp in blocks.q_parts])
+    theta1, _, c = _stage_one(design_at, part_traces)
+    quad = np.array([c @ qp @ c for qp in q_parts])
     theta0 = theta1**2 * quad
     top = theta0.max()
     if top <= 0.0:
@@ -247,7 +264,7 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
         flags.append("theta-floor")
         theta0 = np.where(theta0 > 0.0, theta0, 1e-12 * top)
     shift = float(np.mean(np.log10(theta0)))
-    profile2 = _profile_at(blocks, y, theta0 * 10.0 ** (-shift))
+    profile2 = LambdaProfile(design_at(theta0 * 10.0 ** (-shift)))
     x2, score, hit_boundary = golden_minimize(profile2.score)
     if hit_boundary:
         flags.append("lambda-boundary")
@@ -255,6 +272,11 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
     return GcvResult(params=params, score=score, iterations=2,
                      converged=not hit_boundary, score_trace=(score,),
                      flags=tuple(flags))
+
+
+def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
+    """``skip_search`` on blocks held in memory (see there)."""
+    return skip_search(_designs(blocks, y), blocks.part_traces, blocks.q_parts)
 
 
 def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResult:
@@ -273,9 +295,11 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResu
     sweep; otherwise a drifting common scale can push the optimum of the
     identified coordinates outside the fixed nlam search window.
 
-    The rows are compressed once (``DesignBlocks.compress``), and each
-    theta trial moves K and Q by one block (``DesignBlocks.reweight``), so a
-    trial costs O(pq) plus a (p + q)-row QR whatever n and S are.  Theta
+    The rows are compressed on entry (``DesignBlocks.compress``; blocks
+    already compressed, as ``solver.compressed_blocks`` streams them, pass
+    through unchanged), and each theta trial moves K and Q by one block
+    (``DesignBlocks.reweight``), so a trial costs O(pq) plus a (p + q)-row
+    QR whatever n and S are.  Theta
     trials are scored by that stacked QR and nlam searches by the profile;
     the two agree to about 1e-12 relative, so only a near-exact tie between
     a trial and a search minimum could be decided either way.

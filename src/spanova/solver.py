@@ -26,13 +26,19 @@ diagonal entry.  Every score on the compressed blocks adds rho^2 to its
 residual sum of squares and divides by the observation count, so it equals
 the n-row score while its cost no longer depends on n.
 
-Only the theta search needs the S per-term n x q blocks K_delta
-(``assemble_blocks``).  A fit at one theta, ``predict`` and the p estimate
-form K(theta) = sum_delta theta_delta K_delta directly
-(``kernel_design``), COMPRESS_CHUNK rows at a time, so no per-term n-row
-block exists and the refit holds about 2 n q doubles (K(theta) and the
-stacked solve's copy), not S n q.  K(theta) equals the sum of the blocks
-bit for bit.
+No selection needs the S per-term n x q blocks K_delta: each chunk's rows
+of K_delta are formed from the kernel at those rows and folded into R
+(``DesignRows``, ``compressed_blocks``), the chunked-QR construction of
+Wood, Goude & Shaw (2015, "Generalized additive models for large data
+sets"), so a selection holds O(p^2 + chunk p) doubles, not S n q.  Skip
+compresses [T, K(theta), y] at each of its two thetas instead, M + q + 1
+columns per pass.  Only where p + 1 >= n, with nothing to compress, are
+the blocks formed over all n rows (``assemble_blocks``).  A fit at one
+theta, ``predict`` and the p estimate form K(theta) =
+sum_delta theta_delta K_delta directly (``kernel_design``),
+COMPRESS_CHUNK rows at a time, so the refit holds about 2 n q doubles
+(K(theta) and the stacked solve's copy).  Both equal the in-memory
+blocks' results bit for bit.
 
 The QRs, solves, SVDs and row products of the fit and the search run on
 scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
@@ -188,13 +194,11 @@ class DesignBlocks:
     def compress(self, y) -> tuple["DesignBlocks", np.ndarray]:
         """Blocks and response reduced to p = M + S q rows by one QR.
 
-        The triangular factor R of [T, K_1 ... K_S, y] is accumulated by
-        factoring R stacked on the next COMPRESS_CHUNK rows, in one buffer
-        reused for every chunk (zero rows pad the last one), so the
-        n x (p + 1) matrix is never formed.  R's first p rows replace T,
-        each K_delta and y; the square of its last diagonal entry becomes
-        rss_offset.  Returns the blocks and y unchanged when p + 1 >= n,
-        where there is nothing to gain.
+        The rows of [T, K_1 ... K_S, y] are read from the blocks held in
+        memory and folded into R chunk by chunk (``_compress_rows``).  R's
+        first p rows replace T, each K_delta and y; the square of its last
+        diagonal entry adds to rss_offset.  Returns the blocks and y
+        unchanged when p + 1 >= n, where there is nothing to gain.
         """
         y = np.asarray(y, dtype=float)
         n, m, q = self.n, self.n_null, self.q
@@ -203,23 +207,41 @@ class DesignBlocks:
         p = m + self.n_penalized * q
         if p + 1 >= n:
             return self, y
-        chunk = min(COMPRESS_CHUNK, n)
-        stack = np.empty((p + 1 + chunk, p + 1), order="F")
-        r = np.zeros((p + 1, p + 1))
-        for lo in range(0, n, chunk):
-            rows = stack[p + 1:p + 1 + min(chunk, n - lo)]
-            stack[:p + 1] = r
-            rows[:, :m] = self.t[lo:lo + chunk]
-            for j, kp in enumerate(self.k_parts):
-                rows[:, m + j * q:m + (j + 1) * q] = kp[lo:lo + chunk]
-            rows[:, p] = y[lo:lo + chunk]
-            stack[p + 1 + rows.shape[0]:] = 0.0
-            r = _r_factor(stack)
-        k_parts = tuple(r[:p, m + j * q:m + (j + 1) * q]
-                        for j in range(self.n_penalized))
-        blocks = replace(self, t=r[:p, :m], k_parts=k_parts,
-                         rss_offset=self.rss_offset + float(r[p, p]) ** 2)
-        return blocks, r[:p, p]
+        t, k_parts, rho2, f = _compress_rows(
+            self.t, lambda lo, hi: (kp[lo:hi] for kp in self.k_parts), y,
+            self.n_penalized, q)
+        return replace(self, t=t, k_parts=k_parts, rss_offset=self.rss_offset + rho2), f
+
+
+def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: int):
+    """[T, K_1 ... K_B, y] reduced to p = M + B q rows by one chunked QR.
+
+    ``kernel_rows(lo, hi)`` yields the B kernel blocks' rows lo .. hi, each
+    q wide, in order.  The triangular factor R is accumulated by factoring
+    R stacked on the next COMPRESS_CHUNK rows, in one buffer reused for
+    every chunk (zero rows pad the last one), so the n x (p + 1) matrix is
+    never formed.  The same rows in the same chunks give the same R bit for
+    bit, wherever they come from.  Returns (T', (K_1' ... K_B'), rho^2, f):
+    R's first p rows split by column, and the square of its last diagonal
+    entry.
+    """
+    n, m = t.shape
+    p = m + n_blocks * q
+    chunk = min(COMPRESS_CHUNK, n)
+    stack = np.empty((p + 1 + chunk, p + 1), order="F")
+    r = np.zeros((p + 1, p + 1))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        rows = stack[p + 1:p + 1 + hi - lo]
+        stack[:p + 1] = r
+        rows[:, :m] = t[lo:hi]
+        for j, kp in enumerate(kernel_rows(lo, hi)):
+            rows[:, m + j * q:m + (j + 1) * q] = kp
+        rows[:, p] = y[lo:hi]
+        stack[p + 1 + hi - lo:] = 0.0
+        r = _r_factor(stack)
+    k_parts = tuple(r[:p, m + j * q:m + (j + 1) * q] for j in range(n_blocks))
+    return r[:p, :m], k_parts, float(r[p, p]) ** 2, r[:p, p]
 
 
 def _theta_vector(theta, n_penalized: int) -> np.ndarray:
@@ -301,21 +323,84 @@ def part_traces(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
 
 
 def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> DesignBlocks:
-    """Build T and the per-term K_delta, Q_delta blocks.
+    """Build T and the per-term K_delta, Q_delta blocks over all n rows.
 
     Raises if the null design is rank deficient (for example a constant
     predictor column duplicating the intercept) or the sample cannot
-    identify the null space.
+    identify the null space.  The selections stream the rows instead where
+    that pays (``compressed_blocks``, ``DesignRows``).
     """
-    t = null_design(dataset, spec, basis)
-    z = dataset.x[basis.indices]
-    return DesignBlocks(
-        t=t,
-        k_parts=tuple(term_grams(spec.penalized_terms, spec.domains, dataset.x, z)),
-        q_parts=_penalty_parts(spec, z),
-        part_traces=part_traces(dataset, spec),
-        basis=basis,
-    )
+    rows = DesignRows(dataset, spec, basis)
+    return DesignBlocks(t=rows.t, k_parts=tuple(rows.kernel_rows(0, dataset.n)),
+                        q_parts=rows.q_parts, part_traces=rows.part_traces, basis=basis)
+
+
+class DesignRows:
+    """The rows of [T, K_1 ... K_S, y] for one dataset and basis, formed on demand.
+
+    Holds T, the basis rows, the penalty parts Q_delta and the part traces,
+    after the checks of ``null_design``.  A kernel row block is formed from
+    ``term_grams`` at the rows asked for, so compressing COMPRESS_CHUNK
+    rows at a time needs O(p^2 + chunk p) memory and no per-term n-row
+    block exists.
+    """
+
+    def __init__(self, dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
+        self.t = null_design(dataset, spec, basis)
+        self.dataset, self.spec, self.basis = dataset, spec, basis
+        self.z = dataset.x[basis.indices]
+        self.q_parts = _penalty_parts(spec, self.z)
+        self.part_traces = part_traces(dataset, spec)
+
+    def kernel_rows(self, lo: int, hi: int):
+        """Per-term kernel blocks K_delta at rows lo .. hi, in term order."""
+        spec = self.spec
+        return term_grams(spec.penalized_terms, spec.domains, self.dataset.x[lo:hi], self.z)
+
+    def compress(self) -> tuple[DesignBlocks, np.ndarray]:
+        """Blocks and response reduced to p = M + S q rows by one streamed QR.
+
+        Equals ``assemble_blocks(...).compress(y)`` bit for bit: the chunks
+        hold the same rows, and each kernel entry is formed by the same
+        elementwise operations.
+        """
+        ds = self.dataset
+        t, k_parts, rho2, f = _compress_rows(self.t, self.kernel_rows, ds.y,
+                                             self.spec.n_penalized, self.basis.q)
+        return DesignBlocks(t=t, k_parts=k_parts, q_parts=self.q_parts,
+                            part_traces=self.part_traces, basis=self.basis,
+                            n_obs=ds.n, rss_offset=rho2), f
+
+    def design_at(self, theta) -> CompiledDesign:
+        """Design of [T, K(theta), y] at one theta, compressed to M + q rows.
+
+        K(theta) is formed chunk by chunk as in ``kernel_design``; the QR
+        has M + q + 1 columns, not the p + 1 of ``compress``.
+        """
+        theta = _theta_vector(theta, self.spec.n_penalized)
+        ds = self.dataset
+        t, (k,), rho2, f = _compress_rows(
+            self.t, lambda lo, hi: (_weighted_sum(theta, self.kernel_rows(lo, hi)),),
+            ds.y, 1, self.basis.q)
+        return CompiledDesign(t, k, _weighted_sum(theta, self.q_parts), f, ds.n, rho2)
+
+
+def streams_rows(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> bool:
+    """Whether compressing to p + 1 = M + S q + 1 columns leaves fewer than n rows."""
+    return spec.null_dim + spec.n_penalized * basis.q + 1 < dataset.n
+
+
+def compressed_blocks(dataset: Dataset, spec: ModelSpec,
+                      basis: BasisSelection) -> tuple[DesignBlocks, np.ndarray]:
+    """``assemble_blocks(dataset, spec, basis).compress(dataset.y)``, streamed.
+
+    When p + 1 < n the rows are compressed chunk by chunk
+    (``DesignRows.compress``), bit-identical to the in-memory blocks'
+    compression; otherwise the in-memory blocks and y are returned.
+    """
+    if not streams_rows(dataset, spec, basis):
+        return assemble_blocks(dataset, spec, basis), dataset.y
+    return DesignRows(dataset, spec, basis).compress()
 
 
 def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:

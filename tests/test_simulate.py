@@ -282,20 +282,25 @@ def test_selection_stays_in_grid_basin_on_hostile_replicate():
 
 
 def test_run_benchmark_refits_build_no_per_term_blocks(monkeypatch):
-    """Only the gcv and skip searches assemble per-term blocks; the refits
-    form K(theta) from the basis."""
-    calls = []
-    real = asp.assemble_blocks
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    """Neither the searches nor the refits build per-term n-row blocks: the
+    searches stream the rows and the refits form K(theta) from the basis,
+    so every kernel block has at most COMPRESS_CHUNK rows."""
+    from spanova import solver
 
     def forbidden(*args):
         raise AssertionError("run_benchmark assembled per-term blocks")
 
-    monkeypatch.setattr(asp, "assemble_blocks", counting)
-    monkeypatch.setattr(simulate, "assemble_blocks", forbidden, raising=False)
+    for module in (asp, simulate, solver):
+        monkeypatch.setattr(module, "assemble_blocks", forbidden, raising=False)
+    block_rows = []
+    real_grams = solver.term_grams
+
+    def recording(terms, domains, x_rows, z_rows):
+        block_rows.append(np.atleast_2d(x_rows).shape[0])
+        return real_grams(terms, domains, x_rows, z_rows)
+
+    monkeypatch.setattr(solver, "term_grams", recording)
+    monkeypatch.setattr(solver, "COMPRESS_CHUNK", 64)
     records = run_benchmark("u2", 300, 5.0, ["order", "skip"], 1, config=AspConfig(jobs=1))
     assert [r.method for r in records] == ["gcv", "order", "skip"]
-    assert len(calls) == 2
+    assert block_rows and max(block_rows) <= 64
