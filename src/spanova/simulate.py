@@ -16,9 +16,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.fft import irfft, rfft
-from scipy.integrate import quad
-from scipy.sparse.linalg import LinearOperator, eigsh
-from scipy.stats import beta as beta_dist
 
 from .asp import (
     AspConfig,
@@ -47,6 +44,8 @@ class Scenario:
 
 
 def _eval_u1(x):
+    from scipy.stats import beta as beta_dist
+
     out = np.zeros_like(x[:, 0])
     for a, b in ((20.0, 5.0), (12.0, 12.0), (7.0, 30.0)):
         out += beta_dist.pdf(x[:, 0], a, b) / 3.0
@@ -272,6 +271,8 @@ def oracle_lambda_midgrid(n: int, eta_fn, sigma: float, lam_grid,
     the leftover spectral mass, which the grid's Frobenius identity gives
     exactly; both corrections are included in the risk curve.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     grid = _check_grid(lam_grid)
     if not 1 <= n_eigs < n - 2:
         raise InputError("n_eigs must be in [1, n - 3]")
@@ -317,6 +318,8 @@ def oracle_lambda_midgrid(n: int, eta_fn, sigma: float, lam_grid,
 
 @lru_cache(maxsize=None)
 def _spectral_constant(m: int) -> float:
+    from scipy.integrate import quad
+
     value, err = quad(lambda t: 1.0 / (1.0 + t ** (2 * m)) ** 2, 0.0, np.inf,
                       epsrel=1e-10)
     return value / np.pi

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -421,3 +425,15 @@ def test_jobs_environment_fallback(monkeypatch):
     monkeypatch.delenv("SPANOVA_JOBS")
     monkeypatch.setattr("os.cpu_count", lambda: 6)
     assert _config_from_args(args).worker_count == 6
+
+
+def test_cli_import_leaves_out_unused_scipy_subpackages():
+    """scipy.stats, scipy.integrate and scipy.sparse.linalg serve only the
+    oracles and one scenario, so a fresh ``spanova fit`` or ``predict``
+    process does not pay for importing them."""
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.sparse.linalg")
+    code = f"import sys, spanova.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
