@@ -299,10 +299,10 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResu
     already compressed, as ``solver.compressed_blocks`` streams them, pass
     through unchanged), and each theta trial moves K and Q by one block
     (``DesignBlocks.reweight``), so a trial costs O(pq) plus a (p + q)-row
-    QR whatever n and S are.  Theta
-    trials are scored by that stacked QR and nlam searches by the profile;
-    the two agree to about 1e-12 relative, so only a near-exact tie between
-    a trial and a search minimum could be decided either way.
+    QR whatever n and S are.  Theta trials are scored by that stacked QR
+    and nlam searches by the profile; the two agree to about 1e-12
+    relative, so only a near-exact tie between a trial and a search minimum
+    could be decided either way.
     """
     blocks, y = blocks.compress(y)
     init = skip_select(blocks, y)
