@@ -91,7 +91,12 @@ class AspConfig:
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares fit of log lambda = log C - gamma log b."""
+    """Least-squares fit of log lambda = log C - gamma log b.
+
+    ``gamma_se`` is the standard error of the unclamped least-squares
+    slope, sqrt(s^2 / sum (log b - mean log b)^2) with s^2 its residual
+    sum of squares over k - 2 degrees of freedom; None below 3 sizes.
+    """
 
     c: float
     gamma: float
@@ -99,6 +104,7 @@ class RateFit:
     p: float
     rss: float
     clamped: bool = False
+    gamma_se: float | None = None
 
     def __post_init__(self):
         if self.c <= 0:
@@ -116,6 +122,7 @@ class SubsampleFit:
     theta: tuple[float, ...]
     score: float
     converged: bool
+    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,7 @@ class SelectionResult:
     fits: tuple[SubsampleFit, ...] = ()
     seconds: float = 0.0
     flags: tuple[str, ...] = ()
+    dropped: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.lambda_full <= 0:
@@ -197,20 +205,20 @@ def _check_response(dataset: Dataset) -> None:
         raise InputError("response is constant; no smoothing parameter can be selected")
 
 
-def _fit_subsample(args) -> SubsampleFit | None:
+def _fit_subsample(args) -> SubsampleFit | str:
     """Cross-validate one subsample; module-level so worker processes can run it.
 
-    Returns None when the subsample's input or numerics fail, so the caller
-    drops it.
+    When the subsample's input or numerics fail, returns the exception's
+    text instead, and the caller drops the subsample.
     """
     sub, spec, basis, config = args
     try:
         res = full_gcv(*compressed_blocks(sub, spec, basis), max_iter=config.gcv_max_iter)
-    except (NumericalError, InputError):
-        return None
+    except (NumericalError, InputError) as exc:
+        return f"b={sub.n}: {type(exc).__name__}: {exc}"
     lam = res.params.nlam / sub.n
     return SubsampleFit(size=sub.n, lam=lam, theta=tuple(res.params.theta),
-                        score=res.score, converged=res.converged)
+                        score=res.score, converged=res.converged, flags=res.flags)
 
 
 # Thread-count entry points of the OpenBLAS copies bundled with numpy
@@ -306,8 +314,10 @@ def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
     """Fit one subsample per entry of ``sizes``, through one pool when configured.
 
     Job j draws stream (stream_tag + j // n_subsamples, j % n_subsamples).
-    Returns (fits, dropped): failed subsamples are dropped, the rest keep
-    the request order.  A worker receives its b rows, not the whole dataset.
+    Returns (fits, dropped, errors): failed subsamples are dropped, the rest
+    keep the request order, and ``errors`` holds the exception text of each
+    dropped fit that gave one.  A worker receives its b rows, not the whole
+    dataset.
     """
     per = config.n_subsamples
     jobs = []
@@ -321,8 +331,15 @@ def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
             results = list(pool.map(_fit_subsample, jobs))
     else:
         results = list(map(_fit_subsample, jobs))
-    fits = tuple(r for r in results if r is not None)
-    return fits, len(jobs) - len(fits)
+    fits = tuple(r for r in results if isinstance(r, SubsampleFit))
+    errors = tuple(r for r in results if isinstance(r, str))
+    return fits, len(jobs) - len(fits), errors
+
+
+def _boundary_flags(fits) -> list[str]:
+    """``subsample-lambda-boundary:k`` when k subsample searches ended on the nlam boundary."""
+    hits = sum("lambda-boundary" in f.flags for f in fits)
+    return [f"subsample-lambda-boundary:{hits}"] if hits else []
 
 
 def _log_median(values) -> float:
@@ -376,12 +393,13 @@ def asp_uniform(dataset: Dataset, spec: ModelSpec,
     # ones restarted when the cap is lifted spin for about 0.1 s, and that
     # cost falls on the caller's next BLAS work.
     with _capped_blas_threads(_pool_blas_threads(_pool_workers(config, config.n_subsamples))):
-        fits, dropped = _run_subsample_fits(
+        fits, dropped, errors = _run_subsample_fits(
             dataset, spec, [b] * config.n_subsamples, config, 21)
         if dropped:
             flags.append(f"subsamples-dropped:{dropped}")
         if len(fits) < min(2, config.n_subsamples):
-            raise NumericalError("too few subsample fits survived")
+            raise NumericalError("too few subsample fits survived: " + "; ".join(errors))
+        flags += _boundary_flags(fits)
         lam_sub, theta = _aggregate(fits)
         if config.estimate_smoothness and dataset.n > b:
             p = float(estimate_p(dataset, spec, lam_sub, theta, b, config))
@@ -393,7 +411,7 @@ def asp_uniform(dataset: Dataset, spec: ModelSpec,
     return SelectionResult(
         method="asp-u", params=params, lambda_full=lam_full, theta=theta,
         n=dataset.n, subsample_size=b, lambda_sub=lam_sub, p=p, r=r,
-        fits=fits, seconds=time.perf_counter() - t0, flags=tuple(flags))
+        fits=fits, seconds=time.perf_counter() - t0, flags=tuple(flags), dropped=errors)
 
 
 def fit_rate(sizes, lambdas) -> RateFit:
@@ -414,6 +432,11 @@ def fit_rate(sizes, lambdas) -> RateFit:
     log_l = np.log(lambdas)
     design = np.column_stack([np.ones_like(log_b), -log_b])
     (log_c, gamma), *_ = np.linalg.lstsq(design, log_l, rcond=None)
+    gamma_se = None
+    if sizes.size >= 3:
+        resid = log_l - (log_c - gamma * log_b)
+        centered = log_b - log_b.mean()
+        gamma_se = float(np.sqrt(resid @ resid / (sizes.size - 2) / (centered @ centered)))
     clamped = False
     lo, hi = 1.0 / 3.0, 1.0 - 1e-6
     if gamma < lo or gamma > hi:
@@ -429,7 +452,7 @@ def fit_rate(sizes, lambdas) -> RateFit:
     else:
         r, p = gamma / (1.0 - 2.0 * gamma), 2.0
     return RateFit(c=float(np.exp(log_c)), gamma=gamma, r=r, p=p,
-                   rss=float(resid @ resid), clamped=clamped)
+                   rss=float(resid @ resid), clamped=clamped, gamma_se=gamma_se)
 
 
 def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
@@ -455,13 +478,14 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
     per = config.n_subsamples
     ladder = [b for b in sizes for _ in range(per)]
     with _capped_blas_threads(_pool_blas_threads(_pool_workers(config, len(ladder)))):
-        fits, _ = _run_subsample_fits(dataset, spec, ladder, config, 41)
+        fits, _, errors = _run_subsample_fits(dataset, spec, ladder, config, 41)
     by_size = {b: [f for f in fits if f.size == b] for b in sizes}
     flags = [f"subsamples-dropped:{b}:{per - len(group)}"
              for b, group in by_size.items() if len(group) < per]
+    flags += _boundary_flags(fits)
     kept_sizes = [b for b in sizes if by_size[b]]
     if len(kept_sizes) < 2:
-        raise NumericalError("too few subsample sizes survived")
+        raise NumericalError("too few subsample sizes survived: " + "; ".join(errors))
     per_size_lam = [_aggregate(by_size[b])[0] for b in kept_sizes]
     rate = fit_rate(kept_sizes, per_size_lam)
     if rate.clamped:
@@ -474,7 +498,7 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
         n=dataset.n, subsample_size=kept_sizes[-1],
         lambda_sub=per_size_lam[-1], p=rate.p, r=rate.r, rate=rate,
         fits=fits, seconds=time.perf_counter() - t0,
-        flags=tuple(flags))
+        flags=tuple(flags), dropped=errors)
 
 
 def full_sample_basis(n: int, null_dim: int, config: AspConfig = AspConfig()) -> BasisSelection:

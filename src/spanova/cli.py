@@ -234,9 +234,12 @@ def _selection_to_json(sel: SelectionResult) -> dict:
         value = getattr(sel, field)
         if value is not None:
             doc[field] = value
+    if sel.dropped:
+        doc["dropped"] = list(sel.dropped)
     if sel.rate is not None:
         doc["rate"] = {"c": sel.rate.c, "gamma": sel.rate.gamma,
-                       "rss": sel.rate.rss, "clamped": sel.rate.clamped}
+                       "gamma_se": sel.rate.gamma_se, "rss": sel.rate.rss,
+                       "clamped": sel.rate.clamped}
     return doc
 
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .solver import (CompiledDesign, DesignBlocks, SmoothingParams, _checked_design, _dot,
-                     _r_factor, _stacked_fit, gcv_from_fit)
+from .solver import (CompiledDesign, DesignBlocks, SmoothingParams, _checked_design,
+                     _complement_solve, _dot, _r_factor, _ridged, _stacked_fit, gcv_from_fit)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -107,11 +107,12 @@ def golden_minimize(score):
 class LambdaProfile:
     """GCV score as a function of nlam at fixed theta; it only scores.
 
-    With Q_r = LL' and a = L'c the fit is a ridge regression on
-    [T, K L^{-T}].  One R-only QR of [T, K L^{-T}, y], the factor the
-    compression and ``_stacked_fit`` take, gives
+    With Q_r = LL' and a = L'c the fit is a ridge regression on K L^{-T},
+    and T is absorbed (``solver.CompiledDesign``): the null directions are
+    fitted exactly, and the rest of the problem lives in the complement
+    rows.  One R-only QR of [K_perp L^{-T}, y_perp], q + 1 columns, gives
 
-        R = [[R_TT, R_TK, r_Ty], [0, R_KK, r_Ky], [0, 0, rho]],
+        R = [[R_KK, r_Ky], [0, rho]],
 
     and one SVD R_KK = U diag(s) V' with g = U'r_Ky reduces every score to
     O(q) sums of nonnegative terms, with no solve:
@@ -126,28 +127,26 @@ class LambdaProfile:
 
     def __init__(self, design: CompiledDesign):
         self.design = design
-        n, m, p = design.n, design.m, design.m + design.nq
+        q = design.nq
         try:
             l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("penalty matrix is not positive definite") from exc
         # zero rows pad the stack to a square R; K is whitened in place
-        stack = np.zeros((max(n, p + 1), p + 1), order="F")
-        stack[:n, :m] = design.t
-        stack[:n, m:p] = design.k
-        stack[:n, p] = design.y
-        sla.blas.dtrsm(1.0, l_chol, stack[:, m:p], side=1, lower=1, trans_a=1,
+        rows = design.n - design.m
+        stack = np.zeros((max(rows, q + 1), q + 1), order="F")
+        stack[:rows, :q] = design.k[design.m:]
+        stack[:rows, q] = design.y[design.m:]
+        sla.blas.dtrsm(1.0, l_chol, stack[:, :q], side=1, lower=1, trans_a=1,
                        overwrite_b=1)
         r = _r_factor(stack)
-        if (np.diag(r)[:m] == 0.0).any():
-            raise NumericalError("null design is rank deficient")
         try:
-            u, s, _ = sla.svd(r[m:p, m:p], check_finite=False)
+            u, s, _ = sla.svd(r[:q, :q], check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("profile SVD did not converge") from exc
         self.s2 = s * s
-        self.g = _dot(u.T, r[m:p, p])
-        self.rss_floor = float(r[p, p]) ** 2 + design.rss_offset
+        self.g = _dot(u.T, r[:q, q])
+        self.rss_floor = float(r[q, q]) ** 2 + design.rss_offset
 
     def score(self, log10_nlam):
         """GCV score at nlam = 10**log10_nlam, elementwise over an array."""
@@ -164,12 +163,16 @@ class LambdaProfile:
 
 
 def _exact_score(design: CompiledDesign, nlam: float) -> float:
-    """Score from the solver's stacked-QR fit; +inf on numerical failure."""
+    """Score from the solver's stacked QR; +inf on numerical failure.
+
+    Needs neither d nor the fitted values: the residual lies in the
+    complement rows, y_perp - K_perp c.
+    """
     try:
-        _, _, fitted, trace_a = _stacked_fit(design, nlam)
+        c, trace_a = _complement_solve(design, nlam)
     except NumericalError:
         return float("inf")
-    resid = design.y - fitted
+    resid = design.residual(c)
     return gcv_from_fit(float(resid @ resid) + design.rss_offset, trace_a, design.n_obs)
 
 
@@ -279,6 +282,50 @@ def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
     return skip_search(_designs(blocks, y), blocks.part_traces, blocks.q_parts)
 
 
+class _Trials:
+    """``full_gcv``'s theta trials: K + w K_delta and Q + w Q_delta at one nlam.
+
+    Stands in for ``CompiledDesign`` in ``_exact_score`` (the sizes,
+    ``q_r``, ``stack`` and ``residual``).  The blocks' T is [R_T; 0], so a
+    trial reads only the complement rows of the blocks; each writes
+    K + w K_delta straight into one stack that the whole search reuses,
+    and no trial allocates an n-row array.
+    """
+
+    def __init__(self, blocks: DesignBlocks, y: np.ndarray):
+        self.n, self.m, self.nq = blocks.n, blocks.n_null, blocks.q
+        self.n_obs, self.rss_offset = blocks.n_obs, blocks.rss_offset
+        self.k_parts, self.q_parts, self.y = blocks.k_parts, blocks.q_parts, y
+        self._stack = np.empty((self.n - self.m + self.nq, self.nq + 1), order="F")
+
+    def start(self, k: np.ndarray, q: np.ndarray):
+        """Trials from K(theta), Q(theta) as ``DesignBlocks.combine`` returns them (owned)."""
+        self.k, self.q = k, q
+
+    def at(self, delta: int, dw: float) -> "_Trials":
+        """The trial where theta_delta moves by ``dw``."""
+        self.delta, self.dw = delta, dw
+        self.q_r = _ridged(self.q + dw * self.q_parts[delta])
+        return self
+
+    def accept(self):
+        """Move K(theta) and Q(theta) to the last trial, in place."""
+        self.k += self.dw * self.k_parts[self.delta]
+        self.q += self.dw * self.q_parts[self.delta]
+
+    def stack(self) -> np.ndarray:
+        m, q = self.m, self.nq
+        top = self._stack[:self.n - m, :q]
+        np.multiply(self.dw, self.k_parts[self.delta][m:], out=top)
+        top += self.k[m:]
+        self._stack[:self.n - m, q] = self.y[m:]
+        return self._stack
+
+    def residual(self, c: np.ndarray) -> np.ndarray:
+        kc = _dot(self.k, c) + self.dw * _dot(self.k_parts[self.delta], c)
+        return (self.y - kc)[self.m:]
+
+
 def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResult:
     """Iterative multi-theta GCV minimization.
 
@@ -295,14 +342,16 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResu
     sweep; otherwise a drifting common scale can push the optimum of the
     identified coordinates outside the fixed nlam search window.
 
-    The rows are compressed on entry (``DesignBlocks.compress``; blocks
-    already compressed, as ``solver.compressed_blocks`` streams them, pass
-    through unchanged), and each theta trial moves K and Q by one block
-    (``DesignBlocks.reweight``), so a trial costs O(pq) plus a (p + q)-row
-    QR whatever n and S are.  Theta trials are scored by that stacked QR
-    and nlam searches by the profile; the two agree to about 1e-12
-    relative, so only a near-exact tie between a trial and a search minimum
-    could be decided either way.
+    The rows are compressed on entry (``DesignBlocks.compress``), which
+    leaves T as [R_T; 0]; blocks already in that form, as
+    ``solver.compressed_blocks`` returns them, pass through unchanged.
+    Each theta trial writes K + w K_delta into one reused stack of the
+    complement rows (``_Trials``), so a trial costs O(pq) plus a QR of
+    p - M + q rows and q + 1 columns, whatever n is; T's M columns are
+    never factored again.  Theta trials are scored by that stacked QR and
+    nlam searches by the profile; the two agree to about 1e-12 relative,
+    so only a near-exact tie between a trial and a search minimum could be
+    decided either way.
     """
     blocks, y = blocks.compress(y)
     init = skip_select(blocks, y)
@@ -314,6 +363,7 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResu
     flags = set(init.flags) - {"lambda-boundary"}
     trace = [score]
     h = 0.1
+    trials = _Trials(blocks, y)
 
     def pin_scale():
         nonlocal theta, log_nlam
@@ -329,13 +379,12 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResu
         iterations += 1
         nlam = 10.0 ** log_nlam
         # coordinate sweep at fixed nlam, K and Q moved one block per trial
-        k, q = blocks.combine(theta)
+        trials.start(*blocks.combine(theta))
         for delta in range(s):
             lt0 = math.log10(theta[delta])
 
             def eval_at(lt):
-                trial = blocks.reweight(k, q, delta, 10.0 ** lt - theta[delta])
-                return _exact_score(_design(blocks, y, *trial), nlam)
+                return _exact_score(trials.at(delta, 10.0 ** lt - theta[delta]), nlam)
 
             f_plus = eval_at(lt0 + h)
             f_minus = eval_at(lt0 - h)
@@ -352,9 +401,8 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResu
             for trial_step in (step, step / 2, step / 4):
                 f_try = eval_at(lt0 + trial_step)
                 if f_try < score:
-                    new = 10.0 ** (lt0 + trial_step)
-                    k, q = blocks.reweight(k, q, delta, new - theta[delta])
-                    theta[delta] = new
+                    trials.accept()
+                    theta[delta] = 10.0 ** (lt0 + trial_step)
                     score = f_try
                     break
         # nlam search at the updated theta, on the pinned scale

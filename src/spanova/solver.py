@@ -15,7 +15,12 @@ choice is O(n q^2).
 Every fit and score solves the problem in its stacked least-squares form:
 [y; 0] on [[T, K]; [0, sqrt(nlam) L']] with Q_r = LL' (Q_r carries a small
 stabilizing ridge), by one triangular factor R of a QR factorization, at the
-square root of the normal equations' condition number.  The effective
+square root of the normal equations' condition number.  T is absorbed
+first, as in Gu & Wahba (1991) and Wood (2004): with T = H [R_T; 0] by one
+Householder QR (``NullQR``), the rows of H'K and H'y below row M span the
+orthogonal complement of T, d is free to zero the M rows above, and the QR
+factors only [K_perp, y_perp; sqrt(nlam) L', 0], q + 1 columns instead of
+M + q + 1.  d follows by back-substitution against R_T.  The effective
 degrees of freedom tr(A) come from the same R.
 
 A selection scores many (theta, nlam) on one response, so it first
@@ -73,6 +78,9 @@ RIDGE_SCALE = 1e-10
 COMPRESS_CHUNK = 2048
 # Block size of the compact-WY QR.
 QR_BLOCK = 32
+# Bytes of one kernel block's rows formed at once (a tile, within a chunk):
+# term_grams' factor products over a tile stay in cache.
+KERNEL_TILE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -184,21 +192,17 @@ class DesignBlocks:
         theta = _theta_vector(theta, self.n_penalized)
         return _weighted_sum(theta, self.k_parts), _weighted_sum(theta, self.q_parts)
 
-    def reweight(self, k, q, delta: int, dw: float) -> tuple[np.ndarray, np.ndarray]:
-        """K and Q after theta_delta moves by ``dw``, from K(theta), Q(theta).
-
-        Costs one block instead of the S blocks of ``combine``.
-        """
-        return k + dw * self.k_parts[delta], q + dw * self.q_parts[delta]
-
     def compress(self, y) -> tuple["DesignBlocks", np.ndarray]:
         """Blocks and response reduced to p = M + S q rows by one QR.
 
         The rows of [T, K_1 ... K_S, y] are read from the blocks held in
         memory and folded into R chunk by chunk (``_compress_rows``).  R's
-        first p rows replace T, each K_delta and y; the square of its last
-        diagonal entry adds to rss_offset.  Returns the blocks and y
-        unchanged when p + 1 >= n, where there is nothing to gain.
+        first p rows replace T, each K_delta and y, so T comes out as
+        [R_T; 0]; the square of R's last diagonal entry adds to rss_offset.
+        When p + 1 >= n nothing is compressed, but T is still brought to
+        [R_T; 0]: copies of the blocks and y are rotated by T's QR
+        (``NullQR``).  Blocks whose T already has that form, compressed or
+        not, come back unchanged.
         """
         y = np.asarray(y, dtype=float)
         n, m, q = self.n, self.n_null, self.q
@@ -206,7 +210,11 @@ class DesignBlocks:
             raise InputError(f"y must have one entry per row ({n})")
         p = m + self.n_penalized * q
         if p + 1 >= n:
-            return self, y
+            null = NullQR(self.t)
+            if null.factor is None:
+                return self, y
+            return replace(self, t=null.triangle(),
+                           k_parts=tuple(null.rotate(kp) for kp in self.k_parts)), null.rotate(y)
         t, k_parts, rho2, f = _compress_rows(
             self.t, lambda lo, hi: (kp[lo:hi] for kp in self.k_parts), y,
             self.n_penalized, q)
@@ -217,7 +225,7 @@ def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: 
     """[T, K_1 ... K_B, y] reduced to p = M + B q rows by one chunked QR.
 
     ``kernel_rows(lo, hi)`` yields the B kernel blocks' rows lo .. hi, each
-    q wide, in order.  The triangular factor R is accumulated by factoring
+    q wide, in order; it is asked for one tile (``_tiles``) at a time.  The triangular factor R is accumulated by factoring
     R stacked on the next COMPRESS_CHUNK rows, in one buffer reused for
     every chunk (zero rows pad the last one), so the n x (p + 1) matrix is
     never formed.  The same rows in the same chunks give the same R bit for
@@ -235,13 +243,27 @@ def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: 
         rows = stack[p + 1:p + 1 + hi - lo]
         stack[:p + 1] = r
         rows[:, :m] = t[lo:hi]
-        for j, kp in enumerate(kernel_rows(lo, hi)):
-            rows[:, m + j * q:m + (j + 1) * q] = kp
+        for a, b in _tiles(lo, hi, q):
+            for j, kp in enumerate(kernel_rows(a, b)):
+                rows[a - lo:b - lo, m + j * q:m + (j + 1) * q] = kp
         rows[:, p] = y[lo:hi]
         stack[p + 1 + hi - lo:] = 0.0
         r = _r_factor(stack)
-    k_parts = tuple(r[:p, m + j * q:m + (j + 1) * q] for j in range(n_blocks))
-    return r[:p, :m], k_parts, float(r[p, p]) ** 2, r[:p, p]
+    # F-ordered copies: the searches' stacks and products read them by column
+    k_parts = tuple(np.asfortranarray(r[:p, m + j * q:m + (j + 1) * q]) for j in range(n_blocks))
+    return r[:p, :m].copy(), k_parts, float(r[p, p]) ** 2, r[:p, p].copy()
+
+
+def _tiles(lo: int, hi: int, q: int):
+    """(start, stop) of the row tiles of lo .. hi for q-column kernel rows.
+
+    A tile holds about KERNEL_TILE_BYTES of one block, and at most
+    COMPRESS_CHUNK rows.  Kernel entries are elementwise in the rows, so a
+    block formed tile by tile equals the block formed at once bit for bit.
+    """
+    step = min(COMPRESS_CHUNK, max(1, KERNEL_TILE_BYTES // (8 * q)))
+    for a in range(lo, hi, step):
+        yield a, min(a + step, hi)
 
 
 def _theta_vector(theta, n_penalized: int) -> np.ndarray:
@@ -297,6 +319,67 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sla.blas.dgemv(1.0, a_arg, b, trans=trans_a)
 
 
+class NullQR:
+    """T = H [R_T; 0] by one Householder QR, H = H_1 ... H_M.
+
+    ``rotate`` applies H' to n-row arrays: the first M rows of H'K and H'y
+    lie in span(T), the rest in its orthogonal complement.  A T with no
+    nonzero entry below its diagonal, as the compression leaves it, needs
+    no rotation (LAPACK's reflectors are the identity there), so no factor
+    is kept and every array passes through as it is.
+    """
+
+    def __init__(self, t: np.ndarray):
+        t = np.asarray(t, dtype=float)
+        self.n, m = t.shape
+        if self.n < m:
+            raise NumericalError("null design has fewer rows than columns")
+        self.factor = None
+        self.r = t[:m]
+        if any(t[j + 1:, j].any() for j in range(m)):
+            qr, tau, _, info = sla.lapack.dgeqrf(t)
+            if info != 0:
+                raise NumericalError(f"solver: QR of T failed (LAPACK info {info})")
+            self.factor, self.r = (qr, tau), np.triu(qr[:m])
+        if (np.diag(self.r) == 0.0).any():
+            raise NumericalError("null design is rank deficient")
+
+    def triangle(self) -> np.ndarray:
+        """T in the rotated rows, [R_T; 0]."""
+        out = np.zeros((self.n, self.r.shape[1]))
+        out[:self.r.shape[0]] = self.r
+        return out
+
+    def rotate(self, a, overwrite: bool = False) -> np.ndarray:
+        """H'a for an n-row matrix or vector, F-ordered; rotates ``a`` itself when ``overwrite``.
+
+        Use the returned array: ``a`` is rotated in place only when it is
+        F-contiguous, and an F-ordered copy otherwise.  Every rotation
+        takes the same LAPACK path, so equal inputs give equal outputs bit
+        for bit, whether rotated in place or copied.
+        """
+        return self._apply(a, "T", overwrite)
+
+    def unrotate(self, a) -> np.ndarray:
+        """H a for an n-row matrix or vector, into a new array."""
+        return self._apply(a, "N", False)
+
+    def _apply(self, a, trans: str, overwrite: bool) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
+        if self.factor is None:
+            return a
+        if not (overwrite and a.flags.f_contiguous):
+            a = np.array(a, order="F")
+        qr, tau = self.factor
+        c = a.reshape(a.shape[0], -1, order="F")
+        # dormqr's blocked path needs 64 work entries per column of c, plus its T factor
+        out, _, info = sla.lapack.dormqr("L", trans, qr, tau, c, 64 * (c.shape[1] + 65),
+                                         overwrite_c=1)
+        if info != 0:
+            raise NumericalError(f"solver: applying T's reflectors failed (LAPACK info {info})")
+        return out.reshape(a.shape, order="F")
+
+
 def null_design(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> np.ndarray:
     """Null design T after the checks that make a fit well posed."""
     if spec.n_penalized == 0:
@@ -331,8 +414,8 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     that pays (``compressed_blocks``, ``DesignRows``).
     """
     rows = DesignRows(dataset, spec, basis)
-    return DesignBlocks(t=rows.t, k_parts=tuple(rows.kernel_rows(0, dataset.n)),
-                        q_parts=rows.q_parts, part_traces=rows.part_traces, basis=basis)
+    return DesignBlocks(t=rows.t, k_parts=rows.blocks(), q_parts=rows.q_parts,
+                        part_traces=rows.part_traces, basis=basis)
 
 
 class DesignRows:
@@ -356,6 +439,15 @@ class DesignRows:
         """Per-term kernel blocks K_delta at rows lo .. hi, in term order."""
         spec = self.spec
         return term_grams(spec.penalized_terms, spec.domains, self.dataset.x[lo:hi], self.z)
+
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The S per-term blocks over all n rows, each converted to F order as formed.
+
+        Not formed in tiles: blocks preallocated beside ``term_grams``'
+        shared factors took 1.45 S n q doubles on ``m4`` at 300 rows, and
+        were no faster.
+        """
+        return tuple(np.asfortranarray(kp) for kp in self.kernel_rows(0, self.dataset.n))
 
     def compress(self) -> tuple[DesignBlocks, np.ndarray]:
         """Blocks and response reduced to p = M + S q rows by one streamed QR.
@@ -396,11 +488,17 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec,
 
     When p + 1 < n the rows are compressed chunk by chunk
     (``DesignRows.compress``), bit-identical to the in-memory blocks'
-    compression; otherwise the in-memory blocks and y are returned.
+    compression.  Otherwise the blocks are formed over all n rows and each
+    is rotated in place by T's QR, so T comes out as [R_T; 0] with no
+    second copy of the blocks.
     """
-    if not streams_rows(dataset, spec, basis):
-        return assemble_blocks(dataset, spec, basis), dataset.y
-    return DesignRows(dataset, spec, basis).compress()
+    rows = DesignRows(dataset, spec, basis)
+    if streams_rows(dataset, spec, basis):
+        return rows.compress()
+    null = NullQR(rows.t)
+    k_parts = tuple(null.rotate(kp, overwrite=True) for kp in rows.blocks())
+    return DesignBlocks(t=null.triangle(), k_parts=k_parts, q_parts=rows.q_parts,
+                        part_traces=rows.part_traces, basis=basis), null.rotate(dataset.y)
 
 
 def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -411,17 +509,18 @@ def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
 def kernel_design(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta) -> np.ndarray:
     """K(theta) = sum_delta theta_delta K_delta between two point sets.
 
-    Formed COMPRESS_CHUNK rows at a time into one (n, m) array, so no
-    per-term n-row block exists; the extra memory is a few chunk-row
+    Formed one tile (``_tiles``, at most COMPRESS_CHUNK rows) at a time
+    into one F-ordered (n, m) array, which ``fit_model`` rotates in place;
+    no per-term n-row block exists, and the extra memory is a few tile-row
     blocks.  Equals the same rows of ``DesignBlocks.combine``'s K bit for
     bit.
     """
     theta = _theta_vector(theta, spec.n_penalized)
-    out = np.empty((x_rows.shape[0], z_rows.shape[0]))
-    for lo in range(0, x_rows.shape[0], COMPRESS_CHUNK):
-        rows = slice(lo, lo + COMPRESS_CHUNK)
-        grams = term_grams(spec.penalized_terms, spec.domains, x_rows[rows], z_rows)
-        _weighted_sum(theta, grams, out=out[rows])
+    out = np.empty((x_rows.shape[0], z_rows.shape[0]), order="F")
+    for a, b in _tiles(0, x_rows.shape[0], z_rows.shape[0]):
+        # summed in the tile's own row-major layout, then copied in once
+        out[a:b] = _weighted_sum(theta, term_grams(spec.penalized_terms, spec.domains,
+                                                   x_rows[a:b], z_rows))
     return out
 
 
@@ -439,7 +538,16 @@ def assemble(dataset: Dataset, spec: ModelSpec, basis: BasisSelection, theta) ->
 
 
 class CompiledDesign:
-    """Inputs (T, K, Q_r, y) of one penalized solve, trusted as given.
+    """Inputs (T, K, Q_r, y) of one penalized solve, with T absorbed.
+
+    T = H [R_T; 0] (``NullQR``) splits the rows of ``k`` = H'K and
+    ``y`` = H'y: the first M rows lie in span(T), the rest (K_perp,
+    y_perp) in its complement.  For any c, d solves R_T d = y_t - K_t c
+    exactly on the first M rows, so the fit, its residual and tr(A)
+    depend on the complement rows alone.  A T given as
+    [R_T; 0], as the compressed and rotated blocks hold it, costs no
+    rotation and no copy; any other T is factored, and K and y are rotated
+    into copies.
 
     The public array-level entry points check shapes and Q's symmetry once
     (``_checked_design``); a search's trials and ``fit_model`` pass a Q
@@ -450,17 +558,43 @@ class CompiledDesign:
     count of the system; on compressed blocks the scores divide by
     ``n_obs`` observations and add ``rss_offset`` to the residual sum of
     squares (see ``DesignBlocks.compress``).
+
+    The QR reads the complement rows through ``stack`` and the score its
+    residual through ``residual``; ``gcv.full_gcv``'s theta trials provide
+    the same two methods over one reused stack.
     """
 
     def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray,
                  n_obs: int | None = None, rss_offset: float = 0.0):
-        self.t, self.k, self.y = (np.asarray(a, dtype=float) for a in (t, k, y))
-        self.n, self.m = self.t.shape
+        self.null = NullQR(t)
+        self.n, self.m = self.null.n, self.null.r.shape[1]
+        self.k, self.y = self.null.rotate(k), self.null.rotate(y)
         self.nq = self.k.shape[1]
         self.n_obs = self.n if n_obs is None else int(n_obs)
         self.rss_offset = float(rss_offset)
-        q = np.asarray(q, dtype=float)
-        self.q_r = q + RIDGE_SCALE * np.trace(q) / self.nq * np.eye(self.nq)
+        self.q_r = _ridged(q)
+
+    def stack(self) -> np.ndarray:
+        """A fresh F-ordered (n - M + q) x (q + 1) array led by [K_perp, y_perp].
+
+        Its last q rows are left for the penalty rows.
+        """
+        m, q = self.m, self.nq
+        out = np.empty((self.n - m + q, q + 1), order="F")
+        out[:self.n - m, :q] = self.k[m:]
+        out[:self.n - m, q] = self.y[m:]
+        return out
+
+    def residual(self, c: np.ndarray) -> np.ndarray:
+        """y_perp - K_perp c: the fit's residual in the complement rows."""
+        return (self.y - _dot(self.k, c))[self.m:]
+
+
+def _ridged(q) -> np.ndarray:
+    """A copy of Q plus a ridge of RIDGE_SCALE times its mean diagonal."""
+    out = np.array(q, dtype=float)
+    out.flat[::out.shape[0] + 1] += RIDGE_SCALE * np.trace(out) / out.shape[0]
+    return out
 
 
 def _checked_design(t, k, q, y) -> CompiledDesign:
@@ -475,39 +609,52 @@ def _checked_design(t, k, q, y) -> CompiledDesign:
     return CompiledDesign(t, k, q, y)
 
 
-def _stacked_fit(design: CompiledDesign, nlam: float):
-    """Penalized fit via one R-only QR of the augmented stacked system.
+def _complement_solve(design, nlam: float) -> tuple[np.ndarray, float]:
+    """c and tr(A) from one R-only QR of [K_perp, y_perp; sqrt(nlam) L', 0].
 
-    With X = [[T, K]; [0, sqrt(nlam) L']] and Q_r = LL', the triangular
-    factor of [X, [y; 0]] carries the rotated response in its last column,
-    so beta comes from one triangular solve and no n-row orthogonal factor
-    is formed.  Since
-    R'R = X'X = [T K]'[T K] + nlam blockdiag(0, Q_r),
-    tr(A) = (M + q) - nlam ||L' R_22^{-1}||_F^2 with R_22 the trailing
-    q x q block of R.  Returns (d, c, fitted, trace_a).
+    With Q_r = LL', the triangular factor R of the stack carries the
+    rotated response in its last column, so c comes from one triangular
+    solve and no orthogonal factor is formed.  The stack has n - M + q rows
+    and q + 1 columns.  Since R_KK'R_KK = K_perp'K_perp + nlam Q_r,
+    tr(A) = M + q - nlam ||L' R_KK^{-1}||_F^2, the M null directions being
+    fitted exactly.
     """
     if nlam <= 0 or not np.isfinite(nlam):
         raise InputError("nlam must be positive and finite")
-    try:
-        l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("solver: penalty matrix is not positive definite") from exc
-    n, m, p = design.n, design.m, design.m + design.nq
-    stack = np.zeros((n + design.nq, p + 1), order="F")
-    stack[:n, :m] = design.t
-    stack[:n, m:p] = design.k
-    stack[:n, p] = design.y
-    stack[n:, m:p] = float(nlam) ** 0.5 * l_chol.T
-    r = _r_factor(stack)[:p]
-    if np.abs(np.diag(r)).min() == 0.0:
+    # LAPACK directly: a small search's trials spend more in scipy.linalg's
+    # wrappers than in these factorizations
+    upper, info = sla.lapack.dpotrf(design.q_r, lower=0, clean=1)
+    if info != 0:
+        raise NumericalError("solver: penalty matrix is not positive definite")
+    q = design.nq
+    stack = design.stack()
+    pen = stack.shape[0] - q
+    np.multiply(float(nlam) ** 0.5, upper, out=stack[pen:, :q])
+    stack[pen:, q] = 0.0
+    r = _r_factor(stack)
+    c, info = sla.lapack.dtrtrs(r[:q, :q], r[:q, q])
+    if info != 0:
         raise NumericalError(f"solver: singular stacked system (nlam={nlam:g})")
-    beta = sla.solve_triangular(r[:, :p], r[:, p], lower=False, check_finite=False)
-    d, c = beta[:m], beta[m:]
-    fitted = _dot(design.t, d) + _dot(design.k, c)
-    w = sla.solve_triangular(r[m:, m:p], l_chol, trans="T", lower=False,
+    w, _ = sla.lapack.dtrtrs(r[:q, :q], upper.T, trans=1)
+    return c, design.m + q - float(nlam) * float((w * w).sum())
+
+
+def _stacked_fit(design: CompiledDesign, nlam: float):
+    """Penalized fit via one R-only QR of the stacked system, T absorbed.
+
+    c and tr(A) come from ``_complement_solve``; d from back-substitution,
+    R_T d = y_t - K_t c.  The fitted values are H [y_t; K_perp c] in the
+    design's own rows (T d + K c).  K c is formed over all rows, whose
+    arrays are contiguous, rather than over a view of the complement rows,
+    which BLAS would copy.  Returns (d, c, fitted, trace_a).
+    """
+    c, trace_a = _complement_solve(design, nlam)
+    m = design.m
+    fitted = _dot(design.k, c)
+    d = sla.solve_triangular(design.null.r, design.y[:m] - fitted[:m], lower=False,
                              check_finite=False)
-    trace_a = p - float(nlam) * float((w * w).sum())
-    return d, c, fitted, trace_a
+    fitted[:m] = design.y[:m]
+    return d, c, design.null.unrotate(fitted), trace_a
 
 
 def solve_penalized(t, k, q, y, nlam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -551,12 +698,18 @@ def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
               basis: BasisSelection) -> FitResult:
     """Fit at fixed smoothing parameters on the given basis rows.
 
-    ``assemble`` forms K(theta) directly, so no per-term block is built.
-    The stacked QR works at the square root of the normal equations'
-    condition number, so any positive nlam yields a fit.
+    ``assemble`` forms K(theta) directly, so no per-term block is built,
+    and T is absorbed on entry: K(theta) is rotated by T's QR in place, so
+    the fit holds K(theta) and the stack, about 2 n q doubles.  The
+    stacked QR works at the square root of the normal equations' condition
+    number, so any positive nlam yields a fit.
     """
     t, k, q = assemble(dataset, spec, basis, params.theta)
-    d, c, fitted, trace_a = _stacked_fit(CompiledDesign(t, k, q, dataset.y), params.nlam)
+    null = NullQR(t)
+    design = CompiledDesign(null.triangle(), null.rotate(k, overwrite=True), q,
+                            null.rotate(dataset.y))
+    d, c, fitted, trace_a = _stacked_fit(design, params.nlam)
+    fitted = null.unrotate(fitted)
     resid = dataset.y - fitted
     score = gcv_from_fit(float(resid @ resid), trace_a, dataset.n)
     return FitResult(d=d, c=c, fitted=fitted, trace_a=trace_a, gcv=score,

@@ -524,3 +524,57 @@ def test_forked_pool_workers_start_no_blas_threads(monkeypatch):
         assert pool.submit(_thread_count).result(timeout=60) == 1
         assert all(count == 1 for count in pool.submit(_blas_thread_counts).result(timeout=60).values())
     assert _blas_thread_counts() == parent
+
+
+def test_fit_rate_slope_standard_error_closed_form():
+    """log b = 0, 1, 2 and log lambda = 0, -0.5 + e, -1: slope 0.5, residuals
+    (-e, 2e, -e)/3, so se = sqrt((2 e^2 / 3) / 1 / 2) = e / sqrt(3)."""
+    e = 0.3
+    fit = fit_rate(np.exp([0.0, 1.0, 2.0]), np.exp([0.0, -0.5 + e, -1.0]))
+    assert fit.gamma == pytest.approx(0.5, abs=1e-12)
+    assert fit.gamma_se == pytest.approx(e / np.sqrt(3.0), rel=1e-12)
+    # the unclamped slope's error, also when the clamp binds
+    sizes = np.array([300.0, 420.0, 580.0, 810.0, 1130.0])
+    lams = 5.0 * sizes ** -0.1 * np.exp([0.02, -0.01, 0.03, -0.04, 0.01])
+    clamped = fit_rate(sizes, lams)
+    x, y = np.log(sizes), np.log(lams)
+    slope, icept = np.polyfit(x, y, 1)
+    resid = y - (icept + slope * x)
+    want = np.sqrt(resid @ resid / 3.0 / ((x - x.mean()) @ (x - x.mean())))
+    assert clamped.clamped and clamped.gamma_se == pytest.approx(want, rel=1e-9)
+    assert fit_rate([300.0, 600.0], [1e-3, 6e-4]).gamma_se is None
+
+
+def test_asp_uniform_reports_subsample_boundary_hits():
+    """On 14 rows of m1 every subsample is the whole sample; gcv ends on the
+    nlam boundary, and so does each of asp-u's searches, which says so."""
+    sim = gen_data("m1", 14, 5.0, seed=2)
+    spec = SCENARIOS["m1"].spec
+    cfg = AspConfig(jobs=1)
+    full = gcv_select(sim.dataset, spec, cfg)
+    assert "lambda-boundary" in full.flags
+    res = asp_uniform(sim.dataset, spec, cfg)
+    assert res.params.log10_nlam == pytest.approx(full.params.log10_nlam, abs=1e-12)
+    assert all("lambda-boundary" in f.flags for f in res.fits)
+    assert f"subsample-lambda-boundary:{cfg.n_subsamples}" in res.flags
+    assert res.dropped == ()
+
+
+def test_dropped_subsamples_keep_their_exception_text(monkeypatch):
+    from spanova.util import NumericalError
+
+    data, spec = sine_dataset(400, seed=8)
+    calls = []
+    real = asp.full_gcv
+
+    def fail_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalError("no luck")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asp, "full_gcv", fail_first)
+    res = asp_uniform(data, spec, FAST)
+    b = subsample_size(400, FAST)
+    assert "subsamples-dropped:1" in res.flags
+    assert res.dropped == (f"b={b}: NumericalError: no luck",)

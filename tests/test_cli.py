@@ -280,6 +280,33 @@ def test_fit_order_method_records_rate_lambda(tmp_path):
     assert doc["fit"]["q"] == 77
 
 
+def test_fit_document_records_slope_error_and_dropped_subsamples(tmp_path, monkeypatch):
+    """asp-a's fit.json rate block holds gamma_se; a dropped subsample's
+    exception text is written under "dropped"."""
+    from spanova import asp
+    from spanova.util import NumericalError
+
+    sim = tmp_path / "train.csv"
+    assert main(["simulate", "--scenario", "u2", "--n", "600", "--snr", "5",
+                 "--seed", "1", "--out", str(sim)]) == 0
+    real, calls = asp.full_gcv, []
+
+    def fail_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NumericalError("no luck")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asp, "full_gcv", fail_first)
+    fit = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(sim), "--response", "y", "--model", "1",
+                 "--method", "asp-a", "--b-coef", "10", "--gcv-max-iter", "4",
+                 "--seed", "1", "--jobs", "1", "--out", str(fit)]) == 0
+    doc = json.loads(fit.read_text())["selection"]
+    assert doc["rate"]["gamma_se"] > 0.0
+    assert len(doc["dropped"]) == 1 and doc["dropped"][0].endswith("NumericalError: no luck")
+
+
 def test_bench_command(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["bench", "--scenario", "u2", "--n", "250", "--snr", "5",

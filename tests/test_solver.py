@@ -6,7 +6,7 @@ import pytest
 from spanova import solver
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import PredictorDomain, full_two_way_model, main_effects_model
-from spanova.gcv import gcv_score, minimize_lambda
+from spanova.gcv import _Trials, gcv_score, minimize_lambda
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     SmoothingParams,
@@ -313,20 +313,27 @@ def test_combine_weights_blocks():
         blocks.combine(np.ones(4))
 
 
-def test_reweight_matches_fresh_combine():
-    """A sweep's one-block updates of K and Q agree with a fresh combine."""
+def test_sweep_updates_match_fresh_combine():
+    """full_gcv's one-block trial and accepted updates of K and Q agree with
+    a fresh combine, in the complement rows a trial reads."""
     ds, spec, basis = make_problem(3, 200, d=2, q=16)
-    blocks = assemble_blocks(ds, spec, basis)
+    blocks, y = assemble_blocks(ds, spec, basis).compress(ds.y)
+    m = blocks.n_null
     rng = np.random.default_rng(4)
     theta = 10.0 ** rng.uniform(-1.0, 1.0, blocks.n_penalized)
-    k, q = blocks.combine(theta)
+    trials = _Trials(blocks, y)
+    trials.start(*blocks.combine(theta))
     for delta in list(range(blocks.n_penalized)) * 3:
         new = 10.0 ** rng.uniform(-1.0, 1.0)
-        k, q = blocks.reweight(k, q, delta, new - theta[delta])
+        stack = trials.at(delta, new - theta[delta]).stack()
         theta[delta] = new
-    k_ref, q_ref = blocks.combine(theta)
-    np.testing.assert_allclose(k, k_ref, rtol=0.0, atol=1e-12 * np.abs(k_ref).max())
-    np.testing.assert_allclose(q, q_ref, rtol=0.0, atol=1e-12 * np.abs(q_ref).max())
+        k_ref, q_ref = blocks.combine(theta)
+        np.testing.assert_allclose(stack[:blocks.n - m, :-1], k_ref[m:], rtol=0.0,
+                                   atol=1e-12 * np.abs(k_ref).max())
+        assert np.array_equal(stack[:blocks.n - m, -1], y[m:])
+        trials.accept()
+    np.testing.assert_allclose(trials.k, k_ref, rtol=0.0, atol=1e-12 * np.abs(k_ref).max())
+    np.testing.assert_allclose(trials.q, q_ref, rtol=0.0, atol=1e-12 * np.abs(q_ref).max())
 
 
 @pytest.mark.parametrize("chunk", [7, 40, 2048])
@@ -352,16 +359,27 @@ def test_compress_keeps_cross_products(monkeypatch, chunk):
         blocks.compress(ds.y[:-1])
 
 
-def test_compress_is_noop_when_p_reaches_n():
-    """m4's 87 penalized terms give p = M + S q far above n."""
+def test_compress_absorbs_t_without_compressing_when_p_reaches_n():
+    """m4's 87 penalized terms give p = M + S q far above n: the n rows stay,
+    but copies of the blocks and y are rotated so T reads [R_T; 0], with
+    the same cross products; the caller's blocks are not touched, and
+    blocks already in that form pass through."""
     sim = gen_data("m4", 300, 5.0, seed=0)
+    y = sim.dataset.y
     blocks = assemble_blocks(sim.dataset, SCENARIOS["m4"].spec,
                              select_basis(300, basis_count(300), seed=0))
     assert blocks.n_null + blocks.n_penalized * blocks.q + 1 >= blocks.n
-    small, f = blocks.compress(sim.dataset.y)
-    assert small is blocks
-    np.testing.assert_array_equal(f, sim.dataset.y)
-    assert small.n_obs == 300 and small.rss_offset == 0.0
+    k0 = blocks.k_parts[0].copy()
+    small, f = blocks.compress(y)
+    assert small.n == small.n_obs == 300 and small.rss_offset == 0.0
+    assert not np.tril(small.t, -1).any()
+    full = np.hstack([blocks.t, *blocks.k_parts[:3], y[:, None]])
+    rotated = np.hstack([small.t, *small.k_parts[:3], f[:, None]])
+    np.testing.assert_allclose(rotated.T @ rotated, full.T @ full, rtol=0.0,
+                               atol=1e-12 * np.abs(full.T @ full).max())
+    assert np.array_equal(blocks.k_parts[0], k0)
+    again, f2 = small.compress(f)
+    assert again is small and f2 is f
 
 
 def test_smoothing_params_round_trip():

@@ -57,15 +57,16 @@ def test_streamed_blocks_equal_in_memory_compression(monkeypatch, problem, chunk
     assert got.rss_offset == want.rss_offset and got.n_obs == want.n_obs == ds.n
 
 
-def test_builder_returns_in_memory_blocks_when_p_reaches_n():
-    """m4's 87 penalized terms give p = M + S q far above n."""
+def test_builder_rotates_in_memory_blocks_when_p_reaches_n():
+    """m4's 87 penalized terms give p = M + S q far above n: the blocks are
+    rotated in place as they form, bit-identical to rotated copies."""
     ds, spec, basis = scenario_problem("m4", 300)
-    want = assemble_blocks(ds, spec, basis)
+    want, f_want = assemble_blocks(ds, spec, basis).compress(ds.y)
     got, f = compressed_blocks(ds, spec, basis)
     assert got.n == want.n == 300 and got.n_obs == 300 and got.rss_offset == 0.0
-    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.t, want.t) and not np.tril(got.t, -1).any()
     assert all(np.array_equal(a, b) for a, b in zip(got.k_parts, want.k_parts))
-    np.testing.assert_array_equal(f, ds.y)
+    assert np.array_equal(f, f_want)
 
 
 @pytest.mark.parametrize("scenario", ["u2", "m1", "m2"])
