@@ -10,18 +10,22 @@ points cover the selection strategies:
 * ``full_gcv``: skip initialization followed by alternating coordinate
   updates of log theta and re-minimization in nlam.
 
-Scores and fits are split as in Wood (2004): the nlam scan at fixed theta
-scores a reduced profile, one R-only QR of [T, K L^{-T}, y] (Q_r = LL') and
-one SVD of its q x q kernel block, after which every score is an O(q) sum
-(``LambdaProfile``), and the scan's minimum is the score of record.  Every
-coefficient solve, theta trial and ``gcv_score`` goes through the solver's
-stacked-QR fit (``_stacked_fit``).
+Scores and fits are split as in Wood (2004), with T absorbed once: every
+factorization works in the orthogonal complement of T's columns
+(``solver.CompiledDesign``), so it factors the K and y columns only.  The
+nlam scan at fixed theta scores a reduced profile, one R-only QR of
+[K_perp L^{-T}, y_perp] (Q_r = LL') and one SVD of its q x q kernel block,
+after which every score is an O(q) sum (``LambdaProfile``), and the scan's
+minimum is the score of record.  Every coefficient solve goes through the
+solver's stacked-QR fit (``_stacked_fit``); every theta trial and
+``gcv_score`` through the same QR (``solver._complement_solve``), with the
+residual read from the complement rows.
 
 ``full_gcv`` runs on the n rows compressed to p = M + S q rows
 (``DesignBlocks.compress``, or streamed by ``solver.compressed_blocks``
 without any per-term n-row block), so every exact score, profile and
 theta trial of its search, skip's included, costs the same at any n; its
-coordinate sweep moves K(theta) and Q(theta) one block at a time.
+coordinate sweep writes K(theta) + w K_delta into one reused stack.
 ``skip_search`` needs only a design at each of two thetas, so a
 full-sample skip compresses [T, K(theta), y] (M + q + 1 columns) once per
 stage, streamed from the rows.  The search's factorizations, solves and

@@ -27,7 +27,8 @@ A selection scores many (theta, nlam) on one response, so it first
 compresses the n rows: one QR of [T, K_1 ... K_S, y] (p + 1 columns,
 p = M + S q), built over row chunks, leaves p rows [R_T, R_1 ... R_S | f]
 with the same cross products, and y'y - f'f = rho^2 with rho R's last
-diagonal entry.  Every score on the compressed blocks adds rho^2 to its
+diagonal entry.  T comes out as [R_T; 0], already absorbed, so the
+search's designs need no rotation.  Every score on the compressed blocks adds rho^2 to its
 residual sum of squares and divides by the observation count, so it equals
 the n-row score while its cost no longer depends on n.
 
@@ -38,12 +39,13 @@ Wood, Goude & Shaw (2015, "Generalized additive models for large data
 sets"), so a selection holds O(p^2 + chunk p) doubles, not S n q.  Skip
 compresses [T, K(theta), y] at each of its two thetas instead, M + q + 1
 columns per pass.  Only where p + 1 >= n, with nothing to compress, are
-the blocks formed over all n rows (``assemble_blocks``).  A fit at one
-theta, ``predict`` and the p estimate form K(theta) =
-sum_delta theta_delta K_delta directly (``kernel_design``),
-COMPRESS_CHUNK rows at a time, so the refit holds about 2 n q doubles
-(K(theta) and the stacked solve's copy).  Both equal the in-memory
-blocks' results bit for bit.
+the blocks formed over all n rows, and each is rotated in place by T's QR
+(``compressed_blocks``).  A fit at one theta, ``predict`` and the p
+estimate form K(theta) = sum_delta theta_delta K_delta directly
+(``kernel_design``), one cache-sized tile of rows at a time; the refit
+rotates K(theta) in place and holds about 2 n q doubles (K(theta) and the
+stack).  Kernel rows formed in tiles or chunks equal the in-memory
+blocks' rows bit for bit.
 
 The QRs, solves, SVDs and row products of the fit and the search run on
 scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
