@@ -203,8 +203,8 @@ class DesignBlocks:
         [R_T; 0]; the square of R's last diagonal entry adds to rss_offset.
         When p + 1 >= n nothing is compressed, but T is still brought to
         [R_T; 0]: copies of the blocks and y are rotated by T's QR
-        (``NullQR``).  Blocks whose T already has that form, compressed or
-        not, come back unchanged.
+        (``NullQR``, ``_rotated_blocks``).  Blocks whose T already has that
+        form, compressed or not, come back unchanged.
         """
         y = np.asarray(y, dtype=float)
         n, m, q = self.n, self.n_null, self.q
@@ -215,12 +215,32 @@ class DesignBlocks:
             null = NullQR(self.t)
             if null.factor is None:
                 return self, y
-            return replace(self, t=null.triangle(),
-                           k_parts=tuple(null.rotate(kp) for kp in self.k_parts)), null.rotate(y)
+            k_parts = _rotated_blocks(null, lambda lo, hi: (kp[lo:hi] for kp in self.k_parts),
+                                      n, q, self.n_penalized)
+            return replace(self, t=null.triangle(), k_parts=k_parts), null.rotate(y)
         t, k_parts, rho2, f = _compress_rows(
             self.t, lambda lo, hi: (kp[lo:hi] for kp in self.k_parts), y,
             self.n_penalized, q)
         return replace(self, t=t, k_parts=k_parts, rss_offset=self.rss_offset + rho2), f
+
+
+def _rotated_blocks(null: "NullQR", kernel_rows, n: int, q: int, s: int) -> tuple[np.ndarray, ...]:
+    """H' applied to S blocks of n rows and q columns, in one F-ordered array.
+
+    ``kernel_rows(lo, hi)`` yields the S blocks' rows lo .. hi, as in
+    ``_compress_rows``; they are copied in one tile (``_tiles``) at a time.
+    The kernel factors that ``term_grams`` shares across a tile's blocks
+    sit beside the whole array, so a tile also spans at most n/8 rows: on
+    ``m4`` at 300 rows one tile of all rows took 1.59 S n q doubles.  One
+    LAPACK call then rotates all the blocks at BLAS-3 speed, and they come
+    back as column views, which a search's trials read by column.
+    """
+    out = np.empty((n, s * q), order="F")
+    for a, b in _tiles(0, n, q, max_rows=-(-n // 8)):
+        for j, kp in enumerate(kernel_rows(a, b)):
+            out[a:b, j * q:(j + 1) * q] = kp
+    out = null.rotate(out, overwrite=True)
+    return tuple(out[:, j * q:(j + 1) * q] for j in range(s))
 
 
 def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: int):
@@ -256,14 +276,16 @@ def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: 
     return r[:p, :m].copy(), k_parts, float(r[p, p]) ** 2, r[:p, p].copy()
 
 
-def _tiles(lo: int, hi: int, q: int):
+def _tiles(lo: int, hi: int, q: int, max_rows: int | None = None):
     """(start, stop) of the row tiles of lo .. hi for q-column kernel rows.
 
     A tile holds about KERNEL_TILE_BYTES of one block, and at most
-    COMPRESS_CHUNK rows.  Kernel entries are elementwise in the rows, so a
-    block formed tile by tile equals the block formed at once bit for bit.
+    COMPRESS_CHUNK rows, or ``max_rows`` if fewer.  Kernel entries are
+    elementwise in the rows, so a block formed tile by tile equals the
+    block formed at once bit for bit.
     """
-    step = min(COMPRESS_CHUNK, max(1, KERNEL_TILE_BYTES // (8 * q)))
+    step = min(COMPRESS_CHUNK, max_rows or COMPRESS_CHUNK,
+               max(1, KERNEL_TILE_BYTES // (8 * q)))
     for a in range(lo, hi, step):
         yield a, min(a + step, hi)
 
@@ -416,8 +438,8 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     that pays (``compressed_blocks``, ``DesignRows``).
     """
     rows = DesignRows(dataset, spec, basis)
-    return DesignBlocks(t=rows.t, k_parts=rows.blocks(), q_parts=rows.q_parts,
-                        part_traces=rows.part_traces, basis=basis)
+    return DesignBlocks(t=rows.t, k_parts=tuple(rows.kernel_rows(0, dataset.n)),
+                        q_parts=rows.q_parts, part_traces=rows.part_traces, basis=basis)
 
 
 class DesignRows:
@@ -441,15 +463,6 @@ class DesignRows:
         """Per-term kernel blocks K_delta at rows lo .. hi, in term order."""
         spec = self.spec
         return term_grams(spec.penalized_terms, spec.domains, self.dataset.x[lo:hi], self.z)
-
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """The S per-term blocks over all n rows, each converted to F order as formed.
-
-        Not formed in tiles: blocks preallocated beside ``term_grams``'
-        shared factors took 1.45 S n q doubles on ``m4`` at 300 rows, and
-        were no faster.
-        """
-        return tuple(np.asfortranarray(kp) for kp in self.kernel_rows(0, self.dataset.n))
 
     def compress(self) -> tuple[DesignBlocks, np.ndarray]:
         """Blocks and response reduced to p = M + S q rows by one streamed QR.
@@ -490,15 +503,16 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec,
 
     When p + 1 < n the rows are compressed chunk by chunk
     (``DesignRows.compress``), bit-identical to the in-memory blocks'
-    compression.  Otherwise the blocks are formed over all n rows and each
-    is rotated in place by T's QR, so T comes out as [R_T; 0] with no
-    second copy of the blocks.
+    compression.  Otherwise the blocks are formed over all n rows, copied
+    into one array as each forms, and rotated there by T's QR
+    (``_rotated_blocks``), so T comes out as [R_T; 0] and no second copy
+    of the S blocks exists.
     """
     rows = DesignRows(dataset, spec, basis)
     if streams_rows(dataset, spec, basis):
         return rows.compress()
     null = NullQR(rows.t)
-    k_parts = tuple(null.rotate(kp, overwrite=True) for kp in rows.blocks())
+    k_parts = _rotated_blocks(null, rows.kernel_rows, dataset.n, basis.q, spec.n_penalized)
     return DesignBlocks(t=null.triangle(), k_parts=k_parts, q_parts=rows.q_parts,
                         part_traces=rows.part_traces, basis=basis), null.rotate(dataset.y)
 
