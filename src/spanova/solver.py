@@ -28,9 +28,9 @@ compresses the n rows: one QR of [T, K_1 ... K_S, y] (p + 1 columns,
 p = M + S q), built over row chunks, leaves p rows [R_T, R_1 ... R_S | f]
 with the same cross products, and y'y - f'f = rho^2 with rho R's last
 diagonal entry.  T comes out as [R_T; 0], already absorbed, so the
-search's designs need no rotation.  Every score on the compressed blocks adds rho^2 to its
-residual sum of squares and divides by the observation count, so it equals
-the n-row score while its cost no longer depends on n.
+search's designs need no rotation.  Every score on the compressed blocks
+adds rho^2 to its residual sum of squares and divides by the observation
+count, so it equals the n-row score while its cost no longer depends on n.
 
 No selection needs the S per-term n x q blocks K_delta: each chunk's rows
 of K_delta are formed from the kernel at those rows and folded into R
@@ -39,8 +39,8 @@ Wood, Goude & Shaw (2015, "Generalized additive models for large data
 sets"), so a selection holds O(p^2 + chunk p) doubles, not S n q.  Skip
 compresses [T, K(theta), y] at each of its two thetas instead, M + q + 1
 columns per pass.  Only where p + 1 >= n, with nothing to compress, are
-the blocks formed over all n rows, and each is rotated in place by T's QR
-(``compressed_blocks``).  A fit at one theta, ``predict`` and the p
+the blocks formed over all n rows, in one array that T's QR rotates in
+place (``compressed_blocks``).  A fit at one theta, ``predict`` and the p
 estimate form K(theta) = sum_delta theta_delta K_delta directly
 (``kernel_design``), one cache-sized tile of rows at a time; the refit
 rotates K(theta) in place and holds about 2 n q doubles (K(theta) and the
@@ -247,13 +247,13 @@ def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: 
     """[T, K_1 ... K_B, y] reduced to p = M + B q rows by one chunked QR.
 
     ``kernel_rows(lo, hi)`` yields the B kernel blocks' rows lo .. hi, each
-    q wide, in order; it is asked for one tile (``_tiles``) at a time.  The triangular factor R is accumulated by factoring
-    R stacked on the next COMPRESS_CHUNK rows, in one buffer reused for
-    every chunk (zero rows pad the last one), so the n x (p + 1) matrix is
-    never formed.  The same rows in the same chunks give the same R bit for
-    bit, wherever they come from.  Returns (T', (K_1' ... K_B'), rho^2, f):
-    R's first p rows split by column, and the square of its last diagonal
-    entry.
+    q wide, in order; it is asked for one tile (``_tiles``) at a time.
+    The triangular factor R is accumulated by factoring R stacked on the
+    next COMPRESS_CHUNK rows, in one buffer reused for every chunk (zero
+    rows pad the last one), so the n x (p + 1) matrix is never formed.  The
+    same rows in the same chunks give the same R bit for bit, wherever they
+    come from.  Returns (T', (K_1' ... K_B'), rho^2, f): R's first p rows
+    split by column, and the square of its last diagonal entry.
     """
     n, m = t.shape
     p = m + n_blocks * q
@@ -560,10 +560,9 @@ class CompiledDesign:
     ``y`` = H'y: the first M rows lie in span(T), the rest (K_perp,
     y_perp) in its complement.  For any c, d solves R_T d = y_t - K_t c
     exactly on the first M rows, so the fit, its residual and tr(A)
-    depend on the complement rows alone.  A T given as
-    [R_T; 0], as the compressed and rotated blocks hold it, costs no
-    rotation and no copy; any other T is factored, and K and y are rotated
-    into copies.
+    depend on the complement rows alone.  A T given as [R_T; 0], as the
+    compressed and rotated blocks hold it, costs no rotation and no copy;
+    any other T is factored, and K and y are rotated into copies.
 
     The public array-level entry points check shapes and Q's symmetry once
     (``_checked_design``); a search's trials and ``fit_model`` pass a Q
