@@ -28,20 +28,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .gcv import GcvResult, full_gcv, gcv_score, skip_search, skip_select
+from .gcv import full_gcv, gcv_score, skip_select
 from .kernels import ModelSpec
 from .solver import (
     BasisSelection,
-    DesignRows,
     SmoothingParams,
     assemble,
-    assemble_blocks,
     basis_count,
-    compressed_blocks,
     null_design,
     part_traces,
     select_basis,
-    streams_rows,
 )
 from .util import InputError, NumericalError, derive_rng, round_half_up
 
@@ -213,7 +209,7 @@ def _fit_subsample(args) -> SubsampleFit | str:
     """
     sub, spec, basis, config = args
     try:
-        res = full_gcv(*compressed_blocks(sub, spec, basis), max_iter=config.gcv_max_iter)
+        res = full_gcv(sub, spec, basis, max_iter=config.gcv_max_iter)
     except (NumericalError, InputError) as exc:
         return f"b={sub.n}: {type(exc).__name__}: {exc}"
     lam = res.params.nlam / sub.n
@@ -521,39 +517,22 @@ def _full_sample_search(method: str, search, dataset: Dataset, spec: ModelSpec,
 
 def gcv_select(dataset: Dataset, spec: ModelSpec,
                config: AspConfig = AspConfig()) -> SelectionResult:
-    """Full-sample iterative cross-validation wrapped as a selection result.
-
-    The search runs on the rows compressed chunk by chunk
-    (``compressed_blocks``), so no per-term n-row block exists when p + 1 < n.
-    """
-    def search(dataset, spec, basis):
-        return full_gcv(*compressed_blocks(dataset, spec, basis), max_iter=config.gcv_max_iter)
-
+    """Full-sample iterative cross-validation wrapped as a selection result."""
+    search = functools.partial(full_gcv, max_iter=config.gcv_max_iter)
     return _full_sample_search("gcv", search, dataset, spec, config)
-
-
-def _skip_search(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> GcvResult:
-    """Skip on two streamed (M + q + 1)-column compressions, one per stage.
-
-    Where p + 1 >= n nothing is compressed, and the blocks are held in memory.
-    """
-    if not streams_rows(dataset, spec, basis):
-        return skip_select(assemble_blocks(dataset, spec, basis), dataset.y)
-    rows = DesignRows(dataset, spec, basis)
-    return skip_search(rows.design_at, rows.part_traces, rows.q_parts)
 
 
 def skip_selection(dataset: Dataset, spec: ModelSpec,
                    config: AspConfig = AspConfig()) -> SelectionResult:
     """Full-sample starting-value selection wrapped as a selection result."""
-    return _full_sample_search("skip", _skip_search, dataset, spec, config)
+    return _full_sample_search("skip", skip_select, dataset, spec, config)
 
 
 def order_selection(dataset: Dataset, spec: ModelSpec,
                     config: AspConfig = AspConfig()) -> SelectionResult:
     """Order-based baseline: rate-law lambda, trace-normalized theta.
 
-    Runs the input checks of ``assemble_blocks`` but builds no kernel block.
+    Runs the input checks of the design builders but forms no kernel block.
     """
     t0 = time.perf_counter()
     basis = full_sample_basis(dataset.n, spec.null_dim, config)

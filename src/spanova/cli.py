@@ -309,9 +309,11 @@ def _load_fit_document(path: str):
         effects = parse_model(doc["model"], len(names))
         spec = build_model([_column_from_json(c) for c in doc["columns"]], effects)
         fit_doc = doc["fit"]
+        theta = [float(v) for v in fit_doc["theta"]]
+        if any(v <= 0.0 for v in theta):
+            raise ValueError(f"theta must be positive, got {theta}")
         params = SmoothingParams(log10_nlam=float(fit_doc["log10_nlam"]),
-                                 log10_theta=tuple(
-                                     float(np.log10(v)) for v in fit_doc["theta"]))
+                                 log10_theta=tuple(float(np.log10(v)) for v in theta))
         basis_rows = np.asarray(fit_doc["basis_rows"], dtype=float)
         fit = FitResult(
             d=np.asarray(fit_doc["d"], dtype=float),

@@ -4,9 +4,9 @@ The score is G = n^{-1} ||(I - A)y||^2 / [n^{-1} tr(I - A)]^2.  Three entry
 points cover the selection strategies:
 
 * ``minimize_lambda``: one-dimensional search in nlam at fixed theta.
-* ``skip_search`` (``skip_select`` on blocks): the two-step starting-value
-  algorithm; its output can be used directly, skipping the iterative
-  refinement.
+* ``skip_search`` (``skip_select`` on the rows): the two-step
+  starting-value algorithm; its output can be used directly, skipping the
+  iterative refinement.
 * ``full_gcv``: skip initialization followed by alternating coordinate
   updates of log theta and re-minimization in nlam.
 
@@ -21,15 +21,18 @@ solver's stacked-QR fit (``_stacked_fit``); every theta trial and
 ``gcv_score`` through the same QR (``solver._complement_solve``), with the
 residual read from the complement rows.
 
-``full_gcv`` runs on the n rows compressed to p = M + S q rows
-(``DesignBlocks.compress``, or streamed by ``solver.compressed_blocks``
-without any per-term n-row block), so every exact score, profile and
-theta trial of its search, skip's included, costs the same at any n; its
-coordinate sweep writes K(theta) + w K_delta into one reused stack.
-``skip_search`` needs only a design at each of two thetas, so a
-full-sample skip compresses [T, K(theta), y] (M + q + 1 columns) once per
-stage, streamed from the rows.  The search's factorizations, solves and
-row products run on scipy's LAPACK and BLAS (see ``solver``).
+``skip_select`` and ``full_gcv`` take the rows (dataset, model, basis)
+and build their own designs.  ``full_gcv`` runs on the blocks of
+``solver.compressed_blocks``: where p + 1 < n, the n rows compressed to
+p = M + S q rows without any per-term n-row block, so every exact score,
+profile and theta trial of its search, skip's included, costs the same at
+any n; otherwise the n rows rotated by T's QR.  Its coordinate sweep
+writes K(theta) + w K_delta into one reused stack.  ``skip_search`` needs
+only a design at each of two thetas, so ``skip_select`` compresses
+[T, K(theta), y] (M + q + 1 columns) once per stage, streamed from the
+rows, and holds the blocks in memory only where that compression would
+leave n rows or more.  The search's factorizations, solves and row
+products run on scipy's LAPACK and BLAS (see ``solver``).
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .solver import (CompiledDesign, DesignBlocks, SmoothingParams, _checked_design,
-                     _complement_solve, _dot, _r_factor, _ridged, _stacked_fit, gcv_from_fit)
+from .data import Dataset
+from .kernels import ModelSpec
+from .solver import (BasisSelection, CompiledDesign, DesignBlocks, DesignRows, SmoothingParams,
+                     _checked_design, _complement_solve, _dot, _r_factor, _ridged, _stacked_fit,
+                     assemble_blocks, compressed_blocks, gcv_from_fit, streams_rows)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -222,6 +228,21 @@ def _designs(blocks: DesignBlocks, y: np.ndarray):
     return lambda theta: _design(blocks, y, *blocks.combine(theta))
 
 
+def _skip_designs(dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
+    """A full-sample skip's design provider, part traces and Q_delta.
+
+    Where p + 1 < n each design is one streamed (M + q + 1)-column
+    compression (``DesignRows.design_at``); otherwise the blocks are held
+    in memory (``assemble_blocks``).  Each path is the faster one where it
+    is taken.
+    """
+    if streams_rows(dataset, spec, basis):
+        rows = DesignRows(dataset, spec, basis)
+        return rows.design_at, rows.part_traces, rows.q_parts
+    blocks = assemble_blocks(dataset, spec, basis)
+    return _designs(blocks, dataset.y), blocks.part_traces, blocks.q_parts
+
+
 def _stage_one(design_at, part_traces: np.ndarray):
     if (part_traces <= 0).any():
         raise NumericalError("a kernel block has nonpositive trace")
@@ -232,14 +253,15 @@ def _stage_one(design_at, part_traces: np.ndarray):
     return theta1, x1, c
 
 
-def skip_stage_one(blocks: DesignBlocks, y: np.ndarray):
-    """First skip stage: trace-normalized theta, nlam scan, coefficients.
+def skip_stage_one(dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
+    """First skip stage on the rows: trace-normalized theta, nlam scan, coefficients.
 
     The profile scan picks nlam; c comes from the stacked-QR fit there.
     Returns (theta_1, log10_nlam, c) so the second-stage arithmetic can be
     reproduced externally.
     """
-    return _stage_one(_designs(blocks, y), blocks.part_traces)
+    design_at, part_traces, _ = _skip_designs(dataset, spec, basis)
+    return _stage_one(design_at, part_traces)
 
 
 def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
@@ -247,8 +269,8 @@ def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
 
     ``design_at(theta)`` returns the ``CompiledDesign`` of [T, K(theta), y]
     with Q(theta) = sum_delta theta_delta Q_delta, either from blocks held
-    in memory (``skip_select``) or streamed over the n rows
-    (``solver.DesignRows.design_at``); the arithmetic is the same.
+    in memory or streamed over the n rows (``solver.DesignRows.design_at``);
+    the arithmetic is the same.
 
     Step 1: theta_delta = 1/tr(R_delta) over the fitted rows, minimize the
     score in nlam and extract c.  Step 2: theta_delta0 =
@@ -281,9 +303,9 @@ def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
                      flags=tuple(flags))
 
 
-def skip_select(blocks: DesignBlocks, y: np.ndarray) -> GcvResult:
-    """``skip_search`` on blocks held in memory (see there)."""
-    return skip_search(_designs(blocks, y), blocks.part_traces, blocks.q_parts)
+def skip_select(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> GcvResult:
+    """``skip_search`` on the rows (see there and ``_skip_designs``)."""
+    return skip_search(*_skip_designs(dataset, spec, basis))
 
 
 class _Trials:
@@ -330,15 +352,16 @@ class _Trials:
         return (self.y - kc)[self.m:]
 
 
-def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResult:
-    """Iterative multi-theta GCV minimization.
+def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
+             max_iter: int = 30) -> GcvResult:
+    """Iterative multi-theta GCV minimization on the rows.
 
-    Starts from ``skip_select``; each iteration takes one quasi-Newton step
-    per log10(theta_delta) coordinate with nlam held fixed (central
-    differences, step clamped to one decade, uphill proposals rejected
-    after two backtracks), then re-minimizes over nlam.  Stops when the
-    relative score improvement falls below SCORE_TOL.  The accepted-state
-    score trace is nonincreasing by construction.
+    Starts from ``skip_search`` on the search's blocks; each iteration
+    takes one quasi-Newton step per log10(theta_delta) coordinate with nlam
+    held fixed (central differences, step clamped to one decade, uphill
+    proposals rejected after two backtracks), then re-minimizes over nlam.
+    Stops when the relative score improvement falls below SCORE_TOL.  The
+    accepted-state score trace is nonincreasing by construction.
 
     The objective is invariant under (theta, nlam) -> (s theta, s nlam),
     so only nlam/theta_delta is identified.  The redundant scale is pinned
@@ -346,19 +369,18 @@ def full_gcv(blocks: DesignBlocks, y: np.ndarray, max_iter: int = 30) -> GcvResu
     sweep; otherwise a drifting common scale can push the optimum of the
     identified coordinates outside the fixed nlam search window.
 
-    The rows are compressed on entry (``DesignBlocks.compress``), which
-    leaves T as [R_T; 0]; blocks already in that form, as
-    ``solver.compressed_blocks`` returns them, pass through unchanged.
-    Each theta trial writes K + w K_delta into one reused stack of the
-    complement rows (``_Trials``), so a trial costs O(pq) plus a QR of
-    p - M + q rows and q + 1 columns, whatever n is; T's M columns are
-    never factored again.  Theta trials are scored by that stacked QR and
-    nlam searches by the profile; the two agree to about 1e-12 relative,
-    so only a near-exact tie between a trial and a search minimum could be
-    decided either way.
+    The blocks are built on entry by ``solver.compressed_blocks``, which
+    compresses the rows where p + 1 < n and otherwise rotates the n rows
+    by T's QR, so T is [R_T; 0] either way.  Each theta trial writes
+    K + w K_delta into one reused stack of the complement rows
+    (``_Trials``), so a trial costs O(pq) plus a QR of p - M + q rows and
+    q + 1 columns, whatever n is; T's M columns are never factored again.
+    Theta trials are scored by that stacked QR and nlam searches by the
+    profile; the two agree to about 1e-12 relative, so only a near-exact
+    tie between a trial and a search minimum could be decided either way.
     """
-    blocks, y = blocks.compress(y)
-    init = skip_select(blocks, y)
+    blocks, y = compressed_blocks(dataset, spec, basis)
+    init = skip_search(_designs(blocks, y), blocks.part_traces, blocks.q_parts)
     s = blocks.n_penalized
     theta = init.params.theta.copy()
     log_nlam = init.params.log10_nlam

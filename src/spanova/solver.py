@@ -23,25 +23,27 @@ factors only [K_perp, y_perp; sqrt(nlam) L', 0], q + 1 columns instead of
 M + q + 1.  d follows by back-substitution against R_T.  The effective
 degrees of freedom tr(A) come from the same R.
 
-A selection scores many (theta, nlam) on one response, so it first
-compresses the n rows: one QR of [T, K_1 ... K_S, y] (p + 1 columns,
-p = M + S q), built over row chunks, leaves p rows [R_T, R_1 ... R_S | f]
-with the same cross products, and y'y - f'f = rho^2 with rho R's last
-diagonal entry.  T comes out as [R_T; 0], already absorbed, so the
-search's designs need no rotation.  Every score on the compressed blocks
-adds rho^2 to its residual sum of squares and divides by the observation
-count, so it equals the n-row score while its cost no longer depends on n.
+A selection takes the n rows and scores many (theta, nlam) on one
+response, so its search first compresses them (``compressed_blocks``): one
+QR of [T, K_1 ... K_S, y] (p + 1 columns, p = M + S q), built over row
+chunks, leaves p rows [R_T, R_1 ... R_S | f] with the same cross products,
+and y'y - f'f = rho^2 with rho R's last diagonal entry.  T comes out as
+[R_T; 0], already absorbed, so the search's designs need no rotation.
+Every score on the compressed blocks adds rho^2 to its residual sum of
+squares and divides by the observation count, so it equals the n-row score
+while its cost no longer depends on n.
 
 No selection needs the S per-term n x q blocks K_delta: each chunk's rows
 of K_delta are formed from the kernel at those rows and folded into R
-(``DesignRows``, ``compressed_blocks``), the chunked-QR construction of
-Wood, Goude & Shaw (2015, "Generalized additive models for large data
-sets"), so a selection holds O(p^2 + chunk p) doubles, not S n q.  Skip
-compresses [T, K(theta), y] at each of its two thetas instead, M + q + 1
-columns per pass.  Only where p + 1 >= n, with nothing to compress, are
-the blocks formed over all n rows, in one array that T's QR rotates in
-place (``compressed_blocks``).  A fit at one theta, ``predict`` and the p
-estimate form K(theta) = sum_delta theta_delta K_delta directly
+(``DesignRows``), the chunked-QR construction of Wood, Goude & Shaw (2015,
+"Generalized additive models for large data sets"), so a selection holds
+O(p^2 + chunk p) doubles, not S n q.  A full-sample skip compresses
+[T, K(theta), y] at each of its two thetas instead, M + q + 1 columns per
+pass (``DesignRows.design_at``).  Only where p + 1 >= n, with nothing to
+compress, are the blocks formed over all n rows: in one array that T's QR
+rotates in place for the search (``compressed_blocks``), and as
+``assemble_blocks`` forms them for skip.  A fit at one theta, ``predict``
+and the p estimate form K(theta) = sum_delta theta_delta K_delta directly
 (``kernel_design``), one cache-sized tile of rows at a time; the refit
 rotates K(theta) in place and holds about 2 n q doubles (K(theta) and the
 stack).  Kernel rows formed in tiles or chunks equal the in-memory
@@ -64,7 +66,7 @@ took 0.09-0.19 s at either.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -156,9 +158,9 @@ class DesignBlocks:
     Everything here is independent of the smoothing parameters, so a fit can
     reuse the blocks across theta and nlam choices.  ``part_traces`` holds
     sum_i R_delta(x_i, x_i) over the fitted rows, used by the starting-value
-    algorithm.  Blocks from ``compress`` hold p rows for n_obs observations,
-    and rss_offset is the part of the residual sum of squares that no
-    smoothing parameter can reach.
+    algorithm.  Blocks from ``compressed_blocks`` hold p rows for n_obs
+    observations, and rss_offset is the part of the residual sum of squares
+    that no smoothing parameter can reach.
     """
 
     t: np.ndarray
@@ -166,12 +168,8 @@ class DesignBlocks:
     q_parts: tuple[np.ndarray, ...]
     part_traces: np.ndarray
     basis: BasisSelection
-    n_obs: int | None = None
+    n_obs: int
     rss_offset: float = 0.0
-
-    def __post_init__(self):
-        if self.n_obs is None:
-            self.n_obs = self.t.shape[0]
 
     @property
     def n(self) -> int:
@@ -193,35 +191,6 @@ class DesignBlocks:
         """Weighted kernel design and penalty, K(theta) and Q(theta)."""
         theta = _theta_vector(theta, self.n_penalized)
         return _weighted_sum(theta, self.k_parts), _weighted_sum(theta, self.q_parts)
-
-    def compress(self, y) -> tuple["DesignBlocks", np.ndarray]:
-        """Blocks and response reduced to p = M + S q rows by one QR.
-
-        The rows of [T, K_1 ... K_S, y] are read from the blocks held in
-        memory and folded into R chunk by chunk (``_compress_rows``).  R's
-        first p rows replace T, each K_delta and y, so T comes out as
-        [R_T; 0]; the square of R's last diagonal entry adds to rss_offset.
-        When p + 1 >= n nothing is compressed, but T is still brought to
-        [R_T; 0]: copies of the blocks and y are rotated by T's QR
-        (``NullQR``, ``_rotated_blocks``).  Blocks whose T already has that
-        form, compressed or not, come back unchanged.
-        """
-        y = np.asarray(y, dtype=float)
-        n, m, q = self.n, self.n_null, self.q
-        if y.shape != (n,):
-            raise InputError(f"y must have one entry per row ({n})")
-        p = m + self.n_penalized * q
-        if p + 1 >= n:
-            null = NullQR(self.t)
-            if null.factor is None:
-                return self, y
-            k_parts = _rotated_blocks(null, lambda lo, hi: (kp[lo:hi] for kp in self.k_parts),
-                                      n, q, self.n_penalized)
-            return replace(self, t=null.triangle(), k_parts=k_parts), null.rotate(y)
-        t, k_parts, rho2, f = _compress_rows(
-            self.t, lambda lo, hi: (kp[lo:hi] for kp in self.k_parts), y,
-            self.n_penalized, q)
-        return replace(self, t=t, k_parts=k_parts, rss_offset=self.rss_offset + rho2), f
 
 
 def _rotated_blocks(null: "NullQR", kernel_rows, n: int, q: int, s: int) -> tuple[np.ndarray, ...]:
@@ -439,7 +408,8 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     """
     rows = DesignRows(dataset, spec, basis)
     return DesignBlocks(t=rows.t, k_parts=tuple(rows.kernel_rows(0, dataset.n)),
-                        q_parts=rows.q_parts, part_traces=rows.part_traces, basis=basis)
+                        q_parts=rows.q_parts, part_traces=rows.part_traces, basis=basis,
+                        n_obs=dataset.n)
 
 
 class DesignRows:
@@ -464,25 +434,11 @@ class DesignRows:
         spec = self.spec
         return term_grams(spec.penalized_terms, spec.domains, self.dataset.x[lo:hi], self.z)
 
-    def compress(self) -> tuple[DesignBlocks, np.ndarray]:
-        """Blocks and response reduced to p = M + S q rows by one streamed QR.
-
-        Equals ``assemble_blocks(...).compress(y)`` bit for bit: the chunks
-        hold the same rows, and each kernel entry is formed by the same
-        elementwise operations.
-        """
-        ds = self.dataset
-        t, k_parts, rho2, f = _compress_rows(self.t, self.kernel_rows, ds.y,
-                                             self.spec.n_penalized, self.basis.q)
-        return DesignBlocks(t=t, k_parts=k_parts, q_parts=self.q_parts,
-                            part_traces=self.part_traces, basis=self.basis,
-                            n_obs=ds.n, rss_offset=rho2), f
-
     def design_at(self, theta) -> CompiledDesign:
         """Design of [T, K(theta), y] at one theta, compressed to M + q rows.
 
         K(theta) is formed chunk by chunk as in ``kernel_design``; the QR
-        has M + q + 1 columns, not the p + 1 of ``compress``.
+        has M + q + 1 columns, not the p + 1 of ``compressed_blocks``.
         """
         theta = _theta_vector(theta, self.spec.n_penalized)
         ds = self.dataset
@@ -499,22 +455,25 @@ def streams_rows(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> bo
 
 def compressed_blocks(dataset: Dataset, spec: ModelSpec,
                       basis: BasisSelection) -> tuple[DesignBlocks, np.ndarray]:
-    """``assemble_blocks(dataset, spec, basis).compress(dataset.y)``, streamed.
+    """The blocks and response of a search, with T brought to [R_T; 0].
 
-    When p + 1 < n the rows are compressed chunk by chunk
-    (``DesignRows.compress``), bit-identical to the in-memory blocks'
-    compression.  Otherwise the blocks are formed over all n rows, copied
-    into one array as each forms, and rotated there by T's QR
-    (``_rotated_blocks``), so T comes out as [R_T; 0] and no second copy
-    of the S blocks exists.
+    When p + 1 < n the rows of [T, K_1 ... K_S, y] are compressed to p rows
+    chunk by chunk (``_compress_rows``), and no per-term n-row block
+    exists.  Otherwise the blocks are formed over all n rows, copied into
+    one array as each forms, and rotated there by T's QR
+    (``_rotated_blocks``), so no second copy of the S blocks exists.
     """
     rows = DesignRows(dataset, spec, basis)
+    s, q = spec.n_penalized, basis.q
     if streams_rows(dataset, spec, basis):
-        return rows.compress()
-    null = NullQR(rows.t)
-    k_parts = _rotated_blocks(null, rows.kernel_rows, dataset.n, basis.q, spec.n_penalized)
-    return DesignBlocks(t=null.triangle(), k_parts=k_parts, q_parts=rows.q_parts,
-                        part_traces=rows.part_traces, basis=basis), null.rotate(dataset.y)
+        t, k_parts, rho2, f = _compress_rows(rows.t, rows.kernel_rows, dataset.y, s, q)
+    else:
+        null = NullQR(rows.t)
+        t, rho2, f = null.triangle(), 0.0, null.rotate(dataset.y)
+        k_parts = _rotated_blocks(null, rows.kernel_rows, dataset.n, q, s)
+    return DesignBlocks(t=t, k_parts=k_parts, q_parts=rows.q_parts,
+                        part_traces=rows.part_traces, basis=basis, n_obs=dataset.n,
+                        rss_offset=rho2), f
 
 
 def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -572,7 +531,7 @@ class CompiledDesign:
     Cholesky factor exists when Q is only semidefinite.  ``n`` is the row
     count of the system; on compressed blocks the scores divide by
     ``n_obs`` observations and add ``rss_offset`` to the residual sum of
-    squares (see ``DesignBlocks.compress``).
+    squares (see ``compressed_blocks``).
 
     The QR reads the complement rows through ``stack`` and the score its
     residual through ``residual``; ``gcv.full_gcv``'s theta trials provide

@@ -76,8 +76,9 @@ def test_absorbed_scores_match_with_t_stack(scenario, n):
 
 
 def search_problem(scenario="m1", n=1200, seed=3):
+    """The rows of a search and the blocks ``full_gcv`` builds from them."""
     ds, spec, basis = problem(scenario, n, seed)
-    return compressed_blocks(ds, spec, basis)
+    return (ds, spec, basis), compressed_blocks(ds, spec, basis)
 
 
 # m4's 87 coordinates include flat ones, where the sweep's curvature estimate
@@ -89,7 +90,7 @@ def search_problem(scenario="m1", n=1200, seed=3):
 def test_full_gcv_matches_with_t_trial_scores(monkeypatch, scenario, n, tol):
     """Every theta trial scores as the with-T stack does, and a search that
     scores its trials by the with-T stack lands on the same parameters."""
-    blocks, f = search_problem(scenario, n)
+    rows, (blocks, f) = search_problem(scenario, n)
     real = gcv._exact_score
 
     def reference(trial, nlam):
@@ -103,9 +104,9 @@ def test_full_gcv_matches_with_t_trial_scores(monkeypatch, scenario, n, tol):
         return got
 
     monkeypatch.setattr(gcv, "_exact_score", checked)
-    want = full_gcv(blocks, f, max_iter=3)
+    want = full_gcv(*rows, max_iter=3)
     monkeypatch.setattr(gcv, "_exact_score", reference)
-    got = full_gcv(blocks, f, max_iter=3)
+    got = full_gcv(*rows, max_iter=3)
     assert got.params.log10_nlam == pytest.approx(want.params.log10_nlam, abs=tol)
     np.testing.assert_allclose(got.params.log10_theta, want.params.log10_theta, rtol=0.0,
                                atol=tol)
@@ -113,8 +114,9 @@ def test_full_gcv_matches_with_t_trial_scores(monkeypatch, scenario, n, tol):
 
 @pytest.mark.parametrize("scenario,n", [("m1", 1200), ("m4", 300)])
 def test_search_qrs_factor_only_k_and_y_columns(monkeypatch, scenario, n):
-    """On blocks whose T is [R_T; 0], no QR inside full_gcv sees T's columns."""
-    blocks, f = search_problem(scenario, n)
+    """full_gcv's blocks hold T as [R_T; 0], so no QR of its search, after
+    the blocks are built, sees T's columns."""
+    rows, (blocks, f) = search_problem(scenario, n)
     widths = []
     real = solver._r_factor
 
@@ -122,9 +124,10 @@ def test_search_qrs_factor_only_k_and_y_columns(monkeypatch, scenario, n):
         widths.append(stack.shape[1])
         return real(stack)
 
+    monkeypatch.setattr(gcv, "compressed_blocks", lambda *args: (blocks, f))
     monkeypatch.setattr(solver, "_r_factor", recording)
     monkeypatch.setattr(gcv, "_r_factor", recording)
-    full_gcv(blocks, f, max_iter=2)
+    full_gcv(*rows, max_iter=2)
     assert widths and max(widths) <= blocks.q + 1
 
 

@@ -190,7 +190,7 @@ def test_04_starting_value_hand_arithmetic(capsys):
     blocks = assemble_blocks(ds, spec, select_basis(5, 4, seed=0))
     from spanova.gcv import skip_stage_one
 
-    theta1, _, c = skip_stage_one(blocks, ds.y)
+    theta1, _, c = skip_stage_one(ds, spec, blocks.basis)
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
         acc = 0.0
@@ -200,7 +200,7 @@ def test_04_starting_value_hand_arithmetic(capsys):
                 row += qp[i, j] * c[j]
             acc += c[i] * row
         hand.append(theta1[delta] ** 2 * acc)
-    res = skip_select(blocks, ds.y)
+    res = skip_select(ds, spec, blocks.basis)
     gap = float(np.abs(res.params.theta / np.asarray(hand) - 1.0).max())
     ok = gap <= 1e-12
     _report(capsys, "04 starting-value-hand-arithmetic", ok,

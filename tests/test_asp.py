@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spanova import asp
+from spanova import asp, solver
 from spanova.asp import (
     AspConfig,
     RateFit,
@@ -427,9 +427,9 @@ def test_order_selection_checks_inputs_without_kernel_blocks(monkeypatch):
         order_selection(data, spec, AspConfig(jobs=1))
 
     def no_blocks(*args):
-        raise AssertionError("order_selection assembled kernel blocks")
+        raise AssertionError("order_selection formed kernel blocks")
 
-    monkeypatch.setattr(asp, "assemble_blocks", no_blocks)
+    monkeypatch.setattr(solver, "term_grams", no_blocks)
     data, spec = sine_dataset(250, seed=5)
     assert order_selection(data, spec, AspConfig(jobs=1)).theta[0] > 0
 
@@ -438,14 +438,14 @@ def test_order_selection_checks_inputs_without_kernel_blocks(monkeypatch):
                                       asp_asymptotic])
 def test_selectors_reject_constant_response(selector, monkeypatch):
     """A constant y has no smoothing parameter to select; the check runs
-    before any kernel block is assembled."""
+    before any kernel block is formed."""
     data = gen_data("m1", 2000, snr=5.0, seed=0).dataset
     data = Dataset(x=data.x, y=np.full(data.n, 3.0), domains=data.domains)
 
     def no_blocks(*args):
-        raise AssertionError("kernel blocks assembled for a constant response")
+        raise AssertionError("kernel blocks formed for a constant response")
 
-    monkeypatch.setattr(asp, "assemble_blocks", no_blocks)
+    monkeypatch.setattr(solver, "term_grams", no_blocks)
     with pytest.raises(InputError, match="response is constant"):
         selector(data, SCENARIOS["m1"].spec, AspConfig(jobs=1))
 

@@ -431,7 +431,10 @@ def test_simulate_and_bench_files_are_the_bytes_csv_writer_writes(tmp_path):
     lambda doc: {**doc, "fit": {**doc["fit"], "c": "abc"}},
     lambda doc: {**doc, "fit": {**doc["fit"], "c": doc["fit"]["c"][:-1]}},
     lambda doc: {**doc, "fit": {**doc["fit"], "basis_rows": 5}},
-], ids=["list", "non-numeric-c", "short-c", "scalar-basis-rows"])
+    lambda doc: {**doc, "fit": {**doc["fit"], "theta": [0.0] * len(doc["fit"]["theta"])}},
+    lambda doc: {**doc, "fit": {**doc["fit"], "theta": [-1.0] * len(doc["fit"]["theta"])}},
+], ids=["list", "non-numeric-c", "short-c", "scalar-basis-rows", "nonpositive-theta-zero",
+        "nonpositive-theta-negative"])
 def test_predict_exit_code_on_malformed_fit_document(fitted_paths, tmp_path, capsys, corrupt):
     sim, fit_path, _, _ = fitted_paths
     bad = tmp_path / "bad.json"

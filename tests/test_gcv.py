@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -15,6 +16,7 @@ from spanova.gcv import (
     gcv_score,
     golden_minimize,
     minimize_lambda,
+    skip_search,
     skip_select,
     skip_stage_one,
 )
@@ -23,11 +25,11 @@ from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     BasisSelection,
     CompiledDesign,
-    DesignBlocks,
     SmoothingParams,
     _stacked_fit,
     assemble_blocks,
     basis_count,
+    compressed_blocks,
     fit_model,
     select_basis,
 )
@@ -164,8 +166,9 @@ def test_theta_lambda_redundancy():
 # --------------------------------------------------------- compressed scores
 
 
-def assert_compressed_scores_match(blocks, y, thetas, log_nlams):
-    small, f = blocks.compress(y)
+def assert_compressed_scores_match(ds, spec, blocks, thetas, log_nlams):
+    y = ds.y
+    small, f = compressed_blocks(ds, spec, blocks.basis)
     assert small.n == blocks.n_null + blocks.n_penalized * blocks.q < blocks.n
     assert small.n_obs == blocks.n
     for theta in thetas:
@@ -186,7 +189,8 @@ def test_compressed_exact_score_matches_direct(scenario):
     rng = np.random.default_rng(3)
     thetas = [np.ones(blocks.n_penalized)]
     thetas += [10.0 ** rng.uniform(-1.0, 1.0, blocks.n_penalized) for _ in range(2)]
-    assert_compressed_scores_match(blocks, ds.y, thetas, (-5.0, -3.0, -1.0, 1.0))
+    assert_compressed_scores_match(ds, SCENARIOS[scenario].spec, blocks, thetas,
+                                   (-5.0, -3.0, -1.0, 1.0))
 
 
 def test_compressed_exact_score_matches_direct_on_tied_basis():
@@ -195,14 +199,14 @@ def test_compressed_exact_score_matches_direct_on_tied_basis():
     ds, spec, blocks = collinear_problem()
     assert np.linalg.matrix_rank(np.hstack([blocks.t, blocks.k_parts[0]])) < \
         blocks.n_null + blocks.q
-    assert_compressed_scores_match(blocks, ds.y, [np.ones(1), np.array([7.0])],
+    assert_compressed_scores_match(ds, spec, blocks, [np.ones(1), np.array([7.0])],
                                    (-8.0, -5.0, -2.0, 1.0))
 
 
 @functools.cache
 def compressed_two_term():
     ds, spec, blocks = two_term_problem(23, n=200, q=18)
-    return blocks.compress(ds.y)
+    return compressed_blocks(ds, spec, blocks.basis)
 
 
 @settings(max_examples=30, deadline=None)
@@ -218,16 +222,23 @@ def test_compressed_score_invariant_to_common_scale(log_scale, log_nlam, log_the
     assert scaled == pytest.approx(base, rel=1e-10)
 
 
-def test_full_gcv_on_compressed_blocks_matches_direct_search():
-    """full_gcv compresses on entry; compressed input gives the same search."""
-    ds, spec, blocks = two_term_problem(24, n=300, q=18)
-    small, f = blocks.compress(ds.y)
-    assert small.n < blocks.n
-    direct, compressed = full_gcv(blocks, ds.y), full_gcv(small, f)
-    assert compressed.params == direct.params
-    assert compressed.score == direct.score
-    fit = fit_model(ds, spec, direct.params, basis=blocks.basis)
-    assert fit.gcv == pytest.approx(direct.score, rel=1e-10)
+@pytest.mark.parametrize("scenario", ["u2", "m1", "m2"])
+def test_full_gcv_on_compressed_rows_matches_rotated_rows(monkeypatch, scenario):
+    """full_gcv on the rows compressed to p rows selects what it selects on
+    the n rows rotated by T's QR: the scores agree to rounding."""
+    ds, blocks = scenario_problem(scenario, 600)
+    spec = SCENARIOS[scenario].spec
+    assert solver.streams_rows(ds, spec, blocks.basis)
+    compressed = full_gcv(ds, spec, blocks.basis)
+    monkeypatch.setattr(solver, "streams_rows", lambda *args: False)
+    assert compressed_blocks(ds, spec, blocks.basis)[0].n == ds.n
+    rotated = full_gcv(ds, spec, blocks.basis)
+    assert compressed.score == pytest.approx(rotated.score, rel=1e-10)
+    assert compressed.params.log10_nlam == pytest.approx(rotated.params.log10_nlam, abs=1e-9)
+    np.testing.assert_allclose(compressed.params.log10_theta, rotated.params.log10_theta,
+                               rtol=0.0, atol=1e-9)
+    fit = fit_model(ds, spec, compressed.params, basis=blocks.basis)
+    assert fit.gcv == pytest.approx(compressed.score, rel=1e-10)
 
 
 # ----------------------------------------------------------------- minimizer
@@ -339,7 +350,7 @@ def test_skip_stage_two_arithmetic_by_hand():
     spec = main_effects_model(unit_domains(2))
     ds = Dataset(x=x, y=y, domains=spec.domains)
     blocks = assemble_blocks(ds, spec, select_basis(5, 4, seed=0))
-    theta1, _, c = skip_stage_one(blocks, ds.y)
+    theta1, _, c = skip_stage_one(ds, spec, blocks.basis)
     # hand arithmetic: explicit accumulation of the quadratic forms
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
@@ -350,7 +361,7 @@ def test_skip_stage_two_arithmetic_by_hand():
                 row += qp[i, j] * c[j]
             acc += c[i] * row
         hand.append(theta1[delta] ** 2 * acc)
-    res = skip_select(blocks, ds.y)
+    res = skip_select(ds, spec, blocks.basis)
     np.testing.assert_allclose(res.params.theta, hand, rtol=1e-13)
 
 
@@ -358,7 +369,7 @@ def test_skip_trace_normalization_stage():
     from spanova.kernels import term_gram_diag
 
     ds, spec, blocks = two_term_problem(5)
-    theta1, _, _ = skip_stage_one(blocks, ds.y)
+    theta1, _, _ = skip_stage_one(ds, spec, blocks.basis)
     for delta, term in enumerate(spec.penalized_terms):
         tr = term_gram_diag(term, spec.domains, ds.x).sum()
         assert theta1[delta] == pytest.approx(1.0 / tr, rel=1e-14)
@@ -367,21 +378,20 @@ def test_skip_trace_normalization_stage():
 def test_skip_dominant_component_gets_largest_weight():
     # the response uses predictor 1 only, so its term should dominate
     ds, spec, blocks = two_term_problem(7, n=150, q=22, noise=0.1, second_weight=0.0)
-    res = skip_select(blocks, ds.y)
+    res = skip_select(ds, spec, blocks.basis)
     theta = res.params.theta
     assert theta[0] > 10 * theta[1]
 
 
 def test_skip_floors_zero_quadratic_form():
     ds, spec, blocks = smooth_problem(8, n=60, q=14)
-    dead = DesignBlocks(
-        t=blocks.t,
+    dead = dataclasses.replace(
+        blocks,
         k_parts=(blocks.k_parts[0], np.zeros_like(blocks.k_parts[0])),
         q_parts=(blocks.q_parts[0], np.zeros_like(blocks.q_parts[0])),
         part_traces=np.array([blocks.part_traces[0], 1.0]),
-        basis=blocks.basis,
     )
-    res = skip_select(dead, ds.y)
+    res = skip_search(gcv._designs(dead, ds.y), dead.part_traces, dead.q_parts)
     assert "theta-floor" in res.flags
     theta = res.params.theta
     assert theta[1] == pytest.approx(1e-12 * theta[0], rel=1e-10)
@@ -391,13 +401,15 @@ def test_skip_floors_zero_quadratic_form():
 def test_skip_select_invariant_to_response_scale(scenario, n):
     """theta_0 scales with y^2; the nlam it reports follows, on any scale."""
     ds, blocks = scenario_problem(scenario, n)
-    base = skip_select(blocks, ds.y)
+    spec = SCENARIOS[scenario].spec
+    base = skip_select(ds, spec, blocks.basis)
     assert not base.flags
     # the scan's minimum is the score of record: the fit at its params agrees
-    fit = fit_model(ds, SCENARIOS[scenario].spec, base.params, basis=blocks.basis)
+    fit = fit_model(ds, spec, base.params, basis=blocks.basis)
     assert fit.gcv == pytest.approx(base.score, rel=1e-9)
     for a in (1e-4, 1e4):
-        res = skip_select(blocks, a * ds.y)
+        scaled = Dataset(x=ds.x, y=a * ds.y, domains=ds.domains)
+        res = skip_select(scaled, spec, blocks.basis)
         assert res.params.log10_nlam - 2 * np.log10(a) == \
             pytest.approx(base.params.log10_nlam, abs=1e-3)
         np.testing.assert_allclose(np.asarray(res.params.log10_theta) - 2 * np.log10(a),
@@ -423,19 +435,22 @@ def test_selection_invariant_to_row_order(scenario):
     perm = np.random.default_rng(5).permutation(n)
     moved_to = np.argsort(perm)  # row i of ds is row moved_to[i] of shuffled
     shuffled = ds.take(perm)
-    shuffled_blocks = assemble_blocks(shuffled, SCENARIOS[scenario].spec,
-                                      BasisSelection(indices=moved_to[blocks.basis.indices]))
+    spec = SCENARIOS[scenario].spec
+    shuffled_basis = BasisSelection(indices=moved_to[blocks.basis.indices])
     for select in (full_gcv, skip_select):
-        assert_same_selection(select(shuffled_blocks, shuffled.y), select(blocks, ds.y))
+        assert_same_selection(select(shuffled, spec, shuffled_basis),
+                              select(ds, spec, blocks.basis))
 
 
 def test_full_gcv_invariant_to_affine_response():
     """y -> a y + b scales the score by a^2 and moves no parameter: theta is
     pinned to geometric mean 1 and the intercept absorbs b."""
     ds, blocks = scenario_problem("m1", 1000)
-    base = full_gcv(blocks, ds.y)
+    spec = SCENARIOS["m1"].spec
+    base = full_gcv(ds, spec, blocks.basis)
     for a, b in ((1e4, 0.0), (1e-4, 0.0), (1e8, 0.0), (1e-8, 0.0), (1.0, 1e3), (3.0, -7.0)):
-        assert_same_selection(full_gcv(blocks, a * ds.y + b), base, score_scale=a * a)
+        moved = Dataset(x=ds.x, y=a * ds.y + b, domains=ds.domains)
+        assert_same_selection(full_gcv(moved, spec, blocks.basis), base, score_scale=a * a)
 
 
 # ------------------------------------------------------------------ full gcv
@@ -443,8 +458,8 @@ def test_full_gcv_invariant_to_affine_response():
 
 def test_full_gcv_improves_on_skip():
     ds, spec, blocks = two_term_problem(10)
-    sk = skip_select(blocks, ds.y)
-    fg = full_gcv(blocks, ds.y)
+    sk = skip_select(ds, spec, blocks.basis)
+    fg = full_gcv(ds, spec, blocks.basis)
     assert fg.score <= sk.score + 1e-12
 
 
@@ -461,7 +476,7 @@ def test_full_gcv_runs_no_input_check(monkeypatch):
     for module in (solver, gcv):
         monkeypatch.setattr(module, "_checked_design", counting)
     ds, spec, blocks = two_term_problem(12)
-    fg = full_gcv(blocks, ds.y, max_iter=3)
+    fg = full_gcv(ds, spec, blocks.basis, max_iter=3)
     assert fg.iterations >= 1
     assert calls == []
     k, q = blocks.combine(fg.params.theta)
@@ -471,9 +486,9 @@ def test_full_gcv_runs_no_input_check(monkeypatch):
 
 def test_full_gcv_trace_nonincreasing_and_deterministic():
     ds, spec, blocks = two_term_problem(11)
-    fg = full_gcv(blocks, ds.y)
+    fg = full_gcv(ds, spec, blocks.basis)
     assert all(a >= b - 1e-15 for a, b in zip(fg.score_trace, fg.score_trace[1:]))
-    fg2 = full_gcv(blocks, ds.y)
+    fg2 = full_gcv(ds, spec, blocks.basis)
     assert fg == fg2
     assert fg.iterations <= 30
     assert fg.score > 0
@@ -481,7 +496,7 @@ def test_full_gcv_trace_nonincreasing_and_deterministic():
 
 def test_full_gcv_single_term_reduces_to_lambda_search():
     ds, spec, blocks = smooth_problem(12, n=60, q=18)
-    fg = full_gcv(blocks, ds.y)
+    fg = full_gcv(ds, spec, blocks.basis)
     k, q = blocks.combine(fg.params.theta)
     ml = minimize_lambda(blocks.t, k, q, ds.y, theta=fg.params.theta)
     f1 = fit_model(ds, spec, fg.params, basis=blocks.basis)
@@ -497,10 +512,10 @@ def test_full_gcv_pins_theta_scale():
     undersmoothed plateau.
     """
     ds2, spec2, blocks2 = two_term_problem(15)
-    fg2 = full_gcv(blocks2, ds2.y)
+    fg2 = full_gcv(ds2, spec2, blocks2.basis)
     assert abs(np.mean(fg2.params.log10_theta)) < 1e-9
     ds1, spec1, blocks1 = smooth_problem(16, n=60, q=18)
-    fg1 = full_gcv(blocks1, ds1.y)
+    fg1 = full_gcv(ds1, spec1, blocks1.basis)
     assert abs(fg1.params.log10_theta[0]) < 1e-12
     assert -12.0 <= fg1.params.log10_nlam <= 3.0
 
@@ -510,7 +525,7 @@ def test_full_gcv_beats_three_dimensional_grid():
     from spanova.gcv import LambdaProfile, _profile_at
 
     ds, spec, blocks = two_term_problem(14, n=60, q=14)
-    fg = full_gcv(blocks, ds.y)
+    fg = full_gcv(ds, spec, blocks.basis)
     best = np.inf
     for lt1 in np.linspace(-2, 6, 20):
         for lt2 in np.linspace(-2, 6, 20):
@@ -540,7 +555,7 @@ def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
     ds, blocks = scenario_problem("m1", 400, seed=2)
     spec = SCENARIOS["m1"].spec
     theta = np.ones(blocks.n_penalized)
-    expected = (full_gcv(blocks, ds.y), skip_select(blocks, ds.y))
+    expected = (full_gcv(ds, spec, blocks.basis), skip_select(ds, spec, blocks.basis))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("numpy.linalg called in the search or the fit")
@@ -548,7 +563,7 @@ def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
     for module in (np.linalg, np.linalg._linalg):
         for name in ("eigh", "solve", "cholesky", "qr", "svd", "lstsq", "matrix_rank"):
             monkeypatch.setattr(module, name, forbidden)
-    assert (full_gcv(blocks, ds.y), skip_select(blocks, ds.y)) == expected
+    assert (full_gcv(ds, spec, blocks.basis), skip_select(ds, spec, blocks.basis)) == expected
     d, c, fitted, trace_a = _stacked_fit(design_at(blocks, ds.y, theta), 1e-3)
     assert np.isfinite(fitted).all() and 0.0 < trace_a < ds.n
     config = asp.AspConfig(jobs=1)
@@ -558,3 +573,17 @@ def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
     fit = fit_model(ds, spec, sel.params, basis=asp.full_sample_basis(ds.n, spec.null_dim))
     pred, _ = predict(fit, spec, ds.x[:50])
     np.testing.assert_allclose(pred, fit.fitted[:50], rtol=1e-10, atol=1e-12)
+
+
+# -------------------------------------------------------- one design builder
+
+
+def test_asp_holds_no_design_builder():
+    """The selections hand the rows to gcv, whose searches build their own
+    designs, so the stream-or-not choice is made in one place.  A builder
+    that creeps back into asp fails here."""
+    from spanova import asp
+
+    builders = ("DesignRows", "DesignBlocks", "assemble_blocks", "compressed_blocks",
+                "streams_rows")
+    assert [name for name in builders if hasattr(asp, name)] == []

@@ -285,12 +285,12 @@ def test_run_benchmark_refits_build_no_per_term_blocks(monkeypatch):
     """Neither the searches nor the refits build per-term n-row blocks: the
     searches stream the rows and the refits form K(theta) from the basis,
     so every kernel block has at most COMPRESS_CHUNK rows."""
-    from spanova import solver
+    from spanova import gcv, solver
 
     def forbidden(*args):
         raise AssertionError("run_benchmark assembled per-term blocks")
 
-    for module in (asp, simulate, solver):
+    for module in (asp, gcv, simulate, solver):
         monkeypatch.setattr(module, "assemble_blocks", forbidden, raising=False)
     block_rows = []
     real_grams = solver.term_grams

@@ -13,6 +13,7 @@ from spanova.solver import (
     assemble,
     assemble_blocks,
     basis_count,
+    compressed_blocks,
     demmler_reinsch,
     fit_model,
     hat_trace,
@@ -317,7 +318,7 @@ def test_sweep_updates_match_fresh_combine():
     """full_gcv's one-block trial and accepted updates of K and Q agree with
     a fresh combine, in the complement rows a trial reads."""
     ds, spec, basis = make_problem(3, 200, d=2, q=16)
-    blocks, y = assemble_blocks(ds, spec, basis).compress(ds.y)
+    blocks, y = compressed_blocks(ds, spec, basis)
     m = blocks.n_null
     rng = np.random.default_rng(4)
     theta = 10.0 ** rng.uniform(-1.0, 1.0, blocks.n_penalized)
@@ -344,10 +345,11 @@ def test_compress_keeps_cross_products(monkeypatch, chunk):
     monkeypatch.setattr(solver, "COMPRESS_CHUNK", chunk)
     ds, spec, basis = make_problem(5, 150, d=1, q=17)
     blocks = assemble_blocks(ds, spec, basis)
-    small, f = blocks.compress(ds.y)
+    small, f = compressed_blocks(ds, spec, basis)
     p = blocks.n_null + blocks.q
     assert small.t.shape == (p, blocks.n_null) and f.shape == (p,)
-    assert small.n_obs == 150 and small.q_parts is blocks.q_parts
+    assert small.n_obs == 150
+    assert all(np.array_equal(a, b) for a, b in zip(small.q_parts, blocks.q_parts, strict=True))
     full = np.hstack([blocks.t, *blocks.k_parts])
     reduced = np.hstack([small.t, *small.k_parts])
     scale = np.abs(full.T @ full).max()
@@ -355,31 +357,24 @@ def test_compress_keeps_cross_products(monkeypatch, chunk):
     np.testing.assert_allclose(reduced.T @ f, full.T @ ds.y, rtol=0.0, atol=1e-12 * scale)
     assert f @ f + small.rss_offset == pytest.approx(ds.y @ ds.y, rel=1e-12)
     assert np.allclose(np.tril(reduced[:, :p], -1), 0.0)
-    with pytest.raises(InputError):
-        blocks.compress(ds.y[:-1])
 
 
 def test_compress_absorbs_t_without_compressing_when_p_reaches_n():
     """m4's 87 penalized terms give p = M + S q far above n: the n rows stay,
-    but copies of the blocks and y are rotated so T reads [R_T; 0], with
-    the same cross products; the caller's blocks are not touched, and
-    blocks already in that form pass through."""
+    but the blocks and y are rotated so T reads [R_T; 0], with the same
+    cross products."""
     sim = gen_data("m4", 300, 5.0, seed=0)
     y = sim.dataset.y
-    blocks = assemble_blocks(sim.dataset, SCENARIOS["m4"].spec,
-                             select_basis(300, basis_count(300), seed=0))
+    spec, basis = SCENARIOS["m4"].spec, select_basis(300, basis_count(300), seed=0)
+    blocks = assemble_blocks(sim.dataset, spec, basis)
     assert blocks.n_null + blocks.n_penalized * blocks.q + 1 >= blocks.n
-    k0 = blocks.k_parts[0].copy()
-    small, f = blocks.compress(y)
+    small, f = compressed_blocks(sim.dataset, spec, basis)
     assert small.n == small.n_obs == 300 and small.rss_offset == 0.0
     assert not np.tril(small.t, -1).any()
     full = np.hstack([blocks.t, *blocks.k_parts[:3], y[:, None]])
     rotated = np.hstack([small.t, *small.k_parts[:3], f[:, None]])
     np.testing.assert_allclose(rotated.T @ rotated, full.T @ full, rtol=0.0,
                                atol=1e-12 * np.abs(full.T @ full).max())
-    assert np.array_equal(blocks.k_parts[0], k0)
-    again, f2 = small.compress(f)
-    assert again is small and f2 is f
 
 
 def test_smoothing_params_round_trip():

@@ -2,12 +2,13 @@
 with no per-term n-row block, and the same selections as the blocks held
 in memory."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spanova import asp, solver
+from spanova import gcv, solver
 from spanova.asp import AspConfig, asp_uniform, full_sample_basis, gcv_select, skip_selection
 from spanova.data import Dataset, unit_domains
 from spanova.gcv import skip_search, skip_select
@@ -38,6 +39,22 @@ def scenario_problem(scenario, n, seed=0):
     return sim.dataset, SCENARIOS[scenario].spec, select_basis(n, basis_count(n), seed=seed)
 
 
+def in_memory_compression(ds, spec, basis):
+    """``compressed_blocks``' result from the blocks held in memory: their
+    rows compressed by ``_compress_rows`` where p + 1 < n, and otherwise
+    rotated, all S blocks in one array, by T's QR."""
+    blocks = assemble_blocks(ds, spec, basis)
+    s, q = blocks.n_penalized, blocks.q
+    if solver.streams_rows(ds, spec, basis):
+        t, k_parts, rho2, f = solver._compress_rows(
+            blocks.t, lambda lo, hi: (kp[lo:hi] for kp in blocks.k_parts), ds.y, s, q)
+        return dataclasses.replace(blocks, t=t, k_parts=k_parts, rss_offset=rho2), f
+    null = solver.NullQR(blocks.t)
+    rotated = null.rotate(np.hstack(blocks.k_parts))
+    k_parts = tuple(rotated[:, j * q:(j + 1) * q] for j in range(s))
+    return dataclasses.replace(blocks, t=null.triangle(), k_parts=k_parts), null.rotate(ds.y)
+
+
 @pytest.mark.parametrize("chunk", [7, 40, 2048])
 @pytest.mark.parametrize("problem", ["u2", "m1", "m2", "tied"])
 def test_streamed_blocks_equal_in_memory_compression(monkeypatch, problem, chunk):
@@ -45,7 +62,7 @@ def test_streamed_blocks_equal_in_memory_compression(monkeypatch, problem, chunk
     largest, which takes them in one."""
     monkeypatch.setattr(solver, "COMPRESS_CHUNK", chunk)
     ds, spec, basis = tied_problem() if problem == "tied" else scenario_problem(problem, 300)
-    want, f_want = assemble_blocks(ds, spec, basis).compress(ds.y)
+    want, f_want = in_memory_compression(ds, spec, basis)
     got, f = compressed_blocks(ds, spec, basis)
     assert got.n == spec.null_dim + spec.n_penalized * basis.q < ds.n
     assert np.array_equal(got.t, want.t)
@@ -61,7 +78,7 @@ def test_builder_rotates_in_memory_blocks_when_p_reaches_n():
     """m4's 87 penalized terms give p = M + S q far above n: the blocks are
     rotated in place as they form, bit-identical to rotated copies."""
     ds, spec, basis = scenario_problem("m4", 300)
-    want, f_want = assemble_blocks(ds, spec, basis).compress(ds.y)
+    want, f_want = in_memory_compression(ds, spec, basis)
     got, f = compressed_blocks(ds, spec, basis)
     assert got.n == want.n == 300 and got.n_obs == 300 and got.rss_offset == 0.0
     assert np.array_equal(got.t, want.t) and not np.tril(got.t, -1).any()
@@ -70,13 +87,15 @@ def test_builder_rotates_in_memory_blocks_when_p_reaches_n():
 
 
 @pytest.mark.parametrize("scenario", ["u2", "m1", "m2"])
-def test_streamed_skip_matches_in_memory_skip(scenario):
+def test_streamed_skip_matches_in_memory_skip(monkeypatch, scenario):
     """Two streamed (M + q + 1)-column compressions score as the n rows do;
     2500 rows take two chunks."""
     sim = gen_data(scenario, 2500, 5.0, seed=4)
     spec, cfg = SCENARIOS[scenario].spec, AspConfig(jobs=1, seed=4)
     basis = full_sample_basis(sim.dataset.n, spec.null_dim, cfg)
-    want = skip_select(assemble_blocks(sim.dataset, spec, basis), sim.dataset.y)
+    with monkeypatch.context() as patch:
+        patch.setattr(gcv, "streams_rows", lambda *args: False)
+        want = skip_select(sim.dataset, spec, basis)
     rows = DesignRows(sim.dataset, spec, basis)
     got = skip_search(rows.design_at, rows.part_traces, rows.q_parts)
     assert got.score == pytest.approx(want.score, rel=1e-10)
@@ -91,12 +110,11 @@ def test_streamed_skip_matches_in_memory_skip(scenario):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_streamed_selections_equal_in_memory_path(monkeypatch, seed):
     """gcv and asp-u select bit for bit what the searches select on blocks
-    held in memory, which ``full_gcv`` compresses on entry."""
+    held in memory and compressed there."""
     sim = gen_data("m1", 2500, 5.0, seed=seed)
     spec, cfg = SCENARIOS["m1"].spec, AspConfig(jobs=1, seed=seed)
     streamed = [select(sim.dataset, spec, cfg).params for select in (gcv_select, asp_uniform)]
-    monkeypatch.setattr(asp, "compressed_blocks",
-                        lambda ds, spec, basis: (assemble_blocks(ds, spec, basis), ds.y))
+    monkeypatch.setattr(gcv, "compressed_blocks", in_memory_compression)
     in_memory = [select(sim.dataset, spec, cfg).params for select in (gcv_select, asp_uniform)]
     assert streamed == in_memory
 
