@@ -100,6 +100,13 @@ def _parse_numeric_table(header, raw_rows):
     return table
 
 
+def _check_finite(names, table) -> None:
+    """Raise on the first nan or inf cell, by row and column name."""
+    rows, cols = np.nonzero(~np.isfinite(table))
+    if rows.size:
+        raise InputError(f"non-finite cell at row {rows[0] + 1}, column {names[cols[0]]!r}")
+
+
 def _write_csv_lines(path: str, header: str, lines) -> None:
     """Write a header and CSV lines with the CRLF line ends of ``csv.writer``.
 
@@ -134,7 +141,7 @@ def ingest(csv_path: str, response_column: str,
 
     Continuous columns are min-max scaled to [0, 1]; integer-valued columns
     with at most 20 distinct values are treated as discrete factors unless
-    overridden.  Rows with missing cells are rejected by row number.
+    overridden.  Missing cells are rejected by row, nan or inf by cell.
     """
     header, raw_rows = _read_csv_table(csv_path)
     if response_column not in header:
@@ -152,6 +159,7 @@ def ingest(csv_path: str, response_column: str,
     if unknown:
         raise InputError(f"override columns not in header: {sorted(unknown)}")
     table = _parse_numeric_table(header, raw_rows)
+    _check_finite(header, table)
     resp_idx = header.index(response_column)
     y = table[:, resp_idx]
     cols = [j for j in range(len(header)) if j != resp_idx]
@@ -344,6 +352,7 @@ def run_predict(args) -> int:
         raise InputError(f"input is missing predictor columns: {missing}")
     table = _parse_numeric_table(header, raw_rows)
     x = table[:, [header.index(name) for name in names]]
+    _check_finite(names, x)
     for name, dom, col in zip(names, spec.domains, x.T):
         if not dom.is_continuous:
             try:

@@ -11,15 +11,16 @@ points cover the selection strategies:
   updates of log theta and re-minimization in nlam.
 
 Scores and fits are split as in Wood (2004), with T absorbed once: every
-factorization works in the orthogonal complement of T's columns
-(``solver.CompiledDesign``), so it factors the K and y columns only.  The
-nlam scan at fixed theta scores a reduced profile, one R-only QR of
-[K_perp L^{-T}, y_perp] (Q_r = LL') and one SVD of its q x q kernel block,
-after which every score is an O(q) sum (``LambdaProfile``), and the scan's
-minimum is the score of record.  Every coefficient solve goes through the
-solver's stacked-QR fit (``_stacked_fit``); every theta trial and
-``gcv_score`` through the same QR (``solver._complement_solve``), with the
-residual read from the complement rows.
+design holds T as [R_T; 0] (``solver.CompiledDesign``; ``gcv_score`` and
+``minimize_lambda`` compress [T, K, y] first, as the fit does), so every
+factorization factors the K and y columns only.  The nlam scan at fixed
+theta scores a reduced profile, one R-only QR of [K_perp L^{-T}, y_perp]
+(Q_r = LL') and one SVD of its q x q kernel block, after which every
+score is an O(q) sum (``LambdaProfile``), and the scan's minimum is the
+score of record.  Every coefficient solve goes through the solver's
+stacked-QR fit (``_stacked_fit``); every theta trial and ``gcv_score``
+through the same QR (``solver._complement_solve``), with the residual
+read from the complement rows.
 
 ``skip_select`` and ``full_gcv`` take the rows (dataset, model, basis)
 and build their own designs.  ``full_gcv`` runs on the blocks of
@@ -30,9 +31,9 @@ any n; otherwise the n rows rotated by T's QR.  Its coordinate sweep
 writes K(theta) + w K_delta into one reused stack.  ``skip_search`` needs
 only a design at each of two thetas, so ``skip_select`` compresses
 [T, K(theta), y] (M + q + 1 columns) once per stage, streamed from the
-rows, and holds the blocks in memory only where that compression would
-leave n rows or more.  The search's factorizations, solves and row
-products run on scipy's LAPACK and BLAS (see ``solver``).
+rows or, where p + 1 >= n, combined from blocks in memory.  The search's
+factorizations, solves and row products run on scipy's LAPACK and BLAS
+(see ``solver``).
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ import scipy.linalg as sla
 from .data import Dataset
 from .kernels import ModelSpec
 from .solver import (BasisSelection, CompiledDesign, DesignBlocks, DesignRows, SmoothingParams,
-                     _checked_design, _complement_solve, _dot, _r_factor, _ridged, _stacked_fit,
-                     assemble_blocks, compressed_blocks, gcv_from_fit, streams_rows)
+                     _checked_design, _complement_solve, _compressed_design, _design_gcv, _dot,
+                     _r_factor, _ridged, _stacked_fit, assemble_blocks, compressed_blocks,
+                     streams_rows)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -182,8 +184,7 @@ def _exact_score(design: CompiledDesign, nlam: float) -> float:
         c, trace_a = _complement_solve(design, nlam)
     except NumericalError:
         return float("inf")
-    resid = design.residual(c)
-    return gcv_from_fit(float(resid @ resid) + design.rss_offset, trace_a, design.n_obs)
+    return _design_gcv(design, c, trace_a)
 
 
 def gcv_score(t, k, q, y, params) -> float:
@@ -214,25 +215,17 @@ def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
                      flags=("lambda-boundary",) if hit_boundary else ())
 
 
-def _design(blocks: DesignBlocks, y: np.ndarray, k: np.ndarray, q: np.ndarray):
-    return CompiledDesign(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
-
-
-def _profile_at(blocks: DesignBlocks, y: np.ndarray, theta: np.ndarray) -> LambdaProfile:
-    return LambdaProfile(_design(blocks, y, *blocks.combine(theta)))
-
-
 def _designs(blocks: DesignBlocks, y: np.ndarray):
-    """The design provider theta -> CompiledDesign of blocks held in memory."""
-    y = np.asarray(y, dtype=float)
-    return lambda theta: _design(blocks, y, *blocks.combine(theta))
+    """The design provider theta -> CompiledDesign of absorbed blocks held in memory."""
+    return lambda theta: CompiledDesign(blocks.t, *blocks.combine(theta), y, blocks.n_obs,
+                                        blocks.rss_offset)
 
 
 def _skip_designs(dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
     """A full-sample skip's design provider, part traces and Q_delta.
 
-    Where p + 1 < n each design is one streamed (M + q + 1)-column
-    compression (``DesignRows.design_at``); otherwise the blocks are held
+    Each design compresses [T, K(theta), y], streamed where p + 1 < n
+    (``DesignRows.design_at``) and otherwise combined from the blocks held
     in memory (``assemble_blocks``).  Each path is the faster one where it
     is taken.
     """
@@ -240,7 +233,8 @@ def _skip_designs(dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
         rows = DesignRows(dataset, spec, basis)
         return rows.design_at, rows.part_traces, rows.q_parts
     blocks = assemble_blocks(dataset, spec, basis)
-    return _designs(blocks, dataset.y), blocks.part_traces, blocks.q_parts
+    return (lambda theta: _compressed_design(blocks.t, *blocks.combine(theta), dataset.y),
+            blocks.part_traces, blocks.q_parts)
 
 
 def _stage_one(design_at, part_traces: np.ndarray):
@@ -249,7 +243,7 @@ def _stage_one(design_at, part_traces: np.ndarray):
     theta1 = 1.0 / part_traces
     profile1 = LambdaProfile(design_at(theta1))
     x1, _, _ = golden_minimize(profile1.score)
-    _, c, _, _ = _stacked_fit(profile1.design, 10.0 ** x1)
+    _, c, _ = _stacked_fit(profile1.design, 10.0 ** x1)
     return theta1, x1, c
 
 
@@ -380,7 +374,8 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
     tie between a trial and a search minimum could be decided either way.
     """
     blocks, y = compressed_blocks(dataset, spec, basis)
-    init = skip_search(_designs(blocks, y), blocks.part_traces, blocks.q_parts)
+    designs = _designs(blocks, y)
+    init = skip_search(designs, blocks.part_traces, blocks.q_parts)
     s = blocks.n_penalized
     theta = init.params.theta.copy()
     log_nlam = init.params.log10_nlam
@@ -433,7 +428,7 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
                     break
         # nlam search at the updated theta, on the pinned scale
         pin_scale()
-        x, cand, hit_boundary = golden_minimize(_profile_at(blocks, y, theta).score)
+        x, cand, hit_boundary = golden_minimize(LambdaProfile(designs(theta)).score)
         if cand < score:
             log_nlam = x
             score = cand

@@ -16,22 +16,18 @@ Every fit and score solves the problem in its stacked least-squares form:
 [y; 0] on [[T, K]; [0, sqrt(nlam) L']] with Q_r = LL' (Q_r carries a small
 stabilizing ridge), by one triangular factor R of a QR factorization, at the
 square root of the normal equations' condition number.  T is absorbed
-first, as in Gu & Wahba (1991) and Wood (2004): with T = H [R_T; 0] by one
-Householder QR (``NullQR``), the rows of H'K and H'y below row M span the
-orthogonal complement of T, d is free to zero the M rows above, and the QR
-factors only [K_perp, y_perp; sqrt(nlam) L', 0], q + 1 columns instead of
-M + q + 1.  d follows by back-substitution against R_T.  The effective
-degrees of freedom tr(A) come from the same R.
-
-A selection takes the n rows and scores many (theta, nlam) on one
-response, so its search first compresses them (``compressed_blocks``): one
-QR of [T, K_1 ... K_S, y] (p + 1 columns, p = M + S q), built over row
-chunks, leaves p rows [R_T, R_1 ... R_S | f] with the same cross products,
-and y'y - f'f = rho^2 with rho R's last diagonal entry.  T comes out as
-[R_T; 0], already absorbed, so the search's designs need no rotation.
-Every score on the compressed blocks adds rho^2 to its residual sum of
-squares and divides by the observation count, so it equals the n-row score
-while its cost no longer depends on n.
+first, as in Gu & Wahba (1991) and Wood (2004), by a QR of [T, K, y] over
+row chunks (``_compressed_design``): it leaves M + q rows [R_T, R_K | f]
+with the same cross products, and y'y - f'f = rho^2 with rho R's last
+diagonal entry.  With T as [R_T; 0], the rows below row M span the
+orthogonal complement of T, d is free to zero the M rows above, and the
+QR factors only [K_perp, y_perp; sqrt(nlam) L', 0], q + 1 columns instead
+of M + q + 1.  d follows by back-substitution against R_T, and tr(A) from
+the same R.  A selection's search compresses [T, K_1 ... K_S, y] instead,
+p + 1 columns with p = M + S q, to p rows (``compressed_blocks``).  Every
+score on compressed rows adds rho^2 to its residual sum of squares and
+divides by the observation count, so it equals the n-row score while its
+cost no longer depends on n.
 
 No selection needs the S per-term n x q blocks K_delta: each chunk's rows
 of K_delta are formed from the kernel at those rows and folded into R
@@ -40,13 +36,13 @@ of K_delta are formed from the kernel at those rows and folded into R
 O(p^2 + chunk p) doubles, not S n q.  A full-sample skip compresses
 [T, K(theta), y] at each of its two thetas instead, M + q + 1 columns per
 pass (``DesignRows.design_at``).  Only where p + 1 >= n, with nothing to
-compress, are the blocks formed over all n rows: in one array that T's QR
-rotates in place for the search (``compressed_blocks``), and as
-``assemble_blocks`` forms them for skip.  A fit at one theta, ``predict``
-and the p estimate form K(theta) = sum_delta theta_delta K_delta directly
-(``kernel_design``), one cache-sized tile of rows at a time; the refit
-rotates K(theta) in place and holds about 2 n q doubles (K(theta) and the
-stack).  Kernel rows formed in tiles or chunks equal the in-memory
+compress, are the blocks formed over all n rows: in one array that T's
+QR (``NullQR``) rotates in place for the search (``compressed_blocks``),
+and as ``assemble_blocks`` forms them for skip.  A fit at one theta,
+``predict`` and the p estimate form K(theta) = sum_delta theta_delta
+K_delta directly (``kernel_design``), one cache-sized tile of rows at a
+time; the refit compresses it and holds about 1.2 n q doubles, K(theta)
+and no copy.  Kernel rows formed in tiles or chunks equal the in-memory
 blocks' rows bit for bit.
 
 The QRs, solves, SVDs and row products of the fit and the search run on
@@ -316,32 +312,24 @@ class NullQR:
     """T = H [R_T; 0] by one Householder QR, H = H_1 ... H_M.
 
     ``rotate`` applies H' to n-row arrays: the first M rows of H'K and H'y
-    lie in span(T), the rest in its orthogonal complement.  A T with no
-    nonzero entry below its diagonal, as the compression leaves it, needs
-    no rotation (LAPACK's reflectors are the identity there), so no factor
-    is kept and every array passes through as it is.
+    lie in span(T), the rest in its orthogonal complement.
     """
 
     def __init__(self, t: np.ndarray):
         t = np.asarray(t, dtype=float)
-        self.n, m = t.shape
-        if self.n < m:
+        n, m = t.shape
+        if n < m:
             raise NumericalError("null design has fewer rows than columns")
-        self.factor = None
-        self.r = t[:m]
-        if any(t[j + 1:, j].any() for j in range(m)):
-            qr, tau, _, info = sla.lapack.dgeqrf(t)
-            if info != 0:
-                raise NumericalError(f"solver: QR of T failed (LAPACK info {info})")
-            self.factor, self.r = (qr, tau), np.triu(qr[:m])
-        if (np.diag(self.r) == 0.0).any():
+        qr, tau, _, info = sla.lapack.dgeqrf(t)
+        if info != 0:
+            raise NumericalError(f"solver: QR of T failed (LAPACK info {info})")
+        self.factor = (qr, tau)
+        if (np.diag(qr) == 0.0).any():
             raise NumericalError("null design is rank deficient")
 
     def triangle(self) -> np.ndarray:
         """T in the rotated rows, [R_T; 0]."""
-        out = np.zeros((self.n, self.r.shape[1]))
-        out[:self.r.shape[0]] = self.r
-        return out
+        return np.triu(self.factor[0])
 
     def rotate(self, a, overwrite: bool = False) -> np.ndarray:
         """H'a for an n-row matrix or vector, F-ordered; rotates ``a`` itself when ``overwrite``.
@@ -351,22 +339,13 @@ class NullQR:
         takes the same LAPACK path, so equal inputs give equal outputs bit
         for bit, whether rotated in place or copied.
         """
-        return self._apply(a, "T", overwrite)
-
-    def unrotate(self, a) -> np.ndarray:
-        """H a for an n-row matrix or vector, into a new array."""
-        return self._apply(a, "N", False)
-
-    def _apply(self, a, trans: str, overwrite: bool) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        if self.factor is None:
-            return a
         if not (overwrite and a.flags.f_contiguous):
             a = np.array(a, order="F")
         qr, tau = self.factor
         c = a.reshape(a.shape[0], -1, order="F")
         # dormqr's blocked path needs 64 work entries per column of c, plus its T factor
-        out, _, info = sla.lapack.dormqr("L", trans, qr, tau, c, 64 * (c.shape[1] + 65),
+        out, _, info = sla.lapack.dormqr("L", "T", qr, tau, c, 64 * (c.shape[1] + 65),
                                          overwrite_c=1)
         if info != 0:
             raise NumericalError(f"solver: applying T's reflectors failed (LAPACK info {info})")
@@ -441,11 +420,9 @@ class DesignRows:
         has M + q + 1 columns, not the p + 1 of ``compressed_blocks``.
         """
         theta = _theta_vector(theta, self.spec.n_penalized)
-        ds = self.dataset
-        t, (k,), rho2, f = _compress_rows(
+        return _compressed_design(
             self.t, lambda lo, hi: (_weighted_sum(theta, self.kernel_rows(lo, hi)),),
-            ds.y, 1, self.basis.q)
-        return CompiledDesign(t, k, _weighted_sum(theta, self.q_parts), f, ds.n, rho2)
+            _weighted_sum(theta, self.q_parts), self.dataset.y)
 
 
 def streams_rows(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> bool:
@@ -485,8 +462,8 @@ def kernel_design(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta
     """K(theta) = sum_delta theta_delta K_delta between two point sets.
 
     Formed one tile (``_tiles``, at most COMPRESS_CHUNK rows) at a time
-    into one F-ordered (n, m) array, which ``fit_model`` rotates in place;
-    no per-term n-row block exists, and the extra memory is a few tile-row
+    into one F-ordered (n, m) array, which ``fit_model`` compresses; no
+    per-term n-row block exists, and the extra memory is a few tile-row
     blocks.  Equals the same rows of ``DesignBlocks.combine``'s K bit for
     bit.
     """
@@ -513,15 +490,13 @@ def assemble(dataset: Dataset, spec: ModelSpec, basis: BasisSelection, theta) ->
 
 
 class CompiledDesign:
-    """Inputs (T, K, Q_r, y) of one penalized solve, with T absorbed.
+    """Inputs (T, K, Q_r, y) of one penalized solve, with T absorbed: T = [R_T; 0].
 
-    T = H [R_T; 0] (``NullQR``) splits the rows of ``k`` = H'K and
-    ``y`` = H'y: the first M rows lie in span(T), the rest (K_perp,
-    y_perp) in its complement.  For any c, d solves R_T d = y_t - K_t c
-    exactly on the first M rows, so the fit, its residual and tr(A)
-    depend on the complement rows alone.  A T given as [R_T; 0], as the
-    compressed and rotated blocks hold it, costs no rotation and no copy;
-    any other T is factored, and K and y are rotated into copies.
+    The builders leave T in that form, so the first M rows of ``k`` and
+    ``y`` lie in span(T) and the rest (K_perp, y_perp) in its complement.
+    For any c, d solves R_T d = y_t - K_t c exactly on the first M rows, so
+    the fit, its residual and tr(A) depend on the complement rows alone.
+    Nothing is rotated; a T with a nonzero entry below its diagonal raises.
 
     The public array-level entry points check shapes and Q's symmetry once
     (``_checked_design``); a search's trials and ``fit_model`` pass a Q
@@ -529,9 +504,9 @@ class CompiledDesign:
 
     Q_r is Q plus a ridge of RIDGE_SCALE times its mean diagonal, so its
     Cholesky factor exists when Q is only semidefinite.  ``n`` is the row
-    count of the system; on compressed blocks the scores divide by
-    ``n_obs`` observations and add ``rss_offset`` to the residual sum of
-    squares (see ``compressed_blocks``).
+    count of the system; the scores divide by ``n_obs`` observations and
+    add ``rss_offset``, the residual sum of squares that the compression
+    moved out of the rows (see ``compressed_blocks``).
 
     The QR reads the complement rows through ``stack`` and the score its
     residual through ``residual``; ``gcv.full_gcv``'s theta trials provide
@@ -539,13 +514,15 @@ class CompiledDesign:
     """
 
     def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray,
-                 n_obs: int | None = None, rss_offset: float = 0.0):
-        self.null = NullQR(t)
-        self.n, self.m = self.null.n, self.null.r.shape[1]
-        self.k, self.y = self.null.rotate(k), self.null.rotate(y)
-        self.nq = self.k.shape[1]
-        self.n_obs = self.n if n_obs is None else int(n_obs)
-        self.rss_offset = float(rss_offset)
+                 n_obs: int, rss_offset: float = 0.0):
+        self.n, self.m = t.shape
+        if self.n < self.m or np.tril(t, -1).any():
+            raise NumericalError("null design is not absorbed: T has entries below its diagonal")
+        self.r_t = t[:self.m]
+        if (np.diag(self.r_t) == 0.0).any():
+            raise NumericalError("null design is rank deficient")
+        self.k, self.y, self.nq = k, y, k.shape[1]
+        self.n_obs, self.rss_offset = int(n_obs), float(rss_offset)
         self.q_r = _ridged(q)
 
     def stack(self) -> np.ndarray:
@@ -564,6 +541,19 @@ class CompiledDesign:
         return (self.y - _dot(self.k, c))[self.m:]
 
 
+def _compressed_design(t: np.ndarray, k, q: np.ndarray, y: np.ndarray,
+                       n_obs: int | None = None, rss_offset: float = 0.0) -> CompiledDesign:
+    """The design of [T, K, y] compressed to M + q rows by ``_compress_rows``.
+
+    ``k`` is K, or a row source ``k(lo, hi)`` as ``_compress_rows`` reads.
+    rho^2 is added to ``rss_offset``; ``n_obs`` defaults to T's row count.
+    """
+    rows = k if callable(k) else lambda lo, hi: (k[lo:hi],)
+    t_r, (k_r,), rho2, f = _compress_rows(t, rows, y, 1, q.shape[0])
+    return CompiledDesign(t_r, k_r, q, f, t.shape[0] if n_obs is None else n_obs,
+                          rss_offset + rho2)
+
+
 def _ridged(q) -> np.ndarray:
     """A copy of Q plus a ridge of RIDGE_SCALE times its mean diagonal."""
     out = np.array(q, dtype=float)
@@ -572,7 +562,7 @@ def _ridged(q) -> np.ndarray:
 
 
 def _checked_design(t, k, q, y) -> CompiledDesign:
-    """``CompiledDesign`` of outside arrays, built after the checks it skips."""
+    """``_compressed_design`` of outside arrays, built after the checks it skips."""
     t, k, q, y = (np.asarray(a, dtype=float) for a in (t, k, q, y))
     if k.shape[0] != t.shape[0] or y.shape != t.shape[:1]:
         raise InputError("T, K and y row counts disagree")
@@ -580,7 +570,7 @@ def _checked_design(t, k, q, y) -> CompiledDesign:
         raise InputError("Q must be square with K's column count")
     if not np.allclose(q, q.T, atol=1e-10, rtol=0.0):
         raise InputError("Q must be symmetric")
-    return CompiledDesign(t, k, q, y)
+    return _compressed_design(t, k, q, y)
 
 
 def _complement_solve(design, nlam: float) -> tuple[np.ndarray, float]:
@@ -613,22 +603,27 @@ def _complement_solve(design, nlam: float) -> tuple[np.ndarray, float]:
     return c, design.m + q - float(nlam) * float((w * w).sum())
 
 
+def _design_gcv(design, c: np.ndarray, trace_a: float) -> float:
+    """GCV score of c: the complement rows' residual plus ``rss_offset``, over ``n_obs``."""
+    resid, n = design.residual(c), design.n_obs
+    denom = (n - trace_a) / n
+    if denom <= 0.0:
+        return float("inf")
+    return ((float(resid @ resid) + design.rss_offset) / n) / denom**2
+
+
 def _stacked_fit(design: CompiledDesign, nlam: float):
     """Penalized fit via one R-only QR of the stacked system, T absorbed.
 
     c and tr(A) come from ``_complement_solve``; d from back-substitution,
-    R_T d = y_t - K_t c.  The fitted values are H [y_t; K_perp c] in the
-    design's own rows (T d + K c).  K c is formed over all rows, whose
-    arrays are contiguous, rather than over a view of the complement rows,
-    which BLAS would copy.  Returns (d, c, fitted, trace_a).
+    R_T d = y_t - K_t c.  The fitted values T d + K c are left to the
+    caller, which holds T and K in their own rows.  Returns (d, c, trace_a).
     """
     c, trace_a = _complement_solve(design, nlam)
     m = design.m
-    fitted = _dot(design.k, c)
-    d = sla.solve_triangular(design.null.r, design.y[:m] - fitted[:m], lower=False,
+    d = sla.solve_triangular(design.r_t, design.y[:m] - _dot(design.k, c)[:m], lower=False,
                              check_finite=False)
-    fitted[:m] = design.y[:m]
-    return d, c, design.null.unrotate(fitted), trace_a
+    return d, c, trace_a
 
 
 def solve_penalized(t, k, q, y, nlam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -639,20 +634,17 @@ def solve_penalized(t, k, q, y, nlam: float) -> tuple[np.ndarray, np.ndarray]:
 def hat_trace(t, k, q, nlam: float):
     """Return (tr A(nlam), apply_A) for the penalized smoother.
 
-    ``apply_A`` maps a response vector to its fitted values by solving the
-    same penalized problem with that response, so linearity and idempotence
-    properties can be checked directly.
+    ``apply_A`` maps a response vector to its fitted values T d + K c by
+    solving the same penalized problem with that response, so linearity
+    and idempotence properties can be checked directly.
     """
-    trace_a = _stacked_fit(_checked_design(t, k, q, np.zeros(np.shape(t)[0])), nlam)[3]
-    return trace_a, lambda v: _stacked_fit(_checked_design(t, k, q, v), nlam)[2]
+    t, k = np.asarray(t, dtype=float), np.asarray(k, dtype=float)
 
+    def apply_a(v):
+        d, c, _ = _stacked_fit(_checked_design(t, k, q, v), nlam)
+        return _dot(t, d) + _dot(k, c)
 
-def gcv_from_fit(rss: float, trace_a: float, n: int) -> float:
-    """Generalized cross-validation score from residual sum of squares."""
-    denom = (n - trace_a) / n
-    if denom <= 0.0:
-        return float("inf")
-    return (rss / n) / denom**2
+    return _stacked_fit(_checked_design(t, k, q, np.zeros(t.shape[0])), nlam)[2], apply_a
 
 
 @dataclass
@@ -673,21 +665,19 @@ def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
     """Fit at fixed smoothing parameters on the given basis rows.
 
     ``assemble`` forms K(theta) directly, so no per-term block is built,
-    and T is absorbed on entry: K(theta) is rotated by T's QR in place, so
-    the fit holds K(theta) and the stack, about 2 n q doubles.  The
-    stacked QR works at the square root of the normal equations' condition
-    number, so any positive nlam yields a fit.
+    and [T, K(theta), y] is compressed chunk by chunk
+    (``_compressed_design``), so the fit holds K(theta) and no n-row copy.
+    The score is ``gcv.gcv_score``'s on the same arrays, and the fitted
+    values are T d + K(theta) c.  The stacked QR works at the square root
+    of the normal equations' condition number, so any positive nlam yields
+    a fit.
     """
     t, k, q = assemble(dataset, spec, basis, params.theta)
-    null = NullQR(t)
-    design = CompiledDesign(null.triangle(), null.rotate(k, overwrite=True), q,
-                            null.rotate(dataset.y))
-    d, c, fitted, trace_a = _stacked_fit(design, params.nlam)
-    fitted = null.unrotate(fitted)
-    resid = dataset.y - fitted
-    score = gcv_from_fit(float(resid @ resid), trace_a, dataset.n)
-    return FitResult(d=d, c=c, fitted=fitted, trace_a=trace_a, gcv=score,
-                     params=params, basis_rows=dataset.x[basis.indices])
+    design = _compressed_design(t, k, q, dataset.y)
+    d, c, trace_a = _stacked_fit(design, params.nlam)
+    return FitResult(d=d, c=c, fitted=_dot(t, d) + _dot(k, c), trace_a=trace_a,
+                     gcv=_design_gcv(design, c, trace_a), params=params,
+                     basis_rows=dataset.x[basis.indices])
 
 
 @dataclass
@@ -728,7 +718,8 @@ def predict(fit: FitResult, spec: ModelSpec,
 
     Continuous values outside the training range are clamped to the range
     boundary, flagged in the returned mask, and reported once via a warning.
-    Unknown discrete levels raise.  Returns (predictions, out_of_range).
+    Unknown discrete levels and non-finite values raise.  Returns
+    (predictions, out_of_range).
     K(theta) c is summed over COMPRESS_CHUNK-row chunks of K(theta), so
     the kernel part needs memory for one chunk, not for all new rows.
     """
@@ -738,6 +729,8 @@ def predict(fit: FitResult, spec: ModelSpec,
     cols = []
     flags = np.zeros(new_raw.shape[0], dtype=bool)
     for j, dom in enumerate(spec.domains):
+        if not np.isfinite(new_raw[:, j]).all():
+            raise InputError(f"predictor column {j} has a non-finite value")
         scaled, mask = dom.rescale(new_raw[:, j])
         cols.append(scaled)
         flags |= mask

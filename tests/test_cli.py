@@ -372,6 +372,27 @@ def test_fit_exit_code_on_non_finite_numeric_flag(tmp_path, capsys, flag, value)
     assert not (tmp_path / "f.json").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_cells_exit_2_naming_the_column(fitted_paths, tmp_path, capsys, bad):
+    """predict would write a nan prediction flagged in range; fit would
+    report only that a domain needs finite bounds."""
+    _, fit_path, _, _ = fitted_paths
+    data = write_csv(tmp_path / "new.csv", ["x1"], [[0.5], [bad]])
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--fit", str(fit_path), "--data", data, "--out", str(out)]) == 2
+    assert "non-finite cell at row 2, column 'x1'" in capsys.readouterr().err
+    assert not out.exists()
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(size=(60, 3)).tolist()
+    rows[4][1] = bad
+    train = write_csv(tmp_path / "train.csv", ["a", "b", "y"], rows)
+    code = main(["fit", "--data", train, "--response", "y", "--model", "1,2",
+                 *FIT_ARGS, "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    assert "non-finite cell at row 5, column 'b'" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_predict_exit_code_on_fit_document_missing_a_key(tmp_path, capsys):
     fit = tmp_path / "bad.json"
     fit.write_text('{"columns": []}')

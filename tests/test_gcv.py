@@ -24,8 +24,8 @@ from spanova.kernels import ModelSpec, main_effects_model
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     BasisSelection,
-    CompiledDesign,
     SmoothingParams,
+    _compressed_design,
     _stacked_fit,
     assemble_blocks,
     basis_count,
@@ -77,9 +77,9 @@ def scenario_problem(scenario, n, seed=0):
 
 
 def design_at(blocks, y, theta):
-    """The exact-score inputs at theta, on the rows ``blocks`` holds."""
+    """The exact-score inputs at theta, on the rows ``blocks`` holds compressed."""
     k, q = blocks.combine(theta)
-    return CompiledDesign(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
+    return _compressed_design(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
 
 
 def dense_svd_score(t, k, q, y, nlam):
@@ -173,7 +173,7 @@ def assert_compressed_scores_match(ds, spec, blocks, thetas, log_nlams):
     assert small.n_obs == blocks.n
     for theta in thetas:
         direct, compressed = design_at(blocks, y, theta), design_at(small, f, theta)
-        assert compressed.n == small.n and compressed.n_obs == blocks.n
+        assert compressed.n == blocks.n_null + blocks.q and compressed.n_obs == blocks.n
         lam_profile = LambdaProfile(compressed)
         for lg in log_nlams:
             want = _exact_score(direct, 10.0**lg)
@@ -267,7 +267,7 @@ def test_profile_batch_scores_match_single_scores_and_exact():
 
     ds, spec, blocks = two_term_problem(21)
     k, q = blocks.combine(np.array([1.0, 0.3]))
-    design = CompiledDesign(blocks.t, k, q, ds.y)
+    design = _compressed_design(blocks.t, k, q, ds.y)
     profile = LambdaProfile(design)
     grid = np.linspace(-12, 3, 61)
     np.testing.assert_allclose(profile.score(grid), [profile.score(g) for g in grid],
@@ -321,7 +321,7 @@ def test_minimize_lambda_deterministic():
 
 def test_minimize_lambda_survives_collinear_basis():
     """A singular K'K must not fabricate a score minimum at tiny nlam."""
-    from spanova.gcv import _exact_score, _profile_at
+    from spanova.gcv import _exact_score
 
     ds, spec, blocks = collinear_problem()
     k, q = blocks.combine(np.ones(1))
@@ -332,8 +332,8 @@ def test_minimize_lambda_survives_collinear_basis():
     assert abs(res.params.log10_nlam - best) <= grid[1] - grid[0] + 1e-12
     assert res.converged
     # the profile stays truthful deep below the resolvable spectrum
-    profile = _profile_at(blocks, ds.y, np.ones(1))
-    design = CompiledDesign(blocks.t, k, q, ds.y)
+    design = gcv._designs(*compressed_blocks(ds, spec, blocks.basis))(np.ones(1))
+    profile = LambdaProfile(design)
     for lg in (-12.0, -9.0, -6.0, -3.0):
         assert profile.score(lg) == pytest.approx(
             _exact_score(design, 10.0**lg), rel=1e-9)
@@ -391,7 +391,8 @@ def test_skip_floors_zero_quadratic_form():
         q_parts=(blocks.q_parts[0], np.zeros_like(blocks.q_parts[0])),
         part_traces=np.array([blocks.part_traces[0], 1.0]),
     )
-    res = skip_search(gcv._designs(dead, ds.y), dead.part_traces, dead.q_parts)
+    res = skip_search(lambda theta: _compressed_design(dead.t, *dead.combine(theta), ds.y),
+                      dead.part_traces, dead.q_parts)
     assert "theta-floor" in res.flags
     theta = res.params.theta
     assert theta[1] == pytest.approx(1e-12 * theta[0], rel=1e-10)
@@ -522,14 +523,13 @@ def test_full_gcv_pins_theta_scale():
 
 def test_full_gcv_beats_three_dimensional_grid():
     """Within 0.1% of a brute-force (theta1, theta2, nlam) grid search."""
-    from spanova.gcv import LambdaProfile, _profile_at
-
     ds, spec, blocks = two_term_problem(14, n=60, q=14)
     fg = full_gcv(ds, spec, blocks.basis)
+    designs = gcv._designs(*compressed_blocks(ds, spec, blocks.basis))
     best = np.inf
     for lt1 in np.linspace(-2, 6, 20):
         for lt2 in np.linspace(-2, 6, 20):
-            profile = _profile_at(blocks, ds.y, np.array([10.0**lt1, 10.0**lt2]))
+            profile = LambdaProfile(designs(np.array([10.0**lt1, 10.0**lt2])))
             for lg in np.linspace(-12, 3, 40):
                 val = profile.score(lg)
                 if val < best:
@@ -564,7 +564,9 @@ def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
         for name in ("eigh", "solve", "cholesky", "qr", "svd", "lstsq", "matrix_rank"):
             monkeypatch.setattr(module, name, forbidden)
     assert (full_gcv(ds, spec, blocks.basis), skip_select(ds, spec, blocks.basis)) == expected
-    d, c, fitted, trace_a = _stacked_fit(design_at(blocks, ds.y, theta), 1e-3)
+    k, q = blocks.combine(theta)
+    d, c, trace_a = _stacked_fit(_compressed_design(blocks.t, k, q, ds.y), 1e-3)
+    fitted = blocks.t @ d + k @ c
     assert np.isfinite(fitted).all() and 0.0 < trace_a < ds.n
     config = asp.AspConfig(jobs=1)
     for selector in (asp.asp_uniform, asp.gcv_select, asp.skip_selection):

@@ -21,7 +21,7 @@ from spanova.solver import (
     select_basis,
     solve_penalized,
 )
-from spanova.util import InputError
+from spanova.util import InputError, NumericalError
 
 
 def make_problem(seed, n, d=1, q=None, noise=0.3):
@@ -464,8 +464,9 @@ def test_predict_on_zero_rows_returns_empty_arrays(name):
 
 
 def test_refit_memory_stays_near_one_kernel_design():
-    """The per-term n-row blocks took 8 n q doubles; K(theta) plus the
-    stacked solve's copy of it take about 2."""
+    """The per-term n-row blocks took 8 n q doubles, and K(theta) plus the
+    stacked solve's copy of it about 2; K(theta) compressed chunk by chunk
+    takes about 1.2."""
     sim = gen_data("m1", 20000, 5.0, seed=0)
     basis = select_basis(20000, basis_count(20000), seed=0)
     params = SmoothingParams.from_values(1e-4, np.ones(SCENARIOS["m1"].spec.n_penalized))
@@ -475,7 +476,7 @@ def test_refit_memory_stays_near_one_kernel_design():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 20000 * basis.q * 8
+    assert peak < 1.5 * 20000 * basis.q * 8
 
 
 def test_refits_and_predict_form_no_per_term_n_row_block(monkeypatch, tmp_path):
@@ -540,3 +541,62 @@ def test_array_entry_points_check_their_inputs(entry):
         call(t, k, q, ds.y[:-1])
     with pytest.raises(InputError, match="square"):
         call(t, k, q[:-1, :-1], ds.y)
+
+
+def test_compiled_design_rejects_unabsorbed_t():
+    """CompiledDesign rotates nothing: a T with an entry below its diagonal
+    would be scored as if it were [R_T; 0], so it raises."""
+    ds, spec, basis = make_problem(3, 40, q=12)
+    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    m = t.shape[1]
+    assert solver._compressed_design(t, k, q, ds.y).n == m + basis.q
+    with pytest.raises(NumericalError, match="below its diagonal"):
+        solver.CompiledDesign(t, k, q, ds.y, ds.n)
+    absorbed = np.zeros_like(t)
+    absorbed[:m] = np.triu(t[:m])
+    solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
+    absorbed[-1, 0] = 1e-300
+    with pytest.raises(NumericalError, match="below its diagonal"):
+        solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
+
+
+def test_single_designs_construct_no_null_qr(monkeypatch):
+    """Every design at one theta is built by compression; only full_gcv on
+    rows that p + 1 >= n keeps in memory rotates its blocks by T's QR."""
+    from spanova import asp, gcv
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("NullQR constructed")
+
+    monkeypatch.setattr(solver, "NullQR", forbidden)
+    ds, spec, basis = make_problem(3, 40, q=12)
+    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    fit_model(ds, spec, SmoothingParams.from_values(1e-2, [1.0]), basis)
+    gcv_score(t, k, q, ds.y, 1e-2)
+    solve_penalized(t, k, q, ds.y, 1e-2)
+    hat_trace(t, k, q, 1e-2)[1](ds.y)
+    minimize_lambda(t, k, q, ds.y)
+    for name, n in (("m1", 1200), ("m4", 300)):
+        sim = gen_data(name, n, 5.0, seed=0)
+        spec = SCENARIOS[name].spec
+        basis = select_basis(n, basis_count(n), seed=0)
+        assert solver.streams_rows(sim.dataset, spec, basis) == (name == "m1")
+        gcv.skip_select(sim.dataset, spec, basis)
+        asp.estimate_p(sim.dataset, spec, 1e-6, np.ones(spec.n_penalized), n // 4)
+        if name == "m1":
+            gcv.full_gcv(sim.dataset, spec, basis, max_iter=1)
+        else:
+            with pytest.raises(AssertionError, match="NullQR"):
+                gcv.full_gcv(sim.dataset, spec, basis, max_iter=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_predictors(bad):
+    """A non-finite cell would come back as a NaN prediction flagged in range."""
+    ds, spec, basis = make_problem(7, 40, d=2, q=18)
+    fit = fit_model(ds, spec, SmoothingParams.from_values(1e-3, np.ones(spec.n_penalized)),
+                    basis)
+    new = ds.x[:3].copy()
+    new[1, 1] = bad
+    with pytest.raises(InputError, match="column 1"):
+        predict(fit, spec, new)
