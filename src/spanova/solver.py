@@ -516,7 +516,9 @@ class CompiledDesign:
     def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray,
                  n_obs: int, rss_offset: float = 0.0):
         self.n, self.m = t.shape
-        if self.n < self.m or np.tril(t, -1).any():
+        if self.n < self.m:
+            raise NumericalError("null design has fewer rows than columns")
+        if np.tril(t, -1).any():
             raise NumericalError("null design is not absorbed: T has entries below its diagonal")
         self.r_t = t[:self.m]
         if (np.diag(self.r_t) == 0.0).any():
@@ -541,17 +543,15 @@ class CompiledDesign:
         return (self.y - _dot(self.k, c))[self.m:]
 
 
-def _compressed_design(t: np.ndarray, k, q: np.ndarray, y: np.ndarray,
-                       n_obs: int | None = None, rss_offset: float = 0.0) -> CompiledDesign:
+def _compressed_design(t: np.ndarray, k, q: np.ndarray, y: np.ndarray) -> CompiledDesign:
     """The design of [T, K, y] compressed to M + q rows by ``_compress_rows``.
 
     ``k`` is K, or a row source ``k(lo, hi)`` as ``_compress_rows`` reads.
-    rho^2 is added to ``rss_offset``; ``n_obs`` defaults to T's row count.
+    The design scores T's n rows, with rho^2 as its ``rss_offset``.
     """
     rows = k if callable(k) else lambda lo, hi: (k[lo:hi],)
     t_r, (k_r,), rho2, f = _compress_rows(t, rows, y, 1, q.shape[0])
-    return CompiledDesign(t_r, k_r, q, f, t.shape[0] if n_obs is None else n_obs,
-                          rss_offset + rho2)
+    return CompiledDesign(t_r, k_r, q, f, t.shape[0], rho2)
 
 
 def _ridged(q) -> np.ndarray:

@@ -24,6 +24,7 @@ from spanova.kernels import ModelSpec, main_effects_model
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     BasisSelection,
+    CompiledDesign,
     SmoothingParams,
     _compressed_design,
     _stacked_fit,
@@ -77,9 +78,17 @@ def scenario_problem(scenario, n, seed=0):
 
 
 def design_at(blocks, y, theta):
-    """The exact-score inputs at theta, on the rows ``blocks`` holds compressed."""
+    """The exact-score inputs at theta, on the absorbed rows ``blocks`` holds."""
     k, q = blocks.combine(theta)
-    return _compressed_design(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
+    return CompiledDesign(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
+
+
+def rotated_design(blocks, y, theta):
+    """The exact-score inputs at theta on all n rows of raw ``blocks``,
+    rotated by T's QR: a reference independent of the chunked compression."""
+    k, q = blocks.combine(theta)
+    null = solver.NullQR(blocks.t)
+    return CompiledDesign(null.triangle(), null.rotate(k), q, null.rotate(y), blocks.n)
 
 
 def dense_svd_score(t, k, q, y, nlam):
@@ -172,8 +181,8 @@ def assert_compressed_scores_match(ds, spec, blocks, thetas, log_nlams):
     assert small.n == blocks.n_null + blocks.n_penalized * blocks.q < blocks.n
     assert small.n_obs == blocks.n
     for theta in thetas:
-        direct, compressed = design_at(blocks, y, theta), design_at(small, f, theta)
-        assert compressed.n == blocks.n_null + blocks.q and compressed.n_obs == blocks.n
+        direct, compressed = rotated_design(blocks, y, theta), design_at(small, f, theta)
+        assert compressed.n == small.n and compressed.n_obs == blocks.n
         lam_profile = LambdaProfile(compressed)
         for lg in log_nlams:
             want = _exact_score(direct, 10.0**lg)

@@ -558,6 +558,8 @@ def test_compiled_design_rejects_unabsorbed_t():
     absorbed[-1, 0] = 1e-300
     with pytest.raises(NumericalError, match="below its diagonal"):
         solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
+    with pytest.raises(NumericalError, match="fewer rows than columns"):
+        solver.CompiledDesign(np.triu(t[:m - 1]), k[:m - 1], q, ds.y[:m - 1], m - 1)
 
 
 def test_single_designs_construct_no_null_qr(monkeypatch):
