@@ -73,6 +73,8 @@ class AspConfig:
             raise InputError("asymptotic sampling needs at least 2 sizes")
         if self.n_subsamples < 1:
             raise InputError("n_subsamples must be positive")
+        if self.jobs is not None and self.jobs < 1:
+            raise InputError(f"jobs must be at least 1, got {self.jobs}")
         if not 1.0 <= self.p_default <= 2.0 or self.r_default <= 1.0:
             raise InputError("need p in [1, 2] and r > 1")
         if self.b_factor < 1.0:
@@ -81,7 +83,7 @@ class AspConfig:
     @property
     def worker_count(self) -> int:
         if self.jobs is not None:
-            return max(1, int(self.jobs))
+            return int(self.jobs)
         return max(1, os.cpu_count() or 1)
 
 

@@ -67,27 +67,33 @@ def _read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def _parse_numeric_table(header, raw_rows):
-    """All cells to float; missing and non-numeric cells reported by position.
+def _parse_numeric_table(header, raw_rows, columns=None):
+    """The cells of ``columns`` (default: all) to float, in that order.
 
-    A table whose rows all have the header's width is parsed by one numpy
-    conversion, which accepts the same cells as ``float``; only when a row
-    is ragged or a cell fails does the per-cell loop run, to find them.
+    Rows narrower or wider than the header, and missing or non-numeric
+    cells in those columns, are reported by position; other columns are
+    not read.  A table whose rows all have the header's width is parsed by
+    one numpy conversion, which accepts the same cells as ``float``; only
+    when a row is ragged or a cell fails does the per-cell loop run, to
+    find them.
     """
+    every = list(range(len(header)))
+    idx = every if columns is None else [header.index(name) for name in columns]
     if all(len(row) == len(header) for row in raw_rows):
+        cells = raw_rows if idx == every else [[row[j] for j in idx] for row in raw_rows]
         try:
-            return np.array(raw_rows, dtype=float).reshape(len(raw_rows), len(header))
+            return np.array(cells, dtype=float).reshape(len(raw_rows), len(idx))
         except ValueError:
             pass
     missing, bad = [], []
-    table = np.empty((len(raw_rows), len(header)))
+    table = np.empty((len(raw_rows), len(idx)))
     for i, row in enumerate(raw_rows):
-        if len(row) != len(header) or any(cell.strip() == "" for cell in row):
+        if len(row) != len(header) or any(row[j].strip() == "" for j in idx):
             missing.append(i + 1)
             continue
-        for j, cell in enumerate(row):
+        for col, j in enumerate(idx):
             try:
-                table[i, j] = float(cell)
+                table[i, col] = float(row[j])
             except ValueError:
                 bad.append((i + 1, header[j]))
     if missing:
@@ -350,8 +356,7 @@ def run_predict(args) -> int:
     missing = [name for name in names if name not in header]
     if missing:
         raise InputError(f"input is missing predictor columns: {missing}")
-    table = _parse_numeric_table(header, raw_rows)
-    x = table[:, [header.index(name) for name in names]]
+    x = _parse_numeric_table(header, raw_rows, names)
     _check_finite(names, x)
     for name, dom, col in zip(names, spec.domains, x.T):
         if not dom.is_continuous:

@@ -24,14 +24,15 @@ read from the complement rows.
 
 ``skip_select`` and ``full_gcv`` take the rows (dataset, model, basis)
 and build their own designs.  ``full_gcv`` runs on the blocks of
-``solver.compressed_blocks``: where p + 1 < n, the n rows compressed to
-p = M + S q rows without any per-term n-row block, so every exact score,
-profile and theta trial of its search, skip's included, costs the same at
-any n; otherwise the n rows rotated by T's QR.  Its coordinate sweep
-writes K(theta) + w K_delta into one reused stack.  ``skip_search`` needs
-only a design at each of two thetas, so ``skip_select`` compresses
+``solver.compressed_blocks``, the one place that chooses whether to
+stream: where p + 1 < n, the n rows compressed to p = M + S q rows
+without any per-term n-row block, so every exact score, profile and theta
+trial of its search, skip's included, costs the same at any n; otherwise
+the n rows rotated by T's QR.  Its coordinate sweep writes
+K(theta) + w K_delta into one reused stack.  ``skip_search`` needs only a
+design at each of two thetas, so ``skip_select`` compresses
 [T, K(theta), y] (M + q + 1 columns) once per stage, streamed from the
-rows or, where p + 1 >= n, combined from blocks in memory.  The search's
+rows on every data shape (``solver.DesignRows.design_at``).  The search's
 factorizations, solves and row products run on scipy's LAPACK and BLAS
 (see ``solver``).
 """
@@ -47,9 +48,8 @@ import scipy.linalg as sla
 from .data import Dataset
 from .kernels import ModelSpec
 from .solver import (BasisSelection, CompiledDesign, DesignBlocks, DesignRows, SmoothingParams,
-                     _checked_design, _complement_solve, _compressed_design, _design_gcv, _dot,
-                     _r_factor, _ridged, _stacked_fit, assemble_blocks, compressed_blocks,
-                     streams_rows)
+                     _checked_design, _complement_solve, _design_gcv, _dot, _r_factor, _ridged,
+                     _stacked_fit, compressed_blocks)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -221,23 +221,12 @@ def _designs(blocks: DesignBlocks, y: np.ndarray):
                                         blocks.rss_offset)
 
 
-def _skip_designs(dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
-    """A full-sample skip's design provider, part traces and Q_delta.
-
-    Each design compresses [T, K(theta), y], streamed where p + 1 < n
-    (``DesignRows.design_at``) and otherwise combined from the blocks held
-    in memory (``assemble_blocks``).  Each path is the faster one where it
-    is taken.
-    """
-    if streams_rows(dataset, spec, basis):
-        rows = DesignRows(dataset, spec, basis)
-        return rows.design_at, rows.part_traces, rows.q_parts
-    blocks = assemble_blocks(dataset, spec, basis)
-    return (lambda theta: _compressed_design(blocks.t, *blocks.combine(theta), dataset.y),
-            blocks.part_traces, blocks.q_parts)
-
-
 def _stage_one(design_at, part_traces: np.ndarray):
+    """First skip stage: trace-normalized theta, nlam scan, coefficients.
+
+    The profile scan picks nlam; c comes from the stacked-QR fit there.
+    Returns (theta_1, log10_nlam, c).
+    """
     if (part_traces <= 0).any():
         raise NumericalError("a kernel block has nonpositive trace")
     theta1 = 1.0 / part_traces
@@ -247,24 +236,13 @@ def _stage_one(design_at, part_traces: np.ndarray):
     return theta1, x1, c
 
 
-def skip_stage_one(dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
-    """First skip stage on the rows: trace-normalized theta, nlam scan, coefficients.
-
-    The profile scan picks nlam; c comes from the stacked-QR fit there.
-    Returns (theta_1, log10_nlam, c) so the second-stage arithmetic can be
-    reproduced externally.
-    """
-    design_at, part_traces, _ = _skip_designs(dataset, spec, basis)
-    return _stage_one(design_at, part_traces)
-
-
 def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
     """Two-step starting-value selection over a design provider.
 
     ``design_at(theta)`` returns the ``CompiledDesign`` of [T, K(theta), y]
-    with Q(theta) = sum_delta theta_delta Q_delta, either from blocks held
-    in memory or streamed over the n rows (``solver.DesignRows.design_at``);
-    the arithmetic is the same.
+    with Q(theta) = sum_delta theta_delta Q_delta, from blocks held in
+    memory (``full_gcv``'s start) or streamed over the n rows
+    (``skip_select``); the arithmetic is the same.
 
     Step 1: theta_delta = 1/tr(R_delta) over the fitted rows, minimize the
     score in nlam and extract c.  Step 2: theta_delta0 =
@@ -298,8 +276,14 @@ def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
 
 
 def skip_select(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> GcvResult:
-    """``skip_search`` on the rows (see there and ``_skip_designs``)."""
-    return skip_search(*_skip_designs(dataset, spec, basis))
+    """``skip_search`` on the rows, whatever their shape.
+
+    Each of its two designs compresses [T, K(theta), y], M + q + 1
+    columns, streamed from the rows chunk by chunk
+    (``solver.DesignRows.design_at``), so no per-term n-row block exists.
+    """
+    rows = DesignRows(dataset, spec, basis)
+    return skip_search(rows.design_at, rows.part_traces, rows.q_parts)
 
 
 class _Trials:

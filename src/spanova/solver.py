@@ -35,15 +35,16 @@ of K_delta are formed from the kernel at those rows and folded into R
 "Generalized additive models for large data sets"), so a selection holds
 O(p^2 + chunk p) doubles, not S n q.  A full-sample skip compresses
 [T, K(theta), y] at each of its two thetas instead, M + q + 1 columns per
-pass (``DesignRows.design_at``).  Only where p + 1 >= n, with nothing to
-compress, are the blocks formed over all n rows: in one array that T's
-QR (``NullQR``) rotates in place for the search (``compressed_blocks``),
-and as ``assemble_blocks`` forms them for skip.  A fit at one theta,
-``predict`` and the p estimate form K(theta) = sum_delta theta_delta
-K_delta directly (``kernel_design``), one cache-sized tile of rows at a
-time; the refit compresses it and holds about 1.2 n q doubles, K(theta)
-and no copy.  Kernel rows formed in tiles or chunks equal the in-memory
-blocks' rows bit for bit.
+pass (``DesignRows.design_at``), on every data shape.  Only a search
+where p + 1 >= n, with nothing to compress, forms the blocks over all n
+rows, in one array that T's QR (``NullQR``) rotates in place;
+``compressed_blocks`` is the one place that makes this choice
+(``streams_rows``).  A fit at one theta, ``predict`` and the p estimate
+form K(theta) = sum_delta theta_delta K_delta directly
+(``kernel_design``), one cache-sized tile of rows at a time; the refit
+compresses it and holds about 1.2 n q doubles, K(theta) and no copy.
+Kernel rows formed in tiles or chunks equal the in-memory blocks' rows
+bit for bit.
 
 The QRs, solves, SVDs and row products of the fit and the search run on
 scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
@@ -382,8 +383,9 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
 
     Raises if the null design is rank deficient (for example a constant
     predictor column duplicating the intercept) or the sample cannot
-    identify the null space.  The selections stream the rows instead where
-    that pays (``compressed_blocks``, ``DesignRows``).
+    identify the null space.  No selection calls it (they read the rows
+    through ``DesignRows`` and ``compressed_blocks``); it is the n-row
+    reference that their results are checked against.
     """
     rows = DesignRows(dataset, spec, basis)
     return DesignBlocks(t=rows.t, k_parts=tuple(rows.kernel_rows(0, dataset.n)),

@@ -38,6 +38,7 @@ from spanova.simulate import (
     run_benchmark,
 )
 from spanova.solver import (
+    DesignRows,
     assemble,
     assemble_blocks,
     demmler_reinsch,
@@ -188,9 +189,10 @@ def test_04_starting_value_hand_arithmetic(capsys):
     assert spec.n_penalized == 2
     ds = Dataset(x=x, y=y, domains=spec.domains)
     blocks = assemble_blocks(ds, spec, select_basis(5, 4, seed=0))
-    from spanova.gcv import skip_stage_one
+    from spanova.gcv import _stage_one
 
-    theta1, _, c = skip_stage_one(ds, spec, blocks.basis)
+    rows = DesignRows(ds, spec, blocks.basis)
+    theta1, _, c = _stage_one(rows.design_at, rows.part_traces)
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
         acc = 0.0

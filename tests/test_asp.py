@@ -106,6 +106,10 @@ def test_config_validation():
         AspConfig(p_default=3.0)
     with pytest.raises(InputError):
         AspConfig(b_factor=0.5)
+    for jobs in (0, -3):
+        with pytest.raises(InputError, match="jobs must be at least 1"):
+            AspConfig(jobs=jobs)
+    assert AspConfig(jobs=1).worker_count == 1
     for name in ("b_coef", "b_max_coef", "b_factor", "r_default", "p_default",
                  "order_c", "basis_coef", "basis_exp"):
         for value in (float("nan"), float("inf"), -float("inf")):

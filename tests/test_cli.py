@@ -232,6 +232,28 @@ def test_predict_empty_input(fitted_paths, tmp_path):
     assert out.read_bytes() == b"prediction,out_of_range\r\n"
 
 
+def test_predict_reads_only_the_fit_columns(fitted_paths, tmp_path, capsys):
+    """A text id column, one of its cells blank, changes no prediction;
+    a missing or non-numeric cell in a predictor column still fails."""
+    _, fit_path, _, _ = fitted_paths
+    xs = [0.1, 0.5, 0.9]
+    plain = write_csv(tmp_path / "plain.csv", ["x1"], [[v] for v in xs])
+    with_id = write_csv(tmp_path / "id.csv", ["id", "x1"],
+                        [["a", xs[0]], ["", xs[1]], ["c", xs[2]]])
+    outs = [tmp_path / "plain_pred.csv", tmp_path / "id_pred.csv"]
+    for data, out in zip((plain, with_id), outs):
+        assert main(["predict", "--fit", str(fit_path), "--data", data, "--out", str(out)]) == 0
+    assert read_csv(outs[0]) == read_csv(outs[1])
+    for rows, message in (([["a", "0.2"], ["b", "x"]], "non-numeric cell at row 2, column 'x1'"),
+                          ([["a", "0.2"], ["b", " "]], "rows with missing cells: 2"),
+                          ([["a", "0.2"], ["b"]], "rows with missing cells: 2")):
+        data = write_csv(tmp_path / "bad.csv", ["id", "x1"], rows)
+        capsys.readouterr()
+        assert main(["predict", "--fit", str(fit_path), "--data", data,
+                     "--out", str(tmp_path / "bad_pred.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_predict_column_mismatch(fitted_paths, tmp_path):
     _, fit_path, _, _ = fitted_paths
     data = write_csv(tmp_path / "wrong.csv", ["zz"], [[0.5]])
@@ -358,6 +380,17 @@ def test_fit_exit_code_on_non_integer_jobs_environment(tmp_path, capsys, monkeyp
     assert "input error" in err and "SPANOVA_JOBS" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_fit_exit_code_on_nonpositive_jobs(tmp_path, capsys, jobs):
+    rng = np.random.default_rng(5)
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], rng.uniform(size=(60, 2)).tolist())
+    code = main(["fit", "--data", path, "--response", "y", "--model", "1",
+                 "--method", "order", "--jobs", jobs, "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--b-coef", "nan"), ("--basis-coef", "nan"),
                                          ("--basis-exp", "inf"), ("--r", "inf"),
                                          ("--order-c", "nan")])
@@ -473,6 +506,10 @@ def test_jobs_environment_fallback(monkeypatch):
                               "--model", "1", "--out", "o"])
     monkeypatch.setenv("SPANOVA_JOBS", "1")
     assert _config_from_args(args).worker_count == 1
+    for bad in ("0", "-3"):
+        monkeypatch.setenv("SPANOVA_JOBS", bad)
+        with pytest.raises(InputError, match="jobs must be at least 1"):
+            _config_from_args(args)
     monkeypatch.delenv("SPANOVA_JOBS")
     monkeypatch.setattr("os.cpu_count", lambda: 6)
     assert _config_from_args(args).worker_count == 6

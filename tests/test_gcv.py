@@ -18,13 +18,13 @@ from spanova.gcv import (
     minimize_lambda,
     skip_search,
     skip_select,
-    skip_stage_one,
 )
 from spanova.kernels import ModelSpec, main_effects_model
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     BasisSelection,
     CompiledDesign,
+    DesignRows,
     SmoothingParams,
     _compressed_design,
     _stacked_fit,
@@ -359,7 +359,8 @@ def test_skip_stage_two_arithmetic_by_hand():
     spec = main_effects_model(unit_domains(2))
     ds = Dataset(x=x, y=y, domains=spec.domains)
     blocks = assemble_blocks(ds, spec, select_basis(5, 4, seed=0))
-    theta1, _, c = skip_stage_one(ds, spec, blocks.basis)
+    rows = DesignRows(ds, spec, blocks.basis)
+    theta1, _, c = gcv._stage_one(rows.design_at, rows.part_traces)
     # hand arithmetic: explicit accumulation of the quadratic forms
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
@@ -378,7 +379,8 @@ def test_skip_trace_normalization_stage():
     from spanova.kernels import term_gram_diag
 
     ds, spec, blocks = two_term_problem(5)
-    theta1, _, _ = skip_stage_one(ds, spec, blocks.basis)
+    rows = DesignRows(ds, spec, blocks.basis)
+    theta1, _, _ = gcv._stage_one(rows.design_at, rows.part_traces)
     for delta, term in enumerate(spec.penalized_terms):
         tr = term_gram_diag(term, spec.domains, ds.x).sum()
         assert theta1[delta] == pytest.approx(1.0 / tr, rel=1e-14)
@@ -591,10 +593,13 @@ def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
 
 def test_asp_holds_no_design_builder():
     """The selections hand the rows to gcv, whose searches build their own
-    designs, so the stream-or-not choice is made in one place.  A builder
-    that creeps back into asp fails here."""
+    designs, so the stream-or-not choice is made in one place
+    (``solver.compressed_blocks``).  A builder that creeps back into asp,
+    or a second stream-or-not choice into gcv, fails here."""
     from spanova import asp
 
     builders = ("DesignRows", "DesignBlocks", "assemble_blocks", "compressed_blocks",
                 "streams_rows")
     assert [name for name in builders if hasattr(asp, name)] == []
+    assert [name for name in ("streams_rows", "assemble_blocks", "_compressed_design")
+            if hasattr(gcv, name)] == []

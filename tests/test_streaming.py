@@ -16,7 +16,6 @@ from spanova.kernels import main_effects_model
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     BasisSelection,
-    DesignRows,
     assemble_blocks,
     basis_count,
     compressed_blocks,
@@ -86,25 +85,30 @@ def test_builder_rotates_in_memory_blocks_when_p_reaches_n():
     assert np.array_equal(f, f_want)
 
 
-@pytest.mark.parametrize("scenario", ["u2", "m1", "m2"])
-def test_streamed_skip_matches_in_memory_skip(monkeypatch, scenario):
-    """Two streamed (M + q + 1)-column compressions score as the n rows do;
-    2500 rows take two chunks."""
-    sim = gen_data(scenario, 2500, 5.0, seed=4)
+def in_memory_skip(ds, spec, basis):
+    """``skip_search`` on [T, K(theta), y] combined from the n-row blocks
+    held in memory and compressed there by ``_compressed_design``."""
+    blocks = assemble_blocks(ds, spec, basis)
+    return skip_search(
+        lambda theta: solver._compressed_design(blocks.t, *blocks.combine(theta), ds.y),
+        blocks.part_traces, blocks.q_parts)
+
+
+@pytest.mark.parametrize("scenario", ["u2", "m1", "m2", "m4"])
+def test_streamed_skip_matches_in_memory_skip(scenario):
+    """skip streams its two (M + q + 1)-column compressions from the rows
+    on every data shape and selects bit for bit what the blocks held in
+    memory select.  2500 rows take two chunks; m4's 87 terms at 300 rows
+    give p + 1 >= n, where ``compressed_blocks`` would not stream."""
+    sim = gen_data(scenario, 300 if scenario == "m4" else 2500, 5.0, seed=4)
     spec, cfg = SCENARIOS[scenario].spec, AspConfig(jobs=1, seed=4)
     basis = full_sample_basis(sim.dataset.n, spec.null_dim, cfg)
-    with monkeypatch.context() as patch:
-        patch.setattr(gcv, "streams_rows", lambda *args: False)
-        want = skip_select(sim.dataset, spec, basis)
-    rows = DesignRows(sim.dataset, spec, basis)
-    got = skip_search(rows.design_at, rows.part_traces, rows.q_parts)
-    assert got.score == pytest.approx(want.score, rel=1e-10)
-    assert got.flags == want.flags
-    selected = skip_selection(sim.dataset, spec, cfg).params
-    for params in (got.params, selected):
-        assert params.log10_nlam == pytest.approx(want.params.log10_nlam, abs=1e-10)
-        np.testing.assert_allclose(params.log10_theta, want.params.log10_theta,
-                                   rtol=0.0, atol=1e-10)
+    assert solver.streams_rows(sim.dataset, spec, basis) == (scenario != "m4")
+    want = in_memory_skip(sim.dataset, spec, basis)
+    got = skip_select(sim.dataset, spec, basis)
+    assert got.params == want.params
+    assert got.score == want.score and got.flags == want.flags
+    assert skip_selection(sim.dataset, spec, cfg).params == want.params
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
