@@ -28,12 +28,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .gcv import full_gcv, gcv_score, skip_select
+from .gcv import _check_response, full_gcv, scores_at, skip_select
 from .kernels import ModelSpec
 from .solver import (
     BasisSelection,
     SmoothingParams,
-    assemble,
     basis_count,
     null_design,
     part_traces,
@@ -73,6 +72,8 @@ class AspConfig:
             raise InputError("asymptotic sampling needs at least 2 sizes")
         if self.n_subsamples < 1:
             raise InputError("n_subsamples must be positive")
+        if self.gcv_max_iter < 1:
+            raise InputError(f"gcv_max_iter must be at least 1, got {self.gcv_max_iter}")
         if self.jobs is not None and self.jobs < 1:
             raise InputError(f"jobs must be at least 1, got {self.jobs}")
         if not 1.0 <= self.p_default <= 2.0 or self.r_default <= 1.0:
@@ -195,12 +196,6 @@ def _draw_subsample(dataset: Dataset, spec: ModelSpec, b: int, config: AspConfig
     q = _basis_size(b, spec.null_dim, config)
     basis = BasisSelection(indices=rng.choice(b, size=q, replace=False))
     return dataset.take(rows), basis
-
-
-def _check_response(dataset: Dataset) -> None:
-    """Raise unless y varies: a constant response leaves GCV nothing to fit."""
-    if dataset.y.size and (dataset.y == dataset.y[0]).all():
-        raise InputError("response is constant; no smoothing parameter can be selected")
 
 
 def _fit_subsample(args) -> SubsampleFit | str:
@@ -359,14 +354,13 @@ def estimate_p(dataset: Dataset, spec: ModelSpec, lambda_sub: float, theta,
     fit draws its rows and basis, is scored at
     lambda_p = lambda_sub * (B/b)^{-r/(pr+1)} for both candidate p values,
     with theta held fixed; the smaller score wins and ties go to p = 1.
+    Both scores are read from one design of the B rows (``gcv.scores_at``).
     """
     big = min(round_half_up(config.b_factor * b), dataset.n)
     sub, basis = _draw_subsample(dataset, spec, big, config, (31,))
-    t, k, qmat = assemble(sub, spec, basis, theta)
+    nlams = [big * extrapolate_lambda(lambda_sub, big, b, config.r_default, p) for p in (1, 2)]
     best_p, best_score = 1, np.inf
-    for p in (1, 2):
-        lam_p = extrapolate_lambda(lambda_sub, big, b, config.r_default, p)
-        score = gcv_score(t, k, qmat, sub.y, big * lam_p)
+    for p, score in zip((1, 2), scores_at(sub, spec, basis, theta, nlams)):
         # strict inequality: ties keep the earlier (smaller) p
         if score < best_score:
             best_p, best_score = p, score
@@ -508,7 +502,6 @@ def _full_sample_search(method: str, search, dataset: Dataset, spec: ModelSpec,
                         config: AspConfig) -> SelectionResult:
     """Run ``search(dataset, spec, basis)`` on the full-sample basis as a selection result."""
     t0 = time.perf_counter()
-    _check_response(dataset)
     basis = full_sample_basis(dataset.n, spec.null_dim, config)
     res = search(dataset, spec, basis)
     return SelectionResult(

@@ -56,7 +56,7 @@ def _column_from_json(doc: dict) -> PredictorDomain:
 
 def _read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
     with handle:
@@ -75,9 +75,13 @@ def _parse_numeric_table(header, raw_rows, columns=None):
     not read.  A table whose rows all have the header's width is parsed by
     one numpy conversion, which accepts the same cells as ``float``; only
     when a row is ragged or a cell fails does the per-cell loop run, to
-    find them.
+    find them.  A column read must be named once in the header.
     """
     every = list(range(len(header)))
+    read = [name for name in header if columns is None or name in columns]
+    twice = sorted({name for name in read if read.count(name) > 1})
+    if twice:
+        raise InputError(f"columns named more than once in the header: {twice}")
     idx = every if columns is None else [header.index(name) for name in columns]
     if all(len(row) == len(header) for row in raw_rows):
         cells = raw_rows if idx == every else [[row[j] for j in idx] for row in raw_rows]

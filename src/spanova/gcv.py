@@ -22,19 +22,18 @@ stacked-QR fit (``_stacked_fit``); every theta trial and ``gcv_score``
 through the same QR (``solver._complement_solve``), with the residual
 read from the complement rows.
 
-``skip_select`` and ``full_gcv`` take the rows (dataset, model, basis)
-and build their own designs.  ``full_gcv`` runs on the blocks of
-``solver.compressed_blocks``, the one place that chooses whether to
-stream: where p + 1 < n, the n rows compressed to p = M + S q rows
-without any per-term n-row block, so every exact score, profile and theta
-trial of its search, skip's included, costs the same at any n; otherwise
-the n rows rotated by T's QR.  Its coordinate sweep writes
-K(theta) + w K_delta into one reused stack.  ``skip_search`` needs only a
-design at each of two thetas, so ``skip_select`` compresses
-[T, K(theta), y] (M + q + 1 columns) once per stage, streamed from the
-rows on every data shape (``solver.DesignRows.design_at``).  The search's
-factorizations, solves and row products run on scipy's LAPACK and BLAS
-(see ``solver``).
+``skip_select``, ``full_gcv`` and ``scores_at`` take the rows (dataset,
+model, basis) and build their own designs.  ``full_gcv`` runs on the
+blocks of ``solver.compressed_blocks``, the one place that chooses
+whether to stream: where p + 1 < n, the n rows compressed to p = M + S q
+rows without any per-term n-row block, so every exact score, profile and
+theta trial of its search, skip's included, costs the same at any n;
+otherwise the n rows rotated by T's QR.  Its coordinate sweep writes
+K(theta) + w K_delta into one reused stack.  ``skip_select`` and
+``scores_at`` compress [T, K(theta), y] (M + q + 1 columns) at each theta
+they need, streamed from the rows (``solver.DesignRows.design_at``).
+The search's factorizations, solves and row products run on scipy's
+LAPACK and BLAS (see ``solver``).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .data import Dataset
 from .kernels import ModelSpec
 from .solver import (BasisSelection, CompiledDesign, DesignBlocks, DesignRows, SmoothingParams,
                      _checked_design, _complement_solve, _design_gcv, _dot, _r_factor, _ridged,
-                     _stacked_fit, compressed_blocks)
+                     _stacked_fit, compressed_blocks, part_traces)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -195,9 +194,14 @@ def gcv_score(t, k, q, y, params) -> float:
     Returns +inf when the effective degrees of freedom reach n.
     """
     nlam = params.nlam if isinstance(params, SmoothingParams) else float(params)
-    if nlam <= 0:
-        raise InputError("nlam must be positive")
     return _exact_score(_checked_design(t, k, q, y), nlam)
+
+
+def scores_at(dataset: Dataset, spec: ModelSpec, basis: BasisSelection, theta,
+              nlams) -> list[float]:
+    """Exact scores at each of ``nlams`` on one design of the rows at ``theta`` (``design_at``)."""
+    design = DesignRows(dataset, spec, basis).design_at(theta)
+    return [_exact_score(design, nlam) for nlam in nlams]
 
 
 def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
@@ -213,6 +217,12 @@ def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
     return GcvResult(params=params, score=score, iterations=1,
                      converged=not hit_boundary, score_trace=(score,),
                      flags=("lambda-boundary",) if hit_boundary else ())
+
+
+def _check_response(dataset: Dataset) -> None:
+    """Raise unless y varies: a constant response leaves GCV nothing to fit."""
+    if dataset.y.size and (dataset.y == dataset.y[0]).all():
+        raise InputError("response is constant; no smoothing parameter can be selected")
 
 
 def _designs(blocks: DesignBlocks, y: np.ndarray):
@@ -282,8 +292,9 @@ def skip_select(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> Gcv
     columns, streamed from the rows chunk by chunk
     (``solver.DesignRows.design_at``), so no per-term n-row block exists.
     """
+    _check_response(dataset)
     rows = DesignRows(dataset, spec, basis)
-    return skip_search(rows.design_at, rows.part_traces, rows.q_parts)
+    return skip_search(rows.design_at, part_traces(dataset, spec), rows.q_parts)
 
 
 class _Trials:
@@ -357,6 +368,9 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
     profile; the two agree to about 1e-12 relative, so only a near-exact
     tie between a trial and a search minimum could be decided either way.
     """
+    if max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, got {max_iter}")
+    _check_response(dataset)
     blocks, y = compressed_blocks(dataset, spec, basis)
     designs = _designs(blocks, y)
     init = skip_search(designs, blocks.part_traces, blocks.q_parts)

@@ -33,18 +33,17 @@ No selection needs the S per-term n x q blocks K_delta: each chunk's rows
 of K_delta are formed from the kernel at those rows and folded into R
 (``DesignRows``), the chunked-QR construction of Wood, Goude & Shaw (2015,
 "Generalized additive models for large data sets"), so a selection holds
-O(p^2 + chunk p) doubles, not S n q.  A full-sample skip compresses
-[T, K(theta), y] at each of its two thetas instead, M + q + 1 columns per
-pass (``DesignRows.design_at``), on every data shape.  Only a search
-where p + 1 >= n, with nothing to compress, forms the blocks over all n
-rows, in one array that T's QR (``NullQR``) rotates in place;
-``compressed_blocks`` is the one place that makes this choice
-(``streams_rows``).  A fit at one theta, ``predict`` and the p estimate
-form K(theta) = sum_delta theta_delta K_delta directly
-(``kernel_design``), one cache-sized tile of rows at a time; the refit
-compresses it and holds about 1.2 n q doubles, K(theta) and no copy.
-Kernel rows formed in tiles or chunks equal the in-memory blocks' rows
-bit for bit.
+O(p^2 + chunk p) doubles, not S n q.  Only a search where p + 1 >= n,
+with nothing to compress, forms the blocks over all n rows, in one array
+that T's QR (``NullQR``) rotates in place; ``compressed_blocks`` is the
+one place that makes this choice (``streams_rows``).  Rows of
+K(theta) = sum_delta theta_delta K_delta come from one row source
+(``_kernel_rows``), one cache-sized tile at a time: skip's two designs
+and the p estimate's one compress [T, K(theta), y], M + q + 1 columns, as
+the rows come (``DesignRows.design_at``); the refit fills one n x q
+K(theta) and compresses that, holding about 1.2 n q doubles; ``predict``
+sums K(theta) c tile by tile.  Kernel rows formed in tiles or chunks
+equal the in-memory blocks' rows bit for bit.
 
 The QRs, solves, SVDs and row products of the fit and the search run on
 scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
@@ -74,8 +73,7 @@ from .util import InputError, NumericalError, derive_rng, round_half_up
 
 # Relative size of the ridge added to Q before factorization.
 RIDGE_SCALE = 1e-10
-# Rows formed at once: of [T, K_1 ... K_S, y] while compressing, and of
-# K(theta) while a fit or a prediction forms it.
+# Rows of [T, K_1 ... K_S, y] compressed at once, and the most rows of a kernel tile.
 COMPRESS_CHUNK = 2048
 # Block size of the compact-WY QR.
 QR_BLOCK = 32
@@ -248,12 +246,16 @@ def _tiles(lo: int, hi: int, q: int, max_rows: int | None = None):
     A tile holds about KERNEL_TILE_BYTES of one block, and at most
     COMPRESS_CHUNK rows, or ``max_rows`` if fewer.  Kernel entries are
     elementwise in the rows, so a block formed tile by tile equals the
-    block formed at once bit for bit.
+    block formed at once bit for bit.  Tiles span multiples of 4 rows but
+    the last, which spans 4 or more unless it is the only one: OpenBLAS's
+    dgemv takes rows in fours, so ``predict``'s tile-by-tile K(theta) c
+    then equals ``fit_model``'s product over all rows bit for bit.
     """
-    step = min(COMPRESS_CHUNK, max_rows or COMPRESS_CHUNK,
-               max(1, KERNEL_TILE_BYTES // (8 * q)))
-    for a in range(lo, hi, step):
-        yield a, min(a + step, hi)
+    step = min(COMPRESS_CHUNK, max_rows or COMPRESS_CHUNK, KERNEL_TILE_BYTES // (8 * q))
+    stops = [*range(lo, hi, max(8, step - step % 4)), hi]
+    if len(stops) > 2 and stops[-1] - stops[-2] < 4:
+        stops[-2] -= 4
+    return zip(stops, stops[1:])
 
 
 def _theta_vector(theta, n_penalized: int) -> np.ndarray:
@@ -263,19 +265,18 @@ def _theta_vector(theta, n_penalized: int) -> np.ndarray:
     return theta
 
 
-def _weighted_sum(theta: np.ndarray, parts, out: np.ndarray | None = None) -> np.ndarray:
+def _weighted_sum(theta: np.ndarray, parts) -> np.ndarray:
     """sum_delta theta_delta parts_delta, accumulated in term order.
 
-    ``parts`` may be a generator; the sum goes into ``out`` when given, and
-    later terms are scaled in one reused buffer.  The operations and their
-    order do not depend on where the parts come from, so a sum over blocks
-    formed one row chunk at a time equals the same rows of the sum over
-    whole blocks bit for bit.
+    ``parts`` may be a generator; later terms are scaled in one reused
+    buffer.  The operations and their order do not depend on where the
+    parts come from, so a sum over blocks formed one row chunk at a time
+    equals the same rows of the sum over whole blocks bit for bit.
     """
-    scaled = None
+    out = scaled = None
     for i, (w, part) in enumerate(zip(theta, parts)):
         if i == 0:
-            out = np.multiply(w, part, out=out)
+            out = np.multiply(w, part)
         else:
             scaled = np.multiply(w, part, out=scaled)
             out += scaled
@@ -389,18 +390,17 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     """
     rows = DesignRows(dataset, spec, basis)
     return DesignBlocks(t=rows.t, k_parts=tuple(rows.kernel_rows(0, dataset.n)),
-                        q_parts=rows.q_parts, part_traces=rows.part_traces, basis=basis,
+                        q_parts=rows.q_parts, part_traces=part_traces(dataset, spec), basis=basis,
                         n_obs=dataset.n)
 
 
 class DesignRows:
     """The rows of [T, K_1 ... K_S, y] for one dataset and basis, formed on demand.
 
-    Holds T, the basis rows, the penalty parts Q_delta and the part traces,
-    after the checks of ``null_design``.  A kernel row block is formed from
-    ``term_grams`` at the rows asked for, so compressing COMPRESS_CHUNK
-    rows at a time needs O(p^2 + chunk p) memory and no per-term n-row
-    block exists.
+    Holds T, the basis rows and the penalty parts Q_delta, after the checks
+    of ``null_design``.  A kernel row block is formed from ``term_grams``
+    at the rows asked for, so compressing COMPRESS_CHUNK rows at a time
+    needs O(p^2 + chunk p) memory and no per-term n-row block exists.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
@@ -408,7 +408,6 @@ class DesignRows:
         self.dataset, self.spec, self.basis = dataset, spec, basis
         self.z = dataset.x[basis.indices]
         self.q_parts = _penalty_parts(spec, self.z)
-        self.part_traces = part_traces(dataset, spec)
 
     def kernel_rows(self, lo: int, hi: int):
         """Per-term kernel blocks K_delta at rows lo .. hi, in term order."""
@@ -418,13 +417,13 @@ class DesignRows:
     def design_at(self, theta) -> CompiledDesign:
         """Design of [T, K(theta), y] at one theta, compressed to M + q rows.
 
-        K(theta) is formed chunk by chunk as in ``kernel_design``; the QR
-        has M + q + 1 columns, not the p + 1 of ``compressed_blocks``.
+        The QR, M + q + 1 columns rather than the p + 1 of
+        ``compressed_blocks``, reads K(theta) from its row source
+        (``_kernel_rows``) one tile at a time, so K(theta) is never whole.
         """
         theta = _theta_vector(theta, self.spec.n_penalized)
-        return _compressed_design(
-            self.t, lambda lo, hi: (_weighted_sum(theta, self.kernel_rows(lo, hi)),),
-            _weighted_sum(theta, self.q_parts), self.dataset.y)
+        return _compressed_design(self.t, _kernel_rows(self.spec, self.dataset.x, self.z, theta),
+                                  _weighted_sum(theta, self.q_parts), self.dataset.y)
 
 
 def streams_rows(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> bool:
@@ -451,7 +450,7 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec,
         t, rho2, f = null.triangle(), 0.0, null.rotate(dataset.y)
         k_parts = _rotated_blocks(null, rows.kernel_rows, dataset.n, q, s)
     return DesignBlocks(t=t, k_parts=k_parts, q_parts=rows.q_parts,
-                        part_traces=rows.part_traces, basis=basis, n_obs=dataset.n,
+                        part_traces=part_traces(dataset, spec), basis=basis, n_obs=dataset.n,
                         rss_offset=rho2), f
 
 
@@ -460,35 +459,17 @@ def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple((qb + qb.T) / 2.0 for qb in term_grams(spec.penalized_terms, spec.domains, z, z))
 
 
-def kernel_design(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta) -> np.ndarray:
-    """K(theta) = sum_delta theta_delta K_delta between two point sets.
+def _kernel_rows(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta):
+    """The row source (lo, hi) -> K(theta)[lo:hi] between two point sets.
 
-    Formed one tile (``_tiles``, at most COMPRESS_CHUNK rows) at a time
-    into one F-ordered (n, m) array, which ``fit_model`` compresses; no
-    per-term n-row block exists, and the extra memory is a few tile-row
-    blocks.  Equals the same rows of ``DesignBlocks.combine``'s K bit for
-    bit.
+    K(theta) = sum_delta theta_delta K_delta, the rows formed from
+    ``term_grams`` at those rows alone, in one C-ordered array; read one
+    tile (``_tiles``) at a time, in any tiling they equal the same rows of
+    ``DesignBlocks.combine``'s K bit for bit.
     """
     theta = _theta_vector(theta, spec.n_penalized)
-    out = np.empty((x_rows.shape[0], z_rows.shape[0]), order="F")
-    for a, b in _tiles(0, x_rows.shape[0], z_rows.shape[0]):
-        # summed in the tile's own row-major layout, then copied in once
-        out[a:b] = _weighted_sum(theta, term_grams(spec.penalized_terms, spec.domains,
-                                                   x_rows[a:b], z_rows))
-    return out
-
-
-def assemble(dataset: Dataset, spec: ModelSpec, basis: BasisSelection, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble (T, K(theta), Q(theta)) for one theta: the inputs of the penalized solve.
-
-    Runs the checks of ``assemble_blocks`` but forms K(theta) directly
-    (``kernel_design``), never the per-term blocks; the result equals
-    ``assemble_blocks(...).combine(theta)`` bit for bit.
-    """
-    t = null_design(dataset, spec, basis)
-    z = dataset.x[basis.indices]
-    k = kernel_design(spec, dataset.x, z, theta)
-    return t, k, _weighted_sum(np.asarray(theta, dtype=float), _penalty_parts(spec, z))
+    return lambda lo, hi: _weighted_sum(
+        theta, term_grams(spec.penalized_terms, spec.domains, x_rows[lo:hi], z_rows))
 
 
 class CompiledDesign:
@@ -548,10 +529,10 @@ class CompiledDesign:
 def _compressed_design(t: np.ndarray, k, q: np.ndarray, y: np.ndarray) -> CompiledDesign:
     """The design of [T, K, y] compressed to M + q rows by ``_compress_rows``.
 
-    ``k`` is K, or a row source ``k(lo, hi)`` as ``_compress_rows`` reads.
+    ``k`` is K, or a row source ``k(lo, hi)`` of K's rows (``_kernel_rows``).
     The design scores T's n rows, with rho^2 as its ``rss_offset``.
     """
-    rows = k if callable(k) else lambda lo, hi: (k[lo:hi],)
+    rows = (lambda lo, hi: (k(lo, hi),)) if callable(k) else (lambda lo, hi: (k[lo:hi],))
     t_r, (k_r,), rho2, f = _compress_rows(t, rows, y, 1, q.shape[0])
     return CompiledDesign(t_r, k_r, q, f, t.shape[0], rho2)
 
@@ -666,7 +647,8 @@ def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
               basis: BasisSelection) -> FitResult:
     """Fit at fixed smoothing parameters on the given basis rows.
 
-    ``assemble`` forms K(theta) directly, so no per-term block is built,
+    One F-ordered (n, q) K(theta) is filled from the row source
+    (``_kernel_rows``) one tile at a time, so no per-term block is built,
     and [T, K(theta), y] is compressed chunk by chunk
     (``_compressed_design``), so the fit holds K(theta) and no n-row copy.
     The score is ``gcv.gcv_score``'s on the same arrays, and the fitted
@@ -674,12 +656,16 @@ def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
     of the normal equations' condition number, so any positive nlam yields
     a fit.
     """
-    t, k, q = assemble(dataset, spec, basis, params.theta)
-    design = _compressed_design(t, k, q, dataset.y)
+    rows, theta = DesignRows(dataset, spec, basis), params.theta
+    source = _kernel_rows(spec, dataset.x, rows.z, theta)
+    k = np.empty((dataset.n, basis.q), order="F")
+    for a, b in _tiles(0, dataset.n, basis.q):
+        k[a:b] = source(a, b)
+    design = _compressed_design(rows.t, k, _weighted_sum(theta, rows.q_parts), dataset.y)
     d, c, trace_a = _stacked_fit(design, params.nlam)
-    return FitResult(d=d, c=c, fitted=_dot(t, d) + _dot(k, c), trace_a=trace_a,
+    return FitResult(d=d, c=c, fitted=_dot(rows.t, d) + _dot(k, c), trace_a=trace_a,
                      gcv=_design_gcv(design, c, trace_a), params=params,
-                     basis_rows=dataset.x[basis.indices])
+                     basis_rows=rows.z)
 
 
 @dataclass
@@ -722,8 +708,10 @@ def predict(fit: FitResult, spec: ModelSpec,
     boundary, flagged in the returned mask, and reported once via a warning.
     Unknown discrete levels and non-finite values raise.  Returns
     (predictions, out_of_range).
-    K(theta) c is summed over COMPRESS_CHUNK-row chunks of K(theta), so
-    the kernel part needs memory for one chunk, not for all new rows.
+    K(theta) c is summed over tiles of the row source (``_kernel_rows``),
+    so the kernel part needs memory for one tile, not for all new rows.
+    Each tile is F-ordered, as ``fit_model``'s K(theta) is, so the
+    predictions at the training rows equal ``fitted`` bit for bit.
     """
     new_raw = np.atleast_2d(np.asarray(new_raw, dtype=float))
     if new_raw.shape[1] != spec.n_predictors:
@@ -743,8 +731,7 @@ def predict(fit: FitResult, spec: ModelSpec,
         )
     xs = np.column_stack(cols)
     eta = _dot(null_basis_matrix(spec, xs), fit.d)
-    for lo in range(0, xs.shape[0], COMPRESS_CHUNK):
-        rows = slice(lo, lo + COMPRESS_CHUNK)
-        eta[rows] += _dot(kernel_design(spec, xs[rows], fit.basis_rows, fit.params.theta),
-                          fit.c)
+    rows = _kernel_rows(spec, xs, fit.basis_rows, fit.params.theta)
+    for a, b in _tiles(0, xs.shape[0], fit.c.shape[0]):
+        eta[a:b] += _dot(np.asfortranarray(rows(a, b)), fit.c)
     return eta, flags

@@ -39,7 +39,6 @@ from spanova.simulate import (
 )
 from spanova.solver import (
     DesignRows,
-    assemble,
     assemble_blocks,
     demmler_reinsch,
     hat_trace,
@@ -81,7 +80,8 @@ def test_01_solver_matches_dense_kkt(capsys):
     for seed in range(20):
         d = 1 + seed % 2
         ds, spec, basis = _random_problem(seed, 30, d, 30)
-        t, k, q = assemble(ds, spec, basis, np.ones(spec.n_penalized))
+        blocks = assemble_blocks(ds, spec, basis)
+        t, (k, q) = blocks.t, blocks.combine(np.ones(spec.n_penalized))
         nlam = 10.0 ** (-4 + seed % 3)
         m = t.shape[1]
         nq = q.shape[0]
@@ -118,7 +118,8 @@ def test_02_residual_map_identity(capsys):
     x = rng.uniform(size=(b, 1))
     spec = main_effects_model(unit_domains(1))
     ds = Dataset(x=x, y=np.zeros(b), domains=spec.domains)
-    t, k, q = assemble(ds, spec, select_basis(b, b, seed=2), np.ones(1))
+    blocks = assemble_blocks(ds, spec, select_basis(b, b, seed=2))
+    t, (k, q) = blocks.t, blocks.combine(np.ones(1))
     system = demmler_reinsch(t, k)
     eye = np.eye(b)
     worst = 0.0
@@ -192,7 +193,7 @@ def test_04_starting_value_hand_arithmetic(capsys):
     from spanova.gcv import _stage_one
 
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, c = _stage_one(rows.design_at, rows.part_traces)
+    theta1, _, c = _stage_one(rows.design_at, blocks.part_traces)
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
         acc = 0.0

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spanova import asp, solver
+from spanova import asp, gcv, solver
 from spanova.asp import (
     AspConfig,
     RateFit,
@@ -109,6 +109,9 @@ def test_config_validation():
     for jobs in (0, -3):
         with pytest.raises(InputError, match="jobs must be at least 1"):
             AspConfig(jobs=jobs)
+    for iters in (0, -3):
+        with pytest.raises(InputError, match=f"gcv_max_iter must be at least 1, got {iters}"):
+            AspConfig(gcv_max_iter=iters)
     assert AspConfig(jobs=1).worker_count == 1
     for name in ("b_coef", "b_max_coef", "b_factor", "r_default", "p_default",
                  "order_c", "basis_coef", "basis_exp"):
@@ -452,6 +455,27 @@ def test_selectors_reject_constant_response(selector, monkeypatch):
     monkeypatch.setattr(solver, "term_grams", no_blocks)
     with pytest.raises(InputError, match="response is constant"):
         selector(data, SCENARIOS["m1"].spec, AspConfig(jobs=1))
+
+
+def test_estimate_p_compresses_one_design(monkeypatch):
+    """Both candidate p are scored on one design of the 2b rows: one chunked
+    QR, and no part trace."""
+    calls = []
+    real = solver._compress_rows
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return real(*args)
+
+    def forbidden(*args):
+        raise AssertionError("part traces computed")
+
+    monkeypatch.setattr(solver, "_compress_rows", counting)
+    for module in (solver, gcv):
+        monkeypatch.setattr(module, "part_traces", forbidden)
+    data = gen_data("m1", 2000, snr=5.0, seed=0).dataset
+    p = estimate_p(data, SCENARIOS["m1"].spec, 1e-6, np.ones(5), 200, AspConfig(jobs=1))
+    assert p in (1, 2) and calls == [400]
 
 
 def test_subsample_jobs_carry_only_their_rows(monkeypatch):

@@ -391,6 +391,75 @@ def test_fit_exit_code_on_nonpositive_jobs(tmp_path, capsys, jobs):
     assert not (tmp_path / "f.json").exists()
 
 
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_fit_exit_code_on_gcv_max_iter_below_one(tmp_path, capsys, iters):
+    """Fewer than one iteration used to leave gcv at skip's start, silently."""
+    rng = np.random.default_rng(5)
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], rng.uniform(size=(60, 2)).tolist())
+    code = main(["fit", "--data", path, "--response", "y", "--model", "1",
+                 "--method", "gcv", "--gcv-max-iter", iters, "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    assert f"gcv_max_iter must be at least 1, got {iters}" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_repeated_column_name_exits_2_naming_it(tmp_path, capsys):
+    """A header naming a column twice fails the fit, and an input repeating
+    one of the fit's predictors fails predict; before, predict read both
+    predictors from the first column of that name."""
+    rng = np.random.default_rng(6)
+    rows = rng.uniform(size=(200, 3)).tolist()
+    twice = write_csv(tmp_path / "twice.csv", ["x", "x", "y"], rows)
+    capsys.readouterr()
+    assert main(["fit", "--data", twice, "--response", "y", "--model", "1,2",
+                 "--method", "skip", "--out", str(tmp_path / "f.json")]) == 2
+    assert "columns named more than once in the header: ['x']" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+    train = write_csv(tmp_path / "train.csv", ["x", "z", "y"], rows)
+    fit = tmp_path / "fit.json"
+    assert main(["fit", "--data", train, "--response", "y", "--model", "1,2",
+                 "--method", "skip", "--out", str(fit)]) == 0
+    repeated = write_csv(tmp_path / "repeated.csv", ["x", "z", "z", "id", "id"],
+                         [[0.5, 0.5, 0.5, 1, 2]])
+    capsys.readouterr()
+    assert main(["predict", "--fit", str(fit), "--data", repeated,
+                 "--out", str(tmp_path / "pred.csv")]) == 2
+    assert "columns named more than once in the header: ['z']" in capsys.readouterr().err
+    # columns the fit does not read may repeat
+    ids = write_csv(tmp_path / "ids.csv", ["x", "z", "id", "id"], [[0.5, 0.5, 1, 2]])
+    assert main(["predict", "--fit", str(fit), "--data", ids,
+                 "--out", str(tmp_path / "pred.csv")]) == 0
+
+
+def test_byte_order_mark_reads_as_plain_utf8(tmp_path):
+    """A CSV saved as UTF-8 with a BOM fits and predicts as the same rows without one."""
+    rng = np.random.default_rng(7)
+    a = rng.uniform(size=120)
+    y = np.sin(2 * np.pi * a) + 0.2 * rng.standard_normal(120)
+    outputs = {}
+    for header, name in ((["y", "a"], "y_first"), (["a", "y"], "a_first")):
+        cols = {"a": a, "y": y}
+        rows = [[repr(float(cols[h][i])) for h in header] for i in range(120)]
+        for bom in ("", "\ufeff"):
+            data = tmp_path / f"{name}{len(bom)}.csv"
+            write_csv(data, header, rows)
+            data.write_text(bom + data.read_text(encoding="utf-8"), encoding="utf-8")
+            fit, pred = tmp_path / f"{data.stem}.json", tmp_path / f"{data.stem}_pred.csv"
+            assert main(["fit", "--data", str(data), "--response", "y", "--model", "1",
+                         "--method", "skip", "--out", str(fit)]) == 0
+            assert main(["predict", "--fit", str(fit), "--data", str(data),
+                         "--out", str(pred)]) == 0
+            doc = json.loads(fit.read_text())
+            outputs[name, bom] = (doc["columns"], doc["fit"], pred.read_bytes())
+    for name in ("y_first", "a_first"):
+        assert outputs[name, ""][0][0]["name"] == "a"
+        assert outputs[name, ""] == outputs[name, "\ufeff"]
+    # a fit from a file with a BOM predicts on one without
+    plain = write_csv(tmp_path / "plain.csv", ["a"], [[0.25], [0.75]])
+    assert main(["predict", "--fit", str(tmp_path / "a_first1.json"), "--data", plain,
+                 "--out", str(tmp_path / "plain_pred.csv")]) == 0
+
+
 @pytest.mark.parametrize("flag, value", [("--b-coef", "nan"), ("--basis-coef", "nan"),
                                          ("--basis-exp", "inf"), ("--r", "inf"),
                                          ("--order-c", "nan")])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spanova import gcv, solver
+from spanova.asp import full_sample_basis
 from spanova.data import Dataset, unit_domains
 from spanova.gcv import (
     GcvResult,
@@ -34,7 +35,7 @@ from spanova.solver import (
     fit_model,
     select_basis,
 )
-from spanova.util import NumericalError
+from spanova.util import InputError, NumericalError
 
 
 def smooth_problem(seed, n=40, q=20, noise=0.3):
@@ -360,7 +361,7 @@ def test_skip_stage_two_arithmetic_by_hand():
     ds = Dataset(x=x, y=y, domains=spec.domains)
     blocks = assemble_blocks(ds, spec, select_basis(5, 4, seed=0))
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, c = gcv._stage_one(rows.design_at, rows.part_traces)
+    theta1, _, c = gcv._stage_one(rows.design_at, blocks.part_traces)
     # hand arithmetic: explicit accumulation of the quadratic forms
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
@@ -380,7 +381,7 @@ def test_skip_trace_normalization_stage():
 
     ds, spec, blocks = two_term_problem(5)
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, _ = gcv._stage_one(rows.design_at, rows.part_traces)
+    theta1, _, _ = gcv._stage_one(rows.design_at, blocks.part_traces)
     for delta, term in enumerate(spec.penalized_terms):
         tr = term_gram_diag(term, spec.domains, ds.x).sum()
         assert theta1[delta] == pytest.approx(1.0 / tr, rel=1e-14)
@@ -548,6 +549,21 @@ def test_full_gcv_beats_three_dimensional_grid():
     assert fg.score <= best * (1 + 1e-3)
 
 
+def test_public_searches_reject_constant_response():
+    """On a constant y, skip_select returned log10 nlam -32.4 and full_gcv
+    3.43 with a score of 3e-29, and neither raised nor flagged."""
+    data = gen_data("m1", 300, 5.0, seed=1).dataset
+    spec = SCENARIOS["m1"].spec
+    flat = Dataset(x=data.x, y=np.full(300, 2.0), domains=data.domains)
+    basis = full_sample_basis(300, spec.null_dim)
+    for search in (full_gcv, skip_select):
+        with pytest.raises(InputError, match="response is constant"):
+            search(flat, spec, basis)
+    for max_iter in (0, -3):
+        with pytest.raises(InputError, match=f"max_iter must be at least 1, got {max_iter}"):
+            full_gcv(data, spec, basis, max_iter=max_iter)
+
+
 # ------------------------------------------------------------- one BLAS copy
 
 
@@ -599,7 +615,8 @@ def test_asp_holds_no_design_builder():
     from spanova import asp
 
     builders = ("DesignRows", "DesignBlocks", "assemble_blocks", "compressed_blocks",
-                "streams_rows")
+                "streams_rows", "_compressed_design", "_checked_design", "_kernel_rows",
+                "gcv_score")
     assert [name for name in builders if hasattr(asp, name)] == []
     assert [name for name in ("streams_rows", "assemble_blocks", "_compressed_design")
             if hasattr(gcv, name)] == []

@@ -10,7 +10,6 @@ from spanova.gcv import _Trials, gcv_score, minimize_lambda
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     SmoothingParams,
-    assemble,
     assemble_blocks,
     basis_count,
     compressed_blocks,
@@ -35,6 +34,12 @@ def make_problem(seed, n, d=1, q=None, noise=0.3):
     ds = Dataset(x=x, y=y, domains=spec.domains)
     basis = select_basis(n, n if q is None else q, seed=seed)
     return ds, spec, basis
+
+
+def theta_design(ds, spec, basis, theta):
+    """(T, K(theta), Q(theta)) of the n-row reference blocks."""
+    blocks = assemble_blocks(ds, spec, basis)
+    return (blocks.t, *blocks.combine(theta))
 
 
 def objective(t, k, q_r, y, nlam, d, c):
@@ -74,7 +79,7 @@ def test_solver_matches_dense_kkt():
         n = 25 + seed
         d = 1 + seed % 2
         ds, spec, basis = make_problem(seed, n, d=d, q=max(12, n // 2))
-        t, k, q = assemble(ds, spec, basis, np.ones(spec.n_penalized))
+        t, k, q = theta_design(ds, spec, basis, np.ones(spec.n_penalized))
         nlam = 10.0 ** (-4 + seed % 3)
         dd, cc = solve_penalized(t, k, q, ds.y, nlam)
         q_r = q + 1e-10 * np.trace(q) / q.shape[0] * np.eye(q.shape[0])
@@ -86,7 +91,7 @@ def test_solver_matches_dense_kkt():
 
 def test_solution_beats_random_perturbations():
     ds, spec, basis = make_problem(3, 30, d=1, q=15)
-    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    t, k, q = theta_design(ds, spec, basis, np.ones(1))
     nlam = 1e-3
     dd, cc = solve_penalized(t, k, q, ds.y, nlam)
     q_r = q + 1e-10 * np.trace(q) / q.shape[0] * np.eye(q.shape[0])
@@ -103,7 +108,7 @@ def test_full_basis_matches_classic_bordered_system():
     for seed in (0, 1):
         for nlam in (1e-3, 1e-4):
             ds, spec, basis = make_problem(seed, 35, d=1)
-            t, k, q = assemble(ds, spec, basis, np.ones(1))
+            t, k, q = theta_design(ds, spec, basis, np.ones(1))
             assert k.shape == (35, 35)
             dd, cc = solve_penalized(t, k, q, ds.y, nlam)
             fitted = t @ dd + k @ cc
@@ -130,7 +135,7 @@ def test_singular_gram_is_handled_by_ridge():
     from spanova.solver import BasisSelection
 
     basis = BasisSelection(indices=np.concatenate([np.arange(16), [20, 21]]))
-    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    t, k, q = theta_design(ds, spec, basis, np.ones(1))
     dd, cc = solve_penalized(t, k, q, ds.y, 1e-5)
     assert np.isfinite(dd).all() and np.isfinite(cc).all()
     fitted = t @ dd + k @ cc
@@ -192,7 +197,7 @@ def dense_hat(apply_a, n):
 def test_hat_trace_matches_dense_map():
     for seed, nlam in ((0, 1e-4), (1, 1e-2), (2, 1.0)):
         ds, spec, basis = make_problem(seed, 30, d=2, q=18)
-        t, k, q = assemble(ds, spec, basis, np.ones(spec.n_penalized))
+        t, k, q = theta_design(ds, spec, basis, np.ones(spec.n_penalized))
         tr, apply_a = hat_trace(t, k, q, nlam)
         a = dense_hat(apply_a, 30)
         assert tr == pytest.approx(np.trace(a), abs=1e-7)
@@ -202,7 +207,7 @@ def test_hat_trace_matches_dense_map():
 
 def test_hat_trace_limits():
     ds, spec, basis = make_problem(4, 40, d=1, q=20)
-    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    t, k, q = theta_design(ds, spec, basis, np.ones(1))
     tr_stiff, _ = hat_trace(t, k, q, 1e12)
     # the smoother collapses to the parametric projection
     assert tr_stiff == pytest.approx(t.shape[1], abs=1e-3)
@@ -213,7 +218,7 @@ def test_hat_trace_limits():
 
 def test_apply_a_is_linear():
     ds, spec, basis = make_problem(6, 25, d=1, q=14)
-    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    t, k, q = theta_design(ds, spec, basis, np.ones(1))
     _, apply_a = hat_trace(t, k, q, 1e-3)
     rng = np.random.default_rng(8)
     y1 = rng.standard_normal(25)
@@ -234,7 +239,7 @@ def test_demmler_reinsch_reconstructs_residual_map():
     spec = main_effects_model(unit_domains(1))
     ds = Dataset(x=x, y=rng.standard_normal(b), domains=spec.domains)
     basis = select_basis(b, b, seed=0)
-    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    t, k, q = theta_design(ds, spec, basis, np.ones(1))
     es = demmler_reinsch(t, k)
     assert es.z.shape == (b, b - t.shape[1])
     # Z is orthonormal and annihilates the null design
@@ -289,16 +294,19 @@ def test_fit_is_reproducible():
 
 
 def test_assemble_validations():
+    """The fit runs the checks of the design builders before forming K(theta)."""
     ds, spec, basis = make_problem(1, 30, d=1, q=15)
     with pytest.raises(InputError):
-        assemble(ds, spec, select_basis(30, 2, seed=0), np.ones(1))  # q <= M
+        fit_model(ds, spec, SmoothingParams.from_values(1e-2, np.ones(1)),
+                  select_basis(30, 2, seed=0))  # q <= M
     rng = np.random.default_rng(0)
     x = np.column_stack([rng.uniform(size=30), np.full(30, 0.5)])
     spec2 = full_two_way_model(unit_domains(2))
     ds2 = Dataset(x=x, y=rng.standard_normal(30), domains=spec2.domains)
     with pytest.raises(InputError):
         # constant predictor duplicates the intercept column
-        assemble(ds2, spec2, select_basis(30, 15, seed=0), np.ones(5))
+        fit_model(ds2, spec2, SmoothingParams.from_values(1e-2, np.ones(5)),
+                  select_basis(30, 15, seed=0))
 
 
 def test_combine_weights_blocks():
@@ -435,8 +443,9 @@ def discrete_problem(n=300, seed=6):
 @pytest.mark.parametrize("name, n", [("u2", 300), ("m1", 3000), ("m2", 400), ("m4", 300),
                                      ("discrete", 300)])
 def test_assemble_equals_blocks_combine(name, n):
-    """K(theta) formed row chunk by row chunk equals blocks.combine bit for
-    bit (m1 spans two chunks), as do T and Q(theta)."""
+    """K(theta) read from its row source tile by tile, and in
+    COMPRESS_CHUNK-row chunks, equals blocks.combine bit for bit (m1 spans
+    two chunks), as do the fit's T and Q(theta)."""
     if name == "discrete":
         ds, spec = discrete_problem(n)
     else:
@@ -444,9 +453,32 @@ def test_assemble_equals_blocks_combine(name, n):
     basis = select_basis(ds.n, basis_count(ds.n), seed=3)
     blocks = assemble_blocks(ds, spec, basis)
     theta = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, spec.n_penalized)
-    t, k, q = assemble(ds, spec, basis, theta)
     k_ref, q_ref = blocks.combine(theta)
-    assert np.array_equal(t, blocks.t) and np.array_equal(k, k_ref) and np.array_equal(q, q_ref)
+    rows = solver._kernel_rows(spec, ds.x, ds.x[basis.indices], theta)
+    tiles = list(solver._tiles(0, ds.n, basis.q))
+    chunks = [(lo, min(lo + solver.COMPRESS_CHUNK, ds.n))
+              for lo in range(0, ds.n, solver.COMPRESS_CHUNK)]
+    assert len(chunks) == (2 if name == "m1" else 1)
+    for spans in (tiles, chunks):
+        assert np.array_equal(np.vstack([rows(a, b) for a, b in spans]), k_ref)
+    design = solver.DesignRows(ds, spec, basis)
+    assert np.array_equal(design.t, blocks.t)
+    assert np.array_equal(solver._weighted_sum(theta, design.q_parts), q_ref)
+
+
+@pytest.mark.parametrize("name, n", [("m1", 3000), ("m1", 4099), ("m4", 800)])
+def test_predict_at_training_rows_equals_fitted(name, n):
+    """predict's tiles and the fit's K(theta) c sum every row in the same
+    order, so the predictions are the fitted values bit for bit; at 4099
+    rows a loop over 2048-row chunks left a 3-row block, whose 3 rows
+    drifted by 1e-14."""
+    sim = gen_data(name, n, 5.0, seed=1)
+    spec = SCENARIOS[name].spec
+    basis = select_basis(n, basis_count(n), seed=3)
+    theta = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, spec.n_penalized)
+    fit = fit_model(sim.dataset, spec, SmoothingParams.from_values(1e-3, theta), basis)
+    pred, flags = predict(fit, spec, sim.dataset.x)
+    assert np.array_equal(pred, fit.fitted) and not flags.any()
 
 
 @pytest.mark.parametrize("name", ["m1", "discrete"])
@@ -529,7 +561,7 @@ def test_array_entry_points_check_their_inputs(entry):
     """The public array-level entry points reject what CompiledDesign trusts."""
     call = ENTRY_POINTS[entry]
     ds, spec, basis = make_problem(3, 40, q=12)
-    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    t, k, q = theta_design(ds, spec, basis, np.ones(1))
     call(t, k, q, ds.y)
     asym = q.copy()
     asym[0, 1] += 1e-6
@@ -547,7 +579,7 @@ def test_compiled_design_rejects_unabsorbed_t():
     """CompiledDesign rotates nothing: a T with an entry below its diagonal
     would be scored as if it were [R_T; 0], so it raises."""
     ds, spec, basis = make_problem(3, 40, q=12)
-    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    t, k, q = theta_design(ds, spec, basis, np.ones(1))
     m = t.shape[1]
     assert solver._compressed_design(t, k, q, ds.y).n == m + basis.q
     with pytest.raises(NumericalError, match="below its diagonal"):
@@ -572,7 +604,7 @@ def test_single_designs_construct_no_null_qr(monkeypatch):
 
     monkeypatch.setattr(solver, "NullQR", forbidden)
     ds, spec, basis = make_problem(3, 40, q=12)
-    t, k, q = assemble(ds, spec, basis, np.ones(1))
+    t, k, q = theta_design(ds, spec, basis, np.ones(1))
     fit_model(ds, spec, SmoothingParams.from_values(1e-2, [1.0]), basis)
     gcv_score(t, k, q, ds.y, 1e-2)
     solve_penalized(t, k, q, ds.y, 1e-2)
