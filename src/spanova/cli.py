@@ -346,6 +346,9 @@ def _load_fit_document(path: str):
         raise InputError(f"{path} is not a fit document: missing key {exc}") from None
     except (TypeError, ValueError, AttributeError, IndexError) as exc:
         raise InputError(f"{path} is not a fit document: {exc}") from None
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        raise InputError(f"{path} is not a fit document: columns named more than once: {twice}")
     if (basis_rows.ndim != 2 or basis_rows.shape[1] != len(names)
             or fit.d.shape != (spec.null_dim,) or fit.c.shape != (basis_rows.shape[0],)
             or len(params.log10_theta) != spec.n_penalized):
@@ -402,10 +405,21 @@ def _summary_path(out_path: str) -> str:
     return f"{root}_summary{ext or '.csv'}"
 
 
+def _list_option(option: str, text: str, kind) -> list:
+    """The comma-separated entries of ``text``, each read by ``kind``."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(kind(entry))
+        except ValueError:
+            raise InputError(f"{option} entry {entry!r} is not a valid {kind.__name__}") from None
+    return out
+
+
 def run_bench(args) -> int:
     scenarios = [s.strip() for s in args.scenario.split(",")]
-    ns = [int(v) for v in args.n.split(",")]
-    snrs = [float(v) for v in args.snr.split(",")]
+    ns = _list_option("--n", args.n, int)
+    snrs = _list_option("--snr", args.snr, float)
     methods = [m.strip() for m in args.methods.split(",")]
     bad = [m for m in methods if m not in METHODS]
     if bad:
@@ -438,7 +452,6 @@ def run_bench(args) -> int:
 
 
 def _add_config_arguments(parser):
-    parser.add_argument("--method", choices=METHODS, default="asp-u")
     parser.add_argument("--b-coef", type=float, default=50.0,
                         help="subsample size coefficient b = round(coef * n^{1/4})")
     parser.add_argument("--subsamples", type=int, default=5)
@@ -483,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="COLUMN", help="force a column continuous")
     p_fit.add_argument("--discrete", action="append", default=None,
                        metavar="COLUMN", help="force a column discrete")
+    p_fit.add_argument("--method", choices=METHODS, default="asp-u")
     _add_config_arguments(p_fit)
     p_fit.add_argument("--out", required=True, help="fit document (JSON)")
     p_fit.add_argument("--fitted-out", default=None,
@@ -495,7 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--out", required=True)
     p_pred.set_defaults(run=run_predict)
 
-    p_bench = sub.add_parser("bench", help="run the scenario comparison harness")
+    # no abbreviations: --method would otherwise be read as --methods
+    p_bench = sub.add_parser("bench", help="run the scenario comparison harness",
+                             allow_abbrev=False)
     p_bench.add_argument("--scenario", required=True,
                          help="comma-separated scenario ids")
     p_bench.add_argument("--n", required=True, help="comma-separated sizes")

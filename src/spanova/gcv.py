@@ -28,8 +28,8 @@ blocks of ``solver.compressed_blocks``, the one place that chooses
 whether to stream: where p + 1 < n, the n rows compressed to p = M + S q
 rows without any per-term n-row block, so every exact score, profile and
 theta trial of its search, skip's included, costs the same at any n;
-otherwise the n rows rotated by T's QR.  Its coordinate sweep writes
-K(theta) + w K_delta into one reused stack.  ``skip_select`` and
+otherwise the n rows rotated by T's QR.  Each trial of its coordinate
+sweep is a ``CompiledDesign`` of K(theta) + w K_delta.  ``skip_select`` and
 ``scores_at`` compress [T, K(theta), y] (M + q + 1 columns) at each theta
 they need, streamed from the rows (``solver.DesignRows.design_at``).
 The search's factorizations, solves and row products run on scipy's
@@ -47,7 +47,7 @@ import scipy.linalg as sla
 from .data import Dataset
 from .kernels import ModelSpec
 from .solver import (BasisSelection, CompiledDesign, DesignBlocks, DesignRows, SmoothingParams,
-                     _checked_design, _complement_solve, _design_gcv, _dot, _r_factor, _ridged,
+                     _checked_design, _complement_solve, _design_gcv, _dot, _r_factor,
                      _stacked_fit, compressed_blocks, part_traces)
 from .util import InputError, NumericalError
 
@@ -297,48 +297,18 @@ def skip_select(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> Gcv
     return skip_search(rows.design_at, part_traces(dataset, spec), rows.q_parts)
 
 
-class _Trials:
-    """``full_gcv``'s theta trials: K + w K_delta and Q + w Q_delta at one nlam.
+def _trial(blocks: DesignBlocks, k: np.ndarray, q: np.ndarray, y: np.ndarray, delta: int,
+           dw: float) -> tuple[CompiledDesign, np.ndarray]:
+    """The theta trial where theta_delta moves by ``dw`` from K(theta), Q(theta).
 
-    Stands in for ``CompiledDesign`` in ``_exact_score`` (the sizes,
-    ``q_r``, ``stack`` and ``residual``).  The blocks' T is [R_T; 0], so a
-    trial reads only the complement rows of the blocks; each writes
-    K + w K_delta straight into one stack that the whole search reuses,
-    and no trial allocates an n-row array.
+    Returns its design and Q + dw Q_delta; K + dw K_delta is formed in one
+    allocation.  Accepting the trial keeps its ``k`` and that Q.
     """
-
-    def __init__(self, blocks: DesignBlocks, y: np.ndarray):
-        self.n, self.m, self.nq = blocks.n, blocks.n_null, blocks.q
-        self.n_obs, self.rss_offset = blocks.n_obs, blocks.rss_offset
-        self.k_parts, self.q_parts, self.y = blocks.k_parts, blocks.q_parts, y
-        self._stack = np.empty((self.n - self.m + self.nq, self.nq + 1), order="F")
-
-    def start(self, k: np.ndarray, q: np.ndarray):
-        """Trials from K(theta), Q(theta) as ``DesignBlocks.combine`` returns them (owned)."""
-        self.k, self.q = k, q
-
-    def at(self, delta: int, dw: float) -> "_Trials":
-        """The trial where theta_delta moves by ``dw``."""
-        self.delta, self.dw = delta, dw
-        self.q_r = _ridged(self.q + dw * self.q_parts[delta])
-        return self
-
-    def accept(self):
-        """Move K(theta) and Q(theta) to the last trial, in place."""
-        self.k += self.dw * self.k_parts[self.delta]
-        self.q += self.dw * self.q_parts[self.delta]
-
-    def stack(self) -> np.ndarray:
-        m, q = self.m, self.nq
-        top = self._stack[:self.n - m, :q]
-        np.multiply(self.dw, self.k_parts[self.delta][m:], out=top)
-        top += self.k[m:]
-        self._stack[:self.n - m, q] = self.y[m:]
-        return self._stack
-
-    def residual(self, c: np.ndarray) -> np.ndarray:
-        kc = _dot(self.k, c) + self.dw * _dot(self.k_parts[self.delta], c)
-        return (self.y - kc)[self.m:]
+    k_trial = np.multiply(dw, blocks.k_parts[delta])
+    k_trial += k
+    q_trial = q + dw * blocks.q_parts[delta]
+    return CompiledDesign(blocks.t, k_trial, q_trial, y, blocks.n_obs,
+                          blocks.rss_offset), q_trial
 
 
 def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
@@ -360,10 +330,10 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
 
     The blocks are built on entry by ``solver.compressed_blocks``, which
     compresses the rows where p + 1 < n and otherwise rotates the n rows
-    by T's QR, so T is [R_T; 0] either way.  Each theta trial writes
-    K + w K_delta into one reused stack of the complement rows
-    (``_Trials``), so a trial costs O(pq) plus a QR of p - M + q rows and
-    q + 1 columns, whatever n is; T's M columns are never factored again.
+    by T's QR, so T is [R_T; 0] either way.  Each theta trial is the
+    design of K + w K_delta on those blocks (``_trial``), so a trial costs
+    O(pq) plus a QR of p - M + q rows and q + 1 columns, whatever n is;
+    T's M columns are never factored again.
     Theta trials are scored by that stacked QR and nlam searches by the
     profile; the two agree to about 1e-12 relative, so only a near-exact
     tie between a trial and a search minimum could be decided either way.
@@ -382,7 +352,6 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
     flags = set(init.flags) - {"lambda-boundary"}
     trace = [score]
     h = 0.1
-    trials = _Trials(blocks, y)
 
     def pin_scale():
         nonlocal theta, log_nlam
@@ -398,15 +367,16 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
         iterations += 1
         nlam = 10.0 ** log_nlam
         # coordinate sweep at fixed nlam, K and Q moved one block per trial
-        trials.start(*blocks.combine(theta))
+        k, q = blocks.combine(theta)
         for delta in range(s):
             lt0 = math.log10(theta[delta])
 
             def eval_at(lt):
-                return _exact_score(trials.at(delta, 10.0 ** lt - theta[delta]), nlam)
+                design, q_trial = _trial(blocks, k, q, y, delta, 10.0 ** lt - theta[delta])
+                return _exact_score(design, nlam), design.k, q_trial
 
-            f_plus = eval_at(lt0 + h)
-            f_minus = eval_at(lt0 - h)
+            f_plus = eval_at(lt0 + h)[0]
+            f_minus = eval_at(lt0 - h)[0]
             if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
                 continue
             grad = (f_plus - f_minus) / (2 * h)
@@ -418,9 +388,9 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
             if abs(step) < 1e-8:
                 continue
             for trial_step in (step, step / 2, step / 4):
-                f_try = eval_at(lt0 + trial_step)
+                f_try, k_try, q_try = eval_at(lt0 + trial_step)
                 if f_try < score:
-                    trials.accept()
+                    k, q = k_try, q_try
                     theta[delta] = 10.0 ** (lt0 + trial_step)
                     score = f_try
                     break

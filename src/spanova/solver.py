@@ -492,8 +492,7 @@ class CompiledDesign:
     moved out of the rows (see ``compressed_blocks``).
 
     The QR reads the complement rows through ``stack`` and the score its
-    residual through ``residual``; ``gcv.full_gcv``'s theta trials provide
-    the same two methods over one reused stack.
+    residual through ``residual``.
     """
 
     def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray,
@@ -501,7 +500,7 @@ class CompiledDesign:
         self.n, self.m = t.shape
         if self.n < self.m:
             raise NumericalError("null design has fewer rows than columns")
-        if np.tril(t, -1).any():
+        if t[self.m:].any() or np.tril(t[:self.m], -1).any():
             raise NumericalError("null design is not absorbed: T has entries below its diagonal")
         self.r_t = t[:self.m]
         if (np.diag(self.r_t) == 0.0).any():

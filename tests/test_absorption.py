@@ -91,18 +91,25 @@ def test_full_gcv_matches_with_t_trial_scores(monkeypatch, scenario, n, tol):
     """Every theta trial scores as the with-T stack does, and a search that
     scores its trials by the with-T stack lands on the same parameters."""
     rows, (blocks, f) = search_problem(scenario, n)
-    real = gcv._exact_score
+    real, real_trial = gcv._exact_score, gcv._trial
+    latest = {}
 
-    def reference(trial, nlam):
-        k = trial.k + trial.dw * trial.k_parts[trial.delta]
-        q = trial.q + trial.dw * trial.q_parts[trial.delta]
-        return with_t_score(blocks.t, k, q, f, nlam, trial.n_obs, trial.rss_offset)
+    def recording(*args):
+        # the design holds Q only ridged; the reference ridges the trial's Q itself
+        latest["design"], latest["q"] = trial = real_trial(*args)
+        return trial
 
-    def checked(trial, nlam):
-        got = real(trial, nlam)
-        assert got == pytest.approx(reference(trial, nlam), rel=1e-12)
+    def reference(design, nlam):
+        assert design is latest["design"]
+        return with_t_score(blocks.t, design.k, latest["q"], f, nlam, design.n_obs,
+                            design.rss_offset)
+
+    def checked(design, nlam):
+        got = real(design, nlam)
+        assert got == pytest.approx(reference(design, nlam), rel=1e-12)
         return got
 
+    monkeypatch.setattr(gcv, "_trial", recording)
     monkeypatch.setattr(gcv, "_exact_score", checked)
     want = full_gcv(*rows, max_iter=3)
     monkeypatch.setattr(gcv, "_exact_score", reference)
@@ -110,6 +117,24 @@ def test_full_gcv_matches_with_t_trial_scores(monkeypatch, scenario, n, tol):
     assert got.params.log10_nlam == pytest.approx(want.params.log10_nlam, abs=tol)
     np.testing.assert_allclose(got.params.log10_theta, want.params.log10_theta, rtol=0.0,
                                atol=tol)
+
+
+@pytest.mark.parametrize("scenario,n", [("m1", 1200), ("m4", 300)])
+def test_every_full_gcv_score_is_of_a_compiled_design(monkeypatch, scenario, n):
+    """full_gcv's theta trials are ordinary designs: every exact score of its
+    search, on compressed m1 rows and on rotated m4 rows alike, receives a
+    ``CompiledDesign``."""
+    rows, _ = search_problem(scenario, n)
+    kinds = []
+    real = gcv._exact_score
+
+    def spy(design, nlam):
+        kinds.append(type(design))
+        return real(design, nlam)
+
+    monkeypatch.setattr(gcv, "_exact_score", spy)
+    full_gcv(*rows, max_iter=2)
+    assert kinds and set(kinds) == {CompiledDesign}
 
 
 @pytest.mark.parametrize("scenario,n", [("m1", 1200), ("m4", 300)])

@@ -351,6 +351,26 @@ def test_bench_command(tmp_path):
                  "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("option,value,entry", [("--n", "250,abc", "abc"),
+                                                ("--snr", "x5", "x5")])
+def test_bench_malformed_list_exits_2_naming_it(tmp_path, capsys, option, value, entry):
+    args = {"--n": "250", "--snr": "5", option: value}
+    code = main(["bench", "--scenario", "u2", "--n", args["--n"], "--snr", args["--snr"],
+                 "--methods", "order", "--replicates", "1", "--out", str(tmp_path / "b.csv")])
+    assert code == 2
+    assert f"input error: {option} entry {entry!r}" in capsys.readouterr().err
+    assert not (tmp_path / "b.csv").exists()
+
+
+def test_bench_has_no_method_option(tmp_path, capsys):
+    """bench runs the methods of --methods; --method belongs to fit alone."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--scenario", "u2", "--n", "250", "--snr", "5", "--methods", "skip",
+              "--method", "gcv", "--out", str(tmp_path / "b.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method gcv" in capsys.readouterr().err
+
+
 def test_exit_code_on_missing_file(tmp_path, capsys):
     code = main(["fit", "--data", str(tmp_path / "absent.csv"), "--response",
                  "y", "--model", "1", "--out", str(tmp_path / "f.json")])
@@ -429,6 +449,15 @@ def test_repeated_column_name_exits_2_naming_it(tmp_path, capsys):
     ids = write_csv(tmp_path / "ids.csv", ["x", "z", "id", "id"], [[0.5, 0.5, 1, 2]])
     assert main(["predict", "--fit", str(fit), "--data", ids,
                  "--out", str(tmp_path / "pred.csv")]) == 0
+    # a fit document naming one predictor twice would read both from one column
+    doc = json.loads(fit.read_text())
+    doc["columns"][1]["name"] = "x"
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--fit", str(renamed), "--data", ids,
+                 "--out", str(tmp_path / "pred.csv")]) == 2
+    assert "columns named more than once: ['x']" in capsys.readouterr().err
 
 
 def test_byte_order_mark_reads_as_plain_utf8(tmp_path):
@@ -556,8 +585,10 @@ def test_simulate_and_bench_files_are_the_bytes_csv_writer_writes(tmp_path):
     lambda doc: {**doc, "fit": {**doc["fit"], "basis_rows": 5}},
     lambda doc: {**doc, "fit": {**doc["fit"], "theta": [0.0] * len(doc["fit"]["theta"])}},
     lambda doc: {**doc, "fit": {**doc["fit"], "theta": [-1.0] * len(doc["fit"]["theta"])}},
+    lambda doc: {**doc, "columns": doc["columns"] * 2,
+                 "fit": {**doc["fit"], "basis_rows": [r * 2 for r in doc["fit"]["basis_rows"]]}},
 ], ids=["list", "non-numeric-c", "short-c", "scalar-basis-rows", "nonpositive-theta-zero",
-        "nonpositive-theta-negative"])
+        "nonpositive-theta-negative", "repeated-column"])
 def test_predict_exit_code_on_malformed_fit_document(fitted_paths, tmp_path, capsys, corrupt):
     sim, fit_path, _, _ = fitted_paths
     bad = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ import pytest
 from spanova import solver
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import PredictorDomain, full_two_way_model, main_effects_model
-from spanova.gcv import _Trials, gcv_score, minimize_lambda
+from spanova.gcv import _trial, gcv_score, minimize_lambda
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     SmoothingParams,
@@ -323,26 +323,26 @@ def test_combine_weights_blocks():
 
 
 def test_sweep_updates_match_fresh_combine():
-    """full_gcv's one-block trial and accepted updates of K and Q agree with
-    a fresh combine, in the complement rows a trial reads."""
+    """full_gcv's one-block trials, and the K and Q it accepts from them,
+    agree with a fresh combine, in the complement rows a trial reads."""
     ds, spec, basis = make_problem(3, 200, d=2, q=16)
     blocks, y = compressed_blocks(ds, spec, basis)
     m = blocks.n_null
     rng = np.random.default_rng(4)
     theta = 10.0 ** rng.uniform(-1.0, 1.0, blocks.n_penalized)
-    trials = _Trials(blocks, y)
-    trials.start(*blocks.combine(theta))
+    k, q = blocks.combine(theta)
     for delta in list(range(blocks.n_penalized)) * 3:
         new = 10.0 ** rng.uniform(-1.0, 1.0)
-        stack = trials.at(delta, new - theta[delta]).stack()
+        design, q_trial = _trial(blocks, k, q, y, delta, new - theta[delta])
+        stack = design.stack()
         theta[delta] = new
         k_ref, q_ref = blocks.combine(theta)
         np.testing.assert_allclose(stack[:blocks.n - m, :-1], k_ref[m:], rtol=0.0,
                                    atol=1e-12 * np.abs(k_ref).max())
         assert np.array_equal(stack[:blocks.n - m, -1], y[m:])
-        trials.accept()
-    np.testing.assert_allclose(trials.k, k_ref, rtol=0.0, atol=1e-12 * np.abs(k_ref).max())
-    np.testing.assert_allclose(trials.q, q_ref, rtol=0.0, atol=1e-12 * np.abs(q_ref).max())
+        k, q = design.k, q_trial
+    np.testing.assert_allclose(k, k_ref, rtol=0.0, atol=1e-12 * np.abs(k_ref).max())
+    np.testing.assert_allclose(q, q_ref, rtol=0.0, atol=1e-12 * np.abs(q_ref).max())
 
 
 @pytest.mark.parametrize("chunk", [7, 40, 2048])
@@ -588,6 +588,11 @@ def test_compiled_design_rejects_unabsorbed_t():
     absorbed[:m] = np.triu(t[:m])
     solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
     absorbed[-1, 0] = 1e-300
+    with pytest.raises(NumericalError, match="below its diagonal"):
+        solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
+    # an entry below the diagonal of the top M x M block, the rows below it zero
+    absorbed[-1, 0] = 0.0
+    absorbed[m - 1, 0] = 1e-300
     with pytest.raises(NumericalError, match="below its diagonal"):
         solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
     with pytest.raises(NumericalError, match="fewer rows than columns"):
