@@ -117,6 +117,14 @@ def _check_finite(names, table) -> None:
         raise InputError(f"non-finite cell at row {rows[0] + 1}, column {names[cols[0]]!r}")
 
 
+def _open_output(path: str, **kwargs):
+    """``path`` opened for writing; an unwritable path is an input error."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_csv_lines(path: str, header: str, lines) -> None:
     """Write a header and CSV lines with the CRLF line ends of ``csv.writer``.
 
@@ -127,7 +135,7 @@ def _write_csv_lines(path: str, header: str, lines) -> None:
     which ``csv.writer`` would not quote either.
     """
     lines = iter(lines)
-    with open(path, "w", newline="") as handle:
+    with _open_output(path, newline="") as handle:
         handle.write(f"{header}\r\n")
         while chunk := list(itertools.islice(lines, CSV_WRITE_LINES)):
             handle.write("\r\n".join(chunk) + "\r\n")
@@ -303,7 +311,7 @@ def run_fit(args) -> int:
             "total_seconds": time.perf_counter() - t_start,
         },
     }
-    with open(args.out, "w") as handle:
+    with _open_output(args.out) as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     if args.fitted_out:
@@ -354,6 +362,9 @@ def _load_fit_document(path: str):
             or len(params.log10_theta) != spec.n_penalized):
         raise InputError(f"{path} is not a fit document: coefficient shapes do not match"
                          " its model")
+    for field, values in (("c", fit.c), ("d", fit.d), ("basis_rows", basis_rows)):
+        if not np.isfinite(values).all():
+            raise InputError(f"{path} is not a fit document: fit.{field} has a non-finite entry")
     return doc, names, spec, fit
 
 

@@ -28,10 +28,10 @@ blocks of ``solver.compressed_blocks``, the one place that chooses
 whether to stream: where p + 1 < n, the n rows compressed to p = M + S q
 rows without any per-term n-row block, so every exact score, profile and
 theta trial of its search, skip's included, costs the same at any n;
-otherwise the n rows rotated by T's QR.  Each trial of its coordinate
-sweep is a ``CompiledDesign`` of K(theta) + w K_delta.  ``skip_select`` and
-``scores_at`` compress [T, K(theta), y] (M + q + 1 columns) at each theta
-they need, streamed from the rows (``solver.DesignRows.design_at``).
+otherwise the n rows rotated by T's QR.  A search's designs come from one
+source's ``design_at(theta)``: ``full_gcv``'s blocks (``solver.DesignBlocks``),
+or, for ``skip_select`` and ``scores_at``, the rows (``solver.DesignRows``),
+compressing [T, K(theta), y] (M + q + 1 columns) as they stream.
 The search's factorizations, solves and row products run on scipy's
 LAPACK and BLAS (see ``solver``).
 """
@@ -225,14 +225,8 @@ def _check_response(dataset: Dataset) -> None:
         raise InputError("response is constant; no smoothing parameter can be selected")
 
 
-def _designs(blocks: DesignBlocks, y: np.ndarray):
-    """The design provider theta -> CompiledDesign of absorbed blocks held in memory."""
-    return lambda theta: CompiledDesign(blocks.t, *blocks.combine(theta), y, blocks.n_obs,
-                                        blocks.rss_offset)
-
-
-def _stage_one(design_at, part_traces: np.ndarray):
-    """First skip stage: trace-normalized theta, nlam scan, coefficients.
+def _stage_one(source, part_traces: np.ndarray):
+    """First skip stage on ``source``'s designs: trace-normalized theta, nlam scan, coefficients.
 
     The profile scan picks nlam; c comes from the stacked-QR fit there.
     Returns (theta_1, log10_nlam, c).
@@ -240,19 +234,19 @@ def _stage_one(design_at, part_traces: np.ndarray):
     if (part_traces <= 0).any():
         raise NumericalError("a kernel block has nonpositive trace")
     theta1 = 1.0 / part_traces
-    profile1 = LambdaProfile(design_at(theta1))
+    profile1 = LambdaProfile(source.design_at(theta1))
     x1, _, _ = golden_minimize(profile1.score)
     _, c, _ = _stacked_fit(profile1.design, 10.0 ** x1)
     return theta1, x1, c
 
 
-def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
-    """Two-step starting-value selection over a design provider.
+def skip_search(source, part_traces: np.ndarray) -> GcvResult:
+    """Two-step starting-value selection on the designs of one source.
 
-    ``design_at(theta)`` returns the ``CompiledDesign`` of [T, K(theta), y]
-    with Q(theta) = sum_delta theta_delta Q_delta, from blocks held in
-    memory (``full_gcv``'s start) or streamed over the n rows
-    (``skip_select``); the arithmetic is the same.
+    ``source.design_at(theta)`` returns the ``CompiledDesign`` of
+    [T, K(theta), y] with Q(theta) = sum_delta theta_delta Q_delta, from
+    ``source.q_parts``: blocks held in memory (``full_gcv``'s start) or
+    the n rows streamed (``skip_select``); the arithmetic is the same.
 
     Step 1: theta_delta = 1/tr(R_delta) over the fitted rows, minimize the
     score in nlam and extract c.  Step 2: theta_delta0 =
@@ -264,8 +258,8 @@ def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
     nlam/theta only) and reports nlam on theta_0's own scale.
     """
     flags: list[str] = []
-    theta1, _, c = _stage_one(design_at, part_traces)
-    quad = np.array([c @ qp @ c for qp in q_parts])
+    theta1, _, c = _stage_one(source, part_traces)
+    quad = np.array([c @ qp @ c for qp in source.q_parts])
     theta0 = theta1**2 * quad
     top = theta0.max()
     if top <= 0.0:
@@ -275,7 +269,7 @@ def skip_search(design_at, part_traces: np.ndarray, q_parts) -> GcvResult:
         flags.append("theta-floor")
         theta0 = np.where(theta0 > 0.0, theta0, 1e-12 * top)
     shift = float(np.mean(np.log10(theta0)))
-    profile2 = LambdaProfile(design_at(theta0 * 10.0 ** (-shift)))
+    profile2 = LambdaProfile(source.design_at(theta0 * 10.0 ** (-shift)))
     x2, score, hit_boundary = golden_minimize(profile2.score)
     if hit_boundary:
         flags.append("lambda-boundary")
@@ -293,22 +287,19 @@ def skip_select(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> Gcv
     (``solver.DesignRows.design_at``), so no per-term n-row block exists.
     """
     _check_response(dataset)
-    rows = DesignRows(dataset, spec, basis)
-    return skip_search(rows.design_at, part_traces(dataset, spec), rows.q_parts)
+    return skip_search(DesignRows(dataset, spec, basis), part_traces(dataset, spec))
 
 
-def _trial(blocks: DesignBlocks, k: np.ndarray, q: np.ndarray, y: np.ndarray, delta: int,
-           dw: float) -> tuple[CompiledDesign, np.ndarray]:
-    """The theta trial where theta_delta moves by ``dw`` from K(theta), Q(theta).
+def _trial(blocks: DesignBlocks, design: CompiledDesign, delta: int, dw: float) -> CompiledDesign:
+    """The design where theta_delta moves by ``dw`` from ``design``'s, on ``blocks``.
 
-    Returns its design and Q + dw Q_delta; K + dw K_delta is formed in one
-    allocation.  Accepting the trial keeps its ``k`` and that Q.
+    K + dw K_delta is formed in one allocation, and Q + dw Q_delta from the
+    design's unridged Q.
     """
     k_trial = np.multiply(dw, blocks.k_parts[delta])
-    k_trial += k
-    q_trial = q + dw * blocks.q_parts[delta]
-    return CompiledDesign(blocks.t, k_trial, q_trial, y, blocks.n_obs,
-                          blocks.rss_offset), q_trial
+    k_trial += design.k
+    return CompiledDesign(blocks.t, k_trial, design.q + dw * blocks.q_parts[delta], blocks.y,
+                          blocks.n_obs, blocks.rss_offset)
 
 
 def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
@@ -330,10 +321,10 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
 
     The blocks are built on entry by ``solver.compressed_blocks``, which
     compresses the rows where p + 1 < n and otherwise rotates the n rows
-    by T's QR, so T is [R_T; 0] either way.  Each theta trial is the
-    design of K + w K_delta on those blocks (``_trial``), so a trial costs
-    O(pq) plus a QR of p - M + q rows and q + 1 columns, whatever n is;
-    T's M columns are never factored again.
+    by T's QR, so T is [R_T; 0] either way.  The search holds one design,
+    replaced by each accepted trial and each nlam profile's, and a trial is
+    the design of K + w K_delta from it (``_trial``), so it costs O(pq)
+    plus a QR of p - M + q rows and q + 1 columns, whatever n is.
     Theta trials are scored by that stacked QR and nlam searches by the
     profile; the two agree to about 1e-12 relative, so only a near-exact
     tie between a trial and a search minimum could be decided either way.
@@ -341,10 +332,8 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
     _check_response(dataset)
-    blocks, y = compressed_blocks(dataset, spec, basis)
-    designs = _designs(blocks, y)
-    init = skip_search(designs, blocks.part_traces, blocks.q_parts)
-    s = blocks.n_penalized
+    blocks = compressed_blocks(dataset, spec, basis)
+    init = skip_search(blocks, part_traces(dataset, spec))
     theta = init.params.theta.copy()
     log_nlam = init.params.log10_nlam
     score = init.score
@@ -360,20 +349,18 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
         log_nlam -= shift
 
     pin_scale()
+    design = blocks.design_at(theta)
 
-    iterations = 0
     converged = False
-    for _ in range(max_iter):
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
         nlam = 10.0 ** log_nlam
         # coordinate sweep at fixed nlam, K and Q moved one block per trial
-        k, q = blocks.combine(theta)
-        for delta in range(s):
+        for delta in range(blocks.n_penalized):
             lt0 = math.log10(theta[delta])
 
             def eval_at(lt):
-                design, q_trial = _trial(blocks, k, q, y, delta, 10.0 ** lt - theta[delta])
-                return _exact_score(design, nlam), design.k, q_trial
+                trial = _trial(blocks, design, delta, 10.0 ** lt - theta[delta])
+                return _exact_score(trial, nlam), trial
 
             f_plus = eval_at(lt0 + h)[0]
             f_minus = eval_at(lt0 - h)[0]
@@ -388,15 +375,16 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
             if abs(step) < 1e-8:
                 continue
             for trial_step in (step, step / 2, step / 4):
-                f_try, k_try, q_try = eval_at(lt0 + trial_step)
+                f_try, trial = eval_at(lt0 + trial_step)
                 if f_try < score:
-                    k, q = k_try, q_try
+                    design = trial
                     theta[delta] = 10.0 ** (lt0 + trial_step)
                     score = f_try
                     break
-        # nlam search at the updated theta, on the pinned scale
+        # nlam search at the updated theta, on the pinned scale; its design starts the next sweep
         pin_scale()
-        x, cand, hit_boundary = golden_minimize(LambdaProfile(designs(theta)).score)
+        design = blocks.design_at(theta)
+        x, cand, hit_boundary = golden_minimize(LambdaProfile(design).score)
         if cand < score:
             log_nlam = x
             score = cand

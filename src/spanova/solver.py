@@ -148,20 +148,19 @@ def select_basis(n: int, q: int, seed: int | None = None) -> BasisSelection:
 
 @dataclass
 class DesignBlocks:
-    """Per-term design blocks for one dataset and basis selection.
+    """Per-term design blocks and the response ``y`` in their rows, for one dataset and basis.
 
-    Everything here is independent of the smoothing parameters, so a fit can
-    reuse the blocks across theta and nlam choices.  ``part_traces`` holds
-    sum_i R_delta(x_i, x_i) over the fitted rows, used by the starting-value
-    algorithm.  Blocks from ``compressed_blocks`` hold p rows for n_obs
-    observations, and rss_offset is the part of the residual sum of squares
-    that no smoothing parameter can reach.
+    Everything here is independent of the smoothing parameters, so a search
+    builds its design at any theta from them (``design_at``).  Blocks from
+    ``compressed_blocks`` hold p rows for n_obs observations, and
+    rss_offset is the part of the residual sum of squares that no
+    smoothing parameter can reach.
     """
 
     t: np.ndarray
     k_parts: tuple[np.ndarray, ...]
     q_parts: tuple[np.ndarray, ...]
-    part_traces: np.ndarray
+    y: np.ndarray
     basis: BasisSelection
     n_obs: int
     rss_offset: float = 0.0
@@ -186,6 +185,10 @@ class DesignBlocks:
         """Weighted kernel design and penalty, K(theta) and Q(theta)."""
         theta = _theta_vector(theta, self.n_penalized)
         return _weighted_sum(theta, self.k_parts), _weighted_sum(theta, self.q_parts)
+
+    def design_at(self, theta) -> "CompiledDesign":
+        """The design of [T, K(theta), y] and Q(theta), for blocks whose T reads [R_T; 0]."""
+        return CompiledDesign(self.t, *self.combine(theta), self.y, self.n_obs, self.rss_offset)
 
 
 def _rotated_blocks(null: "NullQR", kernel_rows, n: int, q: int, s: int) -> tuple[np.ndarray, ...]:
@@ -390,8 +393,7 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     """
     rows = DesignRows(dataset, spec, basis)
     return DesignBlocks(t=rows.t, k_parts=tuple(rows.kernel_rows(0, dataset.n)),
-                        q_parts=rows.q_parts, part_traces=part_traces(dataset, spec), basis=basis,
-                        n_obs=dataset.n)
+                        q_parts=rows.q_parts, y=dataset.y, basis=basis, n_obs=dataset.n)
 
 
 class DesignRows:
@@ -431,8 +433,7 @@ def streams_rows(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> bo
     return spec.null_dim + spec.n_penalized * basis.q + 1 < dataset.n
 
 
-def compressed_blocks(dataset: Dataset, spec: ModelSpec,
-                      basis: BasisSelection) -> tuple[DesignBlocks, np.ndarray]:
+def compressed_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> DesignBlocks:
     """The blocks and response of a search, with T brought to [R_T; 0].
 
     When p + 1 < n the rows of [T, K_1 ... K_S, y] are compressed to p rows
@@ -449,9 +450,8 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec,
         null = NullQR(rows.t)
         t, rho2, f = null.triangle(), 0.0, null.rotate(dataset.y)
         k_parts = _rotated_blocks(null, rows.kernel_rows, dataset.n, q, s)
-    return DesignBlocks(t=t, k_parts=k_parts, q_parts=rows.q_parts,
-                        part_traces=part_traces(dataset, spec), basis=basis, n_obs=dataset.n,
-                        rss_offset=rho2), f
+    return DesignBlocks(t=t, k_parts=k_parts, q_parts=rows.q_parts, y=f, basis=basis,
+                        n_obs=dataset.n, rss_offset=rho2)
 
 
 def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -486,10 +486,10 @@ class CompiledDesign:
     that is a weighted sum of symmetrized parts, and skip the checks.
 
     Q_r is Q plus a ridge of RIDGE_SCALE times its mean diagonal, so its
-    Cholesky factor exists when Q is only semidefinite.  ``n`` is the row
-    count of the system; the scores divide by ``n_obs`` observations and
-    add ``rss_offset``, the residual sum of squares that the compression
-    moved out of the rows (see ``compressed_blocks``).
+    Cholesky factor exists when Q (``q``, not copied) is semidefinite.  ``n``
+    is the row count; the scores divide by ``n_obs`` observations and add
+    ``rss_offset``, the residual sum of squares that the compression moved
+    out of the rows (see ``compressed_blocks``).
 
     The QR reads the complement rows through ``stack`` and the score its
     residual through ``residual``.
@@ -507,7 +507,7 @@ class CompiledDesign:
             raise NumericalError("null design is rank deficient")
         self.k, self.y, self.nq = k, y, k.shape[1]
         self.n_obs, self.rss_offset = int(n_obs), float(rss_offset)
-        self.q_r = _ridged(q)
+        self.q, self.q_r = q, _ridged(q)
 
     def stack(self) -> np.ndarray:
         """A fresh F-ordered (n - M + q) x (q + 1) array led by [K_perp, y_perp].

@@ -56,11 +56,11 @@ def test_absorbed_scores_match_with_t_stack(scenario, n):
     from 1e-8 to 1e2: on the compressed rows of u2, m1 and m2, and on the
     caller's n rows of wide m4, whose blocks are rotated, not compressed."""
     ds, spec, basis = problem(scenario, n)
-    blocks, f = compressed_blocks(ds, spec, basis)
+    blocks = compressed_blocks(ds, spec, basis)
     assert not np.tril(blocks.t, -1).any()
     theta = 10.0 ** np.random.default_rng(1).uniform(-1.0, 1.0, blocks.n_penalized)
     k, q = blocks.combine(theta)
-    design = CompiledDesign(blocks.t, k, q, f, blocks.n_obs, blocks.rss_offset)
+    design = CompiledDesign(blocks.t, k, q, blocks.y, blocks.n_obs, blocks.rss_offset)
     profile = LambdaProfile(design)
     if scenario == "m4":
         assert blocks.n == n
@@ -68,7 +68,7 @@ def test_absorbed_scores_match_with_t_stack(scenario, n):
         reference = (dense.t, dense.combine(theta)[0], q, ds.y)
     else:
         assert blocks.n < n
-        reference = (blocks.t, k, q, f)
+        reference = (blocks.t, k, q, blocks.y)
     for nlam in NLAMS:
         want = with_t_score(*reference, nlam, n, blocks.rss_offset)
         assert _exact_score(design, nlam) == pytest.approx(want, rel=1e-12)
@@ -90,18 +90,12 @@ def search_problem(scenario="m1", n=1200, seed=3):
 def test_full_gcv_matches_with_t_trial_scores(monkeypatch, scenario, n, tol):
     """Every theta trial scores as the with-T stack does, and a search that
     scores its trials by the with-T stack lands on the same parameters."""
-    rows, (blocks, f) = search_problem(scenario, n)
-    real, real_trial = gcv._exact_score, gcv._trial
-    latest = {}
-
-    def recording(*args):
-        # the design holds Q only ridged; the reference ridges the trial's Q itself
-        latest["design"], latest["q"] = trial = real_trial(*args)
-        return trial
+    rows, blocks = search_problem(scenario, n)
+    real = gcv._exact_score
 
     def reference(design, nlam):
-        assert design is latest["design"]
-        return with_t_score(blocks.t, design.k, latest["q"], f, nlam, design.n_obs,
+        # the reference ridges the design's unridged Q itself
+        return with_t_score(blocks.t, design.k, design.q, blocks.y, nlam, design.n_obs,
                             design.rss_offset)
 
     def checked(design, nlam):
@@ -109,7 +103,6 @@ def test_full_gcv_matches_with_t_trial_scores(monkeypatch, scenario, n, tol):
         assert got == pytest.approx(reference(design, nlam), rel=1e-12)
         return got
 
-    monkeypatch.setattr(gcv, "_trial", recording)
     monkeypatch.setattr(gcv, "_exact_score", checked)
     want = full_gcv(*rows, max_iter=3)
     monkeypatch.setattr(gcv, "_exact_score", reference)
@@ -141,7 +134,7 @@ def test_every_full_gcv_score_is_of_a_compiled_design(monkeypatch, scenario, n):
 def test_search_qrs_factor_only_k_and_y_columns(monkeypatch, scenario, n):
     """full_gcv's blocks hold T as [R_T; 0], so no QR of its search, after
     the blocks are built, sees T's columns."""
-    rows, (blocks, f) = search_problem(scenario, n)
+    rows, blocks = search_problem(scenario, n)
     widths = []
     real = solver._r_factor
 
@@ -149,7 +142,7 @@ def test_search_qrs_factor_only_k_and_y_columns(monkeypatch, scenario, n):
         widths.append(stack.shape[1])
         return real(stack)
 
-    monkeypatch.setattr(gcv, "compressed_blocks", lambda *args: (blocks, f))
+    monkeypatch.setattr(gcv, "compressed_blocks", lambda *args: blocks)
     monkeypatch.setattr(solver, "_r_factor", recording)
     monkeypatch.setattr(gcv, "_r_factor", recording)
     full_gcv(*rows, max_iter=2)

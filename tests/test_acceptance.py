@@ -42,6 +42,7 @@ from spanova.solver import (
     assemble_blocks,
     demmler_reinsch,
     hat_trace,
+    part_traces,
     select_basis,
     solve_penalized,
 )
@@ -193,7 +194,7 @@ def test_04_starting_value_hand_arithmetic(capsys):
     from spanova.gcv import _stage_one
 
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, c = _stage_one(rows.design_at, blocks.part_traces)
+    theta1, _, c = _stage_one(rows, part_traces(ds, spec))
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
         acc = 0.0

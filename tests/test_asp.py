@@ -416,10 +416,8 @@ def test_order_selection_uses_trace_normalized_theta():
     spec = main_effects_model(domains)
     cfg = AspConfig(jobs=1, seed=5)
     res = order_selection(data, spec, cfg)
-    from spanova.solver import assemble_blocks, basis_count, select_basis
-    basis = select_basis(250, basis_count(250), seed=cfg.seed)
-    blocks = assemble_blocks(data, spec, basis)
-    assert res.theta == pytest.approx(1.0 / blocks.part_traces, rel=1e-12)
+    from spanova.solver import part_traces
+    assert res.theta == pytest.approx(1.0 / part_traces(data, spec), rel=1e-12)
 
 
 def test_order_selection_checks_inputs_without_kernel_blocks(monkeypatch):

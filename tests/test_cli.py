@@ -587,8 +587,12 @@ def test_simulate_and_bench_files_are_the_bytes_csv_writer_writes(tmp_path):
     lambda doc: {**doc, "fit": {**doc["fit"], "theta": [-1.0] * len(doc["fit"]["theta"])}},
     lambda doc: {**doc, "columns": doc["columns"] * 2,
                  "fit": {**doc["fit"], "basis_rows": [r * 2 for r in doc["fit"]["basis_rows"]]}},
+    lambda doc: {**doc, "fit": {**doc["fit"], "c": [float("nan"), *doc["fit"]["c"][1:]]}},
+    lambda doc: {**doc, "fit": {**doc["fit"], "d": [float("nan"), *doc["fit"]["d"][1:]]}},
+    lambda doc: {**doc, "fit": {**doc["fit"], "basis_rows": [
+        [float("nan"), *doc["fit"]["basis_rows"][0][1:]], *doc["fit"]["basis_rows"][1:]]}},
 ], ids=["list", "non-numeric-c", "short-c", "scalar-basis-rows", "nonpositive-theta-zero",
-        "nonpositive-theta-negative", "repeated-column"])
+        "nonpositive-theta-negative", "repeated-column", "nan-c", "nan-d", "nan-basis-rows"])
 def test_predict_exit_code_on_malformed_fit_document(fitted_paths, tmp_path, capsys, corrupt):
     sim, fit_path, _, _ = fitted_paths
     bad = tmp_path / "bad.json"
@@ -598,6 +602,42 @@ def test_predict_exit_code_on_malformed_fit_document(fitted_paths, tmp_path, cap
                  "--out", str(tmp_path / "p.csv")])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["c", "d", "basis_rows"])
+def test_predict_names_the_non_finite_fit_field(fitted_paths, tmp_path, capsys, field):
+    """A NaN coefficient or basis row would make every prediction NaN."""
+    sim, fit_path, _, _ = fitted_paths
+    doc = json.loads(fit_path.read_text())
+    values = np.array(doc["fit"][field], dtype=float)
+    values.flat[0] = np.nan
+    doc["fit"][field] = values.tolist()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert main(["predict", "--fit", str(bad), "--data", str(sim), "--out", str(out)]) == 2
+    assert f"fit.{field} has a non-finite entry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "fitted", "predict", "bench"])
+def test_unwritable_output_exits_2_naming_the_path(fitted_paths, tmp_path, capsys, command):
+    sim, fit_path, _, _ = fitted_paths
+    bad = tmp_path / "absent" / "out.csv"
+    fit_args = ["fit", "--data", str(sim), "--response", "y", "--model", "1",
+                "--method", "skip", "--jobs", "1"]
+    argv = {
+        "simulate": ["simulate", "--scenario", "u2", "--n", "50", "--snr", "5", "--out", str(bad)],
+        "fit": [*fit_args, "--out", str(bad)],
+        "fitted": [*fit_args, "--out", str(tmp_path / "f.json"), "--fitted-out", str(bad)],
+        "predict": ["predict", "--fit", str(fit_path), "--data", str(sim), "--out", str(bad)],
+        "bench": ["bench", "--scenario", "u2", "--n", "90", "--snr", "5", "--methods", "skip",
+                  "--replicates", "1", "--jobs", "1", "--out", str(bad)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"input error: cannot write {bad}: " in capsys.readouterr().err
 
 
 def test_jobs_environment_fallback(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import types
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from spanova.solver import (
     basis_count,
     compressed_blocks,
     fit_model,
+    part_traces,
     select_basis,
 )
 from spanova.util import InputError, NumericalError
@@ -76,12 +78,6 @@ def scenario_problem(scenario, n, seed=0):
     blocks = assemble_blocks(sim.dataset, SCENARIOS[scenario].spec,
                              select_basis(n, basis_count(n), seed=seed))
     return sim.dataset, blocks
-
-
-def design_at(blocks, y, theta):
-    """The exact-score inputs at theta, on the absorbed rows ``blocks`` holds."""
-    k, q = blocks.combine(theta)
-    return CompiledDesign(blocks.t, k, q, y, blocks.n_obs, blocks.rss_offset)
 
 
 def rotated_design(blocks, y, theta):
@@ -178,11 +174,11 @@ def test_theta_lambda_redundancy():
 
 def assert_compressed_scores_match(ds, spec, blocks, thetas, log_nlams):
     y = ds.y
-    small, f = compressed_blocks(ds, spec, blocks.basis)
+    small = compressed_blocks(ds, spec, blocks.basis)
     assert small.n == blocks.n_null + blocks.n_penalized * blocks.q < blocks.n
     assert small.n_obs == blocks.n
     for theta in thetas:
-        direct, compressed = rotated_design(blocks, y, theta), design_at(small, f, theta)
+        direct, compressed = rotated_design(blocks, y, theta), small.design_at(theta)
         assert compressed.n == small.n and compressed.n_obs == blocks.n
         lam_profile = LambdaProfile(compressed)
         for lg in log_nlams:
@@ -224,10 +220,10 @@ def compressed_two_term():
        log_theta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
 def test_compressed_score_invariant_to_common_scale(log_scale, log_nlam, log_theta):
     """Only nlam/theta is identified: (theta, nlam) -> (s theta, s nlam)."""
-    small, f = compressed_two_term()
+    small = compressed_two_term()
     theta, s = 10.0 ** np.array(log_theta), 10.0**log_scale
-    base = _exact_score(design_at(small, f, theta), 10.0**log_nlam)
-    scaled = _exact_score(design_at(small, f, s * theta), s * 10.0**log_nlam)
+    base = _exact_score(small.design_at(theta), 10.0**log_nlam)
+    scaled = _exact_score(small.design_at(s * theta), s * 10.0**log_nlam)
     assert np.isfinite(base)
     assert scaled == pytest.approx(base, rel=1e-10)
 
@@ -241,7 +237,7 @@ def test_full_gcv_on_compressed_rows_matches_rotated_rows(monkeypatch, scenario)
     assert solver.streams_rows(ds, spec, blocks.basis)
     compressed = full_gcv(ds, spec, blocks.basis)
     monkeypatch.setattr(solver, "streams_rows", lambda *args: False)
-    assert compressed_blocks(ds, spec, blocks.basis)[0].n == ds.n
+    assert compressed_blocks(ds, spec, blocks.basis).n == ds.n
     rotated = full_gcv(ds, spec, blocks.basis)
     assert compressed.score == pytest.approx(rotated.score, rel=1e-10)
     assert compressed.params.log10_nlam == pytest.approx(rotated.params.log10_nlam, abs=1e-9)
@@ -342,7 +338,7 @@ def test_minimize_lambda_survives_collinear_basis():
     assert abs(res.params.log10_nlam - best) <= grid[1] - grid[0] + 1e-12
     assert res.converged
     # the profile stays truthful deep below the resolvable spectrum
-    design = gcv._designs(*compressed_blocks(ds, spec, blocks.basis))(np.ones(1))
+    design = compressed_blocks(ds, spec, blocks.basis).design_at(np.ones(1))
     profile = LambdaProfile(design)
     for lg in (-12.0, -9.0, -6.0, -3.0):
         assert profile.score(lg) == pytest.approx(
@@ -361,7 +357,7 @@ def test_skip_stage_two_arithmetic_by_hand():
     ds = Dataset(x=x, y=y, domains=spec.domains)
     blocks = assemble_blocks(ds, spec, select_basis(5, 4, seed=0))
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, c = gcv._stage_one(rows.design_at, blocks.part_traces)
+    theta1, _, c = gcv._stage_one(rows, part_traces(ds, spec))
     # hand arithmetic: explicit accumulation of the quadratic forms
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
@@ -381,7 +377,7 @@ def test_skip_trace_normalization_stage():
 
     ds, spec, blocks = two_term_problem(5)
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, _ = gcv._stage_one(rows.design_at, blocks.part_traces)
+    theta1, _, _ = gcv._stage_one(rows, part_traces(ds, spec))
     for delta, term in enumerate(spec.penalized_terms):
         tr = term_gram_diag(term, spec.domains, ds.x).sum()
         assert theta1[delta] == pytest.approx(1.0 / tr, rel=1e-14)
@@ -401,10 +397,11 @@ def test_skip_floors_zero_quadratic_form():
         blocks,
         k_parts=(blocks.k_parts[0], np.zeros_like(blocks.k_parts[0])),
         q_parts=(blocks.q_parts[0], np.zeros_like(blocks.q_parts[0])),
-        part_traces=np.array([blocks.part_traces[0], 1.0]),
     )
-    res = skip_search(lambda theta: _compressed_design(dead.t, *dead.combine(theta), ds.y),
-                      dead.part_traces, dead.q_parts)
+    source = types.SimpleNamespace(
+        design_at=lambda theta: _compressed_design(dead.t, *dead.combine(theta), ds.y),
+        q_parts=dead.q_parts)
+    res = skip_search(source, np.array([part_traces(ds, spec)[0], 1.0]))
     assert "theta-floor" in res.flags
     theta = res.params.theta
     assert theta[1] == pytest.approx(1e-12 * theta[0], rel=1e-10)
@@ -537,16 +534,35 @@ def test_full_gcv_beats_three_dimensional_grid():
     """Within 0.1% of a brute-force (theta1, theta2, nlam) grid search."""
     ds, spec, blocks = two_term_problem(14, n=60, q=14)
     fg = full_gcv(ds, spec, blocks.basis)
-    designs = gcv._designs(*compressed_blocks(ds, spec, blocks.basis))
+    small = compressed_blocks(ds, spec, blocks.basis)
     best = np.inf
     for lt1 in np.linspace(-2, 6, 20):
         for lt2 in np.linspace(-2, 6, 20):
-            profile = LambdaProfile(designs(np.array([10.0**lt1, 10.0**lt2])))
+            profile = LambdaProfile(small.design_at(np.array([10.0**lt1, 10.0**lt2])))
             for lg in np.linspace(-12, 3, 40):
                 val = profile.score(lg)
                 if val < best:
                     best = val
     assert fg.score <= best * (1 + 1e-3)
+
+
+def test_full_gcv_combines_k_once_per_iteration(monkeypatch):
+    """The search holds one design: skip's two, the first one after the
+    init, and one per iteration for the nlam profile, whose design starts
+    the next sweep; the sweep itself recombines nothing."""
+    sim = gen_data("m1", 3000, 5.0, seed=0)
+    spec = SCENARIOS["m1"].spec
+    calls = []
+    real = solver.DesignBlocks.combine
+
+    def counting(self, theta):
+        calls.append(theta)
+        return real(self, theta)
+
+    monkeypatch.setattr(solver.DesignBlocks, "combine", counting)
+    res = full_gcv(sim.dataset, spec, full_sample_basis(3000, spec.null_dim), max_iter=4)
+    assert res.iterations >= 2
+    assert len(calls) == 3 + res.iterations
 
 
 def test_public_searches_reject_constant_response():

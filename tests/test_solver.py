@@ -326,23 +326,23 @@ def test_sweep_updates_match_fresh_combine():
     """full_gcv's one-block trials, and the K and Q it accepts from them,
     agree with a fresh combine, in the complement rows a trial reads."""
     ds, spec, basis = make_problem(3, 200, d=2, q=16)
-    blocks, y = compressed_blocks(ds, spec, basis)
+    blocks = compressed_blocks(ds, spec, basis)
     m = blocks.n_null
     rng = np.random.default_rng(4)
     theta = 10.0 ** rng.uniform(-1.0, 1.0, blocks.n_penalized)
-    k, q = blocks.combine(theta)
+    design = blocks.design_at(theta)
     for delta in list(range(blocks.n_penalized)) * 3:
         new = 10.0 ** rng.uniform(-1.0, 1.0)
-        design, q_trial = _trial(blocks, k, q, y, delta, new - theta[delta])
-        stack = design.stack()
+        trial = _trial(blocks, design, delta, new - theta[delta])
+        stack = trial.stack()
         theta[delta] = new
         k_ref, q_ref = blocks.combine(theta)
         np.testing.assert_allclose(stack[:blocks.n - m, :-1], k_ref[m:], rtol=0.0,
                                    atol=1e-12 * np.abs(k_ref).max())
-        assert np.array_equal(stack[:blocks.n - m, -1], y[m:])
-        k, q = design.k, q_trial
-    np.testing.assert_allclose(k, k_ref, rtol=0.0, atol=1e-12 * np.abs(k_ref).max())
-    np.testing.assert_allclose(q, q_ref, rtol=0.0, atol=1e-12 * np.abs(q_ref).max())
+        assert np.array_equal(stack[:blocks.n - m, -1], blocks.y[m:])
+        design = trial
+    np.testing.assert_allclose(design.k, k_ref, rtol=0.0, atol=1e-12 * np.abs(k_ref).max())
+    np.testing.assert_allclose(design.q, q_ref, rtol=0.0, atol=1e-12 * np.abs(q_ref).max())
 
 
 @pytest.mark.parametrize("chunk", [7, 40, 2048])
@@ -353,7 +353,8 @@ def test_compress_keeps_cross_products(monkeypatch, chunk):
     monkeypatch.setattr(solver, "COMPRESS_CHUNK", chunk)
     ds, spec, basis = make_problem(5, 150, d=1, q=17)
     blocks = assemble_blocks(ds, spec, basis)
-    small, f = compressed_blocks(ds, spec, basis)
+    small = compressed_blocks(ds, spec, basis)
+    f = small.y
     p = blocks.n_null + blocks.q
     assert small.t.shape == (p, blocks.n_null) and f.shape == (p,)
     assert small.n_obs == 150
@@ -376,7 +377,8 @@ def test_compress_absorbs_t_without_compressing_when_p_reaches_n():
     spec, basis = SCENARIOS["m4"].spec, select_basis(300, basis_count(300), seed=0)
     blocks = assemble_blocks(sim.dataset, spec, basis)
     assert blocks.n_null + blocks.n_penalized * blocks.q + 1 >= blocks.n
-    small, f = compressed_blocks(sim.dataset, spec, basis)
+    small = compressed_blocks(sim.dataset, spec, basis)
+    f = small.y
     assert small.n == small.n_obs == 300 and small.rss_offset == 0.0
     assert not np.tril(small.t, -1).any()
     full = np.hstack([blocks.t, *blocks.k_parts[:3], y[:, None]])

@@ -4,6 +4,7 @@ in memory."""
 
 import dataclasses
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from spanova.solver import (
     assemble_blocks,
     basis_count,
     compressed_blocks,
+    part_traces,
     select_basis,
 )
 
@@ -47,11 +49,11 @@ def in_memory_compression(ds, spec, basis):
     if solver.streams_rows(ds, spec, basis):
         t, k_parts, rho2, f = solver._compress_rows(
             blocks.t, lambda lo, hi: (kp[lo:hi] for kp in blocks.k_parts), ds.y, s, q)
-        return dataclasses.replace(blocks, t=t, k_parts=k_parts, rss_offset=rho2), f
+        return dataclasses.replace(blocks, t=t, k_parts=k_parts, y=f, rss_offset=rho2)
     null = solver.NullQR(blocks.t)
     rotated = null.rotate(np.hstack(blocks.k_parts))
     k_parts = tuple(rotated[:, j * q:(j + 1) * q] for j in range(s))
-    return dataclasses.replace(blocks, t=null.triangle(), k_parts=k_parts), null.rotate(ds.y)
+    return dataclasses.replace(blocks, t=null.triangle(), k_parts=k_parts, y=null.rotate(ds.y))
 
 
 @pytest.mark.parametrize("chunk", [7, 40, 2048])
@@ -61,15 +63,14 @@ def test_streamed_blocks_equal_in_memory_compression(monkeypatch, problem, chunk
     largest, which takes them in one."""
     monkeypatch.setattr(solver, "COMPRESS_CHUNK", chunk)
     ds, spec, basis = tied_problem() if problem == "tied" else scenario_problem(problem, 300)
-    want, f_want = in_memory_compression(ds, spec, basis)
-    got, f = compressed_blocks(ds, spec, basis)
+    want = in_memory_compression(ds, spec, basis)
+    got = compressed_blocks(ds, spec, basis)
     assert got.n == spec.null_dim + spec.n_penalized * basis.q < ds.n
     assert np.array_equal(got.t, want.t)
     assert len(got.k_parts) == len(want.k_parts)
     assert all(np.array_equal(a, b) for a, b in zip(got.k_parts, want.k_parts))
     assert all(np.array_equal(a, b) for a, b in zip(got.q_parts, want.q_parts))
-    assert np.array_equal(got.part_traces, want.part_traces)
-    assert np.array_equal(f, f_want)
+    assert np.array_equal(got.y, want.y)
     assert got.rss_offset == want.rss_offset and got.n_obs == want.n_obs == ds.n
 
 
@@ -77,21 +78,22 @@ def test_builder_rotates_in_memory_blocks_when_p_reaches_n():
     """m4's 87 penalized terms give p = M + S q far above n: the blocks are
     rotated in place as they form, bit-identical to rotated copies."""
     ds, spec, basis = scenario_problem("m4", 300)
-    want, f_want = in_memory_compression(ds, spec, basis)
-    got, f = compressed_blocks(ds, spec, basis)
+    want = in_memory_compression(ds, spec, basis)
+    got = compressed_blocks(ds, spec, basis)
     assert got.n == want.n == 300 and got.n_obs == 300 and got.rss_offset == 0.0
     assert np.array_equal(got.t, want.t) and not np.tril(got.t, -1).any()
     assert all(np.array_equal(a, b) for a, b in zip(got.k_parts, want.k_parts))
-    assert np.array_equal(f, f_want)
+    assert np.array_equal(got.y, want.y)
 
 
 def in_memory_skip(ds, spec, basis):
     """``skip_search`` on [T, K(theta), y] combined from the n-row blocks
     held in memory and compressed there by ``_compressed_design``."""
     blocks = assemble_blocks(ds, spec, basis)
-    return skip_search(
-        lambda theta: solver._compressed_design(blocks.t, *blocks.combine(theta), ds.y),
-        blocks.part_traces, blocks.q_parts)
+    source = types.SimpleNamespace(
+        design_at=lambda theta: solver._compressed_design(blocks.t, *blocks.combine(theta), ds.y),
+        q_parts=blocks.q_parts)
+    return skip_search(source, part_traces(ds, spec))
 
 
 @pytest.mark.parametrize("scenario", ["u2", "m1", "m2", "m4"])
