@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .asp import AspConfig, SelectionResult, full_sample_basis
 from .data import Dataset
 from .kernels import PredictorDomain, build_model
-from .simulate import SCENARIOS, SELECTORS, gen_data, run_benchmark
+from .simulate import SELECTORS, check_cell, gen_data, run_benchmark
 from .solver import FitResult, SmoothingParams, fit_model, predict
 from .util import InputError, NumericalError
 
@@ -38,7 +39,6 @@ class IngestedTable:
     """A parsed CSV: model-ready dataset plus the predictor column names."""
 
     dataset: Dataset
-    response: str
     predictor_names: tuple[str, ...]
 
 
@@ -125,6 +125,28 @@ def _open_output(path: str, **kwargs):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _check_outputs(*paths) -> None:
+    """Raise on an output path that cannot be written or that names the same
+    file as another, before the command does any work.
+
+    ``None`` stands for an output not asked for.  Nothing is opened, so an
+    existing file keeps its contents until the command has its results.
+    """
+    seen = set()
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or os.curdir
+        error = (errno.EISDIR if os.path.isdir(path)
+                 else errno.ENOENT if not os.path.isdir(folder)
+                 else None if os.access(path if os.path.exists(path) else folder, os.W_OK)
+                 else errno.EACCES)
+        if error is not None:
+            raise InputError(f"cannot write {path}: {os.strerror(error)}")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InputError(f"two outputs name one file: {path}")
+        seen.add(real)
+
+
 def _write_csv_lines(path: str, header: str, lines) -> None:
     """Write a header and CSV lines with the CRLF line ends of ``csv.writer``.
 
@@ -188,8 +210,7 @@ def ingest(csv_path: str, response_column: str,
     domains = [_infer_domain(name, x[:, j], overrides.get(name))
                for j, name in enumerate(names)]
     dataset = Dataset.from_raw(x, y, domains)
-    return IngestedTable(dataset=dataset, response=response_column,
-                         predictor_names=names)
+    return IngestedTable(dataset=dataset, predictor_names=names)
 
 
 def parse_model(text: str, n_predictors: int):
@@ -214,39 +235,28 @@ def parse_model(text: str, n_predictors: int):
     return effects
 
 
-METHODS = ("gcv", "skip", "asp-u", "asp-a", "order")
+METHODS = tuple(SELECTORS)
 
 
 def _config_from_args(args) -> AspConfig:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        env = os.environ.get("SPANOVA_JOBS")
+    """The ``AspConfig`` of the config flags given, the rest at its defaults;
+    ``--p`` is 'auto' or a number, and ``SPANOVA_JOBS`` stands in for ``--jobs``."""
+    given = vars(args)
+    values = {f.name: given[f.name] for f in fields(AspConfig) if f.name in given}
+    p_text = given.get("p", "auto")
+    if p_text != "auto":
         try:
-            jobs = int(env) if env else None
-        except ValueError:
-            raise InputError(f"SPANOVA_JOBS must be an integer, got {env!r}") from None
-    p_text = getattr(args, "p", "auto")
-    estimate = p_text == "auto"
-    if estimate:
-        p_default = 1.0
-    else:
-        try:
-            p_default = float(p_text)
+            values["p_default"] = float(p_text)
         except ValueError:
             raise InputError(f"--p must be a number or 'auto', got {p_text!r}") from None
-    return AspConfig(
-        b_coef=args.b_coef,
-        n_subsamples=args.subsamples,
-        r_default=args.r,
-        p_default=p_default,
-        order_c=args.order_c,
-        estimate_smoothness=estimate,
-        basis_coef=args.basis_coef,
-        basis_exp=args.basis_exp,
-        gcv_max_iter=args.gcv_max_iter,
-        seed=args.seed,
-        jobs=jobs,
-    )
+        values["estimate_smoothness"] = False
+    env = os.environ.get("SPANOVA_JOBS")
+    if "jobs" not in values and env:
+        try:
+            values["jobs"] = int(env)
+        except ValueError:
+            raise InputError(f"SPANOVA_JOBS must be an integer, got {env!r}") from None
+    return AspConfig(**values)
 
 
 def _selection_to_json(sel: SelectionResult) -> dict:
@@ -271,6 +281,7 @@ def _selection_to_json(sel: SelectionResult) -> dict:
 
 def run_fit(args) -> int:
     t_start = time.perf_counter()
+    _check_outputs(args.out, args.fitted_out)
     table = ingest(args.data, args.response,
                    args.continuous or (), args.discrete or ())
     effects = parse_model(args.model, len(table.predictor_names))
@@ -282,7 +293,7 @@ def run_fit(args) -> int:
     fit = fit_model(table.dataset, spec, sel.params, basis=basis)
     fit_seconds = time.perf_counter() - t_fit
     doc = {
-        "response": table.response,
+        "response": args.response,
         "columns": [_column_to_json(name, dom) for name, dom
                     in zip(table.predictor_names, table.dataset.domains)],
         "model": args.model,
@@ -365,11 +376,12 @@ def _load_fit_document(path: str):
     for field, values in (("c", fit.c), ("d", fit.d), ("basis_rows", basis_rows)):
         if not np.isfinite(values).all():
             raise InputError(f"{path} is not a fit document: fit.{field} has a non-finite entry")
-    return doc, names, spec, fit
+    return names, spec, fit
 
 
 def run_predict(args) -> int:
-    doc, names, spec, fit = _load_fit_document(args.fit)
+    _check_outputs(args.out)
+    names, spec, fit = _load_fit_document(args.fit)
     header, raw_rows = _read_csv_table(args.data)
     missing = [name for name in names if name not in header]
     if missing:
@@ -394,9 +406,7 @@ def run_predict(args) -> int:
 
 
 def run_simulate(args) -> int:
-    if args.scenario not in SCENARIOS:
-        raise InputError(f"unknown scenario {args.scenario!r};"
-                         f" choose from {sorted(SCENARIOS)}")
+    _check_outputs(args.out)
     sim = gen_data(args.scenario, args.n, args.snr, seed=args.seed)
     header = [f"x{j + 1}" for j in range(sim.dataset.d)] + ["y"]
     columns = [sim.dataset.x, sim.dataset.y]
@@ -432,51 +442,53 @@ def run_bench(args) -> int:
     ns = _list_option("--n", args.n, int)
     snrs = _list_option("--snr", args.snr, float)
     methods = [m.strip() for m in args.methods.split(",")]
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        raise InputError(f"unknown methods {bad}; choose from {METHODS}")
     config = _config_from_args(args)
+    summary = _summary_path(args.out)
+    _check_outputs(args.out, summary)
+    cells = list(itertools.product(scenarios, ns, snrs))
+    for cell in cells:
+        check_cell(*cell)
     records = []
-    for scenario in scenarios:
-        for n in ns:
-            for snr in snrs:
-                records.extend(run_benchmark(
-                    scenario, n, snr, methods, args.replicates, seed=args.seed,
-                    config=config, benchmark_max_iter=args.benchmark_max_iter))
+    for scenario, n, snr in cells:
+        records.extend(run_benchmark(
+            scenario, n, snr, methods, args.replicates, seed=config.seed,
+            config=config, benchmark_max_iter=args.benchmark_max_iter))
     _write_csv_lines(
         args.out, "scenario,n,snr,method,replicate,loss,log_re,wall_time_seconds",
         (f"{r.scenario},{r.n},{r.snr!r},{r.method},{r.replicate},"
          f"{r.loss!r},{r.log_re!r},{r.wall_time_seconds!r}" for r in records))
-    cells: dict[tuple, list] = {}
+    groups: dict[tuple, list] = {}
     for r in records:
-        cells.setdefault((r.scenario, r.n, r.snr, r.method), []).append(r)
-    summary = _summary_path(args.out)
+        groups.setdefault((r.scenario, r.n, r.snr, r.method), []).append(r)
     _write_csv_lines(
         summary, "scenario,n,snr,method,replicates,median_log_re,median_wall_time_seconds",
         (f"{scenario},{n},{snr!r},{method},{len(group)},"
          f"{float(np.median([r.log_re for r in group]))!r},"
          f"{float(np.median([r.wall_time_seconds for r in group]))!r}"
          for (scenario, n, snr, method), group
-         in sorted(cells.items(), key=lambda item: item[0])))
+         in sorted(groups.items(), key=lambda item: item[0])))
     print(f"{len(records)} rows written to {args.out}; summary in {summary}")
     return 0
 
 
 def _add_config_arguments(parser):
-    parser.add_argument("--b-coef", type=float, default=50.0,
+    """The config flags, each stored under its ``AspConfig`` field; one left
+    out is absent from the namespace, so the config takes its default."""
+    config = parser.add_argument_group("selection config (defaults: AspConfig's)",
+                                       argument_default=argparse.SUPPRESS)
+    config.add_argument("--b-coef", type=float,
                         help="subsample size coefficient b = round(coef * n^{1/4})")
-    parser.add_argument("--subsamples", type=int, default=5)
-    parser.add_argument("--r", type=float, default=3.0, help="rate order")
-    parser.add_argument("--p", default="auto",
-                        help="smoothness index in [1,2], or 'auto' to estimate")
-    parser.add_argument("--order-c", type=float, default=1.0,
+    config.add_argument("--subsamples", dest="n_subsamples", type=int)
+    config.add_argument("--r", dest="r_default", type=float, help="rate order")
+    config.add_argument("--p", help="smoothness index in [1,2], or 'auto' (default) to estimate")
+    config.add_argument("--order-c", type=float,
                         help="constant for the order-based method")
-    parser.add_argument("--basis-coef", type=float, default=10.0,
+    config.add_argument("--basis-coef", type=float,
                         help="basis count rule q = round(coef * n^exp)")
-    parser.add_argument("--basis-exp", type=float, default=2.0 / 9.0)
-    parser.add_argument("--gcv-max-iter", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=None,
+    config.add_argument("--basis-exp", type=float)
+    config.add_argument("--gcv-max-iter", type=int)
+    config.add_argument("--seed", type=int)
+    config.add_argument("--jobs", type=int,
                         help="worker processes for subsample fits"
                              " (default: SPANOVA_JOBS or all cores); each worker"
                              " runs BLAS at cpu_count // workers threads")

@@ -58,26 +58,40 @@ class Dataset:
 
     @classmethod
     def from_raw(cls, x_raw, y, domains) -> "Dataset":
-        """Convert raw-scale predictors using each domain's scaling."""
-        x_raw = np.asarray(x_raw, dtype=float)
-        if x_raw.ndim != 2:
-            raise InputError("x must be a 2-d array (n rows, d predictors)")
+        """Convert raw-scale predictors using each domain's scaling; a
+        continuous cell outside its domain's range is an input error."""
         domains = tuple(domains)
-        cols = []
-        for j, dom in enumerate(domains):
-            scaled, mask = dom.rescale(x_raw[:, j])
-            if dom.is_continuous and mask.any():
-                raise InputError(
-                    f"column {j} has values outside the declared range "
-                    f"[{dom.lo}, {dom.hi}]"
-                )
-            cols.append(scaled)
-        return cls(x=np.column_stack(cols) if cols else x_raw, y=y, domains=domains)
+        x, clamped = rescale_columns(domains, x_raw)
+        if clamped.any():
+            j = int(clamped.any(axis=0).argmax())
+            raise InputError(f"column {j} has values outside the declared range "
+                             f"[{domains[j].lo}, {domains[j].hi}]")
+        return cls(x=x, y=y, domains=domains)
 
     def take(self, indices) -> "Dataset":
         """Row subset, used for subsample fits."""
         idx = np.asarray(indices, dtype=int)
         return Dataset(x=self.x[idx], y=self.y[idx], domains=self.domains)
+
+
+def rescale_columns(domains, raw) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-scale rows to model scale, column j by ``domains[j]``.
+
+    Returns (x, clamped): x C-ordered, and a mask of the continuous cells
+    clamped into [0, 1].  A column count other than one per domain, a
+    non-finite cell and an unknown discrete level are input errors.
+    """
+    raw = np.asarray(raw, dtype=float)
+    if raw.ndim != 2 or raw.shape[1] != len(domains):
+        raise InputError(f"expected rows of {len(domains)} predictor columns,"
+                         f" got shape {raw.shape}")
+    x = np.empty(raw.shape)
+    clamped = np.zeros(raw.shape, dtype=bool)
+    for j, dom in enumerate(domains):
+        if not np.isfinite(raw[:, j]).all():
+            raise InputError(f"predictor column {j} has a non-finite value")
+        x[:, j], clamped[:, j] = dom.rescale(raw[:, j])
+    return x, clamped
 
 
 def unit_domains(d: int) -> tuple[PredictorDomain, ...]:

@@ -127,6 +127,16 @@ def get_scenario(identifier: str) -> Scenario:
         ) from None
 
 
+def check_cell(identifier: str, n: int, snr: float) -> Scenario:
+    """The scenario of one (scenario, size, noise level) cell, whose size
+    and noise level ``gen_data`` can draw; raises on any bad entry."""
+    if n < 10:
+        raise InputError("n must be at least 10")
+    if snr <= 0:
+        raise InputError("snr must be positive")
+    return get_scenario(identifier)
+
+
 def scenario_eval(identifier: str, rows) -> np.ndarray:
     """Evaluate a scenario's true function at one row or a matrix of rows."""
     scn = get_scenario(identifier)
@@ -161,11 +171,7 @@ def gen_data(identifier: str, n: int, snr: float, seed: int = 0) -> SimulatedDat
     The noise level is sigma = sd{eta(x)}/snr, computed from the realized
     design points, so the empirical signal-to-noise ratio matches snr.
     """
-    if n < 10:
-        raise InputError("n must be at least 10")
-    if snr <= 0:
-        raise InputError("snr must be positive")
-    scn = get_scenario(identifier)
+    scn = check_cell(identifier, n, snr)
     rng = derive_rng(seed, 71)
     x = rng.uniform(size=(n, scn.dimension))
     eta = scn.evaluate(x)
@@ -346,9 +352,9 @@ def analytic_lambda_periodic(m: int, sigma_sq: float, eta_norm_sq: float,
 SELECTORS: dict[str, Callable] = {
     "gcv": gcv_select,
     "skip": skip_selection,
-    "order": order_selection,
     "asp-u": asp_uniform,
     "asp-a": asp_asymptotic,
+    "order": order_selection,
 }
 
 
@@ -379,10 +385,10 @@ def run_benchmark(identifier: str, n: int, snr: float, methods, replicates: int,
     reported time is the selection time; rows come back in replicate-major
     order with the benchmark row (log_re = 0) first.
     """
-    scn = get_scenario(identifier)
+    scn = check_cell(identifier, n, snr)
     unknown = [m for m in methods if m not in SELECTORS]
     if unknown:
-        raise InputError(f"unknown methods {unknown}; choose from {sorted(SELECTORS)}")
+        raise InputError(f"unknown methods {unknown}; choose from {list(SELECTORS)}")
     if replicates < 1:
         raise InputError("replicates must be positive")
     records: list[BenchRecord] = []

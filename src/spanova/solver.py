@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .data import Dataset
+from .data import Dataset, rescale_columns
 from .kernels import ModelSpec, null_basis_matrix, term_gram_diag, term_grams
 from .util import InputError, NumericalError, derive_rng, round_half_up
 
@@ -712,23 +712,13 @@ def predict(fit: FitResult, spec: ModelSpec,
     Each tile is F-ordered, as ``fit_model``'s K(theta) is, so the
     predictions at the training rows equal ``fitted`` bit for bit.
     """
-    new_raw = np.atleast_2d(np.asarray(new_raw, dtype=float))
-    if new_raw.shape[1] != spec.n_predictors:
-        raise InputError(f"expected {spec.n_predictors} predictor columns")
-    cols = []
-    flags = np.zeros(new_raw.shape[0], dtype=bool)
-    for j, dom in enumerate(spec.domains):
-        if not np.isfinite(new_raw[:, j]).all():
-            raise InputError(f"predictor column {j} has a non-finite value")
-        scaled, mask = dom.rescale(new_raw[:, j])
-        cols.append(scaled)
-        flags |= mask
+    xs, clamped = rescale_columns(spec.domains, np.atleast_2d(new_raw))
+    flags = clamped.any(axis=1)
     if flags.any():
         warnings.warn(
             f"{int(flags.sum())} prediction row(s) outside the training range; clamped",
             stacklevel=2,
         )
-    xs = np.column_stack(cols)
     eta = _dot(null_basis_matrix(spec, xs), fit.d)
     rows = _kernel_rows(spec, xs, fit.basis_rows, fit.params.theta)
     for a, b in _tiles(0, xs.shape[0], fit.c.shape[0]):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spanova import cli
+from spanova.asp import AspConfig
 from spanova.cli import (
+    METHODS,
     _column_from_json,
     _column_to_json,
     _config_from_args,
@@ -20,7 +24,7 @@ from spanova.cli import (
     parse_model,
 )
 from spanova.kernels import PredictorDomain
-from spanova.simulate import gen_data
+from spanova.simulate import SELECTORS, gen_data
 from spanova.util import InputError
 
 
@@ -665,3 +669,97 @@ def test_cli_import_leaves_out_unused_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_config_flags_take_aspconfig_defaults(monkeypatch):
+    """The parser writes no default of its own: a flag left out takes the
+    default of whatever ``AspConfig`` the CLI builds, for fit and bench."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Shifted(AspConfig):
+        b_coef: float = 20.0
+        n_subsamples: int = 7
+        r_default: float = 4.0
+        gcv_max_iter: int = 9
+
+    monkeypatch.setattr(cli, "AspConfig", Shifted)
+    monkeypatch.delenv("SPANOVA_JOBS", raising=False)
+    parser = build_parser()
+    fit = parser.parse_args(["fit", "--data", "d", "--response", "y", "--model", "1",
+                             "--out", "o"])
+    bench = parser.parse_args(["bench", "--scenario", "u2", "--n", "90", "--snr", "5",
+                               "--methods", "skip", "--out", "o"])
+    for args in (fit, bench):
+        assert _config_from_args(args) == Shifted()
+    flags = ["--b-coef", "30", "--subsamples", "2", "--r", "2.5", "--p", "1.5", "--order-c", "2",
+             "--basis-coef", "8", "--basis-exp", "0.25", "--gcv-max-iter", "4", "--seed", "3",
+             "--jobs", "1"]
+    expected = AspConfig(b_coef=30.0, n_subsamples=2, r_default=2.5, p_default=1.5,
+                         estimate_smoothness=False, order_c=2.0, basis_coef=8.0,
+                         basis_exp=0.25, gcv_max_iter=4, seed=3, jobs=1)
+    for command in (["fit", "--data", "d", "--response", "y", "--model", "1", "--out", "o"],
+                    ["bench", "--scenario", "u2", "--n", "90", "--snr", "5", "--methods",
+                     "skip", "--out", "o"]):
+        config = _config_from_args(parser.parse_args([*command, *flags]))
+        assert dataclasses.astuple(config) == dataclasses.astuple(expected)
+
+
+def test_method_names_are_the_selectors():
+    assert METHODS == tuple(SELECTORS) == ("gcv", "skip", "asp-u", "asp-a", "order")
+    parser = build_parser()
+    base = ["fit", "--data", "d", "--response", "y", "--model", "1", "--out", "o"]
+    assert parser.parse_args(base).method == "asp-u"
+    for name in METHODS:
+        assert parser.parse_args([*base, "--method", name]).method == name
+    with pytest.raises(SystemExit):
+        parser.parse_args([*base, "--method", "nope"])
+
+
+@pytest.mark.parametrize("case", ["missing-directory", "same-path", "same-file"])
+def test_fit_checks_its_outputs_before_selecting(tmp_path, capsys, monkeypatch, case):
+    """A bad output used to be found after the selection and the fit: an
+    unwritable --fitted-out left a complete fit.json behind, and one path
+    given to --out and --fitted-out ended up holding the fitted values."""
+    rng = np.random.default_rng(8)
+    data = write_csv(tmp_path / "d.csv", ["a", "b", "y"], rng.uniform(size=(60, 3)).tolist())
+    (tmp_path / "sub").mkdir()
+    old = tmp_path / "old.json"
+    old.write_text("{}\n")
+    out, fitted, message = {
+        "missing-directory": (tmp_path / "fit.json", tmp_path / "absent" / "f.csv",
+                              "cannot write {}: No such file or directory"),
+        "same-path": (tmp_path / "same.csv", tmp_path / "same.csv",
+                      "two outputs name one file: {}"),
+        "same-file": (old, tmp_path / "sub" / ".." / "old.json", "two outputs name one file: {}"),
+    }[case]
+    calls = []
+    monkeypatch.setitem(cli.SELECTORS, "skip", lambda *args: calls.append(args))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["fit", "--data", data, "--response", "y", "--model", "1,2", "--method", "skip",
+                 "--out", str(out), "--fitted-out", str(fitted)]) == 2
+    assert f"input error: {message.format(fitted)}" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+    assert old.read_text() == "{}\n"
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--scenario", "u2,nope", "unknown scenario 'nope'"),
+    ("--n", "300,5", "n must be at least 10"),
+    ("--snr", "5,0", "snr must be positive"),
+    ("--out", "{tmp}/absent/b.csv", "cannot write {tmp}/absent/b.csv: ")])
+def test_bench_checks_every_cell_and_its_outputs_before_the_first(
+        tmp_path, capsys, monkeypatch, option, value, message):
+    """A bad scenario, size or noise level used to be found only at its own
+    cell, and an unwritable output after every cell, once the work was done."""
+    calls = []
+    monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: calls.append(args) or [])
+    argv = {"--scenario": "u2", "--n": "300", "--snr": "5", "--out": str(tmp_path / "b.csv"),
+            option: value.format(tmp=tmp_path)}
+    capsys.readouterr()
+    assert main(["bench", *(item for pair in argv.items() for item in pair),
+                 "--methods", "skip", "--replicates", "2"]) == 2
+    assert f"input error: {message.format(tmp=tmp_path)}" in capsys.readouterr().err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []

@@ -641,3 +641,29 @@ def test_predict_rejects_non_finite_predictors(bad):
     new[1, 1] = bad
     with pytest.raises(InputError, match="column 1"):
         predict(fit, spec, new)
+
+
+def test_from_raw_and_predict_scale_rows_by_one_rule():
+    """``Dataset.from_raw`` and ``predict`` read one column per domain:
+    a table with more columns used to lose the extra ones silently, and
+    one with fewer failed with an IndexError.  A cell outside a continuous
+    range is an error on the way in and a flagged, clamped row in predict."""
+    domains = (PredictorDomain.continuous(0.0, 10.0), PredictorDomain.discrete((2.0, 5.0)))
+    raw = np.array([[0.0, 2.0], [5.0, 5.0], [10.0, 2.0]])
+    y = np.array([1.0, 2.0, 4.0])
+    ds = Dataset.from_raw(raw, y, domains)
+    np.testing.assert_array_equal(ds.x, [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0]])
+    assert ds.x.flags.c_contiguous
+    for cols in (np.column_stack([raw, raw[:, :1]]), raw[:, :1]):
+        match = rf"2 predictor columns, got shape \(3, {cols.shape[1]}\)"
+        with pytest.raises(InputError, match=match):
+            Dataset.from_raw(cols, y, domains)
+    with pytest.raises(InputError, match=r"column 0 has values outside the declared range"):
+        Dataset.from_raw(raw * [1.5, 1.0], y, domains)
+    spec = main_effects_model(domains)
+    fit = fit_model(ds, spec, SmoothingParams.from_values(1e-2, np.ones(spec.n_penalized)),
+                    select_basis(3, 3, seed=0))
+    with pytest.warns(UserWarning, match="1 prediction row"):
+        eta, flags = predict(fit, spec, raw * [1.5, 1.0])
+    assert flags.tolist() == [False, False, True]
+    np.testing.assert_allclose(eta[2], predict(fit, spec, raw[2])[0], rtol=1e-12)
