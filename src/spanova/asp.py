@@ -40,10 +40,13 @@ from .solver import (
 )
 from .util import InputError, NumericalError, derive_rng, round_half_up
 
+# p where AspConfig.p is None but nothing estimates it (order; asp-u with b = n)
+P_UNESTIMATED = 1.0
+
 
 @dataclass(frozen=True)
 class AspConfig:
-    """Tuning constants of the subsample-extrapolation selectors."""
+    """Tuning constants of the subsample-extrapolation selectors; ``p`` None estimates p."""
 
     b_coef: float = 50.0
     b_max_coef: float = 120.0
@@ -51,20 +54,19 @@ class AspConfig:
     n_subsamples: int = 5
     b_factor: float = 2.0
     r_default: float = 3.0
-    p_default: float = 1.0
+    p: float | None = None
     order_c: float = 1.0
     basis_coef: float = 10.0
     basis_exp: float = 2.0 / 9.0
-    estimate_smoothness: bool = True
     gcv_max_iter: int = 30
     seed: int = 0
     jobs: int | None = None
 
     def __post_init__(self):
-        for name in ("b_coef", "b_max_coef", "b_factor", "r_default", "p_default",
-                     "order_c", "basis_coef", "basis_exp"):
+        for name in ("b_coef", "b_max_coef", "b_factor", "r_default", "p", "order_c",
+                     "basis_coef", "basis_exp"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value}")
         if self.b_coef <= 0 or self.b_max_coef < self.b_coef:
             raise InputError("subsample coefficients must satisfy 0 < b_coef <= b_max_coef")
@@ -76,7 +78,7 @@ class AspConfig:
             raise InputError(f"gcv_max_iter must be at least 1, got {self.gcv_max_iter}")
         if self.jobs is not None and self.jobs < 1:
             raise InputError(f"jobs must be at least 1, got {self.jobs}")
-        if not 1.0 <= self.p_default <= 2.0 or self.r_default <= 1.0:
+        if not (self.p is None or 1.0 <= self.p <= 2.0) or self.r_default <= 1.0:
             raise InputError("need p in [1, 2] and r > 1")
         if self.b_factor < 1.0:
             raise InputError("b_factor must be at least 1")
@@ -393,10 +395,9 @@ def asp_uniform(dataset: Dataset, spec: ModelSpec,
             raise NumericalError("too few subsample fits survived: " + "; ".join(errors))
         flags += _boundary_flags(fits)
         lam_sub, theta = _aggregate(fits)
-        if config.estimate_smoothness and dataset.n > b:
+        p = P_UNESTIMATED if config.p is None else config.p
+        if config.p is None and dataset.n > b:
             p = float(estimate_p(dataset, spec, lam_sub, theta, b, config))
-        else:
-            p = config.p_default
     r = config.r_default
     lam_full = extrapolate_lambda(lam_sub, dataset.n, b, r, p)
     params = SmoothingParams.from_values(dataset.n * lam_full, theta)
@@ -532,10 +533,11 @@ def order_selection(dataset: Dataset, spec: ModelSpec,
     t0 = time.perf_counter()
     basis = full_sample_basis(dataset.n, spec.null_dim, config)
     null_design(dataset, spec, basis)
-    lam = order_based(dataset.n, config.r_default, config.p_default, config.order_c)
+    p = P_UNESTIMATED if config.p is None else config.p
+    lam = order_based(dataset.n, config.r_default, p, config.order_c)
     theta = tuple(1.0 / part_traces(dataset, spec))
     params = SmoothingParams.from_values(dataset.n * lam, theta)
     return SelectionResult(
         method="order", params=params, lambda_full=lam, theta=theta,
-        n=dataset.n, p=config.p_default, r=config.r_default,
+        n=dataset.n, p=p, r=config.r_default,
         seconds=time.perf_counter() - t0)

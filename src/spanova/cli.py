@@ -125,13 +125,14 @@ def _open_output(path: str, **kwargs):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _check_outputs(*paths) -> None:
+def _check_outputs(*paths, inputs=()) -> None:
     """Raise on an output path that cannot be written or that names the same
-    file as another, before the command does any work.
+    file as another output or one of ``inputs``, before the command does any work.
 
     ``None`` stands for an output not asked for.  Nothing is opened, so an
     existing file keeps its contents until the command has its results.
     """
+    read = {os.path.realpath(path) for path in inputs}
     seen = set()
     for path in filter(None, paths):
         folder = os.path.dirname(path) or os.curdir
@@ -142,6 +143,8 @@ def _check_outputs(*paths) -> None:
         if error is not None:
             raise InputError(f"cannot write {path}: {os.strerror(error)}")
         real = os.path.realpath(path)
+        if real in read:
+            raise InputError(f"an output names an input file: {path}")
         if real in seen:
             raise InputError(f"two outputs name one file: {path}")
         seen.add(real)
@@ -238,18 +241,16 @@ def parse_model(text: str, n_predictors: int):
 METHODS = tuple(SELECTORS)
 
 
+def number_or_auto(text: str) -> float | None:
+    """``--p``'s type: a number, or None for 'auto' (estimate p)."""
+    return None if text == "auto" else float(text)
+
+
 def _config_from_args(args) -> AspConfig:
     """The ``AspConfig`` of the config flags given, the rest at its defaults;
-    ``--p`` is 'auto' or a number, and ``SPANOVA_JOBS`` stands in for ``--jobs``."""
+    ``SPANOVA_JOBS`` stands in for ``--jobs``."""
     given = vars(args)
     values = {f.name: given[f.name] for f in fields(AspConfig) if f.name in given}
-    p_text = given.get("p", "auto")
-    if p_text != "auto":
-        try:
-            values["p_default"] = float(p_text)
-        except ValueError:
-            raise InputError(f"--p must be a number or 'auto', got {p_text!r}") from None
-        values["estimate_smoothness"] = False
     env = os.environ.get("SPANOVA_JOBS")
     if "jobs" not in values and env:
         try:
@@ -281,7 +282,7 @@ def _selection_to_json(sel: SelectionResult) -> dict:
 
 def run_fit(args) -> int:
     t_start = time.perf_counter()
-    _check_outputs(args.out, args.fitted_out)
+    _check_outputs(args.out, args.fitted_out, inputs=(args.data,))
     table = ingest(args.data, args.response,
                    args.continuous or (), args.discrete or ())
     effects = parse_model(args.model, len(table.predictor_names))
@@ -313,7 +314,7 @@ def run_fit(args) -> int:
             "seed": config.seed, "basis_coef": config.basis_coef,
             "basis_exp": config.basis_exp, "b_coef": config.b_coef,
             "n_subsamples": config.n_subsamples, "r": config.r_default,
-            "p": "auto" if config.estimate_smoothness else config.p_default,
+            "p": "auto" if config.p is None else config.p,
             "order_c": config.order_c, "gcv_max_iter": config.gcv_max_iter,
         },
         "timing": {
@@ -368,19 +369,23 @@ def _load_fit_document(path: str):
     twice = sorted({name for name in names if names.count(name) > 1})
     if twice:
         raise InputError(f"{path} is not a fit document: columns named more than once: {twice}")
-    if (basis_rows.ndim != 2 or basis_rows.shape[1] != len(names)
-            or fit.d.shape != (spec.null_dim,) or fit.c.shape != (basis_rows.shape[0],)
-            or len(params.log10_theta) != spec.n_penalized):
-        raise InputError(f"{path} is not a fit document: coefficient shapes do not match"
-                         " its model")
     for field, values in (("c", fit.c), ("d", fit.d), ("basis_rows", basis_rows)):
         if not np.isfinite(values).all():
             raise InputError(f"{path} is not a fit document: fit.{field} has a non-finite entry")
+    try:
+        # the basis rows are data rows on model scale, under the training data's checks
+        Dataset(x=basis_rows, y=np.zeros(basis_rows.shape[:1]), domains=spec.domains)
+    except InputError as exc:
+        raise InputError(f"{path} is not a fit document: fit.basis_rows: {exc}") from None
+    if (fit.d.shape != (spec.null_dim,) or fit.c.shape != basis_rows.shape[:1]
+            or len(params.log10_theta) != spec.n_penalized):
+        raise InputError(f"{path} is not a fit document: coefficient shapes do not match"
+                         " its model")
     return names, spec, fit
 
 
 def run_predict(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs(args.out, inputs=(args.data, args.fit))
     names, spec, fit = _load_fit_document(args.fit)
     header, raw_rows = _read_csv_table(args.data)
     missing = [name for name in names if name not in header]
@@ -480,7 +485,8 @@ def _add_config_arguments(parser):
                         help="subsample size coefficient b = round(coef * n^{1/4})")
     config.add_argument("--subsamples", dest="n_subsamples", type=int)
     config.add_argument("--r", dest="r_default", type=float, help="rate order")
-    config.add_argument("--p", help="smoothness index in [1,2], or 'auto' (default) to estimate")
+    config.add_argument("--p", type=number_or_auto,
+                        help="smoothness index in [1,2], or 'auto' (default) to estimate")
     config.add_argument("--order-c", type=float,
                         help="constant for the order-based method")
     config.add_argument("--basis-coef", type=float,

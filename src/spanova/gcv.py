@@ -15,12 +15,12 @@ design holds T as [R_T; 0] (``solver.CompiledDesign``; ``gcv_score`` and
 ``minimize_lambda`` compress [T, K, y] first, as the fit does), so every
 factorization factors the K and y columns only.  The nlam scan at fixed
 theta scores a reduced profile, one R-only QR of [K_perp L^{-T}, y_perp]
-(Q_r = LL') and one SVD of its q x q kernel block, after which every
-score is an O(q) sum (``LambdaProfile``), and the scan's minimum is the
-score of record.  Every coefficient solve goes through the solver's
-stacked-QR fit (``_stacked_fit``); every theta trial and ``gcv_score``
-through the same QR (``solver._complement_solve``), with the residual
-read from the complement rows.
+(Q_r = LL'; the design's own stack and factor) and one SVD of its q x q
+kernel block, after which every score is an O(q) sum (``LambdaProfile``),
+and the scan's minimum is the score of record.  Every coefficient solve
+goes through the solver's stacked-QR fit (``_stacked_fit``); every theta
+trial and ``gcv_score`` through the same QR (``solver._complement_solve``),
+with the residual read from the complement rows.
 
 ``skip_select``, ``full_gcv`` and ``scores_at`` take the rows (dataset,
 model, basis) and build their own designs.  ``full_gcv`` runs on the
@@ -47,8 +47,8 @@ import scipy.linalg as sla
 from .data import Dataset
 from .kernels import ModelSpec
 from .solver import (BasisSelection, CompiledDesign, DesignBlocks, DesignRows, SmoothingParams,
-                     _checked_design, _complement_solve, _design_gcv, _dot, _r_factor,
-                     _stacked_fit, compressed_blocks, part_traces)
+                     _checked_design, _complement_solve, _design_gcv, _dot, _gcv_value,
+                     _r_factor, _stacked_fit, compressed_blocks, part_traces)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -139,16 +139,9 @@ class LambdaProfile:
     def __init__(self, design: CompiledDesign):
         self.design = design
         q = design.nq
-        try:
-            l_chol = sla.cholesky(design.q_r, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("penalty matrix is not positive definite") from exc
-        # zero rows pad the stack to a square R; K is whitened in place
-        rows = design.n - design.m
-        stack = np.zeros((max(rows, q + 1), q + 1), order="F")
-        stack[:rows, :q] = design.k[design.m:]
-        stack[:rows, q] = design.y[design.m:]
-        sla.blas.dtrsm(1.0, l_chol, stack[:, :q], side=1, lower=1, trans_a=1,
+        # the solve's stack, penalty rows left zero; K is whitened in place
+        stack = design.stack()
+        sla.blas.dtrsm(1.0, design.penalty_factor, stack[:, :q], side=1, lower=1, trans_a=1,
                        overwrite_b=1)
         r = _r_factor(stack)
         try:
@@ -167,10 +160,7 @@ class LambdaProfile:
         shrink = nlam / (self.s2 + nlam)
         rss = self.rss_floor + ((shrink * self.g) ** 2).sum(axis=1)
         trace_a = des.m + (self.s2 / (self.s2 + nlam)).sum(axis=1)
-        denom = (des.n_obs - trace_a) / des.n_obs
-        out = np.divide(rss / des.n_obs, denom * denom, out=np.full_like(rss, np.inf),
-                        where=denom > 0.0)
-        return out.reshape(x.shape)
+        return _gcv_value(rss, trace_a, des.n_obs).reshape(x.shape)
 
 
 def _exact_score(design: CompiledDesign, nlam: float) -> float:
@@ -225,6 +215,12 @@ def _check_response(dataset: Dataset) -> None:
         raise InputError("response is constant; no smoothing parameter can be selected")
 
 
+def _pinned_scale(theta: np.ndarray) -> tuple[np.ndarray, float]:
+    """theta at geometric mean 1, and the log10 shift taken out, which log10 nlam loses too."""
+    shift = float(np.mean(np.log10(theta)))
+    return theta * 10.0 ** (-shift), shift
+
+
 def _stage_one(source, part_traces: np.ndarray):
     """First skip stage on ``source``'s designs: trace-normalized theta, nlam scan, coefficients.
 
@@ -268,8 +264,8 @@ def skip_search(source, part_traces: np.ndarray) -> GcvResult:
     elif (theta0 <= 0.0).any():
         flags.append("theta-floor")
         theta0 = np.where(theta0 > 0.0, theta0, 1e-12 * top)
-    shift = float(np.mean(np.log10(theta0)))
-    profile2 = LambdaProfile(source.design_at(theta0 * 10.0 ** (-shift)))
+    pinned, shift = _pinned_scale(theta0)
+    profile2 = LambdaProfile(source.design_at(pinned))
     x2, score, hit_boundary = golden_minimize(profile2.score)
     if hit_boundary:
         flags.append("lambda-boundary")
@@ -310,7 +306,8 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
     takes one quasi-Newton step per log10(theta_delta) coordinate with nlam
     held fixed (central differences, step clamped to one decade, uphill
     proposals rejected after two backtracks), then re-minimizes over nlam.
-    Stops when the relative score improvement falls below SCORE_TOL.  The
+    Stops when the relative score improvement falls below SCORE_TOL, or
+    after ``max_iter`` iterations, flagged ``iteration-cap``.  The
     accepted-state score trace is nonincreasing by construction.
 
     The objective is invariant under (theta, nlam) -> (s theta, s nlam),
@@ -334,21 +331,13 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
     _check_response(dataset)
     blocks = compressed_blocks(dataset, spec, basis)
     init = skip_search(blocks, part_traces(dataset, spec))
-    theta = init.params.theta.copy()
-    log_nlam = init.params.log10_nlam
+    theta, shift = _pinned_scale(init.params.theta)
+    log_nlam = init.params.log10_nlam - shift
     score = init.score
     # boundary hits are reported for full_gcv's own nlam searches only
     flags = set(init.flags) - {"lambda-boundary"}
     trace = [score]
     h = 0.1
-
-    def pin_scale():
-        nonlocal theta, log_nlam
-        shift = float(np.mean(np.log10(theta)))
-        theta = theta * 10.0 ** (-shift)
-        log_nlam -= shift
-
-    pin_scale()
     design = blocks.design_at(theta)
 
     converged = False
@@ -382,7 +371,8 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
                     score = f_try
                     break
         # nlam search at the updated theta, on the pinned scale; its design starts the next sweep
-        pin_scale()
+        theta, shift = _pinned_scale(theta)
+        log_nlam -= shift
         design = blocks.design_at(theta)
         x, cand, hit_boundary = golden_minimize(LambdaProfile(design).score)
         if cand < score:
@@ -395,6 +385,8 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
         if prev - score < SCORE_TOL * max(abs(prev), 1e-300):
             converged = True
             break
+    if not converged:
+        flags.add("iteration-cap")
 
     params = SmoothingParams(log_nlam, tuple(float(v) for v in np.log10(theta)))
     return GcvResult(params=params, score=score, iterations=iterations,

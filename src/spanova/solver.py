@@ -61,6 +61,7 @@ took 0.09-0.19 s at either.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -491,8 +492,8 @@ class CompiledDesign:
     ``rss_offset``, the residual sum of squares that the compression moved
     out of the rows (see ``compressed_blocks``).
 
-    The QR reads the complement rows through ``stack`` and the score its
-    residual through ``residual``.
+    The solve and the nlam profile read ``stack`` and Q_r's factor
+    ``penalty_factor``, and the score its residual through ``residual``.
     """
 
     def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray,
@@ -509,15 +510,25 @@ class CompiledDesign:
         self.n_obs, self.rss_offset = int(n_obs), float(rss_offset)
         self.q, self.q_r = q, _ridged(q)
 
+    @functools.cached_property
+    def penalty_factor(self) -> np.ndarray:
+        """The lower Cholesky factor L of Q_r = LL', formed on first use."""
+        # LAPACK directly: small trials spend more in scipy.linalg's wrappers
+        lower, info = sla.lapack.dpotrf(self.q_r, lower=1, clean=1)
+        if info != 0:
+            raise NumericalError("solver: penalty matrix is not positive definite")
+        return lower
+
     def stack(self) -> np.ndarray:
         """A fresh F-ordered (n - M + q) x (q + 1) array led by [K_perp, y_perp].
 
-        Its last q rows are left for the penalty rows.
+        Its last q rows, zero, are left for the penalty rows.
         """
         m, q = self.m, self.nq
         out = np.empty((self.n - m + q, q + 1), order="F")
         out[:self.n - m, :q] = self.k[m:]
         out[:self.n - m, q] = self.y[m:]
+        out[self.n - m:] = 0.0
         return out
 
     def residual(self, c: np.ndarray) -> np.ndarray:
@@ -567,31 +578,28 @@ def _complement_solve(design, nlam: float) -> tuple[np.ndarray, float]:
     """
     if nlam <= 0 or not np.isfinite(nlam):
         raise InputError("nlam must be positive and finite")
-    # LAPACK directly: a small search's trials spend more in scipy.linalg's
-    # wrappers than in these factorizations
-    upper, info = sla.lapack.dpotrf(design.q_r, lower=0, clean=1)
-    if info != 0:
-        raise NumericalError("solver: penalty matrix is not positive definite")
-    q = design.nq
+    lower, q = design.penalty_factor, design.nq
     stack = design.stack()
-    pen = stack.shape[0] - q
-    np.multiply(float(nlam) ** 0.5, upper, out=stack[pen:, :q])
-    stack[pen:, q] = 0.0
+    np.multiply(float(nlam) ** 0.5, lower.T, out=stack[-q:, :q])
     r = _r_factor(stack)
     c, info = sla.lapack.dtrtrs(r[:q, :q], r[:q, q])
     if info != 0:
         raise NumericalError(f"solver: singular stacked system (nlam={nlam:g})")
-    w, _ = sla.lapack.dtrtrs(r[:q, :q], upper.T, trans=1)
+    w, _ = sla.lapack.dtrtrs(r[:q, :q], lower, trans=1)
     return c, design.m + q - float(nlam) * float((w * w).sum())
+
+
+def _gcv_value(rss, trace_a, n_obs: int):
+    """GCV (rss / n) / ((n - tr A) / n)^2 at n = ``n_obs``, elementwise; +inf where tr A >= n."""
+    denom = (n_obs - trace_a) / n_obs
+    return np.divide(rss / n_obs, denom * denom, out=np.full(np.shape(denom), np.inf),
+                     where=denom > 0.0)
 
 
 def _design_gcv(design, c: np.ndarray, trace_a: float) -> float:
     """GCV score of c: the complement rows' residual plus ``rss_offset``, over ``n_obs``."""
-    resid, n = design.residual(c), design.n_obs
-    denom = (n - trace_a) / n
-    if denom <= 0.0:
-        return float("inf")
-    return ((float(resid @ resid) + design.rss_offset) / n) / denom**2
+    resid = design.residual(c)
+    return float(_gcv_value(float(resid @ resid) + design.rss_offset, trace_a, design.n_obs))
 
 
 def _stacked_fit(design: CompiledDesign, nlam: float):

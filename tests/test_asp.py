@@ -7,6 +7,7 @@ import pytest
 
 from spanova import asp, gcv, solver
 from spanova.asp import (
+    P_UNESTIMATED,
     AspConfig,
     RateFit,
     SubsampleFit,
@@ -103,7 +104,7 @@ def test_config_validation():
     with pytest.raises(InputError):
         AspConfig(n_sizes=1)
     with pytest.raises(InputError):
-        AspConfig(p_default=3.0)
+        AspConfig(p=3.0)
     with pytest.raises(InputError):
         AspConfig(b_factor=0.5)
     for jobs in (0, -3):
@@ -113,7 +114,7 @@ def test_config_validation():
         with pytest.raises(InputError, match=f"gcv_max_iter must be at least 1, got {iters}"):
             AspConfig(gcv_max_iter=iters)
     assert AspConfig(jobs=1).worker_count == 1
-    for name in ("b_coef", "b_max_coef", "b_factor", "r_default", "p_default",
+    for name in ("b_coef", "b_max_coef", "b_factor", "r_default", "p",
                  "order_c", "basis_coef", "basis_exp"):
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InputError, match=f"^{name} must be finite"):
@@ -251,10 +252,23 @@ def test_estimate_p_tie_goes_to_one():
 def test_asp_uniform_skips_p_estimation_when_b_equals_n():
     data, spec = sine_dataset(60, seed=4)
     cfg = AspConfig(b_coef=50.0, n_subsamples=3, gcv_max_iter=5, jobs=1, seed=7,
-                    p_default=2.0)
+                    p=2.0)
     assert subsample_size(60, cfg, spec.null_dim) == 60
     res = asp_uniform(data, spec, cfg)
     assert res.p == 2.0
+
+
+def test_asp_uniform_p_none_falls_back_when_b_equals_n(monkeypatch):
+    """p = None estimates p, but with every row in the subsample there is
+    no larger sample to score on, so asp-u takes P_UNESTIMATED."""
+    data, spec = sine_dataset(60, seed=4)
+    cfg = AspConfig(b_coef=50.0, n_subsamples=3, gcv_max_iter=5, jobs=1, seed=7)
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("estimate_p called with b = n")
+
+    monkeypatch.setattr(asp, "estimate_p", no_estimate)
+    assert asp_uniform(data, spec, cfg).p == P_UNESTIMATED == 1.0
 
 
 def test_asp_asymptotic_structure():
@@ -404,7 +418,7 @@ def test_full_sample_wrappers():
         assert res.lambda_full > 0
         assert res.n == 300
         assert res.params.nlam == pytest.approx(300 * res.lambda_full, rel=1e-12)
-    assert o.lambda_full == order_based(300, cfg.r_default, cfg.p_default)
+    assert o.lambda_full == order_based(300, cfg.r_default, P_UNESTIMATED)
 
 
 def test_order_selection_uses_trace_normalized_theta():

@@ -180,6 +180,7 @@ def test_fit_document_contents(fitted_paths):
     assert doc["selection"]["method"] == "asp-u"
     assert doc["selection"]["lambda"] > 0
     assert doc["selection"]["p"] in (1.0, 2.0)
+    assert doc["config"]["p"] == "auto"
     assert doc["n"] == 250
     # q = round(10 * 250^{2/9})
     assert doc["fit"]["q"] == 34
@@ -303,6 +304,7 @@ def test_fit_order_method_records_rate_lambda(tmp_path):
                  "--jobs", "1", "--out", str(fit)]) == 0
     doc = json.loads(fit.read_text())
     assert doc["selection"]["lambda"] == 1e-3
+    assert doc["selection"]["p"] == doc["config"]["p"] == 1.0
     assert doc["fit"]["q"] == 77
 
 
@@ -582,6 +584,13 @@ def test_simulate_and_bench_files_are_the_bytes_csv_writer_writes(tmp_path):
     assert all(r[i] == repr(float(r[i])) for r in rows for i in (2, 5, 6))
 
 
+def with_basis_entry(doc, i, j, value):
+    """``doc`` with fit.basis_rows[i][j] set to ``value``."""
+    rows = [list(row) for row in doc["fit"]["basis_rows"]]
+    rows[i][j] = value
+    return {**doc, "fit": {**doc["fit"], "basis_rows": rows}}
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda doc: [],
     lambda doc: {**doc, "fit": {**doc["fit"], "c": "abc"}},
@@ -595,9 +604,14 @@ def test_simulate_and_bench_files_are_the_bytes_csv_writer_writes(tmp_path):
     lambda doc: {**doc, "fit": {**doc["fit"], "d": [float("nan"), *doc["fit"]["d"][1:]]}},
     lambda doc: {**doc, "fit": {**doc["fit"], "basis_rows": [
         [float("nan"), *doc["fit"]["basis_rows"][0][1:]], *doc["fit"]["basis_rows"][1:]]}},
+    lambda doc: with_basis_entry(doc, 0, 0, 2.0),
+    lambda doc: with_basis_entry(doc, 1, 0, -0.5),
 ], ids=["list", "non-numeric-c", "short-c", "scalar-basis-rows", "nonpositive-theta-zero",
-        "nonpositive-theta-negative", "repeated-column", "nan-c", "nan-d", "nan-basis-rows"])
+        "nonpositive-theta-negative", "repeated-column", "nan-c", "nan-d", "nan-basis-rows",
+        "basis-rows-above-1", "basis-rows-below-0"])
 def test_predict_exit_code_on_malformed_fit_document(fitted_paths, tmp_path, capsys, corrupt):
+    """Basis rows are model-scale data rows: a continuous entry outside
+    [0, 1] used to be read as is, and moved predictions by up to 14."""
     sim, fit_path, _, _ = fitted_paths
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(json.loads(fit_path.read_text()))))
@@ -605,7 +619,25 @@ def test_predict_exit_code_on_malformed_fit_document(fitted_paths, tmp_path, cap
     code = main(["predict", "--fit", str(bad), "--data", str(sim),
                  "--out", str(tmp_path / "p.csv")])
     assert code == 2
-    assert "input error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error" in err and "not a fit document" in err
+
+
+@pytest.mark.parametrize("code", [0.0, 4.0])
+def test_predict_rejects_a_basis_code_outside_the_levels(tmp_path, capsys, code):
+    """A discrete basis entry is a level code 1..K; 0 and K + 1 name no level."""
+    rng = np.random.default_rng(4)
+    rows = [[repr(float(a)), int(b), repr(float(y))] for a, b, y in
+            zip(rng.uniform(size=90), rng.choice([2, 5, 9], size=90), rng.standard_normal(90))]
+    train = write_csv(tmp_path / "train.csv", ["a", "b", "y"], rows)
+    fit = tmp_path / "fit.json"
+    assert main(["fit", "--data", train, "--response", "y", "--model", "1,2",
+                 "--method", "order", "--out", str(fit)]) == 0
+    fit.write_text(json.dumps(with_basis_entry(json.loads(fit.read_text()), 0, 1, code)))
+    capsys.readouterr()
+    assert main(["predict", "--fit", str(fit), "--data", train,
+                 "--out", str(tmp_path / "p.csv")]) == 2
+    assert "not a fit document" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["c", "d", "basis_rows"])
@@ -694,14 +726,24 @@ def test_config_flags_take_aspconfig_defaults(monkeypatch):
     flags = ["--b-coef", "30", "--subsamples", "2", "--r", "2.5", "--p", "1.5", "--order-c", "2",
              "--basis-coef", "8", "--basis-exp", "0.25", "--gcv-max-iter", "4", "--seed", "3",
              "--jobs", "1"]
-    expected = AspConfig(b_coef=30.0, n_subsamples=2, r_default=2.5, p_default=1.5,
-                         estimate_smoothness=False, order_c=2.0, basis_coef=8.0,
-                         basis_exp=0.25, gcv_max_iter=4, seed=3, jobs=1)
+    expected = AspConfig(b_coef=30.0, n_subsamples=2, r_default=2.5, p=1.5, order_c=2.0,
+                         basis_coef=8.0, basis_exp=0.25, gcv_max_iter=4, seed=3, jobs=1)
     for command in (["fit", "--data", "d", "--response", "y", "--model", "1", "--out", "o"],
                     ["bench", "--scenario", "u2", "--n", "90", "--snr", "5", "--methods",
                      "skip", "--out", "o"]):
         config = _config_from_args(parser.parse_args([*command, *flags]))
         assert dataclasses.astuple(config) == dataclasses.astuple(expected)
+
+
+def test_p_option_reads_auto_or_a_number(capsys):
+    parser = build_parser()
+    base = ["fit", "--data", "d", "--response", "y", "--model", "1", "--out", "o"]
+    assert _config_from_args(parser.parse_args([*base, "--p", "auto"])).p is None
+    assert _config_from_args(parser.parse_args([*base, "--p", "1.5"])).p == 1.5
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*base, "--p", "smooth"])
+    assert exc.value.code == 2
+    assert "--p: invalid number_or_auto value: 'smooth'" in capsys.readouterr().err
 
 
 def test_method_names_are_the_selectors():
@@ -742,6 +784,43 @@ def test_fit_checks_its_outputs_before_selecting(tmp_path, capsys, monkeypatch, 
     assert calls == []
     assert sorted(tmp_path.rglob("*")) == before
     assert old.read_text() == "{}\n"
+
+
+@pytest.mark.parametrize("case", ["fit-fitted-out", "fit-out", "predict-data", "predict-fit"])
+def test_an_output_never_overwrites_an_input(fitted_paths, tmp_path, capsys, case):
+    """An output naming the training CSV or the fit document used to replace it."""
+    sim, fit_path, _, _ = fitted_paths
+    data, fit = tmp_path / "t.csv", tmp_path / "f.json"
+    data.write_bytes(sim.read_bytes())
+    fit.write_bytes(fit_path.read_bytes())
+    (tmp_path / "sub").mkdir()
+    fit_args = ["fit", "--data", str(data), "--response", "y", "--model", "1",
+                "--method", "skip", "--jobs", "1"]
+    argv, out, target = {
+        "fit-fitted-out": (fit_args + ["--out", str(tmp_path / "o.json"), "--fitted-out"],
+                           tmp_path / "sub" / ".." / "t.csv", data),
+        "fit-out": (fit_args + ["--out"], data, data),
+        "predict-data": (["predict", "--fit", str(fit), "--data", str(data), "--out"], data, data),
+        "predict-fit": (["predict", "--fit", str(fit), "--data", str(data), "--out"], fit, fit),
+    }[case]
+    before = target.read_bytes()
+    capsys.readouterr()
+    assert main([*argv, str(out)]) == 2
+    assert f"input error: an output names an input file: {out}" in capsys.readouterr().err
+    assert target.read_bytes() == before
+
+
+def test_fit_document_flags_a_gcv_search_stopped_by_its_cap(tmp_path):
+    sim = tmp_path / "train.csv"
+    assert main(["simulate", "--scenario", "m1", "--n", "300", "--snr", "5", "--seed", "1",
+                 "--out", str(sim)]) == 0
+    flags = {}
+    for cap in (1, 30):
+        out = tmp_path / f"fit{cap}.json"
+        assert main(["fit", "--data", str(sim), "--response", "y", "--model", "1,2,1:2",
+                     "--method", "gcv", "--gcv-max-iter", str(cap), "--out", str(out)]) == 0
+        flags[cap] = json.loads(out.read_text())["selection"]["flags"]
+    assert "iteration-cap" in flags[1] and "iteration-cap" not in flags[30]
 
 
 @pytest.mark.parametrize("option,value,message", [

@@ -268,18 +268,66 @@ def test_golden_minimize_rejects_all_infinite():
         golden_minimize(lambda t: np.full(np.shape(t), np.inf))
 
 
-def test_profile_batch_scores_match_single_scores_and_exact():
-    from spanova.gcv import LambdaProfile, _exact_score
+def searched_designs():
+    """One design of each kind a search scores: compressed blocks (m1, p + 1 < n),
+    blocks rotated by T's QR (m4, p + 1 >= n) and streamed rows."""
+    rng = np.random.default_rng(5)
+    for scenario, n in (("m1", 400), ("m4", 300)):
+        sim = gen_data(scenario, n, 5.0, seed=1)
+        spec = SCENARIOS[scenario].spec
+        basis = select_basis(n, basis_count(n), seed=1)
+        theta = 10.0 ** rng.uniform(-1.0, 1.0, spec.n_penalized)
+        assert solver.streams_rows(sim.dataset, spec, basis) == (scenario == "m1")
+        yield compressed_blocks(sim.dataset, spec, basis).design_at(theta)
+        if scenario == "m1":
+            yield DesignRows(sim.dataset, spec, basis).design_at(theta)
 
+
+def test_profile_batch_scores_match_single_scores_and_exact():
     ds, spec, blocks = two_term_problem(21)
     k, q = blocks.combine(np.array([1.0, 0.3]))
-    design = _compressed_design(blocks.t, k, q, ds.y)
-    profile = LambdaProfile(design)
+    designs = [_compressed_design(blocks.t, k, q, ds.y), *searched_designs()]
+    assert len(designs) == 4
     grid = np.linspace(-12, 3, 61)
-    np.testing.assert_allclose(profile.score(grid), [profile.score(g) for g in grid],
-                               rtol=1e-12)
-    for lg in (-9.0, -5.0, -2.0, 1.0):
-        assert profile.score(lg) == pytest.approx(_exact_score(design, 10.0**lg), rel=1e-9)
+    for design in designs:
+        profile = LambdaProfile(design)
+        np.testing.assert_allclose(profile.score(grid), [profile.score(g) for g in grid],
+                                   rtol=1e-12)
+        for lg in (-9.0, -5.0, -2.0, 1.0):
+            assert profile.score(lg) == pytest.approx(_exact_score(design, 10.0**lg),
+                                                      rel=1e-9)
+
+
+def test_each_design_factors_its_penalty_once(monkeypatch):
+    """Q_r is factored once per design, in the solver, and the profile and
+    the stacked-QR solve share the factor: skip's stage-one design is
+    profiled and then solved, and estimate_p's design scored twice."""
+    import sys
+
+    import scipy.linalg as sla
+
+    from spanova import asp
+
+    factored, callers = [], set()
+
+    def spy(real):
+        def factor(a, *args, **kwargs):
+            factored.append(a)
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return real(a, *args, **kwargs)
+        return factor
+
+    monkeypatch.setattr(sla.lapack, "dpotrf", spy(sla.lapack.dpotrf))
+    monkeypatch.setattr(sla, "cholesky", spy(sla.cholesky))
+    ds, blocks = scenario_problem("m1", 400, seed=2)
+    spec = SCENARIOS["m1"].spec
+    skip_select(ds, spec, blocks.basis)
+    full_gcv(ds, spec, blocks.basis, max_iter=2)
+    asp.estimate_p(ds, spec, 1e-3, np.ones(blocks.n_penalized), 150, asp.AspConfig(jobs=1))
+    assert len(factored) > 10
+    # every factored Q_r is held in the list, so equal ids mean one array factored twice
+    assert len({id(a) for a in factored}) == len(factored)
+    assert callers == {"spanova.solver"}
 
 
 def test_minimize_lambda_within_one_grid_step():
@@ -502,6 +550,19 @@ def test_full_gcv_trace_nonincreasing_and_deterministic():
     assert fg == fg2
     assert fg.iterations <= 30
     assert fg.score > 0
+
+
+def test_full_gcv_flags_its_iteration_cap():
+    """A search stopped by ``max_iter`` says so in its flags, which the
+    selection result (and so fit.json) carries; a converged one does not."""
+    from spanova.asp import AspConfig, gcv_select
+
+    ds, spec, blocks = two_term_problem(0, second_weight=0.2)
+    capped = full_gcv(ds, spec, blocks.basis, max_iter=1)
+    assert not capped.converged and "iteration-cap" in capped.flags
+    done = full_gcv(ds, spec, blocks.basis)
+    assert done.converged and done.iterations > 1 and "iteration-cap" not in done.flags
+    assert "iteration-cap" in gcv_select(ds, spec, AspConfig(gcv_max_iter=1, jobs=1)).flags
 
 
 def test_full_gcv_single_term_reduces_to_lambda_search():
