@@ -82,6 +82,8 @@ class AspConfig:
             raise InputError("need p in [1, 2] and r > 1")
         if self.b_factor < 1.0:
             raise InputError("b_factor must be at least 1")
+        if self.order_c <= 0.0:
+            raise InputError(f"order_c must be positive, got {self.order_c}")
 
     @property
     def worker_count(self) -> int:

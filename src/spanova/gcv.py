@@ -25,10 +25,10 @@ with the residual read from the complement rows.
 ``skip_select``, ``full_gcv`` and ``scores_at`` take the rows (dataset,
 model, basis) and build their own designs.  ``full_gcv`` runs on the
 blocks of ``solver.compressed_blocks``, the one place that chooses
-whether to stream: where p + 1 < n, the n rows compressed to p = M + S q
-rows without any per-term n-row block, so every exact score, profile and
-theta trial of its search, skip's included, costs the same at any n;
-otherwise the n rows rotated by T's QR.  A search's designs come from one
+whether to stream: where p + 1 < n, the n rows compressed to p + 1 rows,
+p = M + S q, without any per-term n-row block, so every exact score,
+profile and theta trial of its search, skip's included, costs the same at
+any n; otherwise the n rows rotated by T's QR.  A search's designs come from one
 source's ``design_at(theta)``: ``full_gcv``'s blocks (``solver.DesignBlocks``),
 or, for ``skip_select`` and ``scores_at``, the rows (``solver.DesignRows``),
 compressing [T, K(theta), y] (M + q + 1 columns) as they stream.
@@ -128,7 +128,7 @@ class LambdaProfile:
     and one SVD R_KK = U diag(s) V' with g = U'r_Ky reduces every score to
     O(q) sums of nonnegative terms, with no solve:
 
-        rss(nlam) = rho^2 + rss_offset + sum (nlam/(s^2 + nlam))^2 g^2,
+        rss(nlam) = rho^2 + sum (nlam/(s^2 + nlam))^2 g^2,
         tr A(nlam) = M + sum s^2/(s^2 + nlam).
 
     K'K is never formed, so a rank-deficient K costs no accuracy.  Only
@@ -150,7 +150,7 @@ class LambdaProfile:
             raise NumericalError("profile SVD did not converge") from exc
         self.s2 = s * s
         self.g = _dot(u.T, r[:q, q])
-        self.rss_floor = float(r[q, q]) ** 2 + design.rss_offset
+        self.rss_floor = float(r[q, q]) ** 2
 
     def score(self, log10_nlam):
         """GCV score at nlam = 10**log10_nlam, elementwise over an array."""
@@ -295,7 +295,7 @@ def _trial(blocks: DesignBlocks, design: CompiledDesign, delta: int, dw: float) 
     k_trial = np.multiply(dw, blocks.k_parts[delta])
     k_trial += design.k
     return CompiledDesign(blocks.t, k_trial, design.q + dw * blocks.q_parts[delta], blocks.y,
-                          blocks.n_obs, blocks.rss_offset)
+                          blocks.n_obs)
 
 
 def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
@@ -321,7 +321,7 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
     by T's QR, so T is [R_T; 0] either way.  The search holds one design,
     replaced by each accepted trial and each nlam profile's, and a trial is
     the design of K + w K_delta from it (``_trial``), so it costs O(pq)
-    plus a QR of p - M + q rows and q + 1 columns, whatever n is.
+    plus a QR of p + 1 - M + q rows and q + 1 columns, whatever n is.
     Theta trials are scored by that stacked QR and nlam searches by the
     profile; the two agree to about 1e-12 relative, so only a near-exact
     tie between a trial and a search minimum could be decided either way.

@@ -17,17 +17,17 @@ Every fit and score solves the problem in its stacked least-squares form:
 stabilizing ridge), by one triangular factor R of a QR factorization, at the
 square root of the normal equations' condition number.  T is absorbed
 first, as in Gu & Wahba (1991) and Wood (2004), by a QR of [T, K, y] over
-row chunks (``_compressed_design``): it leaves M + q rows [R_T, R_K | f]
-with the same cross products, and y'y - f'f = rho^2 with rho R's last
-diagonal entry.  With T as [R_T; 0], the rows below row M span the
-orthogonal complement of T, d is free to zero the M rows above, and the
-QR factors only [K_perp, y_perp; sqrt(nlam) L', 0], q + 1 columns instead
-of M + q + 1.  d follows by back-substitution against R_T, and tr(A) from
-the same R.  A selection's search compresses [T, K_1 ... K_S, y] instead,
-p + 1 columns with p = M + S q, to p rows (``compressed_blocks``).  Every
-score on compressed rows adds rho^2 to its residual sum of squares and
-divides by the observation count, so it equals the n-row score while its
-cost no longer depends on n.
+row chunks (``_compressed_design``): it leaves the M + q + 1 rows of its
+triangular factor, [R_T, R_K | f], an orthogonal image of the n rows with
+every cross product of [T, K, y], y'y included.  With T as [R_T; 0], the
+rows below row M span the orthogonal complement of T, d is free to zero
+the M rows above, and the QR factors only [K_perp, y_perp; sqrt(nlam) L', 0],
+q + 1 columns instead of M + q + 1.  d follows by back-substitution
+against R_T, and tr(A) from the same R.  A selection's search compresses
+[T, K_1 ... K_S, y] instead, p + 1 columns with p = M + S q, to p + 1 rows
+(``compressed_blocks``).  A compressed design differs from the n-row one
+only in ``n_obs``, the observation count that its scores divide by, so
+each score equals the n-row score while its cost no longer depends on n.
 
 No selection needs the S per-term n x q blocks K_delta: each chunk's rows
 of K_delta are formed from the kernel at those rows and folded into R
@@ -153,9 +153,7 @@ class DesignBlocks:
 
     Everything here is independent of the smoothing parameters, so a search
     builds its design at any theta from them (``design_at``).  Blocks from
-    ``compressed_blocks`` hold p rows for n_obs observations, and
-    rss_offset is the part of the residual sum of squares that no
-    smoothing parameter can reach.
+    ``compressed_blocks`` may hold fewer rows than their n_obs observations.
     """
 
     t: np.ndarray
@@ -164,7 +162,6 @@ class DesignBlocks:
     y: np.ndarray
     basis: BasisSelection
     n_obs: int
-    rss_offset: float = 0.0
 
     @property
     def n(self) -> int:
@@ -189,7 +186,7 @@ class DesignBlocks:
 
     def design_at(self, theta) -> "CompiledDesign":
         """The design of [T, K(theta), y] and Q(theta), for blocks whose T reads [R_T; 0]."""
-        return CompiledDesign(self.t, *self.combine(theta), self.y, self.n_obs, self.rss_offset)
+        return CompiledDesign(self.t, *self.combine(theta), self.y, self.n_obs)
 
 
 def _rotated_blocks(null: "NullQR", kernel_rows, n: int, q: int, s: int) -> tuple[np.ndarray, ...]:
@@ -212,7 +209,7 @@ def _rotated_blocks(null: "NullQR", kernel_rows, n: int, q: int, s: int) -> tupl
 
 
 def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: int):
-    """[T, K_1 ... K_B, y] reduced to p = M + B q rows by one chunked QR.
+    """[T, K_1 ... K_B, y] reduced to p + 1 rows by one chunked QR, p = M + B q.
 
     ``kernel_rows(lo, hi)`` yields the B kernel blocks' rows lo .. hi, each
     q wide, in order; it is asked for one tile (``_tiles``) at a time.
@@ -220,8 +217,7 @@ def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: 
     next COMPRESS_CHUNK rows, in one buffer reused for every chunk (zero
     rows pad the last one), so the n x (p + 1) matrix is never formed.  The
     same rows in the same chunks give the same R bit for bit, wherever they
-    come from.  Returns (T', (K_1' ... K_B'), rho^2, f): R's first p rows
-    split by column, and the square of its last diagonal entry.
+    come from.  Returns (T', (K_1' ... K_B'), f): R's rows split by column.
     """
     n, m = t.shape
     p = m + n_blocks * q
@@ -240,8 +236,8 @@ def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: 
         stack[p + 1 + hi - lo:] = 0.0
         r = _r_factor(stack)
     # F-ordered copies: the searches' stacks and products read them by column
-    k_parts = tuple(np.asfortranarray(r[:p, m + j * q:m + (j + 1) * q]) for j in range(n_blocks))
-    return r[:p, :m].copy(), k_parts, float(r[p, p]) ** 2, r[:p, p].copy()
+    k_parts = tuple(np.asfortranarray(r[:, m + j * q:m + (j + 1) * q]) for j in range(n_blocks))
+    return r[:, :m].copy(), k_parts, r[:, p].copy()
 
 
 def _tiles(lo: int, hi: int, q: int, max_rows: int | None = None):
@@ -418,7 +414,7 @@ class DesignRows:
         return term_grams(spec.penalized_terms, spec.domains, self.dataset.x[lo:hi], self.z)
 
     def design_at(self, theta) -> CompiledDesign:
-        """Design of [T, K(theta), y] at one theta, compressed to M + q rows.
+        """Design of [T, K(theta), y] at one theta, compressed to M + q + 1 rows.
 
         The QR, M + q + 1 columns rather than the p + 1 of
         ``compressed_blocks``, reads K(theta) from its row source
@@ -437,7 +433,7 @@ def streams_rows(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> bo
 def compressed_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> DesignBlocks:
     """The blocks and response of a search, with T brought to [R_T; 0].
 
-    When p + 1 < n the rows of [T, K_1 ... K_S, y] are compressed to p rows
+    When p + 1 < n the rows of [T, K_1 ... K_S, y] are compressed to p + 1 rows
     chunk by chunk (``_compress_rows``), and no per-term n-row block
     exists.  Otherwise the blocks are formed over all n rows, copied into
     one array as each forms, and rotated there by T's QR
@@ -446,13 +442,13 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) 
     rows = DesignRows(dataset, spec, basis)
     s, q = spec.n_penalized, basis.q
     if streams_rows(dataset, spec, basis):
-        t, k_parts, rho2, f = _compress_rows(rows.t, rows.kernel_rows, dataset.y, s, q)
+        t, k_parts, f = _compress_rows(rows.t, rows.kernel_rows, dataset.y, s, q)
     else:
         null = NullQR(rows.t)
-        t, rho2, f = null.triangle(), 0.0, null.rotate(dataset.y)
+        t, f = null.triangle(), null.rotate(dataset.y)
         k_parts = _rotated_blocks(null, rows.kernel_rows, dataset.n, q, s)
     return DesignBlocks(t=t, k_parts=k_parts, q_parts=rows.q_parts, y=f, basis=basis,
-                        n_obs=dataset.n, rss_offset=rho2)
+                        n_obs=dataset.n)
 
 
 def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -488,16 +484,13 @@ class CompiledDesign:
 
     Q_r is Q plus a ridge of RIDGE_SCALE times its mean diagonal, so its
     Cholesky factor exists when Q (``q``, not copied) is semidefinite.  ``n``
-    is the row count; the scores divide by ``n_obs`` observations and add
-    ``rss_offset``, the residual sum of squares that the compression moved
-    out of the rows (see ``compressed_blocks``).
+    is the row count, and the scores divide by ``n_obs`` observations.
 
     The solve and the nlam profile read ``stack`` and Q_r's factor
     ``penalty_factor``, and the score its residual through ``residual``.
     """
 
-    def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray,
-                 n_obs: int, rss_offset: float = 0.0):
+    def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray, n_obs: int):
         self.n, self.m = t.shape
         if self.n < self.m:
             raise NumericalError("null design has fewer rows than columns")
@@ -507,7 +500,7 @@ class CompiledDesign:
         if (np.diag(self.r_t) == 0.0).any():
             raise NumericalError("null design is rank deficient")
         self.k, self.y, self.nq = k, y, k.shape[1]
-        self.n_obs, self.rss_offset = int(n_obs), float(rss_offset)
+        self.n_obs = int(n_obs)
         self.q, self.q_r = q, _ridged(q)
 
     @functools.cached_property
@@ -537,14 +530,14 @@ class CompiledDesign:
 
 
 def _compressed_design(t: np.ndarray, k, q: np.ndarray, y: np.ndarray) -> CompiledDesign:
-    """The design of [T, K, y] compressed to M + q rows by ``_compress_rows``.
+    """The design of [T, K, y] compressed to M + q + 1 rows by ``_compress_rows``.
 
     ``k`` is K, or a row source ``k(lo, hi)`` of K's rows (``_kernel_rows``).
-    The design scores T's n rows, with rho^2 as its ``rss_offset``.
+    The design scores T's n rows.
     """
     rows = (lambda lo, hi: (k(lo, hi),)) if callable(k) else (lambda lo, hi: (k[lo:hi],))
-    t_r, (k_r,), rho2, f = _compress_rows(t, rows, y, 1, q.shape[0])
-    return CompiledDesign(t_r, k_r, q, f, t.shape[0], rho2)
+    t_r, (k_r,), f = _compress_rows(t, rows, y, 1, q.shape[0])
+    return CompiledDesign(t_r, k_r, q, f, t.shape[0])
 
 
 def _ridged(q) -> np.ndarray:
@@ -597,9 +590,9 @@ def _gcv_value(rss, trace_a, n_obs: int):
 
 
 def _design_gcv(design, c: np.ndarray, trace_a: float) -> float:
-    """GCV score of c: the complement rows' residual plus ``rss_offset``, over ``n_obs``."""
+    """GCV score of c from the complement rows' residual, over ``n_obs``."""
     resid = design.residual(c)
-    return float(_gcv_value(float(resid @ resid) + design.rss_offset, trace_a, design.n_obs))
+    return float(_gcv_value(float(resid @ resid), trace_a, design.n_obs))
 
 
 def _stacked_fit(design: CompiledDesign, nlam: float):

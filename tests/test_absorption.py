@@ -26,7 +26,7 @@ from spanova.solver import (
 NLAMS = 10.0 ** np.arange(-8.0, 3.0)
 
 
-def with_t_score(t, k, q, y, nlam, n_obs, rss_offset):
+def with_t_score(t, k, q, y, nlam, n_obs):
     """GCV score from one R-only QR of [[T, K, y], [0, sqrt(nlam) L', 0]]."""
     n, m = t.shape
     nq = k.shape[1]
@@ -40,7 +40,7 @@ def with_t_score(t, k, q, y, nlam, n_obs, rss_offset):
     resid = y - t @ beta[:m] - k @ beta[m:]
     w = sla.solve_triangular(r[m:, m:-1], ell, trans="T")
     trace_a = m + nq - nlam * (w * w).sum()
-    return ((resid @ resid + rss_offset) / n_obs) / ((n_obs - trace_a) / n_obs) ** 2
+    return (resid @ resid / n_obs) / ((n_obs - trace_a) / n_obs) ** 2
 
 
 def problem(scenario, n, seed=0):
@@ -60,7 +60,7 @@ def test_absorbed_scores_match_with_t_stack(scenario, n):
     assert not np.tril(blocks.t, -1).any()
     theta = 10.0 ** np.random.default_rng(1).uniform(-1.0, 1.0, blocks.n_penalized)
     k, q = blocks.combine(theta)
-    design = CompiledDesign(blocks.t, k, q, blocks.y, blocks.n_obs, blocks.rss_offset)
+    design = CompiledDesign(blocks.t, k, q, blocks.y, blocks.n_obs)
     profile = LambdaProfile(design)
     if scenario == "m4":
         assert blocks.n == n
@@ -70,7 +70,7 @@ def test_absorbed_scores_match_with_t_stack(scenario, n):
         assert blocks.n < n
         reference = (blocks.t, k, q, blocks.y)
     for nlam in NLAMS:
-        want = with_t_score(*reference, nlam, n, blocks.rss_offset)
+        want = with_t_score(*reference, nlam, n)
         assert _exact_score(design, nlam) == pytest.approx(want, rel=1e-12)
         assert profile.score(np.log10(nlam)) == pytest.approx(want, rel=1e-12)
 
@@ -95,8 +95,7 @@ def test_full_gcv_matches_with_t_trial_scores(monkeypatch, scenario, n, tol):
 
     def reference(design, nlam):
         # the reference ridges the design's unridged Q itself
-        return with_t_score(blocks.t, design.k, design.q, blocks.y, nlam, design.n_obs,
-                            design.rss_offset)
+        return with_t_score(blocks.t, design.k, design.q, blocks.y, nlam, design.n_obs)
 
     def checked(design, nlam):
         got = real(design, nlam)

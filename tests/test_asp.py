@@ -1,6 +1,10 @@
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,8 +123,10 @@ def test_config_validation():
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InputError, match=f"^{name} must be finite"):
                 AspConfig(**{name: value})
-    # finiteness is the only new rule: a zero order constant stays accepted
-    assert AspConfig(order_c=0.0).order_c == 0.0
+    # the order constant is checked here, before any selection runs
+    for value in (0.0, -1.0):
+        with pytest.raises(InputError, match=f"order_c must be positive, got {value}"):
+            AspConfig(order_c=value)
 
 
 def test_fit_rate_recovers_noiseless_law():
@@ -564,6 +570,50 @@ def test_forked_pool_workers_start_no_blas_threads(monkeypatch):
         assert pool.submit(_thread_count).result(timeout=60) == 1
         assert all(count == 1 for count in pool.submit(_blas_thread_counts).result(timeout=60).values())
     assert _blas_thread_counts() == parent
+
+
+# One process's selections and fits, printed as JSON with its OpenBLAS thread counts.
+_SELECTIONS_SCRIPT = """
+import json
+from spanova.asp import AspConfig, _openblas_thread_controls, full_sample_basis
+from spanova.simulate import SCENARIOS, SELECTORS, gen_data
+from spanova.solver import fit_model
+cfg, out = AspConfig(jobs=1), {}
+for scenario, n in (("m1", 1500), ("u2", 1500)):
+    ds, spec = gen_data(scenario, n, 5.0, seed=0).dataset, SCENARIOS[scenario].spec
+    basis = full_sample_basis(n, spec.null_dim, cfg)
+    for method in ("gcv", "skip", "asp-u"):
+        params = SELECTORS[method](ds, spec, cfg).params
+        fitted = fit_model(ds, spec, params, basis).fitted
+        out[scenario + "/" + method] = [params.log10_nlam, params.log10_theta, fitted.tolist()]
+threads = [getter() for getter, _ in _openblas_thread_controls().values()]
+print(json.dumps({"threads": threads, "selections": out}))
+"""
+
+
+def test_tall_selections_do_not_depend_on_the_blas_thread_count():
+    """gcv, skip and asp-u on compressed rows select the same parameters,
+    and fit the same values, at one OpenBLAS thread as at the default
+    count.  Measured on a 2-CPU machine (one thread against two): at most
+    6e-13 in log10 nlam and log10 theta, 8e-14 relative in the fitted values."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    procs = [subprocess.Popen([sys.executable, "-c", _SELECTIONS_SCRIPT], text=True,
+                              stdout=subprocess.PIPE, env=dict(env, **extra))
+             for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+    outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    one, default = map(json.loads, outputs)
+    assert set(one["threads"]) <= {1}
+    if (os.cpu_count() or 1) > 1 and default["threads"]:
+        assert max(default["threads"]) > 1
+    for key, (log_nlam, log_theta, fitted) in default["selections"].items():
+        want_nlam, want_theta, want_fitted = one["selections"][key]
+        assert log_nlam == pytest.approx(want_nlam, abs=1e-8), key
+        np.testing.assert_allclose(log_theta, want_theta, rtol=0.0, atol=1e-8, err_msg=key)
+        np.testing.assert_allclose(fitted, want_fitted, rtol=0.0,
+                                   atol=1e-9 * np.abs(want_fitted).max(), err_msg=key)
 
 
 def test_fit_rate_slope_standard_error_closed_form():

@@ -842,3 +842,26 @@ def test_bench_checks_every_cell_and_its_outputs_before_the_first(
     assert f"input error: {message.format(tmp=tmp_path)}" in capsys.readouterr().err
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["fit", "bench"])
+def test_nonpositive_order_constant_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command):
+    """--order-c -1 used to be written into fit.json by a fit that never
+    reads it, and a bench ran every method before order's before it failed."""
+    calls = []
+    monkeypatch.setitem(cli.SELECTORS, "asp-u", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: calls.append(args) or [])
+    if command == "fit":
+        rng = np.random.default_rng(9)
+        data = write_csv(tmp_path / "d.csv", ["a", "y"], rng.uniform(size=(60, 2)).tolist())
+        argv = ["fit", "--data", data, "--response", "y", "--model", "1", "--method", "asp-u"]
+    else:
+        argv = ["bench", "--scenario", "m1", "--n", "2000", "--snr", "5",
+                "--methods", "asp-u,order"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--order-c", "-1", "--jobs", "1", "--out", str(out)]) == 2
+    assert "input error: order_c must be positive, got -1.0" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()

@@ -175,7 +175,7 @@ def test_theta_lambda_redundancy():
 def assert_compressed_scores_match(ds, spec, blocks, thetas, log_nlams):
     y = ds.y
     small = compressed_blocks(ds, spec, blocks.basis)
-    assert small.n == blocks.n_null + blocks.n_penalized * blocks.q < blocks.n
+    assert small.n == blocks.n_null + blocks.n_penalized * blocks.q + 1 < blocks.n
     assert small.n_obs == blocks.n
     for theta in thetas:
         direct, compressed = rotated_design(blocks, y, theta), small.design_at(theta)
@@ -230,7 +230,7 @@ def test_compressed_score_invariant_to_common_scale(log_scale, log_nlam, log_the
 
 @pytest.mark.parametrize("scenario", ["u2", "m1", "m2"])
 def test_full_gcv_on_compressed_rows_matches_rotated_rows(monkeypatch, scenario):
-    """full_gcv on the rows compressed to p rows selects what it selects on
+    """full_gcv on the rows compressed to p + 1 rows selects what it selects on
     the n rows rotated by T's QR: the scores agree to rounding."""
     ds, blocks = scenario_problem(scenario, 600)
     spec = SCENARIOS[scenario].spec

@@ -347,16 +347,16 @@ def test_sweep_updates_match_fresh_combine():
 
 @pytest.mark.parametrize("chunk", [7, 40, 2048])
 def test_compress_keeps_cross_products(monkeypatch, chunk):
-    """[T, K_1 .. K_S, y]'[T, K_1 .. K_S, y] survives the chunked QR; y'y
-    is split into f'f and rss_offset.  150 rows leave a partial last chunk
-    at every size but the largest, which takes them in one."""
+    """[T, K_1 .. K_S, y]'[T, K_1 .. K_S, y] survives the chunked QR in its
+    p + 1 rows, y'y = f'f included.  150 rows leave a partial last chunk at
+    every size but the largest, which takes them in one."""
     monkeypatch.setattr(solver, "COMPRESS_CHUNK", chunk)
     ds, spec, basis = make_problem(5, 150, d=1, q=17)
     blocks = assemble_blocks(ds, spec, basis)
     small = compressed_blocks(ds, spec, basis)
     f = small.y
     p = blocks.n_null + blocks.q
-    assert small.t.shape == (p, blocks.n_null) and f.shape == (p,)
+    assert small.t.shape == (p + 1, blocks.n_null) and f.shape == (p + 1,)
     assert small.n_obs == 150
     assert all(np.array_equal(a, b) for a, b in zip(small.q_parts, blocks.q_parts, strict=True))
     full = np.hstack([blocks.t, *blocks.k_parts])
@@ -364,7 +364,7 @@ def test_compress_keeps_cross_products(monkeypatch, chunk):
     scale = np.abs(full.T @ full).max()
     np.testing.assert_allclose(reduced.T @ reduced, full.T @ full, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(reduced.T @ f, full.T @ ds.y, rtol=0.0, atol=1e-12 * scale)
-    assert f @ f + small.rss_offset == pytest.approx(ds.y @ ds.y, rel=1e-12)
+    assert f @ f == pytest.approx(ds.y @ ds.y, rel=1e-12)
     assert np.allclose(np.tril(reduced[:, :p], -1), 0.0)
 
 
@@ -379,7 +379,8 @@ def test_compress_absorbs_t_without_compressing_when_p_reaches_n():
     assert blocks.n_null + blocks.n_penalized * blocks.q + 1 >= blocks.n
     small = compressed_blocks(sim.dataset, spec, basis)
     f = small.y
-    assert small.n == small.n_obs == 300 and small.rss_offset == 0.0
+    assert small.n == small.n_obs == 300
+    assert f @ f == pytest.approx(y @ y, rel=1e-12)
     assert not np.tril(small.t, -1).any()
     full = np.hstack([blocks.t, *blocks.k_parts[:3], y[:, None]])
     rotated = np.hstack([small.t, *small.k_parts[:3], f[:, None]])
@@ -583,7 +584,9 @@ def test_compiled_design_rejects_unabsorbed_t():
     ds, spec, basis = make_problem(3, 40, q=12)
     t, k, q = theta_design(ds, spec, basis, np.ones(1))
     m = t.shape[1]
-    assert solver._compressed_design(t, k, q, ds.y).n == m + basis.q
+    design = solver._compressed_design(t, k, q, ds.y)
+    assert design.n == m + basis.q + 1
+    assert design.y @ design.y == pytest.approx(ds.y @ ds.y, rel=1e-12)
     with pytest.raises(NumericalError, match="below its diagonal"):
         solver.CompiledDesign(t, k, q, ds.y, ds.n)
     absorbed = np.zeros_like(t)

@@ -47,9 +47,9 @@ def in_memory_compression(ds, spec, basis):
     blocks = assemble_blocks(ds, spec, basis)
     s, q = blocks.n_penalized, blocks.q
     if solver.streams_rows(ds, spec, basis):
-        t, k_parts, rho2, f = solver._compress_rows(
+        t, k_parts, f = solver._compress_rows(
             blocks.t, lambda lo, hi: (kp[lo:hi] for kp in blocks.k_parts), ds.y, s, q)
-        return dataclasses.replace(blocks, t=t, k_parts=k_parts, y=f, rss_offset=rho2)
+        return dataclasses.replace(blocks, t=t, k_parts=k_parts, y=f)
     null = solver.NullQR(blocks.t)
     rotated = null.rotate(np.hstack(blocks.k_parts))
     k_parts = tuple(rotated[:, j * q:(j + 1) * q] for j in range(s))
@@ -65,13 +65,13 @@ def test_streamed_blocks_equal_in_memory_compression(monkeypatch, problem, chunk
     ds, spec, basis = tied_problem() if problem == "tied" else scenario_problem(problem, 300)
     want = in_memory_compression(ds, spec, basis)
     got = compressed_blocks(ds, spec, basis)
-    assert got.n == spec.null_dim + spec.n_penalized * basis.q < ds.n
+    assert got.n == spec.null_dim + spec.n_penalized * basis.q + 1 < ds.n
     assert np.array_equal(got.t, want.t)
     assert len(got.k_parts) == len(want.k_parts)
     assert all(np.array_equal(a, b) for a, b in zip(got.k_parts, want.k_parts))
     assert all(np.array_equal(a, b) for a, b in zip(got.q_parts, want.q_parts))
     assert np.array_equal(got.y, want.y)
-    assert got.rss_offset == want.rss_offset and got.n_obs == want.n_obs == ds.n
+    assert got.n_obs == want.n_obs == ds.n
 
 
 def test_builder_rotates_in_memory_blocks_when_p_reaches_n():
@@ -80,7 +80,7 @@ def test_builder_rotates_in_memory_blocks_when_p_reaches_n():
     ds, spec, basis = scenario_problem("m4", 300)
     want = in_memory_compression(ds, spec, basis)
     got = compressed_blocks(ds, spec, basis)
-    assert got.n == want.n == 300 and got.n_obs == 300 and got.rss_offset == 0.0
+    assert got.n == want.n == 300 and got.n_obs == 300
     assert np.array_equal(got.t, want.t) and not np.tril(got.t, -1).any()
     assert all(np.array_equal(a, b) for a, b in zip(got.k_parts, want.k_parts))
     assert np.array_equal(got.y, want.y)
