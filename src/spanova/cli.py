@@ -67,28 +67,66 @@ def _read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def _read_numeric_csv(path: str) -> tuple[list[str], np.ndarray | None]:
+    """The header of a CSV, and its data rows as floats in one array, or None.
+
+    One ``np.loadtxt`` pass reads the rows with no Python object per cell;
+    it accepts a subset of the cells ``float`` accepts, with the same
+    values, and fails on quoted cells.  The rows are None when it fails or
+    their width is not the header's; ``_numeric_cells`` then names the bad
+    row or cell.  Every column is read, since with ``usecols`` loadtxt
+    lets rows wider than the header through.
+    """
+    try:
+        handle = open(path, newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise InputError(f"cannot open {path}: {exc}") from None
+    with handle:
+        header = next(filter(None, csv.reader(handle)), None)
+        if header is None:
+            raise InputError(f"{path} is empty")
+        # loadtxt warns on input with no rows
+        first = next((line for line in handle if line.rstrip("\r\n")), None)
+        if first is None:
+            return header, np.empty((0, len(header)))
+        try:
+            table = np.loadtxt(itertools.chain([first], handle), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError:
+            return header, None
+    return header, table if table.shape[1] == len(header) else None
+
+
+def _column_index(header, columns=None) -> list[int]:
+    """Positions of ``columns`` (default: all) in the header; a column read
+    must be named once there."""
+    read = [name for name in header if columns is None or name in columns]
+    twice = sorted({name for name in read if read.count(name) > 1})
+    if twice:
+        raise InputError(f"columns named more than once in the header: {twice}")
+    return list(range(len(header))) if columns is None else [header.index(n) for n in columns]
+
+
+def _numeric_cells(path: str, header, table, columns=None) -> np.ndarray:
+    """The cells of ``columns`` (default: all) of a CSV read by ``_read_numeric_csv``.
+
+    A table that the one-pass read left as None is parsed again by
+    ``_parse_numeric_table``, which names its bad row or cell.
+    """
+    if table is None:
+        return _parse_numeric_table(*_read_csv_table(path), columns)
+    idx = _column_index(header, columns)
+    return table if columns is None else table[:, idx]
+
+
 def _parse_numeric_table(header, raw_rows, columns=None):
     """The cells of ``columns`` (default: all) to float, in that order.
 
     Rows narrower or wider than the header, and missing or non-numeric
     cells in those columns, are reported by position; other columns are
-    not read.  A table whose rows all have the header's width is parsed by
-    one numpy conversion, which accepts the same cells as ``float``; only
-    when a row is ragged or a cell fails does the per-cell loop run, to
-    find them.  A column read must be named once in the header.
+    not read.  A column read must be named once in the header.
     """
-    every = list(range(len(header)))
-    read = [name for name in header if columns is None or name in columns]
-    twice = sorted({name for name in read if read.count(name) > 1})
-    if twice:
-        raise InputError(f"columns named more than once in the header: {twice}")
-    idx = every if columns is None else [header.index(name) for name in columns]
-    if all(len(row) == len(header) for row in raw_rows):
-        cells = raw_rows if idx == every else [[row[j] for j in idx] for row in raw_rows]
-        try:
-            return np.array(cells, dtype=float).reshape(len(raw_rows), len(idx))
-        except ValueError:
-            pass
+    idx = _column_index(header, columns)
     missing, bad = [], []
     table = np.empty((len(raw_rows), len(idx)))
     for i, row in enumerate(raw_rows):
@@ -186,10 +224,10 @@ def ingest(csv_path: str, response_column: str,
     with at most 20 distinct values are treated as discrete factors unless
     overridden.  Missing cells are rejected by row, nan or inf by cell.
     """
-    header, raw_rows = _read_csv_table(csv_path)
+    header, table = _read_numeric_csv(csv_path)
     if response_column not in header:
         raise InputError(f"response column {response_column!r} not in header {header}")
-    if not raw_rows:
+    if table is not None and not table.shape[0]:
         raise InputError(f"{csv_path} has a header but no data rows")
     overrides = {}
     for name in continuous_overrides:
@@ -201,7 +239,7 @@ def ingest(csv_path: str, response_column: str,
     unknown = set(overrides) - set(header)
     if unknown:
         raise InputError(f"override columns not in header: {sorted(unknown)}")
-    table = _parse_numeric_table(header, raw_rows)
+    table = _numeric_cells(csv_path, header, table)
     _check_finite(header, table)
     resp_idx = header.index(response_column)
     y = table[:, resp_idx]
@@ -356,7 +394,6 @@ def _load_fit_document(path: str):
         fit = FitResult(
             d=np.asarray(fit_doc["d"], dtype=float),
             c=np.asarray(fit_doc["c"], dtype=float),
-            fitted=np.empty(0),
             trace_a=float(fit_doc["trace_a"]),
             gcv=float(fit_doc["gcv"]),
             params=params,
@@ -387,25 +424,24 @@ def _load_fit_document(path: str):
 def run_predict(args) -> int:
     _check_outputs(args.out, inputs=(args.data, args.fit))
     names, spec, fit = _load_fit_document(args.fit)
-    header, raw_rows = _read_csv_table(args.data)
+    header, table = _read_numeric_csv(args.data)
     missing = [name for name in names if name not in header]
     if missing:
         raise InputError(f"input is missing predictor columns: {missing}")
-    x = _parse_numeric_table(header, raw_rows, names)
+    x = _numeric_cells(args.data, header, table, names)
     _check_finite(names, x)
-    for name, dom, col in zip(names, spec.domains, x.T):
-        if not dom.is_continuous:
-            try:
-                dom.rescale(col)
-            except InputError as exc:
-                raise InputError(f"column {name!r}: {exc}") from None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        eta, flags = predict(fit, spec, x)
+        try:
+            eta, flags = predict(fit, spec, x)
+        except InputError as exc:
+            if exc.column is None:
+                raise
+            raise InputError(f"column {names[exc.column]!r}: {exc}") from None
     _write_csv_lines(args.out, "prediction,out_of_range",
                      (f"{value!r},{'true' if flag else 'false'}"
                       for value, flag in zip(eta.tolist(), flags.tolist())))
-    n_rows = len(raw_rows)
+    n_rows = x.shape[0]
     print(f"{n_rows} prediction{'s' if n_rows != 1 else ''} written to {args.out}")
     return 0
 

@@ -79,7 +79,8 @@ def rescale_columns(domains, raw) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (x, clamped): x C-ordered, and a mask of the continuous cells
     clamped into [0, 1].  A column count other than one per domain, a
-    non-finite cell and an unknown discrete level are input errors.
+    non-finite cell and an unknown discrete level are input errors; an
+    unknown level's error carries its column index (``InputError.column``).
     """
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2 or raw.shape[1] != len(domains):
@@ -90,7 +91,11 @@ def rescale_columns(domains, raw) -> tuple[np.ndarray, np.ndarray]:
     for j, dom in enumerate(domains):
         if not np.isfinite(raw[:, j]).all():
             raise InputError(f"predictor column {j} has a non-finite value")
-        x[:, j], clamped[:, j] = dom.rescale(raw[:, j])
+        try:
+            x[:, j], clamped[:, j] = dom.rescale(raw[:, j])
+        except InputError as exc:
+            exc.column = j
+            raise
     return x, clamped
 
 

@@ -40,10 +40,11 @@ one place that makes this choice (``streams_rows``).  Rows of
 K(theta) = sum_delta theta_delta K_delta come from one row source
 (``_kernel_rows``), one cache-sized tile at a time: skip's two designs
 and the p estimate's one compress [T, K(theta), y], M + q + 1 columns, as
-the rows come (``DesignRows.design_at``); the refit fills one n x q
-K(theta) and compresses that, holding about 1.2 n q doubles; ``predict``
-sums K(theta) c tile by tile.  Kernel rows formed in tiles or chunks
-equal the in-memory blocks' rows bit for bit.
+the rows come (``DesignRows.design_at``), and so does the refit
+(``fit_model``), which holds no n x q array either.  ``predict`` sums
+K(theta) c tile by tile, and so forms the refit's fitted values at the
+training rows, on their first read.  Kernel rows formed in tiles or
+chunks equal the in-memory blocks' rows bit for bit.
 
 The QRs, solves, SVDs and row products of the fit and the search run on
 scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
@@ -63,7 +64,8 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -249,7 +251,7 @@ def _tiles(lo: int, hi: int, q: int, max_rows: int | None = None):
     block formed at once bit for bit.  Tiles span multiples of 4 rows but
     the last, which spans 4 or more unless it is the only one: OpenBLAS's
     dgemv takes rows in fours, so ``predict``'s tile-by-tile K(theta) c
-    then equals ``fit_model``'s product over all rows bit for bit.
+    then equals the product over all rows bit for bit.
     """
     step = min(COMPRESS_CHUNK, max_rows or COMPRESS_CHUNK, KERNEL_TILE_BYTES // (8 * q))
     stops = [*range(lo, hi, max(8, step - step % 4)), hi]
@@ -532,11 +534,10 @@ class CompiledDesign:
 def _compressed_design(t: np.ndarray, k, q: np.ndarray, y: np.ndarray) -> CompiledDesign:
     """The design of [T, K, y] compressed to M + q + 1 rows by ``_compress_rows``.
 
-    ``k`` is K, or a row source ``k(lo, hi)`` of K's rows (``_kernel_rows``).
-    The design scores T's n rows.
+    ``k(lo, hi)`` is a row source of K's rows (``_kernel_rows``).  The
+    design scores T's n rows.
     """
-    rows = (lambda lo, hi: (k(lo, hi),)) if callable(k) else (lambda lo, hi: (k[lo:hi],))
-    t_r, (k_r,), f = _compress_rows(t, rows, y, 1, q.shape[0])
+    t_r, (k_r,), f = _compress_rows(t, lambda lo, hi: (k(lo, hi),), y, 1, q.shape[0])
     return CompiledDesign(t_r, k_r, q, f, t.shape[0])
 
 
@@ -556,7 +557,7 @@ def _checked_design(t, k, q, y) -> CompiledDesign:
         raise InputError("Q must be square with K's column count")
     if not np.allclose(q, q.T, atol=1e-10, rtol=0.0):
         raise InputError("Q must be symmetric")
-    return _compressed_design(t, k, q, y)
+    return _compressed_design(t, lambda lo, hi: k[lo:hi], q, y)
 
 
 def _complement_solve(design, nlam: float) -> tuple[np.ndarray, float]:
@@ -630,42 +631,58 @@ def hat_trace(t, k, q, nlam: float):
     return _stacked_fit(_checked_design(t, k, q, np.zeros(t.shape[0])), nlam)[2], apply_a
 
 
+def _no_training_rows() -> np.ndarray:
+    raise InputError("this fit holds no training rows, so it has no fitted values;"
+                     " evaluate it at given rows with predict")
+
+
 @dataclass
 class FitResult:
-    """A fitted model: coefficients, effective degrees of freedom, score."""
+    """A fitted model: coefficients, effective degrees of freedom, score.
+
+    ``fitted`` holds the fitted values T d + K(theta) c at the training
+    rows, for the d and c the fit was built with: ``fit_model`` defers them
+    (``_fitted`` is then a function that forms them) until the first read,
+    which forms them by ``predict``'s tile loop and keeps them.  A copy made
+    by ``dataclasses.replace`` keeps the original fit's values.  A fit built
+    without training rows raises on reading ``fitted``.
+    """
 
     d: np.ndarray
     c: np.ndarray
-    fitted: np.ndarray
     trace_a: float
     gcv: float
     params: SmoothingParams
     basis_rows: np.ndarray
+    _fitted: np.ndarray | Callable[[], np.ndarray] = field(
+        default=_no_training_rows, repr=False, compare=False)
+
+    @property
+    def fitted(self) -> np.ndarray:
+        if callable(self._fitted):
+            self._fitted = self._fitted()
+        return self._fitted
 
 
 def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
               basis: BasisSelection) -> FitResult:
     """Fit at fixed smoothing parameters on the given basis rows.
 
-    One F-ordered (n, q) K(theta) is filled from the row source
-    (``_kernel_rows``) one tile at a time, so no per-term block is built,
-    and [T, K(theta), y] is compressed chunk by chunk
-    (``_compressed_design``), so the fit holds K(theta) and no n-row copy.
-    The score is ``gcv.gcv_score``'s on the same arrays, and the fitted
-    values are T d + K(theta) c.  The stacked QR works at the square root
-    of the normal equations' condition number, so any positive nlam yields
-    a fit.
+    [T, K(theta), y] is compressed chunk by chunk as K(theta)'s rows come
+    from their source (``DesignRows.design_at``), so neither a per-term
+    block nor K(theta) is ever whole: the fit holds O(S q^2 + chunk q)
+    doubles besides T.  The score is ``gcv.gcv_score``'s on the same
+    arrays.  The fitted values T d + K(theta) c take one more pass over
+    the kernel rows, made only when ``fitted`` is first read.  The stacked
+    QR works at the square root of the normal equations' condition
+    number, so any positive nlam yields a fit.
     """
-    rows, theta = DesignRows(dataset, spec, basis), params.theta
-    source = _kernel_rows(spec, dataset.x, rows.z, theta)
-    k = np.empty((dataset.n, basis.q), order="F")
-    for a, b in _tiles(0, dataset.n, basis.q):
-        k[a:b] = source(a, b)
-    design = _compressed_design(rows.t, k, _weighted_sum(theta, rows.q_parts), dataset.y)
+    rows = DesignRows(dataset, spec, basis)
+    design = rows.design_at(params.theta)
     d, c, trace_a = _stacked_fit(design, params.nlam)
-    return FitResult(d=d, c=c, fitted=_dot(rows.t, d) + _dot(k, c), trace_a=trace_a,
-                     gcv=_design_gcv(design, c, trace_a), params=params,
-                     basis_rows=rows.z)
+    return FitResult(d=d, c=c, trace_a=trace_a, gcv=_design_gcv(design, c, trace_a),
+                     params=params, basis_rows=rows.z,
+                     _fitted=functools.partial(_eta, spec, dataset.x, rows.z, params.theta, d, c))
 
 
 @dataclass
@@ -707,11 +724,9 @@ def predict(fit: FitResult, spec: ModelSpec,
     Continuous values outside the training range are clamped to the range
     boundary, flagged in the returned mask, and reported once via a warning.
     Unknown discrete levels and non-finite values raise.  Returns
-    (predictions, out_of_range).
-    K(theta) c is summed over tiles of the row source (``_kernel_rows``),
-    so the kernel part needs memory for one tile, not for all new rows.
-    Each tile is F-ordered, as ``fit_model``'s K(theta) is, so the
-    predictions at the training rows equal ``fitted`` bit for bit.
+    (predictions, out_of_range).  ``fit_model``'s ``fitted`` is formed by
+    the same tile loop (``_eta``), so the predictions at the training rows
+    equal it bit for bit.
     """
     xs, clamped = rescale_columns(spec.domains, np.atleast_2d(new_raw))
     flags = clamped.any(axis=1)
@@ -720,8 +735,18 @@ def predict(fit: FitResult, spec: ModelSpec,
             f"{int(flags.sum())} prediction row(s) outside the training range; clamped",
             stacklevel=2,
         )
-    eta = _dot(null_basis_matrix(spec, xs), fit.d)
-    rows = _kernel_rows(spec, xs, fit.basis_rows, fit.params.theta)
-    for a, b in _tiles(0, xs.shape[0], fit.c.shape[0]):
-        eta[a:b] += _dot(np.asfortranarray(rows(a, b)), fit.c)
-    return eta, flags
+    return _eta(spec, xs, fit.basis_rows, fit.params.theta, fit.d, fit.c), flags
+
+
+def _eta(spec: ModelSpec, xs: np.ndarray, z: np.ndarray, theta, d: np.ndarray,
+         c: np.ndarray) -> np.ndarray:
+    """T d + K(theta) c at model-scale rows ``xs``, basis rows ``z``.
+
+    K(theta) c is summed over tiles of the row source (``_kernel_rows``),
+    so the kernel part needs memory for one tile, not for all rows.
+    """
+    eta = _dot(null_basis_matrix(spec, xs), d)
+    rows = _kernel_rows(spec, xs, z, theta)
+    for a, b in _tiles(0, xs.shape[0], c.shape[0]):
+        eta[a:b] += _dot(np.asfortranarray(rows(a, b)), c)
+    return eta

@@ -10,7 +10,13 @@ class SpanovaError(Exception):
 
 
 class InputError(SpanovaError, ValueError):
-    """Invalid user input: bad shapes, out-of-range values, malformed files."""
+    """Invalid user input: bad shapes, out-of-range values, malformed files.
+
+    ``column`` is the index of the predictor column at fault, where the
+    error concerns one (``data.rescale_columns``).
+    """
+
+    column: int | None = None
 
 
 class NumericalError(SpanovaError, ArithmeticError):

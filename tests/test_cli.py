@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +102,10 @@ def test_ingest_error_reporting(tmp_path):
 
 
 def test_numeric_table_fast_path_reads_cells_as_float_does():
-    """The one-call numpy parse of a rectangular table agrees with float()
-    per cell; cells it rejects still go to the per-cell loop, which names
-    the row and the column."""
+    """The csv.reader path's parse agrees with float() per cell and names
+    the row and the column of a cell it rejects; the same cells read from
+    files take the one-pass numpy read where it accepts them
+    (``test_csv_file_cells_land_where_the_csv_reader_path_puts_them``)."""
     cells = ["1", "-2", "+3", "1e5", "-1.5E-3", "3e+02", " 2.5 ", "\t7\t", "1_0",
              ".5", "5.", "-0"]
     table = _parse_numeric_table(["a", "y"], [[cell, "0.5"] for cell in cells])
@@ -117,6 +119,90 @@ def test_numeric_table_fast_path_reads_cells_as_float_does():
     for rows in ([["1", "2"], ["3"]], [["1", "2"], [" ", "4"]]):
         with pytest.raises(InputError, match="rows with missing cells: 2$"):
             _parse_numeric_table(["a", "y"], rows)
+
+
+def parse_outcome(path, columns=None):
+    """Where the parse of a CSV file lands, and its result: ("fast", table)
+    from the one-pass read, ("fallback", table) from the csv.reader path,
+    or ("error", message)."""
+    header, table = cli._read_numeric_csv(str(path))
+    place = "fast" if table is not None else "fallback"
+    try:
+        return place, cli._numeric_cells(str(path), header, table, columns)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+def csv_reader_outcome(path, columns=None):
+    """The result of the csv.reader path alone: the table or the error message."""
+    try:
+        return _parse_numeric_table(*cli._read_csv_table(str(path)), columns)
+    except InputError as exc:
+        return str(exc)
+
+
+CELL_FILES = {
+    **{f"cell {cell!r}": (f"a,y\n{cell},0.5\n", "fast")
+       for cell in ["1", "-2", "+3", "1e5", "-1.5E-3", "3e+02", " 2.5 ", "\t7\t", ".5", "5.",
+                    "-0"]},
+    "cell '1_0'": ("a,y\n1_0,0.5\n", "fallback"),
+    **{f"bad cell {cell!r}": (f"a,y\n1,2\n3,4\n{cell},5\n", "error")
+       for cell in ["1__0", "_1", "0x10", "1e", '"1,5"', "#1", "# note"]},
+    "quoted numeric cell": ('a,y\n1,2\n"3.5",4\n', "fallback"),
+    "blank lines": ("\na,y\n\n1,2\r\n\r\n3,4\n\n", "fast"),
+    "whitespace-only line": ("a,y\n1,2\n   \n3,4\n", "error"),
+    "whitespace-only line, one column": ("a\n1\n \t\n3\n", "error"),
+    "byte order mark": ("\ufeffa,y\n1,2\n3,4\n", "fast"),
+    "repeated header name": ("a,a,y\n1,2,3\n", "error"),
+    "short row": ("a,y\n1,2\n3\n5,6\n", "error"),
+    "long row": ("a,y\n1,2\n3,4,5\n5,6\n", "error"),
+    "every row wider than the header": ("a,y\n1,2,3\n4,5,6\n", "error"),
+    "trailing comma": ("a,y\n1,2,\n", "error"),
+    "header only": ("a,y\n", "fast"),
+    "header and blank lines": ("a,y\n\r\n\n", "fast"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_FILES))
+def test_csv_file_cells_land_where_the_csv_reader_path_puts_them(tmp_path, case):
+    """Each file lands in the one-pass numpy read, in the csv.reader
+    fallback, or in an error, and gives what the csv.reader path alone
+    gives: the same floats (sign of zero included) or the same message."""
+    text, place = CELL_FILES[case]
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_place, got = parse_outcome(path)
+    want = csv_reader_outcome(path)
+    assert got_place == place
+    if place == "error":
+        assert got == want
+    else:
+        assert cli._read_numeric_csv(str(path))[0] == cli._read_csv_table(str(path))[0]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_csv_columns_read_through_files(tmp_path):
+    """Reading some columns: an unread text column sends the file to the
+    fallback, and a repeated unread name is no error on either path."""
+    for text, place in (("id,x\na,1\nb,2\n", "fallback"), ("id,x,id\n7,1,8\n9,2,9\n", "fast")):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        got_place, got = parse_outcome(path, ("x",))
+        assert got_place == place
+        np.testing.assert_array_equal(got, csv_reader_outcome(path, ("x",)))
+        np.testing.assert_array_equal(got, [[1.0], [2.0]])
+
+
+def test_ingest_header_only_file_warns_nothing(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("a,y\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="has a header but no data rows"):
+            ingest(str(path), "y")
 
 
 def test_column_domain_round_trip_and_unknown_level():
@@ -539,6 +625,19 @@ def test_predict_exit_code_on_fit_document_missing_a_key(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "input error" in err and "'model'" in err
+
+
+def test_loaded_fit_has_no_fitted_values(fitted_paths):
+    """A fit read back from its document predicts, but holds no training
+    rows: reading its fitted values raises and says so."""
+    sim, fit_path, fitted_path, _ = fitted_paths
+    _, spec, fit = cli._load_fit_document(str(fit_path))
+    with pytest.raises(InputError, match="no training rows"):
+        fit.fitted
+    x = np.array([[float(row[0])] for row in read_csv(sim)[1]])
+    pred, _ = cli.predict(fit, spec, x)
+    fitted = np.array([float(row[0]) for row in read_csv(fitted_path)[1]])
+    np.testing.assert_allclose(pred, fitted, rtol=0, atol=1e-10)
 
 
 def csv_writer_bytes(rows):

@@ -28,7 +28,7 @@ from spanova.solver import (
     CompiledDesign,
     DesignRows,
     SmoothingParams,
-    _compressed_design,
+    _checked_design,
     _stacked_fit,
     assemble_blocks,
     basis_count,
@@ -286,7 +286,7 @@ def searched_designs():
 def test_profile_batch_scores_match_single_scores_and_exact():
     ds, spec, blocks = two_term_problem(21)
     k, q = blocks.combine(np.array([1.0, 0.3]))
-    designs = [_compressed_design(blocks.t, k, q, ds.y), *searched_designs()]
+    designs = [_checked_design(blocks.t, k, q, ds.y), *searched_designs()]
     assert len(designs) == 4
     grid = np.linspace(-12, 3, 61)
     for design in designs:
@@ -447,7 +447,7 @@ def test_skip_floors_zero_quadratic_form():
         q_parts=(blocks.q_parts[0], np.zeros_like(blocks.q_parts[0])),
     )
     source = types.SimpleNamespace(
-        design_at=lambda theta: _compressed_design(dead.t, *dead.combine(theta), ds.y),
+        design_at=lambda theta: _checked_design(dead.t, *dead.combine(theta), ds.y),
         q_parts=dead.q_parts)
     res = skip_search(source, np.array([part_traces(ds, spec)[0], 1.0]))
     assert "theta-floor" in res.flags
@@ -669,7 +669,7 @@ def test_search_and_fit_call_no_numpy_lapack(monkeypatch):
             monkeypatch.setattr(module, name, forbidden)
     assert (full_gcv(ds, spec, blocks.basis), skip_select(ds, spec, blocks.basis)) == expected
     k, q = blocks.combine(theta)
-    d, c, trace_a = _stacked_fit(_compressed_design(blocks.t, k, q, ds.y), 1e-3)
+    d, c, trace_a = _stacked_fit(_checked_design(blocks.t, k, q, ds.y), 1e-3)
     fitted = blocks.t @ d + k @ c
     assert np.isfinite(fitted).all() and 0.0 < trace_a < ds.n
     config = asp.AspConfig(jobs=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -472,16 +473,24 @@ def test_assemble_equals_blocks_combine(name, n):
 @pytest.mark.parametrize("name, n", [("m1", 3000), ("m1", 4099), ("m4", 800)])
 def test_predict_at_training_rows_equals_fitted(name, n):
     """predict's tiles and the fit's K(theta) c sum every row in the same
-    order, so the predictions are the fitted values bit for bit; at 4099
-    rows a loop over 2048-row chunks left a 3-row block, whose 3 rows
-    drifted by 1e-14."""
+    order, so the predictions are the fitted values bit for bit, whether
+    ``fitted`` is read before or after predict runs; at 4099 rows a loop
+    over 2048-row chunks left a 3-row block, whose 3 rows drifted by
+    1e-14.  A copy with other coefficients keeps the fit's fitted values."""
     sim = gen_data(name, n, 5.0, seed=1)
     spec = SCENARIOS[name].spec
     basis = select_basis(n, basis_count(n), seed=3)
     theta = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, spec.n_penalized)
-    fit = fit_model(sim.dataset, spec, SmoothingParams.from_values(1e-3, theta), basis)
+    params = SmoothingParams.from_values(1e-3, theta)
+    fit = fit_model(sim.dataset, spec, params, basis)
     pred, flags = predict(fit, spec, sim.dataset.x)
     assert np.array_equal(pred, fit.fitted) and not flags.any()
+    read_first = fit_model(sim.dataset, spec, params, basis)
+    fitted = read_first.fitted
+    assert np.array_equal(fitted, predict(read_first, spec, sim.dataset.x)[0])
+    assert np.array_equal(fitted, pred) and read_first.fitted is fitted
+    changed = dataclasses.replace(fit_model(sim.dataset, spec, params, basis), c=2.0 * fit.c)
+    assert np.array_equal(changed.fitted, pred)
 
 
 @pytest.mark.parametrize("name", ["m1", "discrete"])
@@ -499,11 +508,15 @@ def test_predict_on_zero_rows_returns_empty_arrays(name):
 
 
 def test_refit_memory_stays_near_one_kernel_design():
-    """The per-term n-row blocks took 8 n q doubles, and K(theta) plus the
-    stacked solve's copy of it about 2; K(theta) compressed chunk by chunk
-    takes about 1.2."""
-    sim = gen_data("m1", 20000, 5.0, seed=0)
-    basis = select_basis(20000, basis_count(20000), seed=0)
+    """The per-term n-row blocks took 8 n q doubles, K(theta) plus the
+    stacked solve's copy of it about 2, and one n x q K(theta) compressed
+    chunk by chunk about 1.04 (at 2e5 rows); streamed from its rows, with
+    the fitted values deferred, the fit holds no n x q array.  Its O(n M)
+    null design and O(q^2 + chunk q) buffers stay under 0.1 n q at 2e5
+    rows (0.35 at 2e4)."""
+    n = 200000
+    sim = gen_data("m1", n, 5.0, seed=0)
+    basis = select_basis(n, basis_count(n), seed=0)
     params = SmoothingParams.from_values(1e-4, np.ones(SCENARIOS["m1"].spec.n_penalized))
     tracemalloc.start()
     try:
@@ -511,7 +524,7 @@ def test_refit_memory_stays_near_one_kernel_design():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 20000 * basis.q * 8
+    assert peak < 0.1 * n * basis.q * 8
 
 
 def test_refits_and_predict_form_no_per_term_n_row_block(monkeypatch, tmp_path):
@@ -584,7 +597,7 @@ def test_compiled_design_rejects_unabsorbed_t():
     ds, spec, basis = make_problem(3, 40, q=12)
     t, k, q = theta_design(ds, spec, basis, np.ones(1))
     m = t.shape[1]
-    design = solver._compressed_design(t, k, q, ds.y)
+    design = solver._checked_design(t, k, q, ds.y)
     assert design.n == m + basis.q + 1
     assert design.y @ design.y == pytest.approx(ds.y @ ds.y, rel=1e-12)
     with pytest.raises(NumericalError, match="below its diagonal"):

@@ -88,10 +88,10 @@ def test_builder_rotates_in_memory_blocks_when_p_reaches_n():
 
 def in_memory_skip(ds, spec, basis):
     """``skip_search`` on [T, K(theta), y] combined from the n-row blocks
-    held in memory and compressed there by ``_compressed_design``."""
+    held in memory and compressed there by ``_checked_design``."""
     blocks = assemble_blocks(ds, spec, basis)
     source = types.SimpleNamespace(
-        design_at=lambda theta: solver._compressed_design(blocks.t, *blocks.combine(theta), ds.y),
+        design_at=lambda theta: solver._checked_design(blocks.t, *blocks.combine(theta), ds.y),
         q_parts=blocks.q_parts)
     return skip_search(source, part_traces(ds, spec))
 
