@@ -67,15 +67,26 @@ def _read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def _read_numeric_csv(path: str) -> tuple[list[str], np.ndarray | None]:
-    """The header of a CSV, and its data rows as floats in one array, or None.
+def _header_width_lines(lines, width: int):
+    """``lines``, raising ValueError at a quote or at a non-blank line whose
+    comma count is not ``width - 1``, the header's."""
+    for line in lines:
+        if '"' in line or (line.count(",") != width - 1 and line.rstrip("\r\n")):
+            raise ValueError("row width differs from the header's, or a cell is quoted")
+        yield line
+
+
+def _read_numeric_csv(path: str, columns=None) -> tuple[list[str], np.ndarray | None]:
+    """The header of a CSV, and the cells of ``columns`` (default: all) as
+    floats in one array, or None.
 
     One ``np.loadtxt`` pass reads the rows with no Python object per cell;
     it accepts a subset of the cells ``float`` accepts, with the same
-    values, and fails on quoted cells.  The rows are None when it fails or
-    their width is not the header's; ``_numeric_cells`` then names the bad
-    row or cell.  Every column is read, since with ``usecols`` loadtxt
-    lets rows wider than the header through.
+    values, and fails on quoted cells.  The cells are None when it fails or
+    a row's width is not the header's; ``_numeric_cells`` then names the
+    bad row or cell.  With ``columns`` only those are read (``usecols``),
+    and since loadtxt then lets rows wider than the header through, a line
+    whose comma count is not the header's, or any quote, fails the pass.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -85,21 +96,28 @@ def _read_numeric_csv(path: str) -> tuple[list[str], np.ndarray | None]:
         header = next(filter(None, csv.reader(handle)), None)
         if header is None:
             raise InputError(f"{path} is empty")
+        usecols = None if columns is None else _column_index(header, columns)
+        width = len(header) if usecols is None else len(usecols)
         # loadtxt warns on input with no rows
         first = next((line for line in handle if line.rstrip("\r\n")), None)
         if first is None:
-            return header, np.empty((0, len(header)))
+            return header, np.empty((0, width))
+        lines = itertools.chain([first], handle)
+        if usecols is not None:
+            lines = _header_width_lines(lines, len(header))
         try:
-            table = np.loadtxt(itertools.chain([first], handle), delimiter=",",
-                               comments=None, ndmin=2)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=usecols)
         except ValueError:
             return header, None
-    return header, table if table.shape[1] == len(header) else None
+    return header, table if table.shape[1] == width else None
 
 
 def _column_index(header, columns=None) -> list[int]:
     """Positions of ``columns`` (default: all) in the header; a column read
     must be named once there."""
+    missing = [name for name in columns or () if name not in header]
+    if missing:
+        raise InputError(f"input is missing predictor columns: {missing}")
     read = [name for name in header if columns is None or name in columns]
     twice = sorted({name for name in read if read.count(name) > 1})
     if twice:
@@ -108,15 +126,16 @@ def _column_index(header, columns=None) -> list[int]:
 
 
 def _numeric_cells(path: str, header, table, columns=None) -> np.ndarray:
-    """The cells of ``columns`` (default: all) of a CSV read by ``_read_numeric_csv``.
+    """The cells of ``columns`` (default: all) of a CSV read by
+    ``_read_numeric_csv(path, columns)``.
 
     A table that the one-pass read left as None is parsed again by
     ``_parse_numeric_table``, which names its bad row or cell.
     """
     if table is None:
         return _parse_numeric_table(*_read_csv_table(path), columns)
-    idx = _column_index(header, columns)
-    return table if columns is None else table[:, idx]
+    _column_index(header, columns)
+    return table
 
 
 def _parse_numeric_table(header, raw_rows, columns=None):
@@ -239,6 +258,9 @@ def ingest(csv_path: str, response_column: str,
     unknown = set(overrides) - set(header)
     if unknown:
         raise InputError(f"override columns not in header: {sorted(unknown)}")
+    if response_column in overrides:
+        raise InputError(f"column {response_column!r} is the response, which takes no"
+                         f" {overrides[response_column]} override")
     table = _numeric_cells(csv_path, header, table)
     _check_finite(header, table)
     resp_idx = header.index(response_column)
@@ -424,10 +446,7 @@ def _load_fit_document(path: str):
 def run_predict(args) -> int:
     _check_outputs(args.out, inputs=(args.data, args.fit))
     names, spec, fit = _load_fit_document(args.fit)
-    header, table = _read_numeric_csv(args.data)
-    missing = [name for name in names if name not in header]
-    if missing:
-        raise InputError(f"input is missing predictor columns: {missing}")
+    header, table = _read_numeric_csv(args.data, names)
     x = _numeric_cells(args.data, header, table, names)
     _check_finite(names, x)
     with warnings.catch_warnings():

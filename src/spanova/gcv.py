@@ -77,6 +77,11 @@ class GcvResult:
     flags: tuple[str, ...] = ()
 
 
+def at_window_edge(log10_nlam: float) -> bool:
+    """The nlam-window rule: log10 nlam within LAMBDA_TOL of [-12, 3]'s edge, or beyond it."""
+    return not LOG_NLAM_LO + LAMBDA_TOL < log10_nlam < LOG_NLAM_HI - LAMBDA_TOL
+
+
 def golden_minimize(score):
     """Minimize a score of log10(nlam) on [-12, 3]: coarse scan, then golden section.
 
@@ -84,7 +89,7 @@ def golden_minimize(score):
     scan scores its whole grid, COARSE_STEP apart, in one call to locate the
     best basin; golden section then refines inside the neighboring
     interval, one point per call, to absolute tolerance LAMBDA_TOL.  Returns
-    (x, score(x), hit_boundary).  Raises when every evaluation is non-finite.
+    (x, score(x)).  Raises when every evaluation is non-finite.
     """
     lo, hi, tol = LOG_NLAM_LO, LOG_NLAM_HI, LAMBDA_TOL
     n_cells = int(round((hi - lo) / COARSE_STEP))
@@ -111,8 +116,7 @@ def golden_minimize(score):
     for x, f in ((x1, f1), (x2, f2), ((a + b) / 2, score((a + b) / 2))):
         if np.isfinite(f) and f < best_f:
             best_x, best_f = float(x), float(f)
-    hit_boundary = best_x <= lo + tol or best_x >= hi - tol
-    return best_x, best_f, hit_boundary
+    return best_x, best_f
 
 
 class LambdaProfile:
@@ -163,6 +167,22 @@ class LambdaProfile:
         return _gcv_value(rss, trace_a, des.n_obs).reshape(x.shape)
 
 
+def _scan(design: CompiledDesign) -> tuple[float, float]:
+    """(log10 nlam, score) at the minimum of ``design``'s nlam profile."""
+    return golden_minimize(LambdaProfile(design).score)
+
+
+def _search_result(log_nlam, shift, theta, trace, iterations, flags=(), converged=None):
+    """A search's result from its final state: pinned log10 nlam, the shift taken
+    out of ``theta`` to pin it, and the score trace.  ``at_window_edge(log_nlam)``
+    alone sets ``lambda-boundary``, and ``converged`` where that is None (a scan)."""
+    edge = at_window_edge(log_nlam)
+    flags = {f for f in flags if f != "lambda-boundary"} | ({"lambda-boundary"} if edge else set())
+    return GcvResult(SmoothingParams(log_nlam + shift, tuple(np.log10(theta).tolist())),
+                     trace[-1], iterations, not edge if converged is None else converged,
+                     tuple(trace), tuple(sorted(flags)))
+
+
 def _exact_score(design: CompiledDesign, nlam: float) -> float:
     """Score from the solver's stacked QR; +inf on numerical failure.
 
@@ -198,15 +218,10 @@ def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
     """Golden-section GCV minimization in log10(nlam) on [-12, 3] at fixed theta.
 
     ``theta`` is bookkeeping only: K and Q are used as given.  A minimum on
-    the bracket boundary is returned with ``converged=False``.
+    the window's edge is returned with ``converged=False``.
     """
-    profile = LambdaProfile(_checked_design(t, k, q, y))
-    x, score, hit_boundary = golden_minimize(profile.score)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    params = SmoothingParams(x, tuple(float(v) for v in np.log10(theta)))
-    return GcvResult(params=params, score=score, iterations=1,
-                     converged=not hit_boundary, score_trace=(score,),
-                     flags=("lambda-boundary",) if hit_boundary else ())
+    x, score = _scan(_checked_design(t, k, q, y))
+    return _search_result(x, 0.0, np.atleast_1d(theta), (score,), 1)
 
 
 def _check_response(dataset: Dataset) -> None:
@@ -225,15 +240,14 @@ def _stage_one(source, part_traces: np.ndarray):
     """First skip stage on ``source``'s designs: trace-normalized theta, nlam scan, coefficients.
 
     The profile scan picks nlam; c comes from the stacked-QR fit there.
-    Returns (theta_1, log10_nlam, c).
+    Returns (theta_1, c).
     """
     if (part_traces <= 0).any():
         raise NumericalError("a kernel block has nonpositive trace")
     theta1 = 1.0 / part_traces
-    profile1 = LambdaProfile(source.design_at(theta1))
-    x1, _, _ = golden_minimize(profile1.score)
-    _, c, _ = _stacked_fit(profile1.design, 10.0 ** x1)
-    return theta1, x1, c
+    design1 = source.design_at(theta1)
+    _, c, _ = _stacked_fit(design1, 10.0 ** _scan(design1)[0])
+    return theta1, c
 
 
 def skip_search(source, part_traces: np.ndarray) -> GcvResult:
@@ -254,7 +268,7 @@ def skip_search(source, part_traces: np.ndarray) -> GcvResult:
     nlam/theta only) and reports nlam on theta_0's own scale.
     """
     flags: list[str] = []
-    theta1, _, c = _stage_one(source, part_traces)
+    theta1, c = _stage_one(source, part_traces)
     quad = np.array([c @ qp @ c for qp in source.q_parts])
     theta0 = theta1**2 * quad
     top = theta0.max()
@@ -265,14 +279,8 @@ def skip_search(source, part_traces: np.ndarray) -> GcvResult:
         flags.append("theta-floor")
         theta0 = np.where(theta0 > 0.0, theta0, 1e-12 * top)
     pinned, shift = _pinned_scale(theta0)
-    profile2 = LambdaProfile(source.design_at(pinned))
-    x2, score, hit_boundary = golden_minimize(profile2.score)
-    if hit_boundary:
-        flags.append("lambda-boundary")
-    params = SmoothingParams(x2 + shift, tuple(float(v) for v in np.log10(theta0)))
-    return GcvResult(params=params, score=score, iterations=2,
-                     converged=not hit_boundary, score_trace=(score,),
-                     flags=tuple(flags))
+    x2, score = _scan(source.design_at(pinned))
+    return _search_result(x2, shift, theta0, (score,), 2, flags)
 
 
 def skip_select(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> GcvResult:
@@ -334,8 +342,6 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
     theta, shift = _pinned_scale(init.params.theta)
     log_nlam = init.params.log10_nlam - shift
     score = init.score
-    # boundary hits are reported for full_gcv's own nlam searches only
-    flags = set(init.flags) - {"lambda-boundary"}
     trace = [score]
     h = 0.1
     design = blocks.design_at(theta)
@@ -374,21 +380,14 @@ def full_gcv(dataset: Dataset, spec: ModelSpec, basis: BasisSelection,
         theta, shift = _pinned_scale(theta)
         log_nlam -= shift
         design = blocks.design_at(theta)
-        x, cand, hit_boundary = golden_minimize(LambdaProfile(design).score)
+        x, cand = _scan(design)
         if cand < score:
             log_nlam = x
             score = cand
-            if hit_boundary:
-                flags.add("lambda-boundary")
         prev = trace[-1]
         trace.append(score)
         if prev - score < SCORE_TOL * max(abs(prev), 1e-300):
             converged = True
             break
-    if not converged:
-        flags.add("iteration-cap")
-
-    params = SmoothingParams(log_nlam, tuple(float(v) for v in np.log10(theta)))
-    return GcvResult(params=params, score=score, iterations=iterations,
-                     converged=converged, score_trace=tuple(trace),
-                     flags=tuple(sorted(flags)))
+    flags = init.flags if converged else (*init.flags, "iteration-cap")
+    return _search_result(log_nlam, 0.0, theta, trace, iterations, flags, converged)

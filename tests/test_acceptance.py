@@ -194,7 +194,7 @@ def test_04_starting_value_hand_arithmetic(capsys):
     from spanova.gcv import _stage_one
 
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, c = _stage_one(rows, part_traces(ds, spec))
+    theta1, c = _stage_one(rows, part_traces(ds, spec))
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
         acc = 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -575,6 +576,7 @@ def test_forked_pool_workers_start_no_blas_threads(monkeypatch):
 # One process's selections and fits, printed as JSON with its OpenBLAS thread counts.
 _SELECTIONS_SCRIPT = """
 import json
+import math
 from spanova.asp import AspConfig, _openblas_thread_controls, full_sample_basis
 from spanova.simulate import SCENARIOS, SELECTORS, gen_data
 from spanova.solver import fit_model
@@ -635,15 +637,22 @@ def test_fit_rate_slope_standard_error_closed_form():
     assert fit_rate([300.0, 600.0], [1e-3, 6e-4]).gamma_se is None
 
 
+def pure_noise(seed, n=500):
+    """The u2 model on x uniform on [0, 1] and y standard normal: no signal to smooth."""
+    spec = SCENARIOS["u2"].spec
+    rng = np.random.default_rng(seed)
+    return Dataset(x=rng.uniform(size=(n, 1)), y=rng.standard_normal(n), domains=spec.domains), spec
+
+
 def test_asp_uniform_reports_subsample_boundary_hits():
-    """On 14 rows of m1 every subsample is the whole sample; gcv ends on the
-    nlam boundary, and so does each of asp-u's searches, which says so."""
-    sim = gen_data("m1", 14, 5.0, seed=2)
-    spec = SCENARIOS["m1"].spec
+    """On 14 rows every subsample is the whole sample; on a pure-noise
+    response gcv ends past the nlam window's top edge, and so does each of
+    asp-u's searches, which says so."""
+    data, spec = pure_noise(3, n=14)
     cfg = AspConfig(jobs=1)
-    full = gcv_select(sim.dataset, spec, cfg)
+    full = gcv_select(data, spec, cfg)
     assert "lambda-boundary" in full.flags
-    res = asp_uniform(sim.dataset, spec, cfg)
+    res = asp_uniform(data, spec, cfg)
     assert res.params.log10_nlam == pytest.approx(full.params.log10_nlam, abs=1e-12)
     assert all("lambda-boundary" in f.flags for f in res.fits)
     assert f"subsample-lambda-boundary:{cfg.n_subsamples}" in res.flags
@@ -668,3 +677,47 @@ def test_dropped_subsamples_keep_their_exception_text(monkeypatch):
     b = subsample_size(400, FAST)
     assert "subsamples-dropped:1" in res.flags
     assert res.dropped == (f"b={b}: NumericalError: no luck",)
+
+
+@pytest.mark.parametrize("selector,message", [(asp_uniform, "too few subsample fits survived"),
+                                              (asp_asymptotic, "too few subsample sizes survived")])
+def test_no_surviving_subsample_fit_raises_with_the_dropped_text(selector, message,
+                                                                 monkeypatch):
+    from spanova.util import NumericalError
+
+    data, spec = sine_dataset(400, seed=8)
+    sizes = []
+
+    def fail(job):
+        sizes.append(job[0].n)
+        return f"b={job[0].n}: InputError: bad draw"
+
+    monkeypatch.setattr(asp, "_fit_subsample", fail)
+    with pytest.raises(NumericalError, match=message) as exc:
+        selector(data, spec, FAST)
+    assert str(exc.value) == f"{message}: " + "; ".join(
+        f"b={b}: InputError: bad draw" for b in sizes)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_selections_past_the_nlam_window_say_so(seed):
+    """On pure noise the search ends at or beyond the window's top edge: gcv
+    flags lambda-boundary, and asp-u counts its subsample searches that did."""
+    data, spec = pure_noise(seed)
+    cfg = AspConfig(jobs=1)
+    full = gcv_select(data, spec, cfg)
+    assert full.params.log10_nlam >= gcv.LOG_NLAM_HI - gcv.LAMBDA_TOL
+    assert "lambda-boundary" in full.flags
+    res = asp_uniform(data, spec, cfg)
+    hits = [f for f in res.fits if "lambda-boundary" in f.flags]
+    assert hits and f"subsample-lambda-boundary:{len(hits)}" in res.flags
+    assert all(gcv.at_window_edge(math.log10(f.lam * f.size) - np.mean(np.log10(f.theta)))
+               for f in hits)
+
+
+def test_a_selection_inside_the_nlam_window_carries_no_boundary_flag():
+    sim = gen_data("m1", 1500, 5.0, seed=0)
+    spec = SCENARIOS["m1"].spec
+    cfg = AspConfig(jobs=1)
+    for res in (gcv_select(sim.dataset, spec, cfg), asp_uniform(sim.dataset, spec, cfg)):
+        assert not any("lambda-boundary" in flag for flag in res.flags), res.flags

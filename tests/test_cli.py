@@ -125,7 +125,7 @@ def parse_outcome(path, columns=None):
     """Where the parse of a CSV file lands, and its result: ("fast", table)
     from the one-pass read, ("fallback", table) from the csv.reader path,
     or ("error", message)."""
-    header, table = cli._read_numeric_csv(str(path))
+    header, table = cli._read_numeric_csv(str(path), columns)
     place = "fast" if table is not None else "fallback"
     try:
         return place, cli._numeric_cells(str(path), header, table, columns)
@@ -162,36 +162,56 @@ CELL_FILES = {
     "header and blank lines": ("a,y\n\r\n\n", "fast"),
 }
 
+# Where a read of the last column alone lands when the full read does not:
+# the one pass reads only that column, so an unread bad cell or a repeated
+# unread name no longer sends the file to the fallback or to an error.
+LAST_COLUMN_MOVED = {
+    "cell '1_0'": "fast",
+    **{f"bad cell {cell!r}": "fast" for cell in ["1__0", "_1", "0x10", "1e", "#1", "# note"]},
+    "bad cell '\"1,5\"'": "fallback",
+    "repeated header name": "fast",
+}
+
 
 @pytest.mark.parametrize("case", sorted(CELL_FILES))
 def test_csv_file_cells_land_where_the_csv_reader_path_puts_them(tmp_path, case):
-    """Each file lands in the one-pass numpy read, in the csv.reader
-    fallback, or in an error, and gives what the csv.reader path alone
-    gives: the same floats (sign of zero included) or the same message."""
+    """Each file, read whole and by its last column alone, lands in the
+    one-pass numpy read, in the csv.reader fallback, or in an error, and
+    gives what the csv.reader path alone gives: the same floats (sign of
+    zero included) or the same message."""
     text, place = CELL_FILES[case]
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got_place, got = parse_outcome(path)
-    want = csv_reader_outcome(path)
-    assert got_place == place
-    if place == "error":
-        assert got == want
-    else:
-        assert cli._read_numeric_csv(str(path))[0] == cli._read_csv_table(str(path))[0]
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    last = cli._read_csv_table(str(path))[0][-1:]
+    for columns, want_place in ((None, place), (last, LAST_COLUMN_MOVED.get(case, place))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_place, got = parse_outcome(path, columns)
+        want = csv_reader_outcome(path, columns)
+        assert got_place == want_place, columns
+        if want_place == "error":
+            assert got == want
+        else:
+            header = cli._read_numeric_csv(str(path), columns)[0]
+            assert header == cli._read_csv_table(str(path))[0]
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_csv_columns_read_through_files(tmp_path):
-    """Reading some columns: an unread text column sends the file to the
-    fallback, and a repeated unread name is no error on either path."""
-    for text, place in (("id,x\na,1\nb,2\n", "fallback"), ("id,x,id\n7,1,8\n9,2,9\n", "fast")):
+    """Reading some columns: an unread text column stays in the one-pass
+    read, a repeated unread name is no error on either path, and a row
+    whose width differs from the header's, or a quoted cell, sends the
+    file to the fallback."""
+    for text, place in (("id,x\na,1\nb,2\n", "fast"), ("id,x,id\n7,1,8\n9,2,9\n", "fast"),
+                        ('id,x\n"a",1\nb,2\n', "fallback"), ("id,x\na,1\nb,2,3\n", "error")):
         path = tmp_path / "t.csv"
         path.write_text(text)
         got_place, got = parse_outcome(path, ("x",))
         assert got_place == place
+        if place == "error":
+            assert got == csv_reader_outcome(path, ("x",)) == "rows with missing cells: 2"
+            continue
         np.testing.assert_array_equal(got, csv_reader_outcome(path, ("x",)))
         np.testing.assert_array_equal(got, [[1.0], [2.0]])
 
@@ -345,6 +365,26 @@ def test_predict_reads_only_the_fit_columns(fitted_paths, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_predict_reads_an_id_column_in_the_one_pass_read(fitted_paths, tmp_path, monkeypatch):
+    """A text id column is not read: the file takes the one-pass read, with
+    the csv.reader parse made to fail, and predicts bit for bit what the
+    file without that column predicts."""
+    _, fit_path, _, _ = fitted_paths
+    xs = np.random.default_rng(6).uniform(size=40)
+    plain = write_csv(tmp_path / "plain.csv", ["x1"], [[v] for v in xs])
+    with_id = write_csv(tmp_path / "id.csv", ["id", "x1"],
+                        [[f"row-{i}", v] for i, v in enumerate(xs)])
+
+    def no_fallback(*args):
+        raise AssertionError("the csv.reader parse ran")
+
+    monkeypatch.setattr(cli, "_parse_numeric_table", no_fallback)
+    outs = [tmp_path / "plain_pred.csv", tmp_path / "id_pred.csv"]
+    for data, out in zip((plain, with_id), outs):
+        assert main(["predict", "--fit", str(fit_path), "--data", data, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_predict_column_mismatch(fitted_paths, tmp_path):
     _, fit_path, _, _ = fitted_paths
     data = write_csv(tmp_path / "wrong.csv", ["zz"], [[0.5]])
@@ -468,6 +508,40 @@ def test_exit_code_on_missing_file(tmp_path, capsys):
                  "y", "--model", "1", "--out", str(tmp_path / "f.json")])
     assert code == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous"])
+def test_fit_rejects_an_override_of_the_response(tmp_path, capsys, kind):
+    """--discrete or --continuous naming the response column is an input error."""
+    sim = tmp_path / "train.csv"
+    assert main(["simulate", "--scenario", "u2", "--n", "60", "--snr", "5",
+                 "--out", str(sim)]) == 0
+    capsys.readouterr()
+    code = main(["fit", "--data", str(sim), "--response", "y", "--model", "1",
+                 f"--{kind}", "y", "--method", "order", "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    assert f"column 'y' is the response, which takes no {kind} override" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_fit_exit_code_3_when_every_subsample_fit_fails(tmp_path, capsys, monkeypatch):
+    """When no subsample fit survives, asp-u's NumericalError, with each
+    dropped fit's text, reaches stderr and the command exits 3."""
+    from spanova import asp
+
+    sim = tmp_path / "train.csv"
+    assert main(["simulate", "--scenario", "u2", "--n", "300", "--snr", "5",
+                 "--out", str(sim)]) == 0
+    monkeypatch.setattr(asp, "_fit_subsample",
+                        lambda job: f"b={job[0].n}: NumericalError: no luck")
+    capsys.readouterr()
+    code = main(["fit", "--data", str(sim), "--response", "y", "--model", "1",
+                 *FIT_ARGS, "--out", str(tmp_path / "f.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: too few subsample fits survived: b=")
+    assert err.count("NumericalError: no luck") == 3
+    assert not (tmp_path / "f.json").exists()
 
 
 def test_fit_exit_code_on_constant_response(tmp_path, capsys):

@@ -14,6 +14,7 @@ from spanova.gcv import (
     GcvResult,
     LambdaProfile,
     _exact_score,
+    at_window_edge,
     full_gcv,
     gcv_score,
     golden_minimize,
@@ -251,16 +252,24 @@ def test_full_gcv_on_compressed_rows_matches_rotated_rows(monkeypatch, scenario)
 
 
 def test_golden_minimize_synthetic_quadratic():
-    x, fx, boundary = golden_minimize(lambda t: (t + 4.0) ** 2 + 1.0)
+    x, fx = golden_minimize(lambda t: (t + 4.0) ** 2 + 1.0)
     assert abs(x + 4.0) < 1e-4
     assert fx == pytest.approx(1.0, abs=1e-8)
-    assert not boundary
+    assert not at_window_edge(x)
 
 
 def test_golden_minimize_flags_boundary():
-    x, fx, boundary = golden_minimize(lambda t: t)
-    assert boundary
+    x, fx = golden_minimize(lambda t: t)
+    assert at_window_edge(x)
     assert x == pytest.approx(-12.0, abs=1e-3)
+
+
+def test_window_rule_covers_the_edge_band_and_beyond():
+    lo, hi, tol = gcv.LOG_NLAM_LO, gcv.LOG_NLAM_HI, gcv.LAMBDA_TOL
+    for x in (lo, lo + tol, hi - tol, hi, lo - 1.0, hi + 0.437, float("nan")):
+        assert at_window_edge(x), x
+    for x in (lo + 2 * tol, -4.0, hi - 2 * tol):
+        assert not at_window_edge(x), x
 
 
 def test_golden_minimize_rejects_all_infinite():
@@ -405,7 +414,7 @@ def test_skip_stage_two_arithmetic_by_hand():
     ds = Dataset(x=x, y=y, domains=spec.domains)
     blocks = assemble_blocks(ds, spec, select_basis(5, 4, seed=0))
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, c = gcv._stage_one(rows, part_traces(ds, spec))
+    theta1, c = gcv._stage_one(rows, part_traces(ds, spec))
     # hand arithmetic: explicit accumulation of the quadratic forms
     hand = []
     for delta, qp in enumerate(blocks.q_parts):
@@ -425,7 +434,7 @@ def test_skip_trace_normalization_stage():
 
     ds, spec, blocks = two_term_problem(5)
     rows = DesignRows(ds, spec, blocks.basis)
-    theta1, _, _ = gcv._stage_one(rows, part_traces(ds, spec))
+    theta1, _ = gcv._stage_one(rows, part_traces(ds, spec))
     for delta, term in enumerate(spec.penalized_terms):
         tr = term_gram_diag(term, spec.domains, ds.x).sum()
         assert theta1[delta] == pytest.approx(1.0 / tr, rel=1e-14)
