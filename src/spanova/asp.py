@@ -21,9 +21,9 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from .solver import (
     select_basis,
 )
 from .util import InputError, NumericalError, derive_rng, round_half_up
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 # p where AspConfig.p is None but nothing estimates it (order; asp-u with b = n)
 P_UNESTIMATED = 1.0
@@ -297,7 +300,11 @@ def _subsample_pool(workers: int) -> ProcessPoolExecutor:
     forked worker that lowered its own count would restart OpenBLAS's thread
     server, whose new threads spin for about 0.1 s against the first fit;
     the initializer applies the cap only where workers are not forked.
+    The pool module is imported here, so ``import spanova`` and every
+    one-worker run load neither it nor ``multiprocessing``.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
                                initargs=(_pool_blas_threads(workers),))
 

@@ -17,10 +17,10 @@ factorization factors the K and y columns only.  The nlam scan at fixed
 theta scores a reduced profile, one R-only QR of [K_perp L^{-T}, y_perp]
 (Q_r = LL'; the design's own stack and factor) and one SVD of its q x q
 kernel block, after which every score is an O(q) sum (``LambdaProfile``),
-and the scan's minimum is the score of record.  Every coefficient solve
-goes through the solver's stacked-QR fit (``_stacked_fit``); every theta
-trial and ``gcv_score`` through the same QR (``solver._complement_solve``),
-with the residual read from the complement rows.
+and the scan's minimum is the score of record.  Every theta trial,
+``gcv_score`` and skip's coefficients go through the solver's stacked QR
+(``solver._complement_solve``), with the residual read from the
+complement rows.
 
 ``skip_select``, ``full_gcv`` and ``scores_at`` take the rows (dataset,
 model, basis) and build their own designs.  ``full_gcv`` runs on the
@@ -48,7 +48,7 @@ from .data import Dataset
 from .kernels import ModelSpec
 from .solver import (BasisSelection, CompiledDesign, DesignBlocks, DesignRows, SmoothingParams,
                      _checked_design, _complement_solve, _design_gcv, _dot, _gcv_value,
-                     _r_factor, _stacked_fit, compressed_blocks, part_traces)
+                     _r_factor, compressed_blocks, part_traces)
 from .util import InputError, NumericalError
 
 LOG_NLAM_LO = -12.0
@@ -137,7 +137,7 @@ class LambdaProfile:
 
     K'K is never formed, so a rank-deficient K costs no accuracy.  Only
     s^2, g, the rss floor and the design are kept; the coefficients at a
-    chosen nlam come from ``_stacked_fit``.
+    chosen nlam come from ``solver._complement_solve``.
     """
 
     def __init__(self, design: CompiledDesign):
@@ -239,14 +239,14 @@ def _pinned_scale(theta: np.ndarray) -> tuple[np.ndarray, float]:
 def _stage_one(source, part_traces: np.ndarray):
     """First skip stage on ``source``'s designs: trace-normalized theta, nlam scan, coefficients.
 
-    The profile scan picks nlam; c comes from the stacked-QR fit there.
-    Returns (theta_1, c).
+    The profile scan picks nlam; c comes from the stacked QR's complement
+    solve there (``_complement_solve``), which needs no d.  Returns (theta_1, c).
     """
     if (part_traces <= 0).any():
         raise NumericalError("a kernel block has nonpositive trace")
     theta1 = 1.0 / part_traces
     design1 = source.design_at(theta1)
-    _, c, _ = _stacked_fit(design1, 10.0 ** _scan(design1)[0])
+    c, _ = _complement_solve(design1, 10.0 ** _scan(design1)[0])
     return theta1, c
 
 

@@ -33,10 +33,12 @@ No selection needs the S per-term n x q blocks K_delta: each chunk's rows
 of K_delta are formed from the kernel at those rows and folded into R
 (``DesignRows``), the chunked-QR construction of Wood, Goude & Shaw (2015,
 "Generalized additive models for large data sets"), so a selection holds
-O(p^2 + chunk p) doubles, not S n q.  Only a search where p + 1 >= n,
-with nothing to compress, forms the blocks over all n rows, in one array
-that T's QR (``NullQR``) rotates in place; ``compressed_blocks`` is the
-one place that makes this choice (``streams_rows``).  Rows of
+its (p + 1 + chunk) x (p + 1) stack, in which R stays from chunk to
+chunk, and then one (p + 1)^2 copy of R, not S n q doubles.  Only a
+search where p + 1 >= n, with nothing to compress, forms the blocks over
+all n rows, in one array that T's QR (``NullQR``) rotates in place;
+``compressed_blocks`` is the one place that makes this choice
+(``streams_rows``).  Rows of
 K(theta) = sum_delta theta_delta K_delta come from one row source
 (``_kernel_rows``), one cache-sized tile at a time: skip's two designs
 and the p estimate's one compress [T, K(theta), y], M + q + 1 columns, as
@@ -215,31 +217,33 @@ def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: 
 
     ``kernel_rows(lo, hi)`` yields the B kernel blocks' rows lo .. hi, each
     q wide, in order; it is asked for one tile (``_tiles``) at a time.
-    The triangular factor R is accumulated by factoring R stacked on the
-    next COMPRESS_CHUNK rows, in one buffer reused for every chunk (zero
-    rows pad the last one), so the n x (p + 1) matrix is never formed.  The
-    same rows in the same chunks give the same R bit for bit, wherever they
-    come from.  Returns (T', (K_1' ... K_B'), f): R's rows split by column.
+    The triangular factor R is accumulated in place in one
+    (p + 1 + COMPRESS_CHUNK) x (p + 1) stack: R stays in its top p + 1
+    rows (``_r_factor``) and each QR factors it with the next chunk's rows
+    below (zero rows pad the last chunk), so the n x (p + 1) matrix is
+    never formed.  The same rows in the same chunks give the same R bit
+    for bit, wherever they come from.  After the last chunk R is copied
+    once, F-ordered, and the stack is dropped on return, so the peak is
+    the stack plus one (p + 1)^2 copy.  Returns (T', (K_1' ... K_B'), f):
+    column views of that copy, F-contiguous, as the searches' stacks and
+    products read them.
     """
     n, m = t.shape
     p = m + n_blocks * q
     chunk = min(COMPRESS_CHUNK, n)
-    stack = np.empty((p + 1 + chunk, p + 1), order="F")
-    r = np.zeros((p + 1, p + 1))
+    stack = np.zeros((p + 1 + chunk, p + 1), order="F")
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         rows = stack[p + 1:p + 1 + hi - lo]
-        stack[:p + 1] = r
         rows[:, :m] = t[lo:hi]
         for a, b in _tiles(lo, hi, q):
             for j, kp in enumerate(kernel_rows(a, b)):
                 rows[a - lo:b - lo, m + j * q:m + (j + 1) * q] = kp
         rows[:, p] = y[lo:hi]
         stack[p + 1 + hi - lo:] = 0.0
-        r = _r_factor(stack)
-    # F-ordered copies: the searches' stacks and products read them by column
-    k_parts = tuple(np.asfortranarray(r[:, m + j * q:m + (j + 1) * q]) for j in range(n_blocks))
-    return r[:, :m].copy(), k_parts, r[:, p].copy()
+        _r_factor(stack)
+    r = np.array(stack[:p + 1], order="F")
+    return r[:, :m], tuple(r[:, m + j * q:m + (j + 1) * q] for j in range(n_blocks)), r[:, p]
 
 
 def _tiles(lo: int, hi: int, q: int, max_rows: int | None = None):
@@ -286,9 +290,12 @@ def _weighted_sum(theta: np.ndarray, parts) -> np.ndarray:
 
 
 def _r_factor(stack: np.ndarray) -> np.ndarray:
-    """Upper-triangular factor of a Householder QR of ``stack`` (overwritten).
+    """Upper-triangular factor of a Householder QR of ``stack``, computed in place.
 
-    Only its top min(rows, columns) rows are read out of LAPACK's output.
+    ``stack`` must be F-ordered float64, so LAPACK overwrites it.  R is its
+    top min(rows, columns) rows, returned as a view into ``stack`` after
+    their strict lower triangle (the reflectors) is zeroed through a
+    boolean ``np.tri`` mask; the rows below still hold reflectors.
     dgeqrt (compact-WY blocks) rather than dgeqrf: on these tall, narrow
     stacks it ran 1.3-5x faster, most at two OpenBLAS threads.
     """
@@ -296,7 +303,9 @@ def _r_factor(stack: np.ndarray) -> np.ndarray:
     a, _, info = sla.lapack.dgeqrt(min(QR_BLOCK, top), stack, overwrite_a=True)
     if info != 0:
         raise NumericalError(f"solver: QR failed (LAPACK info {info})")
-    return np.triu(a[:top])
+    r = a[:top]
+    r[np.tri(top, a.shape[1], -1, dtype=bool)] = 0.0
+    return r
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

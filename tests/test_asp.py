@@ -554,6 +554,16 @@ def test_pool_workers_cap_blas_threads():
     assert _blas_thread_counts() == parent
 
 
+def test_import_loads_no_process_pool():
+    """The pool's modules load only when a pool starts, so ``import spanova``
+    and one-worker runs do not pay for ``multiprocessing``."""
+    code = "import sys, spanova; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 def _thread_count():
     return len(os.listdir("/proc/self/task"))
 

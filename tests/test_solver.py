@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from spanova import solver
 from spanova.data import Dataset, unit_domains
@@ -505,6 +506,22 @@ def test_predict_on_zero_rows_returns_empty_arrays(name):
     eta, flags = predict(fit, spec, np.zeros((0, spec.n_predictors)))
     assert eta.shape == (0,) and eta.dtype == float
     assert flags.shape == (0,) and flags.dtype == bool
+
+
+@pytest.mark.parametrize("shape", [(300, 41), (41, 41), (20, 35)])
+def test_r_factor_is_the_stack_itself(shape):
+    """R comes back as the top rows of the factored stack: it shares the
+    stack's memory, its strict lower triangle is exactly zero, and its upper
+    triangle equals np.triu of a QR of a copy bit for bit."""
+    stack = np.asfortranarray(np.random.default_rng(5).standard_normal(shape))
+    top = min(shape)
+    a, _, info = sla.lapack.dgeqrt(min(solver.QR_BLOCK, top), stack.copy(order="F"))
+    assert info == 0
+    r = solver._r_factor(stack)
+    assert r.shape == (top, shape[1])
+    assert np.shares_memory(r, stack)
+    assert not np.tril(r, -1).any()
+    assert np.array_equal(r, np.triu(a[:top]))
 
 
 def test_refit_memory_stays_near_one_kernel_design():

@@ -125,6 +125,25 @@ def test_streamed_selections_equal_in_memory_path(monkeypatch, seed):
     assert streamed == in_memory
 
 
+def test_compression_holds_its_stack_and_one_copy_of_r():
+    """The chunked QR keeps R in its stack from chunk to chunk and copies it
+    once at the end, so the traced peak stays below the
+    (p + 1 + COMPRESS_CHUNK) x (p + 1) stack plus 1.75 (p + 1)^2 doubles;
+    a per-chunk copy of R and per-block copies at the end took 2.43."""
+    n, q = 3000, 160
+    sim = gen_data("m1", n, 5.0, seed=0)
+    spec = SCENARIOS["m1"].spec
+    p1 = spec.null_dim + spec.n_penalized * q + 1
+    stack = (p1 + min(solver.COMPRESS_CHUNK, n)) * p1
+    tracemalloc.start()
+    try:
+        compressed_blocks(sim.dataset, spec, select_basis(n, q, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (stack + 1.75 * p1 * p1) * 8
+
+
 @pytest.mark.parametrize("selector", [gcv_select, skip_selection])
 def test_full_sample_selections_hold_no_per_term_n_row_blocks(selector):
     """S n q doubles of per-term blocks are 74 MB here; the streamed
