@@ -23,7 +23,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,9 +38,6 @@ from .solver import (
     select_basis,
 )
 from .util import InputError, NumericalError, derive_rng, round_half_up
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 # p where AspConfig.p is None but nothing estimates it (order; asp-u with b = n)
 P_UNESTIMATED = 1.0
@@ -85,8 +81,11 @@ class AspConfig:
             raise InputError("need p in [1, 2] and r > 1")
         if self.b_factor < 1.0:
             raise InputError("b_factor must be at least 1")
-        if self.order_c <= 0.0:
-            raise InputError(f"order_c must be positive, got {self.order_c}")
+        for name in ("order_c", "basis_coef"):
+            if getattr(self, name) <= 0.0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def worker_count(self) -> int:
@@ -261,61 +260,55 @@ def _openblas_thread_controls() -> dict:
     return controls
 
 
-def _cap_blas_threads(limit: int) -> None:
-    """Lower every loaded OpenBLAS copy to at most ``limit`` threads."""
+def _cap_blas_threads(limit: int) -> list:
+    """Lower every loaded OpenBLAS copy to at most ``limit`` threads.
+
+    Returns the (count, setter) pair of each copy it lowered.
+    """
+    lowered = []
     for getter, setter in _openblas_thread_controls().values():
-        if getter() > limit:
+        count = getter()
+        if count > limit:
             setter(limit)
+            lowered.append((count, setter))
+    return lowered
 
 
 @contextmanager
-def _capped_blas_threads(limit: int):
-    """Run the block with every loaded OpenBLAS copy at most ``limit`` threads.
+def _fit_map(config: AspConfig, n_fits: int):
+    """The map that runs ``n_fits`` subsample fits inside the block.
 
-    The counts it lowered are restored on exit.
+    One worker (``min(worker_count, n_fits)``) gets the builtin ``map``,
+    and no BLAS thread count is read or set.  More workers share one
+    process pool.  This process's OpenBLAS copies are lowered to
+    cpu_count // workers threads before the pool forks, so the workers
+    inherit the cap; a worker that lowered its own count would restart
+    OpenBLAS's thread server, whose new threads spin for about 0.1 s
+    against the first fit, so the initializer changes a count only in
+    workers that are not forked.  On exit, by an exception too, the pool
+    shuts down and the lowered counts are restored.  The pool module is
+    imported here, so ``import spanova`` and one-worker runs load neither
+    it nor ``multiprocessing``.
     """
-    saved = [(getter(), setter) for getter, setter in _openblas_thread_controls().values()]
-    for count, setter in saved:
-        if count > limit:
-            setter(limit)
-    try:
-        yield
-    finally:
-        for count, setter in saved:
-            if count > limit:
-                setter(count)
-
-
-def _pool_blas_threads(workers: int) -> int:
-    """BLAS threads per process when ``workers`` processes share the CPUs."""
-    return max(1, (os.cpu_count() or 1) // workers)
-
-
-def _subsample_pool(workers: int) -> ProcessPoolExecutor:
-    """Process pool of ``workers`` (see ``_pool_workers``) for the subsample fits.
-
-    Callers hold ``_capped_blas_threads(_pool_blas_threads(workers))`` while
-    the pool runs, so forked workers inherit cpu_count // workers BLAS
-    threads and the pool does not run more threads than there are CPUs.  A
-    forked worker that lowered its own count would restart OpenBLAS's thread
-    server, whose new threads spin for about 0.1 s against the first fit;
-    the initializer applies the cap only where workers are not forked.
-    The pool module is imported here, so ``import spanova`` and every
-    one-worker run load neither it nor ``multiprocessing``.
-    """
+    workers = min(config.worker_count, n_fits)
+    if workers <= 1:
+        yield map
+        return
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
-                               initargs=(_pool_blas_threads(workers),))
+    limit = max(1, (os.cpu_count() or 1) // workers)
+    lowered = _cap_blas_threads(limit)
+    try:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
+                                 initargs=(limit,)) as pool:
+            yield pool.map
+    finally:
+        for count, setter in lowered:
+            setter(count)
 
 
-def _pool_workers(config: AspConfig, n_jobs: int) -> int:
-    """Pool size for ``n_jobs`` fits, and the worker count the BLAS cap assumes."""
-    return min(config.worker_count, n_jobs)
-
-
-def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
-    """Fit one subsample per entry of ``sizes``, through one pool when configured.
+def _run_subsample_fits(dataset, spec, sizes, config, stream_tag, fit_map):
+    """Fit one subsample per entry of ``sizes`` through ``fit_map`` (``_fit_map``).
 
     Job j draws stream (stream_tag + j // n_subsamples, j % n_subsamples).
     Returns (fits, dropped, errors): failed subsamples are dropped, the rest
@@ -329,12 +322,7 @@ def _run_subsample_fits(dataset, spec, sizes, config, stream_tag):
         sub, basis = _draw_subsample(dataset, spec, b, config,
                                      (stream_tag + j // per, j % per))
         jobs.append((sub, spec, basis, config))
-    workers = _pool_workers(config, len(jobs))
-    if workers > 1:
-        with _subsample_pool(workers) as pool:
-            results = list(pool.map(_fit_subsample, jobs))
-    else:
-        results = list(map(_fit_subsample, jobs))
+    results = list(fit_map(_fit_subsample, jobs))
     fits = tuple(r for r in results if isinstance(r, SubsampleFit))
     errors = tuple(r for r in results if isinstance(r, str))
     return fits, len(jobs) - len(fits), errors
@@ -391,13 +379,14 @@ def asp_uniform(dataset: Dataset, spec: ModelSpec,
     _check_response(dataset)
     flags: list[str] = []
     b = subsample_size(dataset.n, config, spec.null_dim)
-    # The cap covers the pool and estimate_p, whose 2b-row problem is as
-    # small as the fits.  Forking stops the caller's OpenBLAS threads; the
-    # ones restarted when the cap is lifted spin for about 0.1 s, and that
-    # cost falls on the caller's next BLAS work.
-    with _capped_blas_threads(_pool_blas_threads(_pool_workers(config, config.n_subsamples))):
+    # The block covers estimate_p, whose 2b-row problem is as small as the
+    # fits, so it runs under the pool's BLAS cap.  Forking stops the
+    # caller's OpenBLAS threads; the ones restarted when the cap is lifted
+    # spin for about 0.1 s, and that cost falls on the caller's next BLAS
+    # work, after asp-u returns.
+    with _fit_map(config, config.n_subsamples) as fit_map:
         fits, dropped, errors = _run_subsample_fits(
-            dataset, spec, [b] * config.n_subsamples, config, 21)
+            dataset, spec, [b] * config.n_subsamples, config, 21, fit_map)
         if dropped:
             flags.append(f"subsamples-dropped:{dropped}")
         if len(fits) < min(2, config.n_subsamples):
@@ -479,8 +468,8 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
         raise InputError("size ladder collapsed to one size")
     per = config.n_subsamples
     ladder = [b for b in sizes for _ in range(per)]
-    with _capped_blas_threads(_pool_blas_threads(_pool_workers(config, len(ladder)))):
-        fits, _, errors = _run_subsample_fits(dataset, spec, ladder, config, 41)
+    with _fit_map(config, len(ladder)) as fit_map:
+        fits, _, errors = _run_subsample_fits(dataset, spec, ladder, config, 41, fit_map)
     by_size = {b: [f for f in fits if f.size == b] for b in sizes}
     flags = [f"subsamples-dropped:{b}:{per - len(group)}"
              for b, group in by_size.items() if len(group) < per]

@@ -343,11 +343,11 @@ def _selection_to_json(sel: SelectionResult) -> dict:
 def run_fit(args) -> int:
     t_start = time.perf_counter()
     _check_outputs(args.out, args.fitted_out, inputs=(args.data,))
+    config = _config_from_args(args)
     table = ingest(args.data, args.response,
                    args.continuous or (), args.discrete or ())
     effects = parse_model(args.model, len(table.predictor_names))
     spec = build_model(table.dataset.domains, effects)
-    config = _config_from_args(args)
     sel = SELECTORS[args.method](table.dataset, spec, config)
     t_fit = time.perf_counter()
     basis = full_sample_basis(table.dataset.n, spec.null_dim, config)

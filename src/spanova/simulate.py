@@ -9,6 +9,7 @@ benchmark, and two independent oracles for the risk-optimal lambda.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -132,8 +133,8 @@ def check_cell(identifier: str, n: int, snr: float) -> Scenario:
     and noise level ``gen_data`` can draw; raises on any bad entry."""
     if n < 10:
         raise InputError("n must be at least 10")
-    if snr <= 0:
-        raise InputError("snr must be positive")
+    if not (snr > 0 and math.isfinite(snr)):
+        raise InputError("snr must be positive and finite")
     return get_scenario(identifier)
 
 

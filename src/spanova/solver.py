@@ -55,8 +55,8 @@ copies stall each other.  Measured on a 2-CPU machine next to a scipy QR,
 T d + K c on 20000 rows took 5 ms through numpy and 0.6 ms through scipy's
 dgemv.  Products too small to start BLAS threads stay with numpy.
 
-Callers keep the default BLAS thread count; only the subsample pool caps
-it (``asp._capped_blas_threads``).  On a 2-CPU machine, compressing 20000
+Callers keep the default BLAS thread count; only a subsample pool of more
+than one worker caps it (``asp._fit_map``).  On a 2-CPU machine, compressing 20000
 rows of a two-way model (p = 389) took 0.22-0.27 s at two threads and
 0.30-0.37 s at one, and kernel assembly, elementwise numpy without BLAS,
 took 0.09-0.19 s at either.

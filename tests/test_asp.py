@@ -124,10 +124,13 @@ def test_config_validation():
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InputError, match=f"^{name} must be finite"):
                 AspConfig(**{name: value})
-    # the order constant is checked here, before any selection runs
-    for value in (0.0, -1.0):
-        with pytest.raises(InputError, match=f"order_c must be positive, got {value}"):
-            AspConfig(order_c=value)
+    # the order and basis constants and the seed are checked here, before any selection runs
+    for name in ("order_c", "basis_coef"):
+        for value in (0.0, -1.0):
+            with pytest.raises(InputError, match=f"{name} must be positive, got {value}"):
+                AspConfig(**{name: value})
+    with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
+        AspConfig(seed=-1)
 
 
 def test_fit_rate_recovers_noiseless_law():
@@ -544,14 +547,46 @@ def test_pool_workers_cap_blas_threads():
     workers = 2
     cap = max(1, (os.cpu_count() or 1) // workers)
     parent = _blas_thread_counts()
-    with asp._subsample_pool(workers) as pool:
-        capped = pool.submit(_blas_thread_counts).result(timeout=60)
+    with asp._fit_map(AspConfig(jobs=workers), workers) as fit_map:
+        capped, = fit_map(_blas_thread_counts, [None], timeout=60)
         # a cap above the current count never raises it
-        kept = pool.submit(_blas_thread_counts, cap + 64).result(timeout=60)
+        kept, = fit_map(_blas_thread_counts, [cap + 64], timeout=60)
+        assert all(count <= cap for count in _blas_thread_counts().values())
     assert set(capped) == set(parent)
     assert all(count <= cap for count in capped.values()), capped
     assert kept == capped
     assert _blas_thread_counts() == parent
+
+
+def _fail(_):
+    raise RuntimeError("fit failed")
+
+
+@pytest.mark.skipif(not asp._openblas_thread_controls()
+                    or max(_blas_thread_counts().values()) < 2,
+                    reason="needs an OpenBLAS copy at more than one thread")
+def test_pooled_fit_map_restores_thread_counts_when_the_block_raises(monkeypatch):
+    """An exception leaving the block still shuts the pool down and gives
+    the caller back the counts that the cap lowered."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers, one BLAS thread each
+    parent = _blas_thread_counts()
+    with pytest.raises(RuntimeError, match="fit failed"):
+        with asp._fit_map(AspConfig(jobs=2), 2) as fit_map:
+            assert all(count == 1 for count in _blas_thread_counts().values())
+            list(fit_map(_fail, [0, 1], timeout=60))
+    assert _blas_thread_counts() == parent
+
+
+def test_one_worker_selections_touch_no_blas_thread_count(monkeypatch):
+    """At one worker the fits run through the builtin map, and no OpenBLAS
+    thread count is looked up, read or set."""
+    def forbidden():
+        raise AssertionError("OpenBLAS thread controls looked up")
+
+    monkeypatch.setattr(asp, "_openblas_thread_controls", forbidden)
+    data, spec = sine_dataset(400, seed=8)
+    assert len(asp_uniform(data, spec, FAST).fits) == FAST.n_subsamples
+    assert asp_asymptotic(data, spec, replace(FAST, n_sizes=3, b_max_coef=40.0)).fits
 
 
 def test_import_loads_no_process_pool():
@@ -564,7 +599,7 @@ def test_import_loads_no_process_pool():
     assert out.stdout.strip() == "False"
 
 
-def _thread_count():
+def _thread_count(_):
     return len(os.listdir("/proc/self/task"))
 
 
@@ -577,9 +612,10 @@ def test_forked_pool_workers_start_no_blas_threads(monkeypatch):
     thread server, whose new threads would spin against the fits."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers, one BLAS thread each
     parent = _blas_thread_counts()
-    with asp._capped_blas_threads(asp._pool_blas_threads(2)), asp._subsample_pool(2) as pool:
-        assert pool.submit(_thread_count).result(timeout=60) == 1
-        assert all(count == 1 for count in pool.submit(_blas_thread_counts).result(timeout=60).values())
+    with asp._fit_map(AspConfig(jobs=2), 2) as fit_map:
+        assert list(fit_map(_thread_count, [None], timeout=60)) == [1]
+        counts, = fit_map(_blas_thread_counts, [None], timeout=60)
+        assert all(count == 1 for count in counts.values())
     assert _blas_thread_counts() == parent
 
 

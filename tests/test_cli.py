@@ -1000,6 +1000,7 @@ def test_fit_document_flags_a_gcv_search_stopped_by_its_cap(tmp_path):
     ("--scenario", "u2,nope", "unknown scenario 'nope'"),
     ("--n", "300,5", "n must be at least 10"),
     ("--snr", "5,0", "snr must be positive"),
+    ("--snr", "5,nan", "snr must be positive and finite"),
     ("--out", "{tmp}/absent/b.csv", "cannot write {tmp}/absent/b.csv: ")])
 def test_bench_checks_every_cell_and_its_outputs_before_the_first(
         tmp_path, capsys, monkeypatch, option, value, message):
@@ -1017,14 +1018,27 @@ def test_bench_checks_every_cell_and_its_outputs_before_the_first(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["fit", "bench"])
+# (flag, value, message) of each config value rejected before any work;
+# the order constant's cases keep the bare command as their id
+_BAD_CONFIG = (("--order-c", "-1", "order_c must be positive, got -1.0"),
+               ("--basis-coef", "0", "basis_coef must be positive, got 0.0"),
+               ("--seed", "-1", "seed must be nonnegative, got -1"))
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    pytest.param(command, *bad, id=command if bad[0] == "--order-c" else f"{command}{bad[0]}")
+    for bad in _BAD_CONFIG for command in ("fit", "bench")])
 def test_nonpositive_order_constant_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
-                                                            command):
+                                                            command, flag, value, message):
     """--order-c -1 used to be written into fit.json by a fit that never
-    reads it, and a bench ran every method before order's before it failed."""
+    reads it, and a bench ran every method before order's before it failed.
+    --basis-coef 0 and --seed -1 built a config: a fit read its whole CSV and
+    a bench drew its first replicate's data before either was rejected."""
     calls = []
     monkeypatch.setitem(cli.SELECTORS, "asp-u", lambda *args: calls.append(args))
     monkeypatch.setattr(cli, "run_benchmark", lambda *args, **kwargs: calls.append(args) or [])
+    ingest = cli.ingest
+    monkeypatch.setattr(cli, "ingest", lambda *args: calls.append(args) or ingest(*args))
     if command == "fit":
         rng = np.random.default_rng(9)
         data = write_csv(tmp_path / "d.csv", ["a", "y"], rng.uniform(size=(60, 2)).tolist())
@@ -1034,7 +1048,7 @@ def test_nonpositive_order_constant_exits_2_before_any_work(tmp_path, capsys, mo
                 "--methods", "asp-u,order"]
     out = tmp_path / "out"
     capsys.readouterr()
-    assert main([*argv, "--order-c", "-1", "--jobs", "1", "--out", str(out)]) == 2
-    assert "input error: order_c must be positive, got -1.0" in capsys.readouterr().err
+    assert main([*argv, flag, value, "--jobs", "1", "--out", str(out)]) == 2
+    assert f"input error: {message}" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()

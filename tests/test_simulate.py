@@ -118,6 +118,10 @@ def test_gen_data_validation():
         gen_data("u1", 5, snr=1.0)
     with pytest.raises(InputError):
         gen_data("u1", 100, snr=0.0)
+    # nan used to reach the data as non-finite y, and inf to draw noiseless data
+    for snr in (float("nan"), float("inf")):
+        with pytest.raises(InputError, match="snr must be positive and finite"):
+            gen_data("u1", 100, snr=snr)
 
 
 def test_loss_hand_values():
