@@ -25,6 +25,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from scipy.linalg import _flapack
 
 from .data import Dataset
 from .gcv import _check_response, full_gcv, scores_at, skip_select
@@ -84,8 +86,9 @@ class AspConfig:
         for name in ("order_c", "basis_coef"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed}")
+        for name in ("basis_exp", "seed"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @property
     def worker_count(self) -> int:
@@ -220,43 +223,27 @@ def _fit_subsample(args) -> SubsampleFit | str:
                         score=res.score, converged=res.converged, flags=res.flags)
 
 
-# Thread-count entry points of the OpenBLAS copies bundled with numpy
-# (64-bit integer interface) and with scipy; threadpoolctl calls the same ones.
-_OPENBLAS_THREAD_API = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
 @functools.cache
 def _openblas_thread_controls() -> dict:
-    """(getter, setter) of each loaded OpenBLAS copy, keyed by file name.
+    """(getter, setter) of numpy's and scipy's OpenBLAS copies, keyed by module name.
 
-    Loaded libraries are read from /proc/self/maps; where that file does not
-    exist nothing is found, and thread counts are left as they are.  The
-    lookup runs once per process (both copies are loaded with spanova), and
-    forked workers inherit its result.
+    Each copy's thread-count entry points (threadpoolctl calls the same
+    ones; numpy's copy has the 64-bit integer interface) are looked up on
+    the extension module that calls that copy, and the dynamic loader
+    resolves them within that module's own dependencies.  A module whose
+    BLAS lacks them is left out, and its thread count is left as it is.
+    The lookup runs once per process, and forked workers inherit its result.
     """
-    try:
-        with open("/proc/self/maps") as handle:
-            paths = {line.split()[-1] for line in handle}
-    except OSError:
-        return {}
     controls = {}
-    for path in sorted(paths):
-        name = os.path.basename(path)
-        if "openblas" not in name.lower():
+    for module, suffix in ((_umath_linalg, "64_"), (_flapack, "")):
+        lib = ctypes.CDLL(module.__file__)
+        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if getter is None or setter is None:
             continue
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _OPENBLAS_THREAD_API:
-            getter = getattr(lib, get_name, None)
-            setter = getattr(lib, set_name, None)
-            if getter is None or setter is None:
-                continue
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            controls[name] = (getter, setter)
-            break
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        controls[module.__name__] = (getter, setter)
     return controls
 
 
@@ -464,8 +451,6 @@ def asp_asymptotic(dataset: Dataset, spec: ModelSpec,
         raise InputError("size ladder is degenerate; sample too small")
     raw = np.geomspace(lo, hi, config.n_sizes)
     sizes = sorted({int(round_half_up(v)) for v in raw})
-    if len(sizes) < 2:
-        raise InputError("size ladder collapsed to one size")
     per = config.n_subsamples
     ladder = [b for b in sizes for _ in range(per)]
     with _fit_map(config, len(ladder)) as fit_map:

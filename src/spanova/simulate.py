@@ -392,6 +392,8 @@ def run_benchmark(identifier: str, n: int, snr: float, methods, replicates: int,
         raise InputError(f"unknown methods {unknown}; choose from {list(SELECTORS)}")
     if replicates < 1:
         raise InputError("replicates must be positive")
+    if benchmark_max_iter is not None and benchmark_max_iter < 1:
+        raise InputError(f"benchmark_max_iter must be at least 1, got {benchmark_max_iter}")
     records: list[BenchRecord] = []
     for rep in range(replicates):
         rep_seed = int(derive_rng(seed, 81, rep).integers(2**31))

@@ -1,3 +1,5 @@
+import builtins
+import ctypes
 import json
 import math
 import multiprocessing
@@ -131,6 +133,11 @@ def test_config_validation():
                 AspConfig(**{name: value})
     with pytest.raises(InputError, match="seed must be nonnegative, got -1"):
         AspConfig(seed=-1)
+    # a negative basis exponent once let the basis count fall silently to its clamp
+    with pytest.raises(InputError, match=r"basis_exp must be nonnegative, got -5\.0"):
+        AspConfig(basis_exp=-5.0)
+    # exponent 0 fixes q = round(basis_coef)
+    assert asp._basis_size(200, 2, AspConfig(basis_exp=0.0)) == 10
 
 
 def test_fit_rate_recovers_noiseless_law():
@@ -575,6 +582,56 @@ def test_pooled_fit_map_restores_thread_counts_when_the_block_raises(monkeypatch
             assert all(count == 1 for count in _blas_thread_counts().values())
             list(fit_map(_fail, [0, 1], timeout=60))
     assert _blas_thread_counts() == parent
+
+
+@pytest.mark.skipif(not asp._openblas_thread_controls(),
+                    reason="no OpenBLAS copy exports scipy_openblas_set_num_threads64_"
+                           " or scipy_openblas_set_num_threads")
+def test_openblas_thread_controls_read_no_file(monkeypatch):
+    """numpy's and scipy's copies are found through the extension modules
+    that call them, with /proc/self/maps out of reach."""
+    real_open = builtins.open
+
+    def no_maps(file, *args, **kwargs):
+        if str(file) == "/proc/self/maps":
+            raise AssertionError("/proc/self/maps read")
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", no_maps)
+    asp._openblas_thread_controls.cache_clear()
+    try:
+        controls = asp._openblas_thread_controls()
+    finally:
+        asp._openblas_thread_controls.cache_clear()
+    assert set(controls) == {"numpy.linalg._umath_linalg", "scipy.linalg._flapack"}
+    assert all(getter() >= 1 for getter, _ in controls.values())
+
+
+def _address(function) -> int:
+    return ctypes.cast(function, ctypes.c_void_p).value
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_openblas_thread_controls_match_every_mapped_openblas():
+    """Reference: every OpenBLAS library that /proc/self/maps lists exports
+    a getter and a setter that the module lookup holds at the same addresses."""
+    found = {(_address(getter), _address(setter))
+             for getter, setter in asp._openblas_thread_controls().values()}
+    with open("/proc/self/maps") as handle:
+        paths = {line.split()[-1] for line in handle}
+    mapped = set()
+    for path in paths:
+        if "openblas" not in os.path.basename(path).lower():
+            continue
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                mapped.add((_address(getter), _address(setter)))
+                break
+    assert mapped
+    assert mapped <= found
 
 
 def test_one_worker_selections_touch_no_blas_thread_count(monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spanova import cli
+from spanova import cli, simulate
 from spanova.asp import AspConfig
 from spanova.cli import (
     METHODS,
@@ -1018,11 +1018,28 @@ def test_bench_checks_every_cell_and_its_outputs_before_the_first(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bench_rejects_a_benchmark_iteration_cap_below_one_before_any_data(
+        tmp_path, capsys, monkeypatch):
+    """--benchmark-max-iter 0 used to draw the first replicate's data and
+    then fail naming gcv_max_iter, a flag the user did not give."""
+    calls = []
+    monkeypatch.setattr(simulate, "gen_data", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "b.csv"
+    capsys.readouterr()
+    assert main(["bench", "--scenario", "u2", "--n", "300", "--snr", "5", "--methods", "order",
+                 "--benchmark-max-iter", "0", "--jobs", "1", "--out", str(out)]) == 2
+    assert ("input error: benchmark_max_iter must be at least 1, got 0"
+            in capsys.readouterr().err)
+    assert calls == []
+    assert not out.exists()
+
+
 # (flag, value, message) of each config value rejected before any work;
 # the order constant's cases keep the bare command as their id
 _BAD_CONFIG = (("--order-c", "-1", "order_c must be positive, got -1.0"),
                ("--basis-coef", "0", "basis_coef must be positive, got 0.0"),
-               ("--seed", "-1", "seed must be nonnegative, got -1"))
+               ("--seed", "-1", "seed must be nonnegative, got -1"),
+               ("--basis-exp", "-5", "basis_exp must be nonnegative, got -5.0"))
 
 
 @pytest.mark.parametrize("command,flag,value,message", [
