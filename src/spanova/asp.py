@@ -45,6 +45,16 @@ from .util import InputError, NumericalError, derive_rng, round_half_up
 P_UNESTIMATED = 1.0
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    reports one (under ``taskset -c 0`` that is one CPU, whatever the
+    machine has), the machine's count elsewhere."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:
+        return max(1, os.cpu_count() or 1)
+
+
 @dataclass(frozen=True)
 class AspConfig:
     """Tuning constants of the subsample-extrapolation selectors; ``p`` None estimates p."""
@@ -94,7 +104,7 @@ class AspConfig:
     def worker_count(self) -> int:
         if self.jobs is not None:
             return int(self.jobs)
-        return max(1, os.cpu_count() or 1)
+        return available_cpus()
 
 
 @dataclass(frozen=True)
@@ -268,7 +278,7 @@ def _fit_map(config: AspConfig, n_fits: int):
     One worker (``min(worker_count, n_fits)``) gets the builtin ``map``,
     and no BLAS thread count is read or set.  More workers share one
     process pool.  This process's OpenBLAS copies are lowered to
-    cpu_count // workers threads before the pool forks, so the workers
+    ``available_cpus() // workers`` threads before the pool forks, so the workers
     inherit the cap; a worker that lowered its own count would restart
     OpenBLAS's thread server, whose new threads spin for about 0.1 s
     against the first fit, so the initializer changes a count only in
@@ -283,7 +293,7 @@ def _fit_map(config: AspConfig, n_fits: int):
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    limit = max(1, (os.cpu_count() or 1) // workers)
+    limit = max(1, available_cpus() // workers)
     lowered = _cap_blas_threads(limit)
     try:
         with ProcessPoolExecutor(max_workers=workers, initializer=_cap_blas_threads,
@@ -511,7 +521,8 @@ def order_selection(dataset: Dataset, spec: ModelSpec,
                     config: AspConfig = AspConfig()) -> SelectionResult:
     """Order-based baseline: rate-law lambda, trace-normalized theta.
 
-    Runs the input checks of the design builders but forms no kernel block.
+    Runs the input checks of the design builders, whose rank check reads
+    T's rows chunk by chunk, so it forms neither T whole nor a kernel block.
     """
     t0 = time.perf_counter()
     basis = full_sample_basis(dataset.n, spec.null_dim, config)

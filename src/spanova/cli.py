@@ -30,8 +30,9 @@ from .solver import FitResult, SmoothingParams, fit_model, predict
 from .util import InputError, NumericalError
 
 DISCRETE_INFERENCE_MAX_LEVELS = 20
-# Output lines joined per write in ``_write_csv_lines``.
-CSV_WRITE_LINES = 65536
+# Output lines joined per write in ``_write_csv_lines``, and rows converted
+# to Python values at once in ``_chunked_rows``: about 0.3 MB of text.
+CSV_WRITE_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,16 @@ def _write_csv_lines(path: str, header: str, lines) -> None:
             handle.write("\r\n".join(chunk) + "\r\n")
 
 
+def _chunked_rows(*columns):
+    """The rows of equal-length arrays as tuples of Python values.
+
+    The arrays are converted CSV_WRITE_LINES rows at a time, the size of
+    one write of ``_write_csv_lines``, so no whole-column list exists.
+    """
+    for lo in range(0, len(columns[0]), CSV_WRITE_LINES):
+        yield from zip(*(col[lo:lo + CSV_WRITE_LINES].tolist() for col in columns))
+
+
 def _infer_domain(name: str, values: np.ndarray, override: str | None) -> PredictorDomain:
     distinct = np.unique(values)
     if distinct.size < 2:
@@ -242,6 +253,8 @@ def ingest(csv_path: str, response_column: str,
     Continuous columns are min-max scaled to [0, 1]; integer-valued columns
     with at most 20 distinct values are treated as discrete factors unless
     overridden.  Missing cells are rejected by row, nan or inf by cell.
+    y is copied and the predictors rescaled straight out of the parsed
+    table, so the table is freed on return.
     """
     header, table = _read_numeric_csv(csv_path)
     if response_column not in header:
@@ -264,15 +277,13 @@ def ingest(csv_path: str, response_column: str,
     table = _numeric_cells(csv_path, header, table)
     _check_finite(header, table)
     resp_idx = header.index(response_column)
-    y = table[:, resp_idx]
     cols = [j for j in range(len(header)) if j != resp_idx]
     if not cols:
         raise InputError("no predictor columns besides the response")
     names = tuple(header[j] for j in cols)
-    x = table[:, cols]
-    domains = [_infer_domain(name, x[:, j], overrides.get(name))
-               for j, name in enumerate(names)]
-    dataset = Dataset.from_raw(x, y, domains)
+    domains = [_infer_domain(name, table[:, j], overrides.get(name))
+               for j, name in zip(cols, names)]
+    dataset = Dataset.from_raw(table, table[:, resp_idx].copy(), domains, cols)
     return IngestedTable(dataset=dataset, predictor_names=names)
 
 
@@ -387,7 +398,8 @@ def run_fit(args) -> int:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
     if args.fitted_out:
-        _write_csv_lines(args.fitted_out, "fitted", map(repr, fit.fitted.tolist()))
+        _write_csv_lines(args.fitted_out, "fitted",
+                         (repr(value) for value, in _chunked_rows(fit.fitted)))
     print(f"fit written to {args.out}"
           f" (method={sel.method}, lambda={sel.lambda_full:.6g},"
           f" edf={fit.trace_a:.2f})")
@@ -459,7 +471,7 @@ def run_predict(args) -> int:
             raise InputError(f"column {names[exc.column]!r}: {exc}") from None
     _write_csv_lines(args.out, "prediction,out_of_range",
                      (f"{value!r},{'true' if flag else 'false'}"
-                      for value, flag in zip(eta.tolist(), flags.tolist())))
+                      for value, flag in _chunked_rows(eta, flags)))
     n_rows = x.shape[0]
     print(f"{n_rows} prediction{'s' if n_rows != 1 else ''} written to {args.out}")
     return 0
@@ -469,14 +481,12 @@ def run_simulate(args) -> int:
     _check_outputs(args.out)
     sim = gen_data(args.scenario, args.n, args.snr, seed=args.seed)
     header = [f"x{j + 1}" for j in range(sim.dataset.d)] + ["y"]
-    columns = [sim.dataset.x, sim.dataset.y]
+    columns = [*sim.dataset.x.T, sim.dataset.y]
     if args.with_truth:
         header.append("eta")
         columns.append(sim.eta)
-    table = np.column_stack(columns)
-    rows = (row for lo in range(0, sim.n, CSV_WRITE_LINES)
-            for row in table[lo:lo + CSV_WRITE_LINES].tolist())
-    _write_csv_lines(args.out, ",".join(header), (",".join(map(repr, row)) for row in rows))
+    _write_csv_lines(args.out, ",".join(header),
+                     (",".join(map(repr, row)) for row in _chunked_rows(*columns)))
     print(f"{sim.n} rows written to {args.out} (sigma={sim.sigma:.6g})")
     return 0
 
@@ -551,8 +561,8 @@ def _add_config_arguments(parser):
     config.add_argument("--seed", type=int)
     config.add_argument("--jobs", type=int,
                         help="worker processes for subsample fits"
-                             " (default: SPANOVA_JOBS or all cores); each worker"
-                             " runs BLAS at cpu_count // workers threads")
+                             " (default: SPANOVA_JOBS or the CPUs this process may"
+                             " use); each worker runs BLAS at cpus // workers threads")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,11 +57,15 @@ class Dataset:
         return self.x.shape[1]
 
     @classmethod
-    def from_raw(cls, x_raw, y, domains) -> "Dataset":
+    def from_raw(cls, x_raw, y, domains, columns=None) -> "Dataset":
         """Convert raw-scale predictors using each domain's scaling; a
-        continuous cell outside its domain's range is an input error."""
+        continuous cell outside its domain's range is an input error.
+
+        ``columns`` picks the predictor columns of ``x_raw``, as in
+        ``rescale_columns``, so they need not be copied out of a wider table.
+        """
         domains = tuple(domains)
-        x, clamped = rescale_columns(domains, x_raw)
+        x, clamped = rescale_columns(domains, x_raw, columns)
         if clamped.any():
             j = int(clamped.any(axis=0).argmax())
             raise InputError(f"column {j} has values outside the declared range "
@@ -74,25 +78,29 @@ class Dataset:
         return Dataset(x=self.x[idx], y=self.y[idx], domains=self.domains)
 
 
-def rescale_columns(domains, raw) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-scale rows to model scale, column j by ``domains[j]``.
+def rescale_columns(domains, raw, columns=None) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-scale rows to model scale, predictor j by ``domains[j]``.
 
-    Returns (x, clamped): x C-ordered, and a mask of the continuous cells
-    clamped into [0, 1].  A column count other than one per domain, a
-    non-finite cell and an unknown discrete level are input errors; an
-    unknown level's error carries its column index (``InputError.column``).
+    Predictor j is column ``columns[j]`` of ``raw`` (default: column j).
+    Returns (x, clamped): x C-ordered, one column per domain, and a mask of
+    the continuous cells clamped into [0, 1].  A column count other than
+    one per domain, a non-finite cell and an unknown discrete level are
+    input errors; an unknown level's error carries its predictor index
+    (``InputError.column``).
     """
     raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != len(domains):
+    if columns is None:
+        columns = range(raw.shape[1] if raw.ndim == 2 else 0)
+    if raw.ndim != 2 or len(columns) != len(domains):
         raise InputError(f"expected rows of {len(domains)} predictor columns,"
                          f" got shape {raw.shape}")
-    x = np.empty(raw.shape)
-    clamped = np.zeros(raw.shape, dtype=bool)
-    for j, dom in enumerate(domains):
-        if not np.isfinite(raw[:, j]).all():
+    x = np.empty((raw.shape[0], len(domains)))
+    clamped = np.zeros(x.shape, dtype=bool)
+    for j, (dom, col) in enumerate(zip(domains, columns)):
+        if not np.isfinite(raw[:, col]).all():
             raise InputError(f"predictor column {j} has a non-finite value")
         try:
-            x[:, j], clamped[:, j] = dom.rescale(raw[:, j])
+            x[:, j], clamped[:, j] = dom.rescale(raw[:, col])
         except InputError as exc:
             exc.column = j
             raise

@@ -43,10 +43,15 @@ K(theta) = sum_delta theta_delta K_delta come from one row source
 (``_kernel_rows``), one cache-sized tile at a time: skip's two designs
 and the p estimate's one compress [T, K(theta), y], M + q + 1 columns, as
 the rows come (``DesignRows.design_at``), and so does the refit
-(``fit_model``), which holds no n x q array either.  ``predict`` sums
-K(theta) c tile by tile, and so forms the refit's fitted values at the
-training rows, on their first read.  Kernel rows formed in tiles or
-chunks equal the in-memory blocks' rows bit for bit.
+(``fit_model``), which holds no n x q array either.  T's rows come from a
+row source of their own (``_null_rows``), chunk by chunk, to every
+compression and to the rank check (``null_design``), so the fit, the
+selections and ``predict`` hold no n x M array besides; only the wide
+path's ``NullQR`` and the n-row reference ``assemble_blocks`` form T
+whole.  ``predict`` sums T d + K(theta) c tile by tile, and so forms the
+refit's fitted values at the training rows, on their first read.  Rows of
+T or of the kernel formed in tiles or chunks equal the in-memory blocks'
+rows bit for bit.
 
 The QRs, solves, SVDs and row products of the fit and the search run on
 scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
@@ -212,37 +217,49 @@ def _rotated_blocks(null: "NullQR", kernel_rows, n: int, q: int, s: int) -> tupl
     return tuple(out[:, j * q:(j + 1) * q] for j in range(s))
 
 
-def _compress_rows(t: np.ndarray, kernel_rows, y: np.ndarray, n_blocks: int, q: int):
-    """[T, K_1 ... K_B, y] reduced to p + 1 rows by one chunked QR, p = M + B q.
+def _chunked_r(n: int, width: int, fill) -> np.ndarray:
+    """Triangular factor R of an n x ``width`` matrix by one QR over row chunks.
 
-    ``kernel_rows(lo, hi)`` yields the B kernel blocks' rows lo .. hi, each
-    q wide, in order; it is asked for one tile (``_tiles``) at a time.
-    The triangular factor R is accumulated in place in one
-    (p + 1 + COMPRESS_CHUNK) x (p + 1) stack: R stays in its top p + 1
-    rows (``_r_factor``) and each QR factors it with the next chunk's rows
-    below (zero rows pad the last chunk), so the n x (p + 1) matrix is
-    never formed.  The same rows in the same chunks give the same R bit
-    for bit, wherever they come from.  After the last chunk R is copied
-    once, F-ordered, and the stack is dropped on return, so the peak is
-    the stack plus one (p + 1)^2 copy.  Returns (T', (K_1' ... K_B'), f):
-    column views of that copy, F-contiguous, as the searches' stacks and
-    products read them.
+    ``fill(out, lo, hi)`` writes the matrix's rows lo .. hi into ``out``;
+    it is asked for COMPRESS_CHUNK rows at a time, in order.  R is
+    accumulated in place in one (width + COMPRESS_CHUNK) x width stack: R
+    stays in its top ``width`` rows (``_r_factor``) and each QR factors it
+    with the next chunk's rows below (zero rows pad the last chunk), so the
+    n-row matrix is never formed.  The same rows in the same chunks give
+    the same R bit for bit, wherever they come from.  After the last chunk
+    R is copied once, F-ordered, and the stack is dropped on return, so the
+    peak is the stack plus one width^2 copy.
     """
-    n, m = t.shape
-    p = m + n_blocks * q
     chunk = min(COMPRESS_CHUNK, n)
-    stack = np.zeros((p + 1 + chunk, p + 1), order="F")
+    stack = np.zeros((width + chunk, width), order="F")
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        rows = stack[p + 1:p + 1 + hi - lo]
-        rows[:, :m] = t[lo:hi]
+        fill(stack[width:width + hi - lo], lo, hi)
+        stack[width + hi - lo:] = 0.0
+        _r_factor(stack)
+    return np.array(stack[:width], order="F")
+
+
+def _compress_rows(null_rows, kernel_rows, y: np.ndarray, m: int, n_blocks: int, q: int):
+    """[T, K_1 ... K_B, y] reduced to p + 1 rows by one chunked QR (``_chunked_r``), p = M + B q.
+
+    ``null_rows(lo, hi)`` gives T's M columns at rows lo .. hi
+    (``_null_rows``), and ``kernel_rows(lo, hi)`` yields the B kernel
+    blocks' rows lo .. hi, each q wide, in order; the kernel rows are asked
+    for one tile (``_tiles``) at a time.  n is y's length.
+    Returns (T', (K_1' ... K_B'), f): column views of R, F-contiguous, as
+    the searches' stacks and products read them.
+    """
+    p = m + n_blocks * q
+
+    def fill(rows, lo, hi):
+        rows[:, :m] = null_rows(lo, hi)
         for a, b in _tiles(lo, hi, q):
             for j, kp in enumerate(kernel_rows(a, b)):
                 rows[a - lo:b - lo, m + j * q:m + (j + 1) * q] = kp
         rows[:, p] = y[lo:hi]
-        stack[p + 1 + hi - lo:] = 0.0
-        _r_factor(stack)
-    r = np.array(stack[:p + 1], order="F")
+
+    r = _chunked_r(y.shape[0], p + 1, fill)
     return r[:, :m], tuple(r[:, m + j * q:m + (j + 1) * q] for j in range(n_blocks)), r[:, p]
 
 
@@ -365,8 +382,15 @@ class NullQR:
         return out.reshape(a.shape, order="F")
 
 
-def null_design(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> np.ndarray:
-    """Null design T after the checks that make a fit well posed."""
+def null_design(dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
+    """Null design T's row source (``_null_rows``), after the checks that make a fit well posed.
+
+    The rank check reads T's M x M triangle R_T from a chunked QR of T's
+    rows (``_chunked_r``), so T is never whole, and applies
+    ``numpy.linalg.matrix_rank``'s rule to it: R_T has T's singular values,
+    and those above max(n, M) eps times the largest count.  It forms no
+    kernel row.
+    """
     if spec.n_penalized == 0:
         raise InputError("model has no penalized terms; nothing to smooth")
     m = spec.null_dim
@@ -376,12 +400,12 @@ def null_design(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> np.
         raise InputError(f"basis size {basis.q} must exceed the null dimension {m}")
     if basis.indices[-1] >= dataset.n:
         raise InputError("basis indices exceed the dataset")
-    t = null_basis_matrix(spec, dataset.x)
-    # numpy.linalg.matrix_rank's rule, on scipy's LAPACK
-    sv = sla.svdvals(t, check_finite=False)
-    if (sv > sv.max() * max(t.shape) * np.finfo(float).eps).sum() < m:
+    rows = _null_rows(spec, dataset.x)
+    sv = sla.svdvals(_chunked_r(dataset.n, m, lambda out, lo, hi: np.copyto(out, rows(lo, hi))),
+                     check_finite=False)
+    if (sv > sv.max() * max(dataset.n, m) * np.finfo(float).eps).sum() < m:
         raise InputError("null basis is rank deficient on this sample")
-    return t
+    return rows
 
 
 def part_traces(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
@@ -400,21 +424,23 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     reference that their results are checked against.
     """
     rows = DesignRows(dataset, spec, basis)
-    return DesignBlocks(t=rows.t, k_parts=tuple(rows.kernel_rows(0, dataset.n)),
+    return DesignBlocks(t=rows.null_rows(0, dataset.n),
+                        k_parts=tuple(rows.kernel_rows(0, dataset.n)),
                         q_parts=rows.q_parts, y=dataset.y, basis=basis, n_obs=dataset.n)
 
 
 class DesignRows:
     """The rows of [T, K_1 ... K_S, y] for one dataset and basis, formed on demand.
 
-    Holds T, the basis rows and the penalty parts Q_delta, after the checks
-    of ``null_design``.  A kernel row block is formed from ``term_grams``
-    at the rows asked for, so compressing COMPRESS_CHUNK rows at a time
-    needs O(p^2 + chunk p) memory and no per-term n-row block exists.
+    Holds T's row source ``null_rows`` (``null_design``, whose checks it
+    runs), the basis rows and the penalty parts Q_delta.  Rows of T and of
+    the kernel blocks are formed at the rows asked for, so compressing
+    COMPRESS_CHUNK rows at a time needs O(p^2 + chunk p) memory and no
+    n-row block, T's included, exists.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
-        self.t = null_design(dataset, spec, basis)
+        self.null_rows = null_design(dataset, spec, basis)
         self.dataset, self.spec, self.basis = dataset, spec, basis
         self.z = dataset.x[basis.indices]
         self.q_parts = _penalty_parts(spec, self.z)
@@ -428,11 +454,13 @@ class DesignRows:
         """Design of [T, K(theta), y] at one theta, compressed to M + q + 1 rows.
 
         The QR, M + q + 1 columns rather than the p + 1 of
-        ``compressed_blocks``, reads K(theta) from its row source
-        (``_kernel_rows``) one tile at a time, so K(theta) is never whole.
+        ``compressed_blocks``, reads T and K(theta) from their row sources
+        (``_null_rows``, ``_kernel_rows``) one chunk or tile at a time, so
+        neither is ever whole.
         """
         theta = _theta_vector(theta, self.spec.n_penalized)
-        return _compressed_design(self.t, _kernel_rows(self.spec, self.dataset.x, self.z, theta),
+        return _compressed_design(self.null_rows, self.spec.null_dim,
+                                  _kernel_rows(self.spec, self.dataset.x, self.z, theta),
                                   _weighted_sum(theta, self.q_parts), self.dataset.y)
 
 
@@ -447,15 +475,16 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) 
     When p + 1 < n the rows of [T, K_1 ... K_S, y] are compressed to p + 1 rows
     chunk by chunk (``_compress_rows``), and no per-term n-row block
     exists.  Otherwise the blocks are formed over all n rows, copied into
-    one array as each forms, and rotated there by T's QR
-    (``_rotated_blocks``), so no second copy of the S blocks exists.
+    one array as each forms, and rotated there by the QR of T, formed whole
+    (``NullQR``, ``_rotated_blocks``), so no second copy of the S blocks exists.
     """
     rows = DesignRows(dataset, spec, basis)
     s, q = spec.n_penalized, basis.q
     if streams_rows(dataset, spec, basis):
-        t, k_parts, f = _compress_rows(rows.t, rows.kernel_rows, dataset.y, s, q)
+        t, k_parts, f = _compress_rows(rows.null_rows, rows.kernel_rows, dataset.y,
+                                       spec.null_dim, s, q)
     else:
-        null = NullQR(rows.t)
+        null = NullQR(rows.null_rows(0, dataset.n))
         t, f = null.triangle(), null.rotate(dataset.y)
         k_parts = _rotated_blocks(null, rows.kernel_rows, dataset.n, q, s)
     return DesignBlocks(t=t, k_parts=k_parts, q_parts=rows.q_parts, y=f, basis=basis,
@@ -465,6 +494,15 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) 
 def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
     """Symmetrized per-term kernel Grams Q_delta at the basis rows."""
     return tuple((qb + qb.T) / 2.0 for qb in term_grams(spec.penalized_terms, spec.domains, z, z))
+
+
+def _null_rows(spec: ModelSpec, x_rows: np.ndarray):
+    """The row source (lo, hi) -> T[lo:hi] of the null design at ``x_rows``.
+
+    Null-basis entries are elementwise in the rows, so in any tiling the
+    rows equal the same rows of T formed at once bit for bit.
+    """
+    return lambda lo, hi: null_basis_matrix(spec, x_rows[lo:hi])
 
 
 def _kernel_rows(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta):
@@ -540,14 +578,14 @@ class CompiledDesign:
         return (self.y - _dot(self.k, c))[self.m:]
 
 
-def _compressed_design(t: np.ndarray, k, q: np.ndarray, y: np.ndarray) -> CompiledDesign:
+def _compressed_design(t, m: int, k, q: np.ndarray, y: np.ndarray) -> CompiledDesign:
     """The design of [T, K, y] compressed to M + q + 1 rows by ``_compress_rows``.
 
-    ``k(lo, hi)`` is a row source of K's rows (``_kernel_rows``).  The
-    design scores T's n rows.
+    ``t(lo, hi)`` and ``k(lo, hi)`` are row sources of T's M columns and
+    of K (``_null_rows``, ``_kernel_rows``).  The design scores y's n rows.
     """
-    t_r, (k_r,), f = _compress_rows(t, lambda lo, hi: (k(lo, hi),), y, 1, q.shape[0])
-    return CompiledDesign(t_r, k_r, q, f, t.shape[0])
+    t_r, (k_r,), f = _compress_rows(t, lambda lo, hi: (k(lo, hi),), y, m, 1, q.shape[0])
+    return CompiledDesign(t_r, k_r, q, f, y.shape[0])
 
 
 def _ridged(q) -> np.ndarray:
@@ -566,7 +604,7 @@ def _checked_design(t, k, q, y) -> CompiledDesign:
         raise InputError("Q must be square with K's column count")
     if not np.allclose(q, q.T, atol=1e-10, rtol=0.0):
         raise InputError("Q must be symmetric")
-    return _compressed_design(t, lambda lo, hi: k[lo:hi], q, y)
+    return _compressed_design(lambda lo, hi: t[lo:hi], t.shape[1], lambda lo, hi: k[lo:hi], q, y)
 
 
 def _complement_solve(design, nlam: float) -> tuple[np.ndarray, float]:
@@ -677,12 +715,12 @@ def fit_model(dataset: Dataset, spec: ModelSpec, params: SmoothingParams,
               basis: BasisSelection) -> FitResult:
     """Fit at fixed smoothing parameters on the given basis rows.
 
-    [T, K(theta), y] is compressed chunk by chunk as K(theta)'s rows come
-    from their source (``DesignRows.design_at``), so neither a per-term
-    block nor K(theta) is ever whole: the fit holds O(S q^2 + chunk q)
-    doubles besides T.  The score is ``gcv.gcv_score``'s on the same
+    [T, K(theta), y] is compressed chunk by chunk as the rows of T and
+    K(theta) come from their sources (``DesignRows.design_at``), so neither
+    T, a per-term block nor K(theta) is ever whole: the fit holds
+    O(S q^2 + chunk q) doubles besides the data.  The score is ``gcv.gcv_score``'s on the same
     arrays.  The fitted values T d + K(theta) c take one more pass over
-    the kernel rows, made only when ``fitted`` is first read.  The stacked
+    the rows, made only when ``fitted`` is first read.  The stacked
     QR works at the square root of the normal equations' condition
     number, so any positive nlam yields a fit.
     """
@@ -751,11 +789,19 @@ def _eta(spec: ModelSpec, xs: np.ndarray, z: np.ndarray, theta, d: np.ndarray,
          c: np.ndarray) -> np.ndarray:
     """T d + K(theta) c at model-scale rows ``xs``, basis rows ``z``.
 
-    K(theta) c is summed over tiles of the row source (``_kernel_rows``),
-    so the kernel part needs memory for one tile, not for all rows.
+    T d and then K(theta) c are summed over tiles (``_tiles``) of their
+    row sources (``_null_rows``, ``_kernel_rows``), so they need memory for
+    one tile, not for all rows.  Each row of T d is its own length-M dot
+    product, so the tiles give the bits of the product over all rows.  T's
+    tiles, M columns wide, span up to COMPRESS_CHUNK rows: in the kernel's
+    tiles (152 rows at q = 215), T d on m1 took 0.29 s per 10^6 rows, and
+    0.04 s in 2048-row tiles, on a 2-CPU machine.
     """
-    eta = _dot(null_basis_matrix(spec, xs), d)
-    rows = _kernel_rows(spec, xs, z, theta)
-    for a, b in _tiles(0, xs.shape[0], c.shape[0]):
-        eta[a:b] += _dot(np.asfortranarray(rows(a, b)), c)
+    n = xs.shape[0]
+    eta = np.empty(n)
+    null_rows, kernel_rows = _null_rows(spec, xs), _kernel_rows(spec, xs, z, theta)
+    for a, b in _tiles(0, n, d.shape[0]):
+        eta[a:b] = _dot(null_rows(a, b), d)
+    for a, b in _tiles(0, n, c.shape[0]):
+        eta[a:b] += _dot(np.asfortranarray(kernel_rows(a, b)), c)
     return eta

@@ -321,13 +321,27 @@ ASP_A_SMALL = AspConfig(b_coef=15.0, b_max_coef=40.0, n_sizes=4, n_subsamples=2,
                         gcv_max_iter=5, jobs=1, seed=23)
 
 
+def test_worker_count_reads_the_cpus_this_process_may_use(monkeypatch):
+    """One CPU in the affinity set of a 2-CPU machine (``taskset -c 0``)
+    gives one worker and no pool; where the system has no affinity call,
+    the machine's count stands in."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert AspConfig().worker_count == 1
+    assert asp.available_cpus() == 1
+    with asp._fit_map(AspConfig(), 5) as fit_map:
+        assert fit_map is map
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert AspConfig().worker_count == 2
+
+
 def test_asp_asymptotic_pool_matches_serial(monkeypatch):
     """One pool fits the whole ladder, with the serial path's draws and fits.
 
     With one CPU reported, the serial path and each pool worker run one BLAS
     thread, so the fits agree bit for bit.
     """
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(asp, "available_cpus", lambda: 1)
     data, spec = sine_dataset(400, seed=17)
     serial = asp_asymptotic(data, spec, ASP_A_SMALL)
     pooled = asp_asymptotic(data, spec, replace(ASP_A_SMALL, jobs=2))
@@ -493,7 +507,7 @@ def test_estimate_p_compresses_one_design(monkeypatch):
     real = solver._compress_rows
 
     def counting(*args):
-        calls.append(args[0].shape[0])
+        calls.append(args[2].shape[0])
         return real(*args)
 
     def forbidden(*args):
@@ -552,7 +566,7 @@ def _blas_thread_counts(raise_to=None):
                            " or scipy_openblas_set_num_threads")
 def test_pool_workers_cap_blas_threads():
     workers = 2
-    cap = max(1, (os.cpu_count() or 1) // workers)
+    cap = max(1, asp.available_cpus() // workers)
     parent = _blas_thread_counts()
     with asp._fit_map(AspConfig(jobs=workers), workers) as fit_map:
         capped, = fit_map(_blas_thread_counts, [None], timeout=60)
@@ -575,7 +589,7 @@ def _fail(_):
 def test_pooled_fit_map_restores_thread_counts_when_the_block_raises(monkeypatch):
     """An exception leaving the block still shuts the pool down and gives
     the caller back the counts that the cap lowered."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers, one BLAS thread each
+    monkeypatch.setattr(asp, "available_cpus", lambda: 2)  # 2 workers, one BLAS thread each
     parent = _blas_thread_counts()
     with pytest.raises(RuntimeError, match="fit failed"):
         with asp._fit_map(AspConfig(jobs=2), 2) as fit_map:
@@ -667,7 +681,7 @@ def _thread_count(_):
 def test_forked_pool_workers_start_no_blas_threads(monkeypatch):
     """Workers inherit the caller's cap instead of restarting OpenBLAS's
     thread server, whose new threads would spin against the fits."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers, one BLAS thread each
+    monkeypatch.setattr(asp, "available_cpus", lambda: 2)  # 2 workers, one BLAS thread each
     parent = _blas_thread_counts()
     with asp._fit_map(AspConfig(jobs=2), 2) as fit_map:
         assert list(fit_map(_thread_count, [None], timeout=60)) == [1]
@@ -711,7 +725,7 @@ def test_tall_selections_do_not_depend_on_the_blas_thread_count():
     assert [proc.returncode for proc in procs] == [0, 0]
     one, default = map(json.loads, outputs)
     assert set(one["threads"]) <= {1}
-    if (os.cpu_count() or 1) > 1 and default["threads"]:
+    if asp.available_cpus() > 1 and default["threads"]:
         assert max(default["threads"]) > 1
     for key, (log_nlam, log_theta, fitted) in default["selections"].items():
         want_nlam, want_theta, want_fitted = one["selections"][key]

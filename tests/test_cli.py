@@ -54,6 +54,12 @@ def test_ingest_minmax_and_discrete_inference(tmp_path):
     assert table.dataset.x[:, 0] == pytest.approx([0.0, 0.5, 1.0, 0.25])
     assert table.dataset.x[:, 1] == pytest.approx([1.0, 2.0, 1.0, 2.0])
     assert table.dataset.y == pytest.approx([1.0, 2.0, 3.0, 4.0])
+    # no view of the parsed table outlives ingest, so the table is freed
+    assert table.dataset.x.base is None and table.dataset.y.base is None
+    path = write_csv(tmp_path / "m.csv", ["a", "y", "b"],
+                     [[0.0, 1.0, 1], [5.0, 2.0, 2], [10.0, 3.0, 1], [2.5, 4.0, 2]])
+    middle = ingest(path, "y").dataset
+    assert np.array_equal(middle.x, table.dataset.x) and np.array_equal(middle.y, table.dataset.y)
 
 
 def test_ingest_many_integer_levels_stay_continuous(tmp_path):
@@ -757,6 +763,30 @@ def test_simulate_and_bench_files_are_the_bytes_csv_writer_writes(tmp_path):
     assert all(r[i] == repr(float(r[i])) for r in rows for i in (2, 5, 6))
 
 
+def test_chunked_writers_write_the_bytes_of_one_chunk(fitted_paths, tmp_path, monkeypatch):
+    """fit --fitted-out, predict and simulate turn their rows into text
+    CSV_WRITE_LINES rows at a time; at 7 a chunk, 250 rows end in a partial
+    chunk of 5, and each file is the bytes the default chunk writes."""
+    sim, fit_path, fitted_path, _ = fitted_paths
+
+    def outputs(tag):
+        fit, fitted, pred, drawn = (tmp_path / f"{tag}-{name}" for name in
+                                    ("fit.json", "fitted.csv", "pred.csv", "sim.csv"))
+        assert main(["fit", "--data", str(sim), "--response", "y", "--model", "1",
+                     *FIT_ARGS, "--out", str(fit), "--fitted-out", str(fitted)]) == 0
+        assert main(["predict", "--fit", str(fit_path), "--data", str(sim),
+                     "--out", str(pred)]) == 0
+        assert main(["simulate", "--scenario", "m1", "--n", "250", "--snr", "5",
+                     "--seed", "3", "--with-truth", "--out", str(drawn)]) == 0
+        return [path.read_bytes() for path in (fitted, pred, drawn)]
+
+    assert cli.CSV_WRITE_LINES > 250
+    whole = outputs("whole")
+    assert whole[0] == fitted_path.read_bytes()
+    monkeypatch.setattr(cli, "CSV_WRITE_LINES", 7)
+    assert outputs("chunked") == whole
+
+
 def with_basis_entry(doc, i, j, value):
     """``doc`` with fit.basis_rows[i][j] set to ``value``."""
     rows = [list(row) for row in doc["fit"]["basis_rows"]]
@@ -860,7 +890,7 @@ def test_jobs_environment_fallback(monkeypatch):
         with pytest.raises(InputError, match="jobs must be at least 1"):
             _config_from_args(args)
     monkeypatch.delenv("SPANOVA_JOBS")
-    monkeypatch.setattr("os.cpu_count", lambda: 6)
+    monkeypatch.setattr("spanova.asp.available_cpus", lambda: 6)
     assert _config_from_args(args).worker_count == 6
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from spanova import solver
+from spanova import kernels, solver
 from spanova.data import Dataset, unit_domains
-from spanova.kernels import PredictorDomain, full_two_way_model, main_effects_model
+from spanova.kernels import (PredictorDomain, full_two_way_model, main_effects_model,
+                             null_basis_matrix)
 from spanova.gcv import _trial, gcv_score, minimize_lambda
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
@@ -311,6 +312,57 @@ def test_assemble_validations():
                   select_basis(30, 15, seed=0))
 
 
+def _rank_case_rows(case):
+    """Two predictors of a full two-way model (M = 4) whose null design T
+    is rank deficient, or full rank but badly scaled."""
+    rng = np.random.default_rng(8)
+    u, v = rng.uniform(size=(2, 2000))
+    rare = np.zeros(2000)
+    rare[rng.choice(2000, 10, replace=False)] = 1.0
+    return {
+        "constant": np.column_stack([u, np.full(2000, 0.5)]),
+        "rare-level": np.column_stack([u, rare]),
+        # a subsample that misses the rare level holds a constant column
+        "rare-level-missing": np.column_stack([u, rare])[rare == 0.0],
+        "narrow-1e-7": np.column_stack([u, 0.5 + 1e-7 * v]),
+        # 1.8 times the threshold, and 0.018 times it
+        "narrow-1e-11": np.column_stack([u, 0.5 + 1e-11 * v]),
+        "narrow-1e-13": np.column_stack([u, 0.5 + 1e-13 * v]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["constant", "rare-level", "rare-level-missing",
+                                  "narrow-1e-7", "narrow-1e-11", "narrow-1e-13"])
+def test_null_design_rank_check_agrees_with_matrix_rank(case, monkeypatch):
+    """The rank check on T's triangle from a chunked QR raises exactly when
+    numpy.linalg.matrix_rank(T) < M, with one message, and the fit raises
+    before it forms any kernel row."""
+    x = _rank_case_rows(case)
+    spec = full_two_way_model(unit_domains(2))
+    ds = Dataset(x=x, y=np.random.default_rng(1).standard_normal(x.shape[0]),
+                 domains=spec.domains)
+    basis = select_basis(ds.n, 30, seed=0)
+    deficient = np.linalg.matrix_rank(null_basis_matrix(spec, x)) < spec.null_dim
+    assert deficient == (case not in ("rare-level", "narrow-1e-7", "narrow-1e-11"))
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("a kernel row was formed")
+
+    for module in (kernels, solver):
+        monkeypatch.setattr(module, "term_grams", spy)
+    if not deficient:
+        solver.null_design(ds, spec, basis)
+        return
+    message = r"^null basis is rank deficient on this sample$"
+    with pytest.raises(InputError, match=message):
+        solver.null_design(ds, spec, basis)
+    with pytest.raises(InputError, match=message):
+        fit_model(ds, spec, SmoothingParams.from_values(1e-2, np.ones(spec.n_penalized)), basis)
+    assert calls == []
+
+
 def test_combine_weights_blocks():
     ds, spec, basis = make_problem(2, 30, d=2, q=16)
     blocks = assemble_blocks(ds, spec, basis)
@@ -450,7 +502,7 @@ def discrete_problem(n=300, seed=6):
 def test_assemble_equals_blocks_combine(name, n):
     """K(theta) read from its row source tile by tile, and in
     COMPRESS_CHUNK-row chunks, equals blocks.combine bit for bit (m1 spans
-    two chunks), as do the fit's T and Q(theta)."""
+    two chunks), as do T's rows from the fit's row source and Q(theta)."""
     if name == "discrete":
         ds, spec = discrete_problem(n)
     else:
@@ -464,10 +516,11 @@ def test_assemble_equals_blocks_combine(name, n):
     chunks = [(lo, min(lo + solver.COMPRESS_CHUNK, ds.n))
               for lo in range(0, ds.n, solver.COMPRESS_CHUNK)]
     assert len(chunks) == (2 if name == "m1" else 1)
-    for spans in (tiles, chunks):
-        assert np.array_equal(np.vstack([rows(a, b) for a, b in spans]), k_ref)
     design = solver.DesignRows(ds, spec, basis)
-    assert np.array_equal(design.t, blocks.t)
+    for spans in (tiles, chunks, [(0, ds.n)]):
+        assert np.array_equal(np.vstack([rows(a, b) for a, b in spans]), k_ref)
+        assert np.array_equal(np.vstack([design.null_rows(a, b) for a, b in spans]),
+                              null_basis_matrix(spec, ds.x))
     assert np.array_equal(solver._weighted_sum(theta, design.q_parts), q_ref)
 
 
@@ -528,9 +581,8 @@ def test_refit_memory_stays_near_one_kernel_design():
     """The per-term n-row blocks took 8 n q doubles, K(theta) plus the
     stacked solve's copy of it about 2, and one n x q K(theta) compressed
     chunk by chunk about 1.04 (at 2e5 rows); streamed from its rows, with
-    the fitted values deferred, the fit holds no n x q array.  Its O(n M)
-    null design and O(q^2 + chunk q) buffers stay under 0.1 n q at 2e5
-    rows (0.35 at 2e4)."""
+    the fitted values deferred, the fit holds no n x q array.  Its
+    O(q^2 + chunk q) buffers stay under 0.1 n q at 2e5 rows (0.35 at 2e4)."""
     n = 200000
     sim = gen_data("m1", n, 5.0, seed=0)
     basis = select_basis(n, basis_count(n), seed=0)
@@ -542,6 +594,35 @@ def test_refit_memory_stays_near_one_kernel_design():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * n * basis.q * 8
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_and_predict_peaks_grow_by_less_than_one_null_design_row():
+    """From n to 4n rows of m1 on one basis, the traced peaks of fit_model
+    with its fitted values, and of predict, grow by less than 8 M bytes a
+    row, so neither holds an n x M array beside x, y and its output.
+    Forming T whole, with the rank check's SVD copy of it, the fit grew by
+    39 bytes a row and predict by 86 (M = 4); streaming T's rows, 0.5 and
+    27 (predict's model-scale x, clamp mask, flags and values)."""
+    spec = SCENARIOS["m1"].spec
+    params = SmoothingParams.from_values(1e-4, np.ones(spec.n_penalized))
+    peaks = []
+    for n in (25000, 100000):
+        ds = gen_data("m1", n, 5.0, seed=0).dataset
+        basis = select_basis(n, 60, seed=0)
+        fit_peak = _traced_peak(lambda: fit_model(ds, spec, params, basis).fitted)
+        fit = fit_model(ds, spec, params, basis)
+        peaks.append((fit_peak, _traced_peak(lambda: predict(fit, spec, ds.x))))
+    growth = (np.subtract(peaks[1], peaks[0]) / 75000).tolist()
+    assert max(growth) < 8 * spec.null_dim, growth
 
 
 def test_refits_and_predict_form_no_per_term_n_row_block(monkeypatch, tmp_path):
@@ -687,6 +768,9 @@ def test_from_raw_and_predict_scale_rows_by_one_rule():
     ds = Dataset.from_raw(raw, y, domains)
     np.testing.assert_array_equal(ds.x, [[0.0, 1.0], [0.5, 2.0], [1.0, 1.0]])
     assert ds.x.flags.c_contiguous
+    # ``columns`` reads the predictors out of a wider table, in its order
+    wide = np.column_stack([raw[:, 1], y, raw[:, 0]])
+    np.testing.assert_array_equal(Dataset.from_raw(wide, y, domains, [2, 0]).x, ds.x)
     for cols in (np.column_stack([raw, raw[:, :1]]), raw[:, :1]):
         match = rf"2 predictor columns, got shape \(3, {cols.shape[1]}\)"
         with pytest.raises(InputError, match=match):

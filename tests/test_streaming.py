@@ -48,7 +48,8 @@ def in_memory_compression(ds, spec, basis):
     s, q = blocks.n_penalized, blocks.q
     if solver.streams_rows(ds, spec, basis):
         t, k_parts, f = solver._compress_rows(
-            blocks.t, lambda lo, hi: (kp[lo:hi] for kp in blocks.k_parts), ds.y, s, q)
+            lambda lo, hi: blocks.t[lo:hi], lambda lo, hi: (kp[lo:hi] for kp in blocks.k_parts),
+            ds.y, blocks.n_null, s, q)
         return dataclasses.replace(blocks, t=t, k_parts=k_parts, y=f)
     null = solver.NullQR(blocks.t)
     rotated = null.rotate(np.hstack(blocks.k_parts))
