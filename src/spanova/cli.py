@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import itertools
@@ -18,6 +19,7 @@ import os
 import sys
 import time
 import warnings
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,40 +57,9 @@ def _column_from_json(doc: dict) -> PredictorDomain:
     return PredictorDomain.discrete(tuple(float(v) for v in doc["levels"]))
 
 
-def _read_csv_table(path: str) -> tuple[list[str], list[list[str]]]:
-    try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise InputError(f"cannot open {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise InputError(f"{path} is empty")
-    return rows[0], rows[1:]
-
-
-def _header_width_lines(lines, width: int):
-    """``lines``, raising ValueError at a quote or at a non-blank line whose
-    comma count is not ``width - 1``, the header's."""
-    for line in lines:
-        if '"' in line or (line.count(",") != width - 1 and line.rstrip("\r\n")):
-            raise ValueError("row width differs from the header's, or a cell is quoted")
-        yield line
-
-
-def _read_numeric_csv(path: str, columns=None) -> tuple[list[str], np.ndarray | None]:
-    """The header of a CSV, and the cells of ``columns`` (default: all) as
-    floats in one array, or None.
-
-    One ``np.loadtxt`` pass reads the rows with no Python object per cell;
-    it accepts a subset of the cells ``float`` accepts, with the same
-    values, and fails on quoted cells.  The cells are None when it fails or
-    a row's width is not the header's; ``_numeric_cells`` then names the
-    bad row or cell.  With ``columns`` only those are read (``usecols``),
-    and since loadtxt then lets rows wider than the header through, a line
-    whose comma count is not the header's, or any quote, fails the pass.
-    """
+@contextlib.contextmanager
+def _open_csv(path: str):
+    """A CSV file open past its header, and the header: its first non-empty row."""
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -97,20 +68,37 @@ def _read_numeric_csv(path: str, columns=None) -> tuple[list[str], np.ndarray | 
         header = next(filter(None, csv.reader(handle)), None)
         if header is None:
             raise InputError(f"{path} is empty")
-        usecols = None if columns is None else _column_index(header, columns)
-        width = len(header) if usecols is None else len(usecols)
+        yield handle, header
+
+
+def _read_numeric_csv(path: str, columns=None) -> tuple[list[str], np.ndarray | None]:
+    """The header of a CSV, and the cells of ``columns`` (default: all) as
+    floats in one array, or None.
+
+    One ``np.loadtxt`` pass reads every column with no Python object per
+    cell.  It parses quoted cells, commas and newlines as ``csv.reader``
+    does, skips the cells of unread columns, and fails on a row whose width
+    differs from the first row's.  It accepts a subset of the cells
+    ``float`` accepts, with the same values.  The cells are None when it
+    fails or the rows' width is not the header's; ``_numeric_cells`` then
+    names the bad row or cell.
+    """
+    with _open_csv(path) as (handle, header):
+        every = list(range(len(header)))
+        idx = every if columns is None else _column_index(header, columns)
         # loadtxt warns on input with no rows
         first = next((line for line in handle if line.rstrip("\r\n")), None)
         if first is None:
-            return header, np.empty((0, width))
-        lines = itertools.chain([first], handle)
-        if usecols is not None:
-            lines = _header_width_lines(lines, len(header))
-        try:
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=usecols)
+            return header, np.empty((0, len(idx)))
+        try:  # an unread cell's converter ignores it, str or bytes (numpy < 2)
+            table = np.loadtxt(itertools.chain([first], handle), delimiter=",", comments=None,
+                               quotechar='"', ndmin=2,
+                               converters={j: lambda _: 0.0 for j in every if j not in idx})
         except ValueError:
             return header, None
-    return header, table if table.shape[1] == width else None
+    if table.shape[1] != len(header):
+        return header, None
+    return header, table if idx == every else table[:, idx]
 
 
 def _column_index(header, columns=None) -> list[int]:
@@ -130,42 +118,44 @@ def _numeric_cells(path: str, header, table, columns=None) -> np.ndarray:
     """The cells of ``columns`` (default: all) of a CSV read by
     ``_read_numeric_csv(path, columns)``.
 
-    A table that the one-pass read left as None is parsed again by
-    ``_parse_numeric_table``, which names its bad row or cell.
+    A table that the one-pass read left as None is parsed again from
+    ``csv.reader`` by ``_parse_numeric_table``, which names its bad row or cell.
     """
     if table is None:
-        return _parse_numeric_table(*_read_csv_table(path), columns)
+        with _open_csv(path) as (handle, header):
+            return _parse_numeric_table(header, filter(None, csv.reader(handle)), columns)
     _column_index(header, columns)
     return table
 
 
-def _parse_numeric_table(header, raw_rows, columns=None):
+def _parse_numeric_table(header, rows, columns=None):
     """The cells of ``columns`` (default: all) to float, in that order.
 
+    ``rows`` is converted as it is iterated, into one buffer of floats.
     Rows narrower or wider than the header, and missing or non-numeric
     cells in those columns, are reported by position; other columns are
     not read.  A column read must be named once in the header.
     """
     idx = _column_index(header, columns)
-    missing, bad = [], []
-    table = np.empty((len(raw_rows), len(idx)))
-    for i, row in enumerate(raw_rows):
+    cells = array("d")
+    missing, bad = [], None
+    for i, row in enumerate(rows, start=1):
         if len(row) != len(header) or any(row[j].strip() == "" for j in idx):
-            missing.append(i + 1)
+            if len(missing) <= 10:
+                missing.append(i)
             continue
-        for col, j in enumerate(idx):
+        for j in idx:
             try:
-                table[i, col] = float(row[j])
+                cells.append(float(row[j]))
             except ValueError:
-                bad.append((i + 1, header[j]))
+                bad = bad or (i, header[j])
     if missing:
         shown = ", ".join(str(r) for r in missing[:10])
         raise InputError(f"rows with missing cells: {shown}"
                          + (" ..." if len(missing) > 10 else ""))
     if bad:
-        row, col = bad[0]
-        raise InputError(f"non-numeric cell at row {row}, column {col!r}")
-    return table
+        raise InputError(f"non-numeric cell at row {bad[0]}, column {bad[1]!r}")
+    return np.frombuffer(cells).reshape(-1, len(idx))
 
 
 def _check_finite(names, table) -> None:

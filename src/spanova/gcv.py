@@ -57,6 +57,9 @@ LAMBDA_TOL = 1e-4
 COARSE_STEP = 0.25
 # full_gcv stops when an iteration improves the score by less than this, relatively
 SCORE_TOL = 1e-5
+# The spread (max - min) a searched response may have: scores square y and skip's
+# theta_0 scales with y^2 (on m1, y * 1e155 and y * 1e-160 overflowed them)
+RESPONSE_SPREAD = (1e-120, 1e120)
 GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -225,9 +228,13 @@ def minimize_lambda(t, k, q, y, theta=1.0) -> GcvResult:
 
 
 def _check_response(dataset: Dataset) -> None:
-    """Raise unless y varies: a constant response leaves GCV nothing to fit."""
-    if dataset.y.size and (dataset.y == dataset.y[0]).all():
+    """Raise unless y varies, by a spread inside RESPONSE_SPREAD."""
+    spread = float(dataset.y.max()) - float(dataset.y.min()) if dataset.y.size else 1.0
+    if spread == 0.0:
         raise InputError("response is constant; no smoothing parameter can be selected")
+    if not RESPONSE_SPREAD[0] <= spread <= RESPONSE_SPREAD[1]:
+        raise InputError(f"response spread (max - min) is {spread:.3g}, outside"
+                         f" [{RESPONSE_SPREAD[0]:g}, {RESPONSE_SPREAD[1]:g}]; rescale y")
 
 
 def _pinned_scale(theta: np.ndarray) -> tuple[np.ndarray, float]:

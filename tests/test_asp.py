@@ -500,6 +500,42 @@ def test_selectors_reject_constant_response(selector, monkeypatch):
         selector(data, SCENARIOS["m1"].spec, AspConfig(jobs=1))
 
 
+@pytest.mark.parametrize("selector", [gcv_select, skip_selection, asp_uniform,
+                                      asp_asymptotic])
+def test_selectors_reject_a_response_scale_outside_the_range(selector, monkeypatch):
+    """On m1, y * 1e155 and y * 1e-160 raised OverflowError, y * 1e-155 moved
+    gcv's log10 nlam - mean log10 theta from -3.55 to -3.62, and y * 1e-170
+    returned theta-degenerate; each is an input error, raised before any
+    kernel block is formed."""
+    data = gen_data("m1", 300, snr=5.0, seed=1).dataset
+
+    def no_blocks(*args):
+        raise AssertionError("kernel blocks formed for a response out of range")
+
+    monkeypatch.setattr(solver, "term_grams", no_blocks)
+    for scale in (1e155, 1e-155, 1e-160, 1e-170):
+        scaled = Dataset(x=data.x, y=data.y * scale, domains=data.domains)
+        with pytest.raises(InputError, match=r"response spread \(max - min\) is .*; rescale y"):
+            selector(scaled, SCENARIOS["m1"].spec, AspConfig(jobs=1))
+
+
+def test_selections_do_not_move_with_the_response_scale_inside_the_range():
+    """Scaling y by 1e100 or 1e-100 leaves every method's identified
+    parameter, log10 nlam - mean log10 theta, where y * 1 puts it."""
+    data = gen_data("m1", 300, snr=5.0, seed=1).dataset
+    config = AspConfig(jobs=1, gcv_max_iter=3)
+
+    def identified(selector, scale):
+        params = selector(Dataset(x=data.x, y=data.y * scale, domains=data.domains),
+                          SCENARIOS["m1"].spec, config).params
+        return params.log10_nlam - np.mean(params.log10_theta)
+
+    for selector in (gcv_select, skip_selection, asp_uniform, asp_asymptotic):
+        base = identified(selector, 1.0)
+        for scale in (1e100, 1e-100):
+            assert identified(selector, scale) == pytest.approx(base, abs=1e-6), (selector, scale)
+
+
 def test_estimate_p_compresses_one_design(monkeypatch):
     """Both candidate p are scored on one design of the 2b rows: one chunked
     QR, and no part trace."""

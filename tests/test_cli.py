@@ -5,11 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spanova import cli, simulate
 from spanova.asp import AspConfig
@@ -130,19 +134,29 @@ def test_numeric_table_fast_path_reads_cells_as_float_does():
 def parse_outcome(path, columns=None):
     """Where the parse of a CSV file lands, and its result: ("fast", table)
     from the one-pass read, ("fallback", table) from the csv.reader path,
-    or ("error", message)."""
-    header, table = cli._read_numeric_csv(str(path), columns)
-    place = "fast" if table is not None else "fallback"
-    try:
-        return place, cli._numeric_cells(str(path), header, table, columns)
-    except InputError as exc:
-        return "error", str(exc)
+    or ("error", message).  A spy on ``_parse_numeric_table`` tells the
+    two paths apart."""
+    with mock.patch.object(cli, "_parse_numeric_table", wraps=_parse_numeric_table) as spy:
+        try:
+            header, table = cli._read_numeric_csv(str(path), columns)
+            table = cli._numeric_cells(str(path), header, table, columns)
+        except InputError as exc:
+            return "error", str(exc)
+    return "fallback" if spy.called else "fast", table
+
+
+def csv_header(path):
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        return next(filter(None, csv.reader(handle)))
 
 
 def csv_reader_outcome(path, columns=None):
-    """The result of the csv.reader path alone: the table or the error message."""
+    """The result of the csv.reader parse alone, of every row held in a
+    list: the table or the error message."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        header, *rows = filter(None, csv.reader(handle))
     try:
-        return _parse_numeric_table(*cli._read_csv_table(str(path)), columns)
+        return _parse_numeric_table(header, rows, columns)
     except InputError as exc:
         return str(exc)
 
@@ -154,7 +168,7 @@ CELL_FILES = {
     "cell '1_0'": ("a,y\n1_0,0.5\n", "fallback"),
     **{f"bad cell {cell!r}": (f"a,y\n1,2\n3,4\n{cell},5\n", "error")
        for cell in ["1__0", "_1", "0x10", "1e", '"1,5"', "#1", "# note"]},
-    "quoted numeric cell": ('a,y\n1,2\n"3.5",4\n', "fallback"),
+    "quoted numeric cell": ('a,y\n1,2\n"3.5",4\n', "fast"),
     "blank lines": ("\na,y\n\n1,2\r\n\r\n3,4\n\n", "fast"),
     "whitespace-only line": ("a,y\n1,2\n   \n3,4\n", "error"),
     "whitespace-only line, one column": ("a\n1\n \t\n3\n", "error"),
@@ -169,12 +183,13 @@ CELL_FILES = {
 }
 
 # Where a read of the last column alone lands when the full read does not:
-# the one pass reads only that column, so an unread bad cell or a repeated
-# unread name no longer sends the file to the fallback or to an error.
+# the one pass converts only that column, so an unread bad cell or a
+# repeated unread name no longer sends the file to the fallback or to an
+# error.
 LAST_COLUMN_MOVED = {
     "cell '1_0'": "fast",
-    **{f"bad cell {cell!r}": "fast" for cell in ["1__0", "_1", "0x10", "1e", "#1", "# note"]},
-    "bad cell '\"1,5\"'": "fallback",
+    **{f"bad cell {cell!r}": "fast" for cell in ["1__0", "_1", "0x10", "1e", '"1,5"', "#1",
+                                                  "# note"]},
     "repeated header name": "fast",
 }
 
@@ -188,7 +203,7 @@ def test_csv_file_cells_land_where_the_csv_reader_path_puts_them(tmp_path, case)
     text, place = CELL_FILES[case]
     path = tmp_path / "t.csv"
     path.write_text(text, encoding="utf-8", newline="")
-    last = cli._read_csv_table(str(path))[0][-1:]
+    last = csv_header(path)[-1:]
     for columns, want_place in ((None, place), (last, LAST_COLUMN_MOVED.get(case, place))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -198,28 +213,113 @@ def test_csv_file_cells_land_where_the_csv_reader_path_puts_them(tmp_path, case)
         if want_place == "error":
             assert got == want
         else:
-            header = cli._read_numeric_csv(str(path), columns)[0]
-            assert header == cli._read_csv_table(str(path))[0]
+            assert cli._read_numeric_csv(str(path), columns)[0] == csv_header(path)
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+# Files read by some columns, with the table the one-pass read gives.
+COLUMN_FILES = {
+    "unread text column": ("id,x\na,1\nb,2\n", ("x",), [[1.0], [2.0]]),
+    "repeated unread name": ("id,x,id\n7,1,8\n9,2,9\n", ("x",), [[1.0], [2.0]]),
+    "quoted unread cell": ('id,x\n"a",1\nb,2\n', ("x",), [[1.0], [2.0]]),
+    "quoted comma in an unread cell": ('id,x\n"a,b",1\n"c,,d",2\n', ("x",), [[1.0], [2.0]]),
+    "quoted newline in an unread cell": ('id,x\n"a\nb",1\n"c\r\n\nd",2\n', ("x",),
+                                         [[1.0], [2.0]]),
+    "quoted header": ('"id","x"\na,1\nb,2\n', ("x",), [[1.0], [2.0]]),
+    "extra unread numeric column": ("x,z\n1,5\n2,6\n", ("x",), [[1.0], [2.0]]),
+    "columns in another order": ("b,x,a\n7,1,3\n8,2,4\n", ("a", "x"), [[3.0, 1.0], [4.0, 2.0]]),
+}
+
+
 def test_csv_columns_read_through_files(tmp_path):
-    """Reading some columns: an unread text column stays in the one-pass
-    read, a repeated unread name is no error on either path, and a row
-    whose width differs from the header's, or a quoted cell, sends the
-    file to the fallback."""
-    for text, place in (("id,x\na,1\nb,2\n", "fast"), ("id,x,id\n7,1,8\n9,2,9\n", "fast"),
-                        ('id,x\n"a",1\nb,2\n', "fallback"), ("id,x\na,1\nb,2,3\n", "error")):
-        path = tmp_path / "t.csv"
+    """Reading some columns: an unread column, quoted, holding commas or
+    newlines, or numeric, and a quoted header stay in the one-pass read, as
+    does a repeated unread name, and the columns come in the order asked
+    for.  A row whose width differs from the header's, in an unread text
+    column too, is reported by the csv.reader path."""
+    path = tmp_path / "t.csv"
+    for case, (text, columns, want) in COLUMN_FILES.items():
+        path.write_text(text, newline="")
+        place, got = parse_outcome(path, columns)
+        assert place == "fast", case
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(csv_reader_outcome(path, columns), want)
+    for text in ("id,x\na,1\nb,2,3\n", 'id,x\na,1\n"b,2\n', "id,x\na,1\nb\n"):
         path.write_text(text)
-        got_place, got = parse_outcome(path, ("x",))
-        assert got_place == place
-        if place == "error":
-            assert got == csv_reader_outcome(path, ("x",)) == "rows with missing cells: 2"
-            continue
-        np.testing.assert_array_equal(got, csv_reader_outcome(path, ("x",)))
-        np.testing.assert_array_equal(got, [[1.0], [2.0]])
+        assert (parse_outcome(path, ("x",))
+                == ("error", csv_reader_outcome(path, ("x",)))
+                == ("error", "rows with missing cells: 2")), text
+
+
+# Cells that the two readers could split, unquote or convert differently.
+FUZZ_CELLS = ["1", "-0", "2.5", " 3 ", "1_0", "a", "", " ", "nan", "1e", '"4"', '"-0"', '" 5 "',
+              '"6"7', '"a,b"', '"x\ny"', '"x\r\ny"', '"q""r"', 'a"b', '""', '"1""2"', '"7" ',
+              ' "8"', '"9"x', '"c']
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True),
+       quoted=st.booleans(), rows=st.lists(st.lists(st.sampled_from(FUZZ_CELLS), min_size=1,
+                                                    max_size=4), max_size=4),
+       end=st.sampled_from(["\n", "\r\n", "\r"]), last_end=st.booleans())
+def test_any_file_reads_as_the_csv_reader_path_reads_it(tmp_path_factory, names, quoted, rows,
+                                                         end, last_end):
+    """Whole, by its last column, and by its columns reversed, a file of
+    mixed quoted, text, bad, blank and ragged cells gives the floats (sign
+    of zero included) or the message that the csv.reader path alone gives,
+    whichever path reads it."""
+    header = ",".join(f'"{n}"' if quoted else n for n in names)
+    text = end.join([header, *(",".join(row) for row in rows)]) + (end if last_end else "")
+    path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    for columns in (None, names[-1:], names[::-1]):
+        got, want = parse_outcome(path, columns)[1], csv_reader_outcome(path, columns)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def read_peak_bytes(path, columns):
+    """The tracemalloc peak of one read of ``columns`` of a CSV file."""
+    tracemalloc.start()
+    try:
+        header, table = cli._read_numeric_csv(str(path), columns)
+        cli._numeric_cells(str(path), header, table, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["quoted numeric cells", "quoted text id read by column",
+                                  "1_0 cell"])
+def test_csv_reads_grow_by_a_few_floats_per_row(tmp_path, kind):
+    """Peak memory grows per row by at most 3 x 8 x width bytes, width the
+    file's column count.  The table holds 8 x width bytes per row, a read by
+    column copies at most that much again, and the growing buffers
+    over-allocate by a fraction (array('d') by 1/16, loadtxt's table by
+    chunks): 1.7x at most was measured.  A Python str per cell costs at
+    least 49 bytes, more than 6 floats, and the reads that held one per
+    cell grew by 13 x 8 x width bytes per row."""
+    rng = np.random.default_rng(8)
+    peaks = []
+    for n in (2000, 8000):
+        rows = rng.uniform(size=(n, 3)).tolist()
+        if kind == "quoted numeric cells":
+            text, columns = '"x1","x2","y"\n' + "".join(
+                f'"{a!r}","{b!r}","{c!r}"\n' for a, b, c in rows), None
+        elif kind == "quoted text id read by column":
+            text, columns = "id,x1,x2\n" + "".join(
+                f'"row {i}",{a!r},{b!r}\n' for i, (a, b, _) in enumerate(rows)), ("x1", "x2")
+        else:
+            text, columns = "x1,x2,y\n1_0,2,3\n" + "".join(
+                f"{a!r},{b!r},{c!r}\n" for a, b, c in rows[1:]), None
+        path = tmp_path / f"{n}.csv"
+        path.write_text(text)
+        peaks.append(read_peak_bytes(path, columns))
+    assert (peaks[1] - peaks[0]) / 6000 <= 3 * 8 * 3, peaks
 
 
 def test_ingest_header_only_file_warns_nothing(tmp_path):
@@ -558,6 +658,23 @@ def test_fit_exit_code_on_constant_response(tmp_path, capsys):
                  *FIT_ARGS, "--out", str(tmp_path / "f.json")])
     assert code == 2
     assert "response is constant" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("method", ["gcv", "skip", "asp-u", "asp-a"])
+def test_fit_exits_2_on_a_response_scale_outside_the_range(tmp_path, capsys, method):
+    """On 400 rows with y near 1e155, each method exited 1 with an
+    OverflowError traceback from the nlam profile; y * 1e-160 overflowed
+    too, and y * 1e-155 and y * 1e-170 moved or degraded the selection."""
+    rng = np.random.default_rng(9)
+    x = rng.uniform(size=400)
+    y = np.sin(2 * np.pi * x) + 0.3 * rng.standard_normal(400)
+    for scale in (1e155, 1e-155, 1e-160, 1e-170):
+        path = write_csv(tmp_path / "d.csv", ["x", "y"], zip(x.tolist(), (scale * y).tolist()))
+        code = main(["fit", "--data", path, "--response", "y", "--model", "1", "--method", method,
+                     "--jobs", "1", "--out", str(tmp_path / "f.json")])
+        assert code == 2, scale
+        assert "; rescale y" in capsys.readouterr().err
     assert not (tmp_path / "f.json").exists()
 
 
