@@ -59,46 +59,66 @@ def _column_from_json(doc: dict) -> PredictorDomain:
 
 @contextlib.contextmanager
 def _open_csv(path: str):
-    """A CSV file open past its header, and the header: its first non-empty row."""
+    """A CSV file open past its header, the header (its first non-empty
+    row), and the non-empty rows after it as ``csv.reader`` splits them."""
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
     with handle:
-        header = next(filter(None, csv.reader(handle)), None)
+        rows = _csv_rows(path, handle)
+        header = next(rows, None)
         if header is None:
             raise InputError(f"{path} is empty")
-        yield handle, header
+        yield handle, header, rows
 
 
-def _read_numeric_csv(path: str, columns=None) -> tuple[list[str], np.ndarray | None]:
+def _csv_rows(path: str, handle):
+    """The non-empty rows of ``csv.reader``, the header first and the data
+    rows numbered from 1 as the cell errors number them.  A row it cannot
+    split (a cell over its field size limit) is an input error naming the
+    file and the row."""
+    done = 0
+    try:
+        for done, row in enumerate(filter(None, csv.reader(handle)), start=1):
+            yield row
+    except csv.Error as exc:
+        where = f"row {done}" if done else "the header"
+        raise InputError(f"cannot read {where} of {path}: {exc}") from None
+
+
+def _read_numeric_csv(path: str, columns=None, check_header=None) -> tuple[list[str], np.ndarray]:
     """The header of a CSV, and the cells of ``columns`` (default: all) as
-    floats in one array, or None.
+    floats in one array.
 
-    One ``np.loadtxt`` pass reads every column with no Python object per
-    cell.  It parses quoted cells, commas and newlines as ``csv.reader``
-    does, skips the cells of unread columns, and fails on a row whose width
+    ``check_header(header, has_rows)``, if given, raises on a header the
+    caller rejects before any column name or cell is checked.  One
+    ``np.loadtxt`` pass reads every column with no Python object per cell.
+    It parses quoted cells, commas and newlines as ``csv.reader`` does,
+    skips the cells of unread columns, and fails on a row whose width
     differs from the first row's.  It accepts a subset of the cells
-    ``float`` accepts, with the same values.  The cells are None when it
-    fails or the rows' width is not the header's; ``_numeric_cells`` then
-    names the bad row or cell.
+    ``float`` accepts, with the same values.  When it fails or the rows'
+    width is not the header's, ``_parse_numeric_table`` reads the file
+    again from ``csv.reader`` and names the bad row or cell.
     """
-    with _open_csv(path) as (handle, header):
-        every = list(range(len(header)))
-        idx = every if columns is None else _column_index(header, columns)
-        # loadtxt warns on input with no rows
+    with _open_csv(path) as (handle, header, _):
         first = next((line for line in handle if line.rstrip("\r\n")), None)
-        if first is None:
+        if check_header:
+            check_header(header, first is not None)
+        idx = _column_index(header, columns)
+        if first is None:  # loadtxt warns on input with no rows
             return header, np.empty((0, len(idx)))
-        try:  # an unread cell's converter ignores it, str or bytes (numpy < 2)
+        every = list(range(len(header)))
+        with contextlib.suppress(ValueError):
+            # an unread cell's converter ignores it, str or bytes (numpy < 2)
             table = np.loadtxt(itertools.chain([first], handle), delimiter=",", comments=None,
                                quotechar='"', ndmin=2,
                                converters={j: lambda _: 0.0 for j in every if j not in idx})
-        except ValueError:
-            return header, None
-    if table.shape[1] != len(header):
-        return header, None
-    return header, table if idx == every else table[:, idx]
+            if table.shape[1] == len(header):
+                return header, table if idx == every else table[:, idx]
+            del table  # freed before the csv.reader parse
+    with _open_csv(path) as (_, header, rows):
+        return header, _parse_numeric_table(header, rows, columns)
 
 
 def _column_index(header, columns=None) -> list[int]:
@@ -112,20 +132,6 @@ def _column_index(header, columns=None) -> list[int]:
     if twice:
         raise InputError(f"columns named more than once in the header: {twice}")
     return list(range(len(header))) if columns is None else [header.index(n) for n in columns]
-
-
-def _numeric_cells(path: str, header, table, columns=None) -> np.ndarray:
-    """The cells of ``columns`` (default: all) of a CSV read by
-    ``_read_numeric_csv(path, columns)``.
-
-    A table that the one-pass read left as None is parsed again from
-    ``csv.reader`` by ``_parse_numeric_table``, which names its bad row or cell.
-    """
-    if table is None:
-        with _open_csv(path) as (handle, header):
-            return _parse_numeric_table(header, filter(None, csv.reader(handle)), columns)
-    _column_index(header, columns)
-    return table
 
 
 def _parse_numeric_table(header, rows, columns=None):
@@ -225,15 +231,14 @@ def _chunked_rows(*columns):
 
 
 def _infer_domain(name: str, values: np.ndarray, override: str | None) -> PredictorDomain:
-    distinct = np.unique(values)
-    if distinct.size < 2:
+    lo, hi = values.min(), values.max()
+    if lo == hi:
         raise InputError(f"column {name!r} is constant; cannot scale")
-    if override == "discrete" or (
-            override is None
-            and distinct.size <= DISCRETE_INFERENCE_MAX_LEVELS
-            and np.all(values == np.round(values))):
-        return PredictorDomain.discrete(tuple(distinct.tolist()))
-    return PredictorDomain.continuous(values.min(), values.max())
+    if override == "discrete" or (override is None and np.all(values == np.round(values))):
+        levels = np.unique(values)
+        if override == "discrete" or levels.size <= DISCRETE_INFERENCE_MAX_LEVELS:
+            return PredictorDomain.discrete(tuple(levels.tolist()))
+    return PredictorDomain.continuous(lo, hi)
 
 
 def ingest(csv_path: str, response_column: str,
@@ -246,25 +251,25 @@ def ingest(csv_path: str, response_column: str,
     y is copied and the predictors rescaled straight out of the parsed
     table, so the table is freed on return.
     """
-    header, table = _read_numeric_csv(csv_path)
-    if response_column not in header:
-        raise InputError(f"response column {response_column!r} not in header {header}")
-    if table is not None and not table.shape[0]:
-        raise InputError(f"{csv_path} has a header but no data rows")
-    overrides = {}
-    for name in continuous_overrides:
-        overrides[name] = "continuous"
-    for name in discrete_overrides:
-        if overrides.get(name) == "continuous":
-            raise InputError(f"column {name!r} marked both continuous and discrete")
-        overrides[name] = "discrete"
-    unknown = set(overrides) - set(header)
-    if unknown:
-        raise InputError(f"override columns not in header: {sorted(unknown)}")
-    if response_column in overrides:
-        raise InputError(f"column {response_column!r} is the response, which takes no"
-                         f" {overrides[response_column]} override")
-    table = _numeric_cells(csv_path, header, table)
+    overrides = dict.fromkeys(continuous_overrides, "continuous")
+    both = [name for name in discrete_overrides if name in overrides]
+    overrides.update(dict.fromkeys(discrete_overrides, "discrete"))
+
+    def check_header(header, has_rows):
+        if response_column not in header:
+            raise InputError(f"response column {response_column!r} not in header {header}")
+        if not has_rows:
+            raise InputError(f"{csv_path} has a header but no data rows")
+        if both:
+            raise InputError(f"column {both[0]!r} marked both continuous and discrete")
+        unknown = set(overrides) - set(header)
+        if unknown:
+            raise InputError(f"override columns not in header: {sorted(unknown)}")
+        if response_column in overrides:
+            raise InputError(f"column {response_column!r} is the response, which takes no"
+                             f" {overrides[response_column]} override")
+
+    header, table = _read_numeric_csv(csv_path, check_header=check_header)
     _check_finite(header, table)
     resp_idx = header.index(response_column)
     cols = [j for j in range(len(header)) if j != resp_idx]
@@ -308,17 +313,9 @@ def number_or_auto(text: str) -> float | None:
 
 
 def _config_from_args(args) -> AspConfig:
-    """The ``AspConfig`` of the config flags given, the rest at its defaults;
-    ``SPANOVA_JOBS`` stands in for ``--jobs``."""
+    """The ``AspConfig`` of the config flags given, the rest at its defaults."""
     given = vars(args)
-    values = {f.name: given[f.name] for f in fields(AspConfig) if f.name in given}
-    env = os.environ.get("SPANOVA_JOBS")
-    if "jobs" not in values and env:
-        try:
-            values["jobs"] = int(env)
-        except ValueError:
-            raise InputError(f"SPANOVA_JOBS must be an integer, got {env!r}") from None
-    return AspConfig(**values)
+    return AspConfig(**{f.name: given[f.name] for f in fields(AspConfig) if f.name in given})
 
 
 def _selection_to_json(sel: SelectionResult) -> dict:
@@ -448,8 +445,7 @@ def _load_fit_document(path: str):
 def run_predict(args) -> int:
     _check_outputs(args.out, inputs=(args.data, args.fit))
     names, spec, fit = _load_fit_document(args.fit)
-    header, table = _read_numeric_csv(args.data, names)
-    x = _numeric_cells(args.data, header, table, names)
+    _, x = _read_numeric_csv(args.data, names)
     _check_finite(names, x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -551,8 +547,8 @@ def _add_config_arguments(parser):
     config.add_argument("--seed", type=int)
     config.add_argument("--jobs", type=int,
                         help="worker processes for subsample fits"
-                             " (default: SPANOVA_JOBS or the CPUs this process may"
-                             " use); each worker runs BLAS at cpus // workers threads")
+                             " (default: the CPUs this process may use); each worker"
+                             " runs BLAS at cpus // workers threads")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -126,9 +126,11 @@ class PredictorDomain:
         """
         values = np.asarray(values, dtype=float)
         if self.is_continuous:
-            scaled = (values - self.lo) / (self.hi - self.lo)
-            mask = (scaled < 0.0) | (scaled > 1.0)
-            return np.clip(scaled, 0.0, 1.0), mask
+            scaled = np.subtract(values, self.lo)
+            scaled /= self.hi - self.lo
+            mask = scaled < 0.0
+            mask |= scaled > 1.0
+            return np.clip(scaled, 0.0, 1.0, out=scaled), mask
         codes = np.full(values.shape, -1.0)
         for code, level in enumerate(self.levels, start=1):
             codes[values == level] = float(code)

@@ -138,8 +138,7 @@ def parse_outcome(path, columns=None):
     two paths apart."""
     with mock.patch.object(cli, "_parse_numeric_table", wraps=_parse_numeric_table) as spy:
         try:
-            header, table = cli._read_numeric_csv(str(path), columns)
-            table = cli._numeric_cells(str(path), header, table, columns)
+            table = cli._read_numeric_csv(str(path), columns)[1]
         except InputError as exc:
             return "error", str(exc)
     return "fallback" if spy.called else "fast", table
@@ -286,8 +285,7 @@ def read_peak_bytes(path, columns):
     """The tracemalloc peak of one read of ``columns`` of a CSV file."""
     tracemalloc.start()
     try:
-        header, table = cli._read_numeric_csv(str(path), columns)
-        cli._numeric_cells(str(path), header, table, columns)
+        cli._read_numeric_csv(str(path), columns)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -471,6 +469,10 @@ def test_predict_reads_only_the_fit_columns(fitted_paths, tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def no_fallback(*args):
+    raise AssertionError("the csv.reader parse ran")
+
+
 def test_predict_reads_an_id_column_in_the_one_pass_read(fitted_paths, tmp_path, monkeypatch):
     """A text id column is not read: the file takes the one-pass read, with
     the csv.reader parse made to fail, and predicts bit for bit what the
@@ -480,14 +482,83 @@ def test_predict_reads_an_id_column_in_the_one_pass_read(fitted_paths, tmp_path,
     plain = write_csv(tmp_path / "plain.csv", ["x1"], [[v] for v in xs])
     with_id = write_csv(tmp_path / "id.csv", ["id", "x1"],
                         [[f"row-{i}", v] for i, v in enumerate(xs)])
-
-    def no_fallback(*args):
-        raise AssertionError("the csv.reader parse ran")
-
     monkeypatch.setattr(cli, "_parse_numeric_table", no_fallback)
     outs = [tmp_path / "plain_pred.csv", tmp_path / "id_pred.csv"]
     for data, out in zip((plain, with_id), outs):
         assert main(["predict", "--fit", str(fit_path), "--data", data, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def fit_m1(tmp_path, data, *extra):
+    """Fit ``1,2`` to a CSV of ``m1`` rows; the fit document's path."""
+    fit = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(data), "--response", "y", "--model", "1,2", *FIT_ARGS,
+                 *extra, "--out", str(fit)]) == 0
+    return fit
+
+
+@pytest.mark.parametrize("source", ["simulate", "simulate --with-truth", "savetxt %.17g"])
+def test_fit_and_predict_read_the_files_users_write_in_the_one_pass_read(tmp_path, monkeypatch,
+                                                                          source):
+    """The files ``spanova simulate`` writes, with its truth column too, and
+    a ``np.savetxt(fmt="%.17g")`` file like the benchmark's reach neither
+    fit's nor predict's csv.reader parse."""
+    train, new = tmp_path / "train.csv", tmp_path / "new.csv"
+    for path, seed in ((train, 1), (new, 2)):
+        if source == "savetxt %.17g":
+            sim = gen_data("m1", 200, 5.0, seed=seed)
+            np.savetxt(path, np.column_stack([sim.dataset.x, sim.dataset.y]), delimiter=",",
+                       header="x1,x2,y", comments="", fmt="%.17g")
+        else:
+            assert main(["simulate", "--scenario", "m1", "--n", "200", "--snr", "5",
+                         "--seed", str(seed), *source.split()[1:], "--out", str(path)]) == 0
+    monkeypatch.setattr(cli, "_parse_numeric_table", no_fallback)
+    fit = fit_m1(tmp_path, train, "--fitted-out", str(tmp_path / "fitted.csv"))
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--fit", str(fit), "--data", str(new), "--out", str(out)]) == 0
+    assert len(read_csv(out)[1]) == 200
+
+
+# A cell longer than csv.reader's default field size limit, 131072 characters.
+OVERSIZED_CELL = "z" * 200_000
+
+
+def test_a_cell_over_the_csv_field_limit_exits_2_naming_the_file_and_row(tmp_path, capsys):
+    """A text id cell or a header cell that ``csv.reader`` refuses to split
+    is an input error naming the file and the row, not a traceback."""
+    sim = gen_data("m1", 60, 5.0, seed=4)
+    rows = [[f"row-{i}", *map(repr, r)]
+            for i, r in enumerate(np.column_stack([sim.dataset.x, sim.dataset.y]).tolist())]
+    rows[3][0] = OVERSIZED_CELL
+    big_id = write_csv(tmp_path / "big_id.csv", ["id", "x1", "x2", "y"], rows)
+    big_header = write_csv(tmp_path / "big_header.csv", [OVERSIZED_CELL, "x1", "x2", "y"],
+                           [r[1:] for r in rows[:3]])
+    for data, where in ((big_id, "row 4"), (big_header, "the header")):
+        capsys.readouterr()
+        assert main(["fit", "--data", data, "--response", "y", "--model", "1,2", *FIT_ARGS,
+                     "--out", str(tmp_path / "fit.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: cannot read {where} of {data}: field larger than field limit" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_predict_reads_past_a_cell_over_the_csv_field_limit_in_the_one_pass_read(tmp_path):
+    """loadtxt skips an unread id cell of any length: predict reads ``x1``
+    and ``x2`` past it without the csv.reader parse, and predicts what the
+    file without the id column predicts."""
+    train = tmp_path / "train.csv"
+    assert main(["simulate", "--scenario", "m1", "--n", "200", "--snr", "5", "--seed", "1",
+                 "--out", str(train)]) == 0
+    fit = fit_m1(tmp_path, train)
+    xs = np.random.default_rng(7).uniform(size=(30, 2)).tolist()
+    plain = write_csv(tmp_path / "plain.csv", ["x1", "x2"], xs)
+    with_id = write_csv(tmp_path / "id.csv", ["id", "x1", "x2"],
+                        [[OVERSIZED_CELL if i == 5 else f"row-{i}", *r] for i, r in enumerate(xs)])
+    outs = [tmp_path / "plain_pred.csv", tmp_path / "id_pred.csv"]
+    with mock.patch.object(cli, "_parse_numeric_table", wraps=_parse_numeric_table) as spy:
+        for data, out in zip((plain, with_id), outs):
+            assert main(["predict", "--fit", str(fit), "--data", data, "--out", str(out)]) == 0
+    assert not spy.called
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
@@ -676,17 +747,6 @@ def test_fit_exits_2_on_a_response_scale_outside_the_range(tmp_path, capsys, met
         assert code == 2, scale
         assert "; rescale y" in capsys.readouterr().err
     assert not (tmp_path / "f.json").exists()
-
-
-def test_fit_exit_code_on_non_integer_jobs_environment(tmp_path, capsys, monkeypatch):
-    rng = np.random.default_rng(5)
-    path = write_csv(tmp_path / "d.csv", ["x", "y"], rng.uniform(size=(60, 2)).tolist())
-    monkeypatch.setenv("SPANOVA_JOBS", "two")
-    code = main(["fit", "--data", path, "--response", "y", "--model", "1",
-                 "--method", "order", "--out", str(tmp_path / "f.json")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "input error" in err and "SPANOVA_JOBS" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -996,17 +1056,10 @@ def test_unwritable_output_exits_2_naming_the_path(fitted_paths, tmp_path, capsy
     assert f"input error: cannot write {bad}: " in capsys.readouterr().err
 
 
-def test_jobs_environment_fallback(monkeypatch):
+def test_jobs_default_to_the_available_cpus(monkeypatch):
     parser = build_parser()
     args = parser.parse_args(["fit", "--data", "d", "--response", "y",
                               "--model", "1", "--out", "o"])
-    monkeypatch.setenv("SPANOVA_JOBS", "1")
-    assert _config_from_args(args).worker_count == 1
-    for bad in ("0", "-3"):
-        monkeypatch.setenv("SPANOVA_JOBS", bad)
-        with pytest.raises(InputError, match="jobs must be at least 1"):
-            _config_from_args(args)
-    monkeypatch.delenv("SPANOVA_JOBS")
     monkeypatch.setattr("spanova.asp.available_cpus", lambda: 6)
     assert _config_from_args(args).worker_count == 6
 
@@ -1035,7 +1088,6 @@ def test_config_flags_take_aspconfig_defaults(monkeypatch):
         gcv_max_iter: int = 9
 
     monkeypatch.setattr(cli, "AspConfig", Shifted)
-    monkeypatch.delenv("SPANOVA_JOBS", raising=False)
     parser = build_parser()
     fit = parser.parse_args(["fit", "--data", "d", "--response", "y", "--model", "1",
                              "--out", "o"])
