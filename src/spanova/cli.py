@@ -60,17 +60,21 @@ def _column_from_json(doc: dict) -> PredictorDomain:
 @contextlib.contextmanager
 def _open_csv(path: str):
     """A CSV file open past its header, the header (its first non-empty
-    row), and the non-empty rows after it as ``csv.reader`` splits them."""
+    row), and the non-empty rows after it as ``csv.reader`` splits them.
+    A byte that is not UTF-8, met by any read in the context, is an input error."""
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from None
     with handle:
-        rows = _csv_rows(path, handle)
-        header = next(rows, None)
-        if header is None:
-            raise InputError(f"{path} is empty")
-        yield handle, header, rows
+        try:
+            rows = _csv_rows(path, handle)
+            header = next(rows, None)
+            if header is None:
+                raise InputError(f"{path} is empty")
+            yield handle, header, rows
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _csv_rows(path: str, handle):
@@ -109,7 +113,7 @@ def _read_numeric_csv(path: str, columns=None, check_header=None) -> tuple[list[
         if first is None:  # loadtxt warns on input with no rows
             return header, np.empty((0, len(idx)))
         every = list(range(len(header)))
-        with contextlib.suppress(ValueError):
+        try:
             # an unread cell's converter ignores it, str or bytes (numpy < 2)
             table = np.loadtxt(itertools.chain([first], handle), delimiter=",", comments=None,
                                quotechar='"', ndmin=2,
@@ -117,6 +121,10 @@ def _read_numeric_csv(path: str, columns=None, check_header=None) -> tuple[list[
             if table.shape[1] == len(header):
                 return header, table if idx == every else table[:, idx]
             del table  # freed before the csv.reader parse
+        except UnicodeDecodeError:
+            raise  # a ValueError, but no cell's: ``_open_csv`` reports it
+        except ValueError:
+            pass
     with _open_csv(path) as (_, header, rows):
         return header, _parse_numeric_table(header, rows, columns)
 

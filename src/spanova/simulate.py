@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -323,13 +322,9 @@ def oracle_lambda_midgrid(n: int, eta_fn, sigma: float, lam_grid,
                         boundary=best in (0, len(grid) - 1))
 
 
-@lru_cache(maxsize=None)
 def _spectral_constant(m: int) -> float:
-    from scipy.integrate import quad
-
-    value, err = quad(lambda t: 1.0 / (1.0 + t ** (2 * m)) ** 2, 0.0, np.inf,
-                      epsrel=1e-10)
-    return value / np.pi
+    """k_m = (1/pi) * integral of (1 + t^{2m})^{-2} over [0, inf), in closed form."""
+    return (2 * m - 1) / (4 * m * m * math.sin(math.pi / (2 * m)))
 
 
 def analytic_lambda_periodic(m: int, sigma_sq: float, eta_norm_sq: float,

@@ -29,29 +29,29 @@ against R_T, and tr(A) from the same R.  A selection's search compresses
 only in ``n_obs``, the observation count that its scores divide by, so
 each score equals the n-row score while its cost no longer depends on n.
 
+T is checked where it enters, by one rank rule (``_check_null_rank``):
+``null_design`` checks a dataset's rows, ``_checked_design`` outside
+arrays, and ``DesignBlocks.design_at`` that a search's T is [R_T; 0];
+``CompiledDesign``, built at every theta trial, and ``NullQR`` check nothing.
+
 No selection needs the S per-term n x q blocks K_delta: each chunk's rows
 of K_delta are formed from the kernel at those rows and folded into R
 (``DesignRows``), the chunked-QR construction of Wood, Goude & Shaw (2015,
 "Generalized additive models for large data sets"), so a selection holds
-its (p + 1 + chunk) x (p + 1) stack, in which R stays from chunk to
-chunk, and then one (p + 1)^2 copy of R, not S n q doubles.  Only a
-search where p + 1 >= n, with nothing to compress, forms the blocks over
-all n rows, in one array that T's QR (``NullQR``) rotates in place;
-``compressed_blocks`` is the one place that makes this choice
-(``streams_rows``).  Rows of
-K(theta) = sum_delta theta_delta K_delta come from one row source
-(``_kernel_rows``), one cache-sized tile at a time: skip's two designs
-and the p estimate's one compress [T, K(theta), y], M + q + 1 columns, as
-the rows come (``DesignRows.design_at``), and so does the refit
-(``fit_model``), which holds no n x q array either.  T's rows come from a
-row source of their own (``_null_rows``), chunk by chunk, to every
-compression and to the rank check (``null_design``), so the fit, the
-selections and ``predict`` hold no n x M array besides; only the wide
-path's ``NullQR`` and the n-row reference ``assemble_blocks`` form T
-whole.  ``predict`` sums T d + K(theta) c tile by tile, and so forms the
-refit's fitted values at the training rows, on their first read.  Rows of
-T or of the kernel formed in tiles or chunks equal the in-memory blocks'
-rows bit for bit.
+its (p + 1 + chunk) x (p + 1) stack and then one (p + 1)^2 copy of R, not
+S n q doubles.  Only a search where p + 1 >= n, with nothing to compress,
+forms the blocks over all n rows, in one array that T's QR (``NullQR``)
+rotates in place; ``compressed_blocks`` alone makes this choice
+(``streams_rows``).  Rows of K(theta) = sum_delta theta_delta K_delta come
+from one row source (``_kernel_rows``), one cache-sized tile at a time,
+and T's from another (``_null_rows``), chunk by chunk: skip's two designs,
+the p estimate's one and the refit (``fit_model``) compress
+[T, K(theta), y], M + q + 1 columns, as the rows come
+(``DesignRows.design_at``), and ``predict`` sums T d + K(theta) c tile by
+tile, forming the refit's fitted values on their first read.  So only the
+wide path's ``NullQR`` and the n-row reference ``assemble_blocks`` form T
+whole, and no fit holds an n x q array.  Rows of T or of the kernel formed
+in tiles or chunks equal the in-memory blocks' rows bit for bit.
 
 The QRs, solves, SVDs and row products of the fit and the search run on
 scipy's LAPACK and BLAS (``_dot``), not numpy's.  Each package bundles its
@@ -194,7 +194,9 @@ class DesignBlocks:
         return _weighted_sum(theta, self.k_parts), _weighted_sum(theta, self.q_parts)
 
     def design_at(self, theta) -> "CompiledDesign":
-        """The design of [T, K(theta), y] and Q(theta), for blocks whose T reads [R_T; 0]."""
+        """The design of [T, K(theta), y] and Q(theta); raises unless T reads [R_T; 0]."""
+        if self.n < self.n_null or np.tril(self.t, -1).any():
+            raise NumericalError("null design is not absorbed: T is not [R_T; 0]")
         return CompiledDesign(self.t, *self.combine(theta), self.y, self.n_obs)
 
 
@@ -342,20 +344,15 @@ class NullQR:
     """T = H [R_T; 0] by one Householder QR, H = H_1 ... H_M.
 
     ``rotate`` applies H' to n-row arrays: the first M rows of H'K and H'y
-    lie in span(T), the rest in its orthogonal complement.
+    lie in span(T), the rest in its orthogonal complement.  Its one caller,
+    ``compressed_blocks``, checks T by ``null_design`` first.
     """
 
     def __init__(self, t: np.ndarray):
-        t = np.asarray(t, dtype=float)
-        n, m = t.shape
-        if n < m:
-            raise NumericalError("null design has fewer rows than columns")
-        qr, tau, _, info = sla.lapack.dgeqrf(t)
+        qr, tau, _, info = sla.lapack.dgeqrf(np.asarray(t, dtype=float))
         if info != 0:
             raise NumericalError(f"solver: QR of T failed (LAPACK info {info})")
         self.factor = (qr, tau)
-        if (np.diag(qr) == 0.0).any():
-            raise NumericalError("null design is rank deficient")
 
     def triangle(self) -> np.ndarray:
         """T in the rotated rows, [R_T; 0]."""
@@ -382,29 +379,38 @@ class NullQR:
         return out.reshape(a.shape, order="F")
 
 
+def _check_null_rows(n: int, m: int) -> None:
+    """Raise unless T's n rows exceed its M columns."""
+    if n < m + 1:
+        raise InputError(f"need at least {m + 1} rows to fit {m} null coefficients")
+
+
+def _check_null_rank(r_t: np.ndarray, n: int) -> None:
+    """Raise unless T of n rows has rank M: ``numpy.linalg.matrix_rank``'s count of the singular
+    values of ``r_t``, R_T from any QR of T, above max(n, M) eps times the largest."""
+    m = r_t.shape[1]
+    sv = sla.svdvals(r_t, check_finite=False)
+    if (sv > sv.max(initial=0.0) * max(n, m) * np.finfo(float).eps).sum() < m:
+        raise InputError("null basis is rank deficient on this sample")
+
+
 def null_design(dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
     """Null design T's row source (``_null_rows``), after the checks that make a fit well posed.
 
-    The rank check reads T's M x M triangle R_T from a chunked QR of T's
-    rows (``_chunked_r``), so T is never whole, and applies
-    ``numpy.linalg.matrix_rank``'s rule to it: R_T has T's singular values,
-    and those above max(n, M) eps times the largest count.  It forms no
-    kernel row.
+    Every fit and search on a dataset's rows checks T here, before any
+    kernel row is formed; R_T comes from a chunked QR (``_chunked_r``).
     """
     if spec.n_penalized == 0:
         raise InputError("model has no penalized terms; nothing to smooth")
     m = spec.null_dim
-    if dataset.n < m + 1:
-        raise InputError(f"need at least {m + 1} rows to fit {m} null coefficients")
+    _check_null_rows(dataset.n, m)
     if basis.q <= m:
         raise InputError(f"basis size {basis.q} must exceed the null dimension {m}")
     if basis.indices[-1] >= dataset.n:
         raise InputError("basis indices exceed the dataset")
     rows = _null_rows(spec, dataset.x)
-    sv = sla.svdvals(_chunked_r(dataset.n, m, lambda out, lo, hi: np.copyto(out, rows(lo, hi))),
-                     check_finite=False)
-    if (sv > sv.max() * max(dataset.n, m) * np.finfo(float).eps).sum() < m:
-        raise InputError("null basis is rank deficient on this sample")
+    _check_null_rank(_chunked_r(dataset.n, m, lambda out, lo, hi: np.copyto(out, rows(lo, hi))),
+                     dataset.n)
     return rows
 
 
@@ -415,13 +421,10 @@ def part_traces(dataset: Dataset, spec: ModelSpec) -> np.ndarray:
 
 
 def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> DesignBlocks:
-    """Build T and the per-term K_delta, Q_delta blocks over all n rows.
+    """T and the per-term K_delta, Q_delta blocks over all n rows, after ``null_design``'s checks.
 
-    Raises if the null design is rank deficient (for example a constant
-    predictor column duplicating the intercept) or the sample cannot
-    identify the null space.  No selection calls it (they read the rows
-    through ``DesignRows`` and ``compressed_blocks``); it is the n-row
-    reference that their results are checked against.
+    No selection calls it (they read the rows through ``DesignRows`` and
+    ``compressed_blocks``); it is the n-row reference of their results.
     """
     rows = DesignRows(dataset, spec, basis)
     return DesignBlocks(t=rows.null_rows(0, dataset.n),
@@ -453,10 +456,8 @@ class DesignRows:
     def design_at(self, theta) -> CompiledDesign:
         """Design of [T, K(theta), y] at one theta, compressed to M + q + 1 rows.
 
-        The QR, M + q + 1 columns rather than the p + 1 of
-        ``compressed_blocks``, reads T and K(theta) from their row sources
-        (``_null_rows``, ``_kernel_rows``) one chunk or tile at a time, so
-        neither is ever whole.
+        The QR reads T and K(theta) from their row sources (``_null_rows``,
+        ``_kernel_rows``) one chunk or tile at a time, so neither is whole.
         """
         theta = _theta_vector(theta, self.spec.n_penalized)
         return _compressed_design(self.null_rows, self.spec.null_dim,
@@ -525,29 +526,19 @@ class CompiledDesign:
     ``y`` lie in span(T) and the rest (K_perp, y_perp) in its complement.
     For any c, d solves R_T d = y_t - K_t c exactly on the first M rows, so
     the fit, its residual and tr(A) depend on the complement rows alone.
-    Nothing is rotated; a T with a nonzero entry below its diagonal raises.
-
-    The public array-level entry points check shapes and Q's symmetry once
-    (``_checked_design``); a search's trials and ``fit_model`` pass a Q
-    that is a weighted sum of symmetrized parts, and skip the checks.
+    Nothing is rotated or checked here, as every theta trial builds a
+    design: T is checked where it enters (module docstring), and outside
+    K, Q and y by the array entry points (``_checked_design``); a search's
+    Q is a weighted sum of symmetrized parts.
 
     Q_r is Q plus a ridge of RIDGE_SCALE times its mean diagonal, so its
     Cholesky factor exists when Q (``q``, not copied) is semidefinite.  ``n``
     is the row count, and the scores divide by ``n_obs`` observations.
-
-    The solve and the nlam profile read ``stack`` and Q_r's factor
-    ``penalty_factor``, and the score its residual through ``residual``.
     """
 
     def __init__(self, t: np.ndarray, k: np.ndarray, q: np.ndarray, y: np.ndarray, n_obs: int):
         self.n, self.m = t.shape
-        if self.n < self.m:
-            raise NumericalError("null design has fewer rows than columns")
-        if t[self.m:].any() or np.tril(t[:self.m], -1).any():
-            raise NumericalError("null design is not absorbed: T has entries below its diagonal")
         self.r_t = t[:self.m]
-        if (np.diag(self.r_t) == 0.0).any():
-            raise NumericalError("null design is rank deficient")
         self.k, self.y, self.nq = k, y, k.shape[1]
         self.n_obs = int(n_obs)
         self.q, self.q_r = q, _ridged(q)
@@ -596,7 +587,7 @@ def _ridged(q) -> np.ndarray:
 
 
 def _checked_design(t, k, q, y) -> CompiledDesign:
-    """``_compressed_design`` of outside arrays, built after the checks it skips."""
+    """``_compressed_design`` of outside arrays, with the checks it skips; T's rank on its R_T."""
     t, k, q, y = (np.asarray(a, dtype=float) for a in (t, k, q, y))
     if k.shape[0] != t.shape[0] or y.shape != t.shape[:1]:
         raise InputError("T, K and y row counts disagree")
@@ -604,7 +595,13 @@ def _checked_design(t, k, q, y) -> CompiledDesign:
         raise InputError("Q must be square with K's column count")
     if not np.allclose(q, q.T, atol=1e-10, rtol=0.0):
         raise InputError("Q must be symmetric")
-    return _compressed_design(lambda lo, hi: t[lo:hi], t.shape[1], lambda lo, hi: k[lo:hi], q, y)
+    if not all(np.isfinite(a).all() for a in (t, k, y)):
+        raise InputError("T, K and y must be finite")
+    n, m = t.shape
+    _check_null_rows(n, m)
+    design = _compressed_design(lambda lo, hi: t[lo:hi], m, lambda lo, hi: k[lo:hi], q, y)
+    _check_null_rank(design.r_t, n)
+    return design
 
 
 def _complement_solve(design, nlam: float) -> tuple[np.ndarray, float]:
@@ -754,9 +751,7 @@ def demmler_reinsch(t: np.ndarray, k_full: np.ndarray) -> EigenSystem:
     if k_full.shape != (b, b):
         raise InputError("K must be square over the same rows as T")
     qfull, r = np.linalg.qr(t, mode="complete")
-    diag = np.abs(np.diag(r[:m, :m]))
-    if diag.min() <= b * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise InputError("null basis is rank deficient; cannot form the complement")
+    _check_null_rank(r[:m], b)
     z0 = qfull[:, m:]
     w = z0.T @ k_full @ z0
     w = (w + w.T) / 2.0

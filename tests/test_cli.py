@@ -542,6 +542,29 @@ def test_a_cell_over_the_csv_field_limit_exits_2_naming_the_file_and_row(tmp_pat
     assert not (tmp_path / "fit.json").exists()
 
 
+@pytest.mark.parametrize("where", ["header", "data row", "data row past 8 KB"])
+def test_a_csv_that_is_not_utf8_exits_2_naming_the_file(fitted_paths, tmp_path, capsys,
+                                                       monkeypatch, where):
+    """A byte that is not UTF-8, in the header, a data row or a row read by
+    loadtxt past the decoder's first chunk, is an input error for fit and
+    predict, not a traceback, and not a bad cell for the csv.reader parse."""
+    _, fit_path, _, _ = fitted_paths
+    monkeypatch.setattr(cli, "_parse_numeric_table", no_fallback)
+    lines = [b"x1,y"] + [b"0.%d,%d" % (i, i % 7) for i in range(1, 10)] * (
+        1000 if where.endswith("8 KB") else 1)
+    lines[0 if where == "header" else -2] += b"\xff"
+    data = tmp_path / "latin.csv"
+    data.write_bytes(b"\n".join(lines) + b"\n")
+    outs = (tmp_path / "f.json", tmp_path / "pred.csv")
+    for out, args in zip(outs, (["fit", "--response", "y", "--model", "1", *FIT_ARGS],
+                                ["predict", "--fit", str(fit_path)])):
+        capsys.readouterr()
+        assert main([*args, "--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: cannot read {data}: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+
+
 def test_predict_reads_past_a_cell_over_the_csv_field_limit_in_the_one_pass_read(tmp_path):
     """loadtxt skips an unread id cell of any length: predict reads ``x1``
     and ``x2`` past it without the csv.reader parse, and predicts what the

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import tracemalloc
 
@@ -334,16 +335,21 @@ def _rank_case_rows(case):
 @pytest.mark.parametrize("case", ["constant", "rare-level", "rare-level-missing",
                                   "narrow-1e-7", "narrow-1e-11", "narrow-1e-13"])
 def test_null_design_rank_check_agrees_with_matrix_rank(case, monkeypatch):
-    """The rank check on T's triangle from a chunked QR raises exactly when
-    numpy.linalg.matrix_rank(T) < M, with one message, and the fit raises
-    before it forms any kernel row."""
+    """The rank check on T's triangle from a chunked QR, and solve_penalized's
+    on the same T, raise exactly when numpy.linalg.matrix_rank(T) < M, with
+    one message, and the fit raises before it forms any kernel row."""
     x = _rank_case_rows(case)
     spec = full_two_way_model(unit_domains(2))
     ds = Dataset(x=x, y=np.random.default_rng(1).standard_normal(x.shape[0]),
                  domains=spec.domains)
     basis = select_basis(ds.n, 30, seed=0)
-    deficient = np.linalg.matrix_rank(null_basis_matrix(spec, x)) < spec.null_dim
+    t = null_basis_matrix(spec, x)
+    deficient = np.linalg.matrix_rank(t) < spec.null_dim
     assert deficient == (case not in ("rare-level", "narrow-1e-7", "narrow-1e-11"))
+    message = r"^null basis is rank deficient on this sample$"
+    k = np.random.default_rng(2).standard_normal((ds.n, 6))
+    with pytest.raises(InputError, match=message) if deficient else contextlib.nullcontext():
+        solve_penalized(t, k, np.eye(6), ds.y, 1e-2)
     calls = []
 
     def spy(*args):
@@ -355,7 +361,6 @@ def test_null_design_rank_check_agrees_with_matrix_rank(case, monkeypatch):
     if not deficient:
         solver.null_design(ds, spec, basis)
         return
-    message = r"^null basis is rank deficient on this sample$"
     with pytest.raises(InputError, match=message):
         solver.null_design(ds, spec, basis)
     with pytest.raises(InputError, match=message):
@@ -687,32 +692,45 @@ def test_array_entry_points_check_their_inputs(entry):
         call(t, k, q, ds.y[:-1])
     with pytest.raises(InputError, match="square"):
         call(t, k, q[:-1, :-1], ds.y)
+    # a T whose last column is repeated, exactly or scaled by 1 + 1e-13
+    for extra in (t[:, -1], t[:, -1] * (1.0 + 1e-13)):
+        with pytest.raises(InputError, match="rank deficient"):
+            call(np.column_stack([t, extra]), k, q, ds.y)
+    with pytest.raises(InputError, match="at least 3 rows"):
+        call(t[:2], k[:2], q, ds.y[:2])
+    bad = t.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(InputError, match="finite"):
+        call(bad, k, q, ds.y)
 
 
 def test_compiled_design_rejects_unabsorbed_t():
-    """CompiledDesign rotates nothing: a T with an entry below its diagonal
-    would be scored as if it were [R_T; 0], so it raises."""
+    """CompiledDesign rotates nothing: blocks whose T is not [R_T; 0] would
+    be scored as if it were, so their design_at raises."""
     ds, spec, basis = make_problem(3, 40, q=12)
     t, k, q = theta_design(ds, spec, basis, np.ones(1))
     m = t.shape[1]
     design = solver._checked_design(t, k, q, ds.y)
     assert design.n == m + basis.q + 1
     assert design.y @ design.y == pytest.approx(ds.y @ ds.y, rel=1e-12)
-    with pytest.raises(NumericalError, match="below its diagonal"):
-        solver.CompiledDesign(t, k, q, ds.y, ds.n)
+    blocks = assemble_blocks(ds, spec, basis)
+    with pytest.raises(NumericalError, match="not absorbed"):
+        blocks.design_at(np.ones(1))
     absorbed = np.zeros_like(t)
     absorbed[:m] = np.triu(t[:m])
-    solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
+    blocks.t = absorbed
+    blocks.design_at(np.ones(1))
     absorbed[-1, 0] = 1e-300
-    with pytest.raises(NumericalError, match="below its diagonal"):
-        solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
+    with pytest.raises(NumericalError, match="not absorbed"):
+        blocks.design_at(np.ones(1))
     # an entry below the diagonal of the top M x M block, the rows below it zero
     absorbed[-1, 0] = 0.0
     absorbed[m - 1, 0] = 1e-300
-    with pytest.raises(NumericalError, match="below its diagonal"):
-        solver.CompiledDesign(absorbed, k, q, ds.y, ds.n)
-    with pytest.raises(NumericalError, match="fewer rows than columns"):
-        solver.CompiledDesign(np.triu(t[:m - 1]), k[:m - 1], q, ds.y[:m - 1], m - 1)
+    with pytest.raises(NumericalError, match="not absorbed"):
+        blocks.design_at(np.ones(1))
+    blocks.t = np.triu(t[:m - 1])
+    with pytest.raises(NumericalError, match="not absorbed"):
+        blocks.design_at(np.ones(1))
 
 
 def test_single_designs_construct_no_null_qr(monkeypatch):
