@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .util import InputError
 
@@ -328,29 +329,75 @@ def term_kernel(term: AnovaTerm, domains, row, row2) -> float:
     return float(val)
 
 
-def _gram_factor(domain: PredictorDomain, label: str, xc: np.ndarray, zc: np.ndarray) -> np.ndarray:
-    """One predictor's kernel factor between two point sets, shape (n, m).
+def _basis_operand(first, second) -> np.ndarray:
+    """The (2, m) F-ordered right operand [first; second] of ``_rank2``."""
+    return np.asfortranarray(np.stack(np.broadcast_arrays(first, second)), dtype=float)
 
-    The smooth factor k2(x)k2(z) - k4(|x - z|) is formed in two (n, m)
-    buffers by the same operations, in the same order, as ``_k2`` and
-    ``_k4`` on whole arrays, so it is bit-identical to that expression.
+
+def _rank2(col: np.ndarray, second: float, operand: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = col_i operand[0, j] + second operand[1, j], by one scipy dgemm into ``out``.
+
+    [x, 1] [1; -z] gives x_i - z_j and [a, 0] [b; 0] gives a_i b_j: each
+    entry is exact products plus one rounding, so it equals
+    ``np.subtract.outer``'s or ``np.multiply.outer``'s bit for bit, except
+    that a zero product comes out +0.  ``out``, F- or C-contiguous float64,
+    is written in place (beta 0, so its old entries are never read).  At
+    tile size, m n k <= 65536, OpenBLAS runs the product on one thread.
+    """
+    if out.size == 0:
+        return out
+    rows = np.empty((col.shape[0], 2), order="F")
+    rows[:, 0] = col
+    rows[:, 1] = second
+    if out.flags.f_contiguous:
+        return sla.blas.dgemm(1.0, rows, operand, beta=0.0, c=out, overwrite_c=True)
+    return sla.blas.dgemm(1.0, operand, rows, beta=0.0, c=out.T, trans_a=1, trans_b=1,
+                          overwrite_c=True).T
+
+
+def _factor_keys(terms) -> list[tuple[tuple[int, str], ...]]:
+    """Each term's (predictor, label) factors, in predictor order."""
+    return [tuple(zip(term.predictors, term.labels)) for term in terms]
+
+
+def _basis_side(domain: PredictorDomain, label: str, zc: np.ndarray):
+    """The basis points' side of one factor (``_gram_factor``), formed once per point set."""
+    if not domain.is_continuous:
+        return zc
+    if label == LABEL_PARAMETRIC:
+        return _basis_operand(_k1(zc), 0.0)
+    return _basis_operand(1.0, -zc), _basis_operand(_k2(zc), 0.0)
+
+
+def _gram_factor(domain: PredictorDomain, label: str, xc: np.ndarray, side,
+                 out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """One predictor's kernel factor between two point sets, written into ``out``, shape (n, m).
+
+    ``side`` is the basis points' ``_basis_side``; ``scratch``, of
+    ``out``'s shape, is overwritten.  x_i - z_j and the outer products
+    k1(x)k1(z) and k2(x)k2(z) are rank-2 dgemm products (``_rank2``), and
+    the smooth factor k2(x)k2(z) - k4(|x - z|) then takes the operations
+    of ``_k2`` and ``_k4`` on whole arrays, in the same order, so every
+    factor equals that expression bit for bit, but for the sign of a zero
+    product (``_rank2``).
     """
     if not domain.is_continuous:
-        out = np.equal.outer(xc, zc).astype(float)
+        np.equal(xc[:, None], side, out=out)
         out -= 1.0 / domain.n_levels
         return out
     if label == LABEL_PARAMETRIC:
-        return np.outer(_k1(xc), _k1(zc))
-    s2 = np.subtract.outer(xc, zc)
+        return _rank2(_k1(xc), 0.0, side, out)
+    difference, product = side
+    s2 = _rank2(xc, 1.0, difference, out)
     np.abs(s2, out=s2)
     s2 -= 0.5
     s2 *= s2
-    k4 = np.multiply(s2, s2)
-    s2 /= 2.0
+    k4 = np.multiply(s2, s2, out=scratch)
+    s2 *= 0.5  # the bits of s2 / 2 (both round the same real number), at a third of the time
     k4 -= s2
     k4 += 7.0 / 240.0
     k4 /= 24.0
-    out = np.multiply.outer(_k2(xc), _k2(zc), out=s2)
+    out = _rank2(_k2(xc), 0.0, product, s2)
     out -= k4
     return out
 
@@ -358,22 +405,26 @@ def _gram_factor(domain: PredictorDomain, label: str, xc: np.ndarray, zc: np.nda
 def term_grams(terms, domains, x_rows: np.ndarray, z_rows: np.ndarray):
     """Gram blocks of several terms between two point sets, in term order.
 
-    Yields one (n, m) block per term, each a fresh array the caller owns.
-    Every (predictor, label) factor is formed once and dropped after the
-    last term that uses it, so terms that share factors (the interactions
-    of a two-way model) cost one product per extra factor.  A block is the
-    product of its factors in predictor order, so it equals ``term_gram``
-    bit for bit.
+    Yields one (n, m) C-ordered block per term, each a fresh array the
+    caller owns.  Every (predictor, label) factor is formed once and
+    dropped after the last term that uses it, so terms that share factors
+    (the interactions of a two-way model) cost one product per extra
+    factor.  A block is the product of its factors in predictor order, so
+    it equals ``term_gram`` bit for bit.
     """
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
     z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
-    keys = [tuple(zip(term.predictors, term.labels)) for term in terms]
+    shape = (x_rows.shape[0], z_rows.shape[0])
+    keys = _factor_keys(terms)
     last_use = {key: i for i, term_keys in enumerate(keys) for key in term_keys}
+    scratch = np.empty(shape)
     factors = {}
     for i, term_keys in enumerate(keys):
         for j, lab in term_keys:
             if (j, lab) not in factors:
-                factors[j, lab] = _gram_factor(domains[j], lab, x_rows[:, j], z_rows[:, j])
+                side = _basis_side(domains[j], lab, z_rows[:, j])
+                factors[j, lab] = _gram_factor(domains[j], lab, x_rows[:, j], side,
+                                               np.empty(shape), scratch)
         first, *rest = term_keys
         block = factors.pop(first) if last_use[first] == i else factors[first].copy()
         for key in rest:
@@ -382,6 +433,69 @@ def term_grams(terms, domains, x_rows: np.ndarray, z_rows: np.ndarray):
                 del factors[key]
         yield block
         del block  # so the caller's reference is the only one while the next block forms
+
+
+class KernelRows:
+    """The row source (lo, hi) -> sum_t w_t R_t(x_i, z_j) at rows lo .. hi of ``x_rows``.
+
+    For K(theta) the terms are a model's penalized terms and w is theta.
+    ``tile(lo, hi)`` forms the rows in one F-ordered workspace, reused for
+    every tile of a pass: one buffer per distinct (predictor, label)
+    factor, one scratch and one sum, each a flat array viewed F-contiguous
+    at the tile's height, so no factor, block or sum is allocated per tile
+    and dgemm writes each product in place.  A tile's rows are valid until
+    the next tile forms.  A plain ``(lo, hi)`` call forms the rows in a
+    workspace of its own and returns its sum, an array the caller owns.
+
+    Each term adds w_t (F_a F_b ...) into the sum, its factors multiplied
+    in predictor order and the terms added in order, the operations of
+    ``_weighted_sum(w, term_grams(...))`` in ``solver``, so the rows equal
+    that sum's bit for bit; the basis points' side of every factor is
+    formed once, here.
+    """
+
+    def __init__(self, terms, domains, x_rows: np.ndarray, z_rows: np.ndarray, weights):
+        z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
+        self.x_rows, self.weights, self.m = x_rows, weights, z_rows.shape[0]
+        self.keys = _factor_keys(terms)
+        self.sides = {(j, lab): (domains[j], _basis_side(domains[j], lab, z_rows[:, j]))
+                      for term_keys in self.keys for j, lab in term_keys}
+        self._work = self._workspace(0)
+
+    def _workspace(self, rows: int) -> dict:
+        return {key: np.empty(rows * self.m) for key in [*self.sides, "scratch", "sum"]}
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        return self._form(lo, hi, self._workspace(hi - lo))
+
+    def tile(self, lo: int, hi: int) -> np.ndarray:
+        """The rows lo .. hi in the pass's workspace, valid until the next tile forms."""
+        if self._work["sum"].size < (hi - lo) * self.m:
+            self._work = self._workspace(hi - lo)
+        return self._form(lo, hi, self._work)
+
+    def _form(self, lo: int, hi: int, work: dict) -> np.ndarray:
+        shape = (hi - lo, self.m)
+        # a row slice of an F-ordered 2-D buffer is not contiguous, so dgemm would write a copy
+        view = {key: flat[:shape[0] * shape[1]].reshape(shape, order="F")
+                for key, flat in work.items()}
+        scratch, out = view["scratch"], view["sum"]
+        x = self.x_rows[lo:hi]
+        factors = {(j, lab): _gram_factor(domain, lab, x[:, j], side, view[j, lab], scratch)
+                   for (j, lab), (domain, side) in self.sides.items()}
+        for i, (w, term_keys) in enumerate(zip(self.weights, self.keys)):
+            first, *rest = (factors[key] for key in term_keys)
+            if rest:
+                block = np.multiply(first, rest[0], out=scratch)
+                for factor in rest[1:]:
+                    block *= factor
+            else:
+                block = first
+            if i == 0:
+                np.multiply(w, block, out=out)
+            else:
+                out += np.multiply(w, block, out=scratch)
+        return out
 
 
 def term_gram(term: AnovaTerm, domains, x_rows: np.ndarray, z_rows: np.ndarray) -> np.ndarray:

@@ -44,6 +44,7 @@ forms the blocks over all n rows, in one array that T's QR (``NullQR``)
 rotates in place; ``compressed_blocks`` alone makes this choice
 (``streams_rows``).  Rows of K(theta) = sum_delta theta_delta K_delta come
 from one row source (``_kernel_rows``), one cache-sized tile at a time,
+each formed in the one workspace that the pass reuses for every tile,
 and T's from another (``_null_rows``), chunk by chunk: skip's two designs,
 the p estimate's one and the refit (``fit_model``) compress
 [T, K(theta), y], M + q + 1 columns, as the rows come
@@ -63,8 +64,10 @@ dgemv.  Products too small to start BLAS threads stay with numpy.
 Callers keep the default BLAS thread count; only a subsample pool of more
 than one worker caps it (``asp._fit_map``).  On a 2-CPU machine, compressing 20000
 rows of a two-way model (p = 389) took 0.22-0.27 s at two threads and
-0.30-0.37 s at one, and kernel assembly, elementwise numpy without BLAS,
-took 0.09-0.19 s at either.
+0.30-0.37 s at one.  Kernel assembly follows the same rule: a tile's
+differences x_i - z_j and outer products are rank-2 products on scipy's
+dgemm (``kernels._rank2``), the rest is elementwise numpy.  At tile size,
+m n k <= 65536, OpenBLAS runs each product on one thread.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .data import Dataset, rescale_columns
-from .kernels import ModelSpec, null_basis_matrix, term_gram_diag, term_grams
+from .kernels import KernelRows, ModelSpec, null_basis_matrix, term_gram_diag, term_grams
 from .util import InputError, NumericalError, derive_rng, round_half_up
 
 # Relative size of the ridge added to Q before factorization.
@@ -88,7 +91,8 @@ COMPRESS_CHUNK = 2048
 # Block size of the compact-WY QR.
 QR_BLOCK = 32
 # Bytes of one kernel block's rows formed at once (a tile, within a chunk):
-# term_grams' factor products over a tile stay in cache.
+# the factor products over a tile stay in cache, and a full tile's rank-2
+# dgemm (2 * KERNEL_TILE_BYTES / 8 = 65536 multiply-adds) runs on one thread.
 KERNEL_TILE_BYTES = 256 * 1024
 
 
@@ -461,7 +465,7 @@ class DesignRows:
         """
         theta = _theta_vector(theta, self.spec.n_penalized)
         return _compressed_design(self.null_rows, self.spec.null_dim,
-                                  _kernel_rows(self.spec, self.dataset.x, self.z, theta),
+                                  _kernel_rows(self.spec, self.dataset.x, self.z, theta).tile,
                                   _weighted_sum(theta, self.q_parts), self.dataset.y)
 
 
@@ -506,17 +510,17 @@ def _null_rows(spec: ModelSpec, x_rows: np.ndarray):
     return lambda lo, hi: null_basis_matrix(spec, x_rows[lo:hi])
 
 
-def _kernel_rows(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta):
+def _kernel_rows(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta) -> KernelRows:
     """The row source (lo, hi) -> K(theta)[lo:hi] between two point sets.
 
-    K(theta) = sum_delta theta_delta K_delta, the rows formed from
-    ``term_grams`` at those rows alone, in one C-ordered array; read one
-    tile (``_tiles``) at a time, in any tiling they equal the same rows of
-    ``DesignBlocks.combine``'s K bit for bit.
+    K(theta) = sum_delta theta_delta K_delta, the rows formed at those rows
+    alone.  A pass reads it one tile (``_tiles``) at a time through
+    ``tile``, in one reused workspace (``kernels.KernelRows``); in any
+    tiling the rows equal the same rows of ``DesignBlocks.combine``'s K bit
+    for bit.
     """
-    theta = _theta_vector(theta, spec.n_penalized)
-    return lambda lo, hi: _weighted_sum(
-        theta, term_grams(spec.penalized_terms, spec.domains, x_rows[lo:hi], z_rows))
+    return KernelRows(spec.penalized_terms, spec.domains, x_rows, z_rows,
+                      _theta_vector(theta, spec.n_penalized))
 
 
 class CompiledDesign:
@@ -573,7 +577,9 @@ def _compressed_design(t, m: int, k, q: np.ndarray, y: np.ndarray) -> CompiledDe
     """The design of [T, K, y] compressed to M + q + 1 rows by ``_compress_rows``.
 
     ``t(lo, hi)`` and ``k(lo, hi)`` are row sources of T's M columns and
-    of K (``_null_rows``, ``_kernel_rows``).  The design scores y's n rows.
+    of K (``_null_rows``, ``_kernel_rows``'s ``tile``); each tile of K is
+    copied into the QR's stack before the next one forms.  The design
+    scores y's n rows.
     """
     t_r, (k_r,), f = _compress_rows(t, lambda lo, hi: (k(lo, hi),), y, m, 1, q.shape[0])
     return CompiledDesign(t_r, k_r, q, f, y.shape[0])
@@ -786,7 +792,8 @@ def _eta(spec: ModelSpec, xs: np.ndarray, z: np.ndarray, theta, d: np.ndarray,
 
     T d and then K(theta) c are summed over tiles (``_tiles``) of their
     row sources (``_null_rows``, ``_kernel_rows``), so they need memory for
-    one tile, not for all rows.  Each row of T d is its own length-M dot
+    one tile, not for all rows; each F-ordered kernel tile goes to dgemv as
+    it is, before the next one forms.  Each row of T d is its own length-M dot
     product, so the tiles give the bits of the product over all rows.  T's
     tiles, M columns wide, span up to COMPRESS_CHUNK rows: in the kernel's
     tiles (152 rows at q = 215), T d on m1 took 0.29 s per 10^6 rows, and
@@ -798,5 +805,5 @@ def _eta(spec: ModelSpec, xs: np.ndarray, z: np.ndarray, theta, d: np.ndarray,
     for a, b in _tiles(0, n, d.shape[0]):
         eta[a:b] = _dot(null_rows(a, b), d)
     for a, b in _tiles(0, n, c.shape[0]):
-        eta[a:b] += _dot(np.asfortranarray(kernel_rows(a, b)), c)
+        eta[a:b] += _dot(kernel_rows.tile(a, b), c)
     return eta

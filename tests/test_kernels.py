@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from spanova import kernels
 from spanova.data import Dataset
 from spanova.kernels import (
     AnovaTerm,
@@ -372,6 +373,35 @@ def test_assemble_blocks_unchanged_by_shared_factors(spec):
         assert np.array_equal(kp, loop_term_gram(term, spec.domains, x, z))
         q_ref = loop_term_gram(term, spec.domains, z, z)
         assert np.array_equal(qp, (q_ref + q_ref.T) / 2.0)
+
+
+# points where x == z, where x or z is 0, 0.5 or 1, and pairs one ulp apart
+OUTER_POINTS = np.array([0.0, 0.5, 1.0, 0.3, np.nextafter(0.3, 1.0), np.nextafter(0.5, 0.0),
+                         np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("q", [1, 77])
+@pytest.mark.parametrize("h", [1, 4, 425])
+def test_rank2_products_equal_ufunc_outer(h, q):
+    """x_i - z_j as [x, 1][1; -z] and a_i b_j as [a, 0][b; 0], by dgemm,
+    equal np.subtract.outer and np.multiply.outer, written in place into
+    F- and C-ordered outputs whose old entries (NaN) are never read.  The
+    random points beyond OUTER_POINTS pair x_i with z_i one ulp above it."""
+    rng = np.random.default_rng(h * q)
+    base = rng.uniform(size=max(h, q))
+    for sx in range(OUTER_POINTS.size):
+        for sz in range(OUTER_POINTS.size):
+            x = np.concatenate([np.roll(OUTER_POINTS, sx), base])[:h]
+            z = np.concatenate([np.roll(OUTER_POINTS, sz), np.nextafter(base, 1.0)])[:q]
+            a, b = x - 0.5, z - 0.5
+            for out in (np.empty((h, q), order="F"), np.empty((h, q))):
+                out[...] = np.nan
+                diff = kernels._rank2(x, 1.0, kernels._basis_operand(1.0, -z), out)
+                assert np.shares_memory(diff, out)
+                assert np.array_equal(out, np.subtract.outer(x, z))
+                out[...] = np.nan
+                kernels._rank2(a, 0.0, kernels._basis_operand(b, 0.0), out)
+                assert np.array_equal(out, np.multiply.outer(a, b))
 
 
 # --------------------------------------------------------------------- domains

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from spanova import kernels, solver
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import (PredictorDomain, full_two_way_model, main_effects_model,
-                             null_basis_matrix)
+                             null_basis_matrix, term_grams)
 from spanova.gcv import _trial, gcv_score, minimize_lambda
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
@@ -527,6 +527,55 @@ def test_assemble_equals_blocks_combine(name, n):
         assert np.array_equal(np.vstack([design.null_rows(a, b) for a, b in spans]),
                               null_basis_matrix(spec, ds.x))
     assert np.array_equal(solver._weighted_sum(theta, design.q_parts), q_ref)
+
+
+@pytest.mark.parametrize("name", ["u2", "m1", "m2", "m4", "discrete"])
+def test_kernel_tiles_equal_the_weighted_sum_of_term_grams(name):
+    """K(theta)'s tiles, read full, then shorter, then full again in one
+    reused workspace, equal _weighted_sum(theta, term_grams(...)) at their
+    rows bit for bit, as does a plain call, which returns rows the caller
+    owns.  A row slice of one F-ordered 2-D buffer would not be contiguous,
+    so dgemm would write into a copy and leave the short tile stale with no
+    error."""
+    if name == "discrete":
+        ds, spec = discrete_problem(1000)
+    else:
+        ds, spec = gen_data(name, 1000, 5.0, seed=2).dataset, SCENARIOS[name].spec
+    z = ds.x[select_basis(ds.n, 77, seed=1).indices]
+    theta = 10.0 ** np.random.default_rng(4).uniform(-1.0, 1.0, spec.n_penalized)
+    rows = solver._kernel_rows(spec, ds.x, z, theta)
+    (_, full), *_ = solver._tiles(0, ds.n, z.shape[0])
+    tiles = []
+    for a, b in [(0, full), (full, full + 5), (full + 5, 2 * full + 5)]:
+        ref = solver._weighted_sum(theta, term_grams(spec.penalized_terms, spec.domains,
+                                                    ds.x[a:b], z))
+        tile = rows.tile(a, b)
+        assert tile.shape == (b - a, z.shape[0]) and tile.flags.f_contiguous
+        assert np.array_equal(tile, ref)
+        tiles.append(tile)
+        owned = rows(a, b)
+        assert np.array_equal(owned, ref) and not np.shares_memory(owned, tile)
+    assert all(np.shares_memory(tile, tiles[0]) for tile in tiles)
+
+
+def test_a_kernel_pass_reuses_one_workspace():
+    """A pass of 20 or more tiles that keeps every tile it reads peaks at most
+    one tile's bytes above a pass of one tile: the tiles are views of one
+    workspace, not arrays allocated per tile."""
+    spec = SCENARIOS["m1"].spec
+    ds = gen_data("m1", 9000, 5.0, seed=3).dataset
+    z = ds.x[select_basis(ds.n, 77, seed=3).indices]
+    theta = np.ones(spec.n_penalized)
+    spans = list(solver._tiles(0, ds.n, z.shape[0]))
+    full = spans[0][1]
+    assert len(spans) >= 20
+
+    def one_pass(stop):
+        rows = solver._kernel_rows(spec, ds.x, z, theta)
+        return [rows.tile(a, b) for a, b in solver._tiles(0, stop, z.shape[0])]
+
+    tile_bytes = full * z.shape[0] * 8
+    assert _traced_peak(lambda: one_pass(ds.n)) <= _traced_peak(lambda: one_pass(full)) + tile_bytes
 
 
 @pytest.mark.parametrize("name, n", [("m1", 3000), ("m1", 4099), ("m4", 800)])
