@@ -340,24 +340,17 @@ def _rank2(col: np.ndarray, second: float, operand: np.ndarray, out: np.ndarray)
     [x, 1] [1; -z] gives x_i - z_j and [a, 0] [b; 0] gives a_i b_j: each
     entry is exact products plus one rounding, so it equals
     ``np.subtract.outer``'s or ``np.multiply.outer``'s bit for bit, except
-    that a zero product comes out +0.  ``out``, F- or C-contiguous float64,
-    is written in place (beta 0, so its old entries are never read).  At
-    tile size, m n k <= 65536, OpenBLAS runs the product on one thread.
+    that a zero product comes out +0.  ``out``, an F-contiguous float64
+    buffer of ``KernelRows``' workspace, is written in place (beta 0, so
+    its old entries are never read).  At tile size, m n k <= 65536,
+    OpenBLAS runs the product on one thread.
     """
     if out.size == 0:
         return out
     rows = np.empty((col.shape[0], 2), order="F")
     rows[:, 0] = col
     rows[:, 1] = second
-    if out.flags.f_contiguous:
-        return sla.blas.dgemm(1.0, rows, operand, beta=0.0, c=out, overwrite_c=True)
-    return sla.blas.dgemm(1.0, operand, rows, beta=0.0, c=out.T, trans_a=1, trans_b=1,
-                          overwrite_c=True).T
-
-
-def _factor_keys(terms) -> list[tuple[tuple[int, str], ...]]:
-    """Each term's (predictor, label) factors, in predictor order."""
-    return [tuple(zip(term.predictors, term.labels)) for term in terms]
+    return sla.blas.dgemm(1.0, rows, operand, beta=0.0, c=out, overwrite_c=True)
 
 
 def _basis_side(domain: PredictorDomain, label: str, zc: np.ndarray):
@@ -402,108 +395,99 @@ def _gram_factor(domain: PredictorDomain, label: str, xc: np.ndarray, side,
     return out
 
 
-def term_grams(terms, domains, x_rows: np.ndarray, z_rows: np.ndarray):
-    """Gram blocks of several terms between two point sets, in term order.
-
-    Yields one (n, m) C-ordered block per term, each a fresh array the
-    caller owns.  Every (predictor, label) factor is formed once and
-    dropped after the last term that uses it, so terms that share factors
-    (the interactions of a two-way model) cost one product per extra
-    factor.  A block is the product of its factors in predictor order, so
-    it equals ``term_gram`` bit for bit.
-    """
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
-    shape = (x_rows.shape[0], z_rows.shape[0])
-    keys = _factor_keys(terms)
-    last_use = {key: i for i, term_keys in enumerate(keys) for key in term_keys}
-    scratch = np.empty(shape)
-    factors = {}
-    for i, term_keys in enumerate(keys):
-        for j, lab in term_keys:
-            if (j, lab) not in factors:
-                side = _basis_side(domains[j], lab, z_rows[:, j])
-                factors[j, lab] = _gram_factor(domains[j], lab, x_rows[:, j], side,
-                                               np.empty(shape), scratch)
-        first, *rest = term_keys
-        block = factors.pop(first) if last_use[first] == i else factors[first].copy()
-        for key in rest:
-            block *= factors[key]
-            if last_use[key] == i:
-                del factors[key]
-        yield block
-        del block  # so the caller's reference is the only one while the next block forms
+def _product(factors, out: np.ndarray) -> np.ndarray:
+    """A term's block, its factors multiplied in predictor order, written into ``out``."""
+    first, *rest = factors
+    if not rest:
+        out[...] = first
+        return out
+    np.multiply(first, rest[0], out=out)
+    for factor in rest[1:]:
+        out *= factor
+    return out
 
 
 class KernelRows:
-    """The row source (lo, hi) -> sum_t w_t R_t(x_i, z_j) at rows lo .. hi of ``x_rows``.
+    """The row source of several terms' kernels between two point sets, in one of two forms.
 
-    For K(theta) the terms are a model's penalized terms and w is theta.
-    ``tile(lo, hi)`` forms the rows in one F-ordered workspace, reused for
-    every tile of a pass: one buffer per distinct (predictor, label)
-    factor, one scratch and one sum, each a flat array viewed F-contiguous
-    at the tile's height, so no factor, block or sum is allocated per tile
-    and dgemm writes each product in place.  A tile's rows are valid until
-    the next tile forms.  A plain ``(lo, hi)`` call forms the rows in a
-    workspace of its own and returns its sum, an array the caller owns.
+    The form is set by whoever builds the source.  With ``weights`` w it
+    gives sum_t w_t R_t(x_i, z_j), m columns (for K(theta) the terms are a
+    model's penalized terms and w is theta); without, the per-term blocks
+    R_t side by side, m columns each, in term order.  ``tile(lo, hi, out)``
+    forms rows lo .. hi of ``x_rows`` in one F-ordered workspace, reused
+    for every tile of a pass: one buffer per distinct (predictor, label)
+    factor, one scratch and, in the sum form, one sum, each a flat array
+    viewed F-contiguous at the tile's height, so no factor or block is
+    allocated per tile and dgemm writes each product in place.  The rows
+    are written into ``out``, any float64 view, such as a QR stack's rows;
+    with no ``out``, the sum form returns its sum, valid until the next
+    tile forms.  A plain ``(lo, hi)`` call returns the rows in an array
+    the caller owns.
 
-    Each term adds w_t (F_a F_b ...) into the sum, its factors multiplied
-    in predictor order and the terms added in order, the operations of
-    ``_weighted_sum(w, term_grams(...))`` in ``solver``, so the rows equal
-    that sum's bit for bit; the basis points' side of every factor is
-    formed once, here.
+    Each block is its factors' product in predictor order (``_product``),
+    and the sum adds w_t times each block in term order, the operations of
+    ``solver._weighted_sum`` over the per-term blocks, so the sum form's
+    rows equal that sum's bit for bit.  The basis points' side of every
+    factor is formed once, here.
     """
 
-    def __init__(self, terms, domains, x_rows: np.ndarray, z_rows: np.ndarray, weights):
+    def __init__(self, terms, domains, x_rows: np.ndarray, z_rows: np.ndarray, weights=None):
         z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
-        self.x_rows, self.weights, self.m = x_rows, weights, z_rows.shape[0]
-        self.keys = _factor_keys(terms)
+        self.x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+        self.weights, self.m = weights, z_rows.shape[0]
+        # each term's (predictor, label) factors, in predictor order
+        self.keys = [tuple(zip(term.predictors, term.labels)) for term in terms]
+        self.width = self.m * (1 if weights is not None else len(terms))
+        factors = dict.fromkeys(key for term_keys in self.keys for key in term_keys)
         self.sides = {(j, lab): (domains[j], _basis_side(domains[j], lab, z_rows[:, j]))
-                      for term_keys in self.keys for j, lab in term_keys}
+                      for j, lab in factors}
         self._work = self._workspace(0)
 
     def _workspace(self, rows: int) -> dict:
-        return {key: np.empty(rows * self.m) for key in [*self.sides, "scratch", "sum"]}
+        keys = [*self.sides, "scratch", *(["sum"] if self.weights is not None else [])]
+        return {key: np.empty(rows * self.m) for key in keys}
 
     def __call__(self, lo: int, hi: int) -> np.ndarray:
-        return self._form(lo, hi, self._workspace(hi - lo))
+        return self.tile(lo, hi, np.empty((hi - lo, self.width), order="F"))
 
-    def tile(self, lo: int, hi: int) -> np.ndarray:
-        """The rows lo .. hi in the pass's workspace, valid until the next tile forms."""
-        if self._work["sum"].size < (hi - lo) * self.m:
-            self._work = self._workspace(hi - lo)
-        return self._form(lo, hi, self._work)
-
-    def _form(self, lo: int, hi: int, work: dict) -> np.ndarray:
+    def tile(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows lo .. hi, written into ``out``, of shape (hi - lo, ``width``)."""
         shape = (hi - lo, self.m)
+        if self._work["scratch"].size < shape[0] * shape[1]:
+            self._work = self._workspace(shape[0])
         # a row slice of an F-ordered 2-D buffer is not contiguous, so dgemm would write a copy
         view = {key: flat[:shape[0] * shape[1]].reshape(shape, order="F")
-                for key, flat in work.items()}
-        scratch, out = view["scratch"], view["sum"]
+                for key, flat in self._work.items()}
+        scratch = view["scratch"]
         x = self.x_rows[lo:hi]
         factors = {(j, lab): _gram_factor(domain, lab, x[:, j], side, view[j, lab], scratch)
                    for (j, lab), (domain, side) in self.sides.items()}
-        for i, (w, term_keys) in enumerate(zip(self.weights, self.keys)):
-            first, *rest = (factors[key] for key in term_keys)
-            if rest:
-                block = np.multiply(first, rest[0], out=scratch)
-                for factor in rest[1:]:
-                    block *= factor
-            else:
-                block = first
+        blocks = ([factors[key] for key in term_keys] for term_keys in self.keys)
+        if self.weights is None:
+            for i, term_factors in enumerate(blocks):
+                _product(term_factors, out[:, i * self.m:(i + 1) * self.m])
+            return out
+        total = view["sum"]
+        for i, (w, term_factors) in enumerate(zip(self.weights, blocks)):
+            block = term_factors[0] if len(term_factors) == 1 else _product(term_factors, scratch)
             if i == 0:
-                np.multiply(w, block, out=out)
+                np.multiply(w, block, out=total)
             else:
-                out += np.multiply(w, block, out=scratch)
+                total += np.multiply(w, block, out=scratch)
+        if out is None:
+            return total
+        out[...] = total  # one copy: on m4, 87 sums straight into a QR stack's rows slowed a fit
         return out
 
 
 def term_gram(term: AnovaTerm, domains, x_rows: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
     """Gram block of one term between two point sets, shape (n, m).
 
-    Vectorized equivalent of evaluating ``term_kernel`` pairwise.
+    Vectorized equivalent of evaluating ``term_kernel`` pairwise, read from
+    the term's ``KernelRows``.
     """
-    return next(term_grams((term,), domains, x_rows, z_rows))
+    rows = KernelRows((term,), domains, x_rows, z_rows)
+    return rows(0, rows.x_rows.shape[0])
 
 
 def term_gram_diag(term: AnovaTerm, domains, x_rows: np.ndarray) -> np.ndarray:

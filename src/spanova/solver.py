@@ -42,10 +42,13 @@ its (p + 1 + chunk) x (p + 1) stack and then one (p + 1)^2 copy of R, not
 S n q doubles.  Only a search where p + 1 >= n, with nothing to compress,
 forms the blocks over all n rows, in one array that T's QR (``NullQR``)
 rotates in place; ``compressed_blocks`` alone makes this choice
-(``streams_rows``).  Rows of K(theta) = sum_delta theta_delta K_delta come
-from one row source (``_kernel_rows``), one cache-sized tile at a time,
-each formed in the one workspace that the pass reuses for every tile,
-and T's from another (``_null_rows``), chunk by chunk: skip's two designs,
+(``streams_rows``).  Kernel rows come from one source,
+``kernels.KernelRows``, one cache-sized tile at a time, each formed in
+the one workspace that the pass reuses for every tile and written into
+the caller's array: the per-term blocks side by side for a search
+(``DesignRows.kernel_rows``), and K(theta) = sum_delta theta_delta
+K_delta for a design at one theta (``_kernel_rows``).  T's rows come
+from another source (``_null_rows``), chunk by chunk: skip's two designs,
 the p estimate's one and the refit (``fit_model``) compress
 [T, K(theta), y], M + q + 1 columns, as the rows come
 (``DesignRows.design_at``), and ``predict`` sums T d + K(theta) c tile by
@@ -81,7 +84,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .data import Dataset, rescale_columns
-from .kernels import KernelRows, ModelSpec, null_basis_matrix, term_gram_diag, term_grams
+from .kernels import KernelRows, ModelSpec, null_basis_matrix, term_gram_diag
 from .util import InputError, NumericalError, derive_rng, round_half_up
 
 # Relative size of the ridge added to Q before factorization.
@@ -207,20 +210,21 @@ class DesignBlocks:
 def _rotated_blocks(null: "NullQR", kernel_rows, n: int, q: int, s: int) -> tuple[np.ndarray, ...]:
     """H' applied to S blocks of n rows and q columns, in one F-ordered array.
 
-    ``kernel_rows(lo, hi)`` yields the S blocks' rows lo .. hi, as in
-    ``_compress_rows``; they are copied in one tile (``_tiles``) at a time.
-    The kernel factors that ``term_grams`` shares across a tile's blocks
-    sit beside the whole array, so a tile also spans at most n/8 rows: on
-    ``m4`` at 300 rows one tile of all rows took 1.59 S n q doubles.  One
-    LAPACK call then rotates all the blocks at BLAS-3 speed, and they come
-    back as column views, which a search's trials read by column.
+    ``kernel_rows(lo, hi, out)`` writes the S blocks' rows lo .. hi into
+    the array's rows, as in ``_compress_rows``, one tile (``_tiles``) at a
+    time.  The row source's workspace holds a tile of every distinct
+    kernel factor (36 on ``m4``) beside the whole array, so a tile also
+    spans at most n/8 rows: on ``m4`` at 2000 rows (q = 54, the array 75
+    MB) the cap cuts a tile from 604 rows to 248, and
+    ``compressed_blocks``' peak traced memory from 90.5 MB to 84.8 MB.
+    One LAPACK call then rotates all the blocks at BLAS-3 speed, and they
+    come back as column views, which a search's trials read by column.
     """
     out = np.empty((n, s * q), order="F")
     for a, b in _tiles(0, n, q, max_rows=-(-n // 8)):
-        for j, kp in enumerate(kernel_rows(a, b)):
-            out[a:b, j * q:(j + 1) * q] = kp
+        kernel_rows(a, b, out[a:b])
     out = null.rotate(out, overwrite=True)
-    return tuple(out[:, j * q:(j + 1) * q] for j in range(s))
+    return _column_blocks(out, q)
 
 
 def _chunked_r(n: int, width: int, fill) -> np.ndarray:
@@ -250,9 +254,10 @@ def _compress_rows(null_rows, kernel_rows, y: np.ndarray, m: int, n_blocks: int,
     """[T, K_1 ... K_B, y] reduced to p + 1 rows by one chunked QR (``_chunked_r``), p = M + B q.
 
     ``null_rows(lo, hi)`` gives T's M columns at rows lo .. hi
-    (``_null_rows``), and ``kernel_rows(lo, hi)`` yields the B kernel
-    blocks' rows lo .. hi, each q wide, in order; the kernel rows are asked
-    for one tile (``_tiles``) at a time.  n is y's length.
+    (``_null_rows``), and ``kernel_rows(lo, hi, out)`` writes the B kernel
+    blocks' rows lo .. hi, each q wide, side by side into ``out``, the
+    stack's rows (``KernelRows.tile``); the kernel rows are asked for one
+    tile (``_tiles``) at a time.  n is y's length.
     Returns (T', (K_1' ... K_B'), f): column views of R, F-contiguous, as
     the searches' stacks and products read them.
     """
@@ -261,21 +266,21 @@ def _compress_rows(null_rows, kernel_rows, y: np.ndarray, m: int, n_blocks: int,
     def fill(rows, lo, hi):
         rows[:, :m] = null_rows(lo, hi)
         for a, b in _tiles(lo, hi, q):
-            for j, kp in enumerate(kernel_rows(a, b)):
-                rows[a - lo:b - lo, m + j * q:m + (j + 1) * q] = kp
+            kernel_rows(a, b, rows[a - lo:b - lo, m:p])
         rows[:, p] = y[lo:hi]
 
     r = _chunked_r(y.shape[0], p + 1, fill)
-    return r[:, :m], tuple(r[:, m + j * q:m + (j + 1) * q] for j in range(n_blocks)), r[:, p]
+    return r[:, :m], _column_blocks(r[:, m:p], q), r[:, p]
 
 
 def _tiles(lo: int, hi: int, q: int, max_rows: int | None = None):
     """(start, stop) of the row tiles of lo .. hi for q-column kernel rows.
 
-    A tile holds about KERNEL_TILE_BYTES of one block, and at most
-    COMPRESS_CHUNK rows, or ``max_rows`` if fewer.  Kernel entries are
-    elementwise in the rows, so a block formed tile by tile equals the
-    block formed at once bit for bit.  Tiles span multiples of 4 rows but
+    A tile holds about KERNEL_TILE_BYTES of one block, the size of each
+    buffer of ``KernelRows``' workspace, and at most COMPRESS_CHUNK rows,
+    or ``max_rows`` if fewer.  Kernel entries are elementwise in the rows,
+    so a block formed tile by tile equals the block formed at once bit for
+    bit.  Tiles span multiples of 4 rows but
     the last, which spans 4 or more unless it is the only one: OpenBLAS's
     dgemv takes rows in fours, so ``predict``'s tile-by-tile K(theta) c
     then equals the product over all rows bit for bit.
@@ -297,10 +302,9 @@ def _theta_vector(theta, n_penalized: int) -> np.ndarray:
 def _weighted_sum(theta: np.ndarray, parts) -> np.ndarray:
     """sum_delta theta_delta parts_delta, accumulated in term order.
 
-    ``parts`` may be a generator; later terms are scaled in one reused
-    buffer.  The operations and their order do not depend on where the
-    parts come from, so a sum over blocks formed one row chunk at a time
-    equals the same rows of the sum over whole blocks bit for bit.
+    Later terms are scaled in one reused buffer.  The operations and their
+    order are ``KernelRows``' sum form's, so a sum over per-term blocks
+    equals the same rows of that form bit for bit.
     """
     out = scaled = None
     for i, (w, part) in enumerate(zip(theta, parts)):
@@ -432,30 +436,32 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     """
     rows = DesignRows(dataset, spec, basis)
     return DesignBlocks(t=rows.null_rows(0, dataset.n),
-                        k_parts=tuple(rows.kernel_rows(0, dataset.n)),
+                        k_parts=_column_blocks(rows.kernel_rows(0, dataset.n), basis.q),
                         q_parts=rows.q_parts, y=dataset.y, basis=basis, n_obs=dataset.n)
+
+
+def _column_blocks(a: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
+    """The q-column blocks of ``a``, side by side, as column views."""
+    return tuple(a[:, j:j + q] for j in range(0, a.shape[1], q))
 
 
 class DesignRows:
     """The rows of [T, K_1 ... K_S, y] for one dataset and basis, formed on demand.
 
     Holds T's row source ``null_rows`` (``null_design``, whose checks it
-    runs), the basis rows and the penalty parts Q_delta.  Rows of T and of
-    the kernel blocks are formed at the rows asked for, so compressing
-    COMPRESS_CHUNK rows at a time needs O(p^2 + chunk p) memory and no
-    n-row block, T's included, exists.
+    runs), the kernel blocks' ``kernel_rows``, a ``KernelRows`` of the
+    per-term form (K_1 ... K_S side by side), the basis rows and the
+    penalty parts Q_delta.  Rows of T and of the kernel blocks are formed
+    at the rows asked for, so compressing COMPRESS_CHUNK rows at a time
+    needs O(p^2 + chunk p) memory and no n-row block, T's included, exists.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
         self.null_rows = null_design(dataset, spec, basis)
         self.dataset, self.spec, self.basis = dataset, spec, basis
         self.z = dataset.x[basis.indices]
+        self.kernel_rows = KernelRows(spec.penalized_terms, spec.domains, dataset.x, self.z)
         self.q_parts = _penalty_parts(spec, self.z)
-
-    def kernel_rows(self, lo: int, hi: int):
-        """Per-term kernel blocks K_delta at rows lo .. hi, in term order."""
-        spec = self.spec
-        return term_grams(spec.penalized_terms, spec.domains, self.dataset.x[lo:hi], self.z)
 
     def design_at(self, theta) -> CompiledDesign:
         """Design of [T, K(theta), y] at one theta, compressed to M + q + 1 rows.
@@ -479,26 +485,27 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) 
 
     When p + 1 < n the rows of [T, K_1 ... K_S, y] are compressed to p + 1 rows
     chunk by chunk (``_compress_rows``), and no per-term n-row block
-    exists.  Otherwise the blocks are formed over all n rows, copied into
-    one array as each forms, and rotated there by the QR of T, formed whole
+    exists.  Otherwise the blocks are formed over all n rows, written into
+    one array tile by tile, and rotated there by the QR of T, formed whole
     (``NullQR``, ``_rotated_blocks``), so no second copy of the S blocks exists.
     """
     rows = DesignRows(dataset, spec, basis)
     s, q = spec.n_penalized, basis.q
     if streams_rows(dataset, spec, basis):
-        t, k_parts, f = _compress_rows(rows.null_rows, rows.kernel_rows, dataset.y,
+        t, k_parts, f = _compress_rows(rows.null_rows, rows.kernel_rows.tile, dataset.y,
                                        spec.null_dim, s, q)
     else:
         null = NullQR(rows.null_rows(0, dataset.n))
         t, f = null.triangle(), null.rotate(dataset.y)
-        k_parts = _rotated_blocks(null, rows.kernel_rows, dataset.n, q, s)
+        k_parts = _rotated_blocks(null, rows.kernel_rows.tile, dataset.n, q, s)
     return DesignBlocks(t=t, k_parts=k_parts, q_parts=rows.q_parts, y=f, basis=basis,
                         n_obs=dataset.n)
 
 
 def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
     """Symmetrized per-term kernel Grams Q_delta at the basis rows."""
-    return tuple((qb + qb.T) / 2.0 for qb in term_grams(spec.penalized_terms, spec.domains, z, z))
+    grams = KernelRows(spec.penalized_terms, spec.domains, z, z)(0, z.shape[0])
+    return tuple((qb + qb.T) / 2.0 for qb in _column_blocks(grams, z.shape[0]))
 
 
 def _null_rows(spec: ModelSpec, x_rows: np.ndarray):
@@ -514,10 +521,10 @@ def _kernel_rows(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta)
     """The row source (lo, hi) -> K(theta)[lo:hi] between two point sets.
 
     K(theta) = sum_delta theta_delta K_delta, the rows formed at those rows
-    alone.  A pass reads it one tile (``_tiles``) at a time through
-    ``tile``, in one reused workspace (``kernels.KernelRows``); in any
-    tiling the rows equal the same rows of ``DesignBlocks.combine``'s K bit
-    for bit.
+    alone: ``kernels.KernelRows``' sum form.  A pass reads it one tile
+    (``_tiles``) at a time through ``tile``, in one reused workspace; in
+    any tiling the rows equal the same rows of ``DesignBlocks.combine``'s K
+    bit for bit.
     """
     return KernelRows(spec.penalized_terms, spec.domains, x_rows, z_rows,
                       _theta_vector(theta, spec.n_penalized))
@@ -576,12 +583,12 @@ class CompiledDesign:
 def _compressed_design(t, m: int, k, q: np.ndarray, y: np.ndarray) -> CompiledDesign:
     """The design of [T, K, y] compressed to M + q + 1 rows by ``_compress_rows``.
 
-    ``t(lo, hi)`` and ``k(lo, hi)`` are row sources of T's M columns and
-    of K (``_null_rows``, ``_kernel_rows``'s ``tile``); each tile of K is
-    copied into the QR's stack before the next one forms.  The design
-    scores y's n rows.
+    ``t(lo, hi)`` gives T's M columns and ``k(lo, hi, out)`` writes K's
+    rows into ``out`` (``_null_rows``, ``_kernel_rows``'s ``tile``), so
+    each tile of K lands in the QR's stack before the next one forms.  The
+    design scores y's n rows.
     """
-    t_r, (k_r,), f = _compress_rows(t, lambda lo, hi: (k(lo, hi),), y, m, 1, q.shape[0])
+    t_r, (k_r,), f = _compress_rows(t, k, y, m, 1, q.shape[0])
     return CompiledDesign(t_r, k_r, q, f, y.shape[0])
 
 
@@ -605,7 +612,8 @@ def _checked_design(t, k, q, y) -> CompiledDesign:
         raise InputError("T, K and y must be finite")
     n, m = t.shape
     _check_null_rows(n, m)
-    design = _compressed_design(lambda lo, hi: t[lo:hi], m, lambda lo, hi: k[lo:hi], q, y)
+    design = _compressed_design(lambda lo, hi: t[lo:hi], m,
+                                lambda lo, hi, out: np.copyto(out, k[lo:hi]), q, y)
     _check_null_rank(design.r_t, n)
     return design
 

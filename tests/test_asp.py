@@ -32,7 +32,8 @@ from spanova.asp import (
     subsample_size,
 )
 from spanova.data import Dataset, unit_domains
-from spanova.kernels import PredictorDomain, full_two_way_model, main_effects_model
+from spanova.kernels import (KernelRows, PredictorDomain, full_two_way_model,
+                             main_effects_model)
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.util import InputError, derive_rng
 
@@ -479,7 +480,7 @@ def test_order_selection_checks_inputs_without_kernel_blocks(monkeypatch):
     def no_blocks(*args):
         raise AssertionError("order_selection formed kernel blocks")
 
-    monkeypatch.setattr(solver, "term_grams", no_blocks)
+    monkeypatch.setattr(KernelRows, "tile", no_blocks)
     data, spec = sine_dataset(250, seed=5)
     assert order_selection(data, spec, AspConfig(jobs=1)).theta[0] > 0
 
@@ -495,7 +496,7 @@ def test_selectors_reject_constant_response(selector, monkeypatch):
     def no_blocks(*args):
         raise AssertionError("kernel blocks formed for a constant response")
 
-    monkeypatch.setattr(solver, "term_grams", no_blocks)
+    monkeypatch.setattr(KernelRows, "tile", no_blocks)
     with pytest.raises(InputError, match="response is constant"):
         selector(data, SCENARIOS["m1"].spec, AspConfig(jobs=1))
 
@@ -512,7 +513,7 @@ def test_selectors_reject_a_response_scale_outside_the_range(selector, monkeypat
     def no_blocks(*args):
         raise AssertionError("kernel blocks formed for a response out of range")
 
-    monkeypatch.setattr(solver, "term_grams", no_blocks)
+    monkeypatch.setattr(KernelRows, "tile", no_blocks)
     for scale in (1e155, 1e-155, 1e-160, 1e-170):
         scaled = Dataset(x=data.x, y=data.y * scale, domains=data.domains)
         with pytest.raises(InputError, match=r"response spread \(max - min\) is .*; rescale y"):

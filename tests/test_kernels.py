@@ -18,7 +18,6 @@ from spanova.kernels import (
     null_basis_matrix,
     term_gram,
     term_gram_diag,
-    term_grams,
     term_kernel,
 )
 from spanova.simulate import SCENARIOS
@@ -351,15 +350,32 @@ ASSEMBLY_SPECS = [SCENARIOS[name].spec for name in ("u2", "m1", "m2", "m4")] + [
 
 
 @pytest.mark.parametrize("spec", ASSEMBLY_SPECS, ids=["u2", "m1", "m2", "m4", "discrete"])
-def test_term_grams_bitwise_equal_to_per_term_grams(spec):
+def test_per_term_blocks_fill_a_column_slice_of_a_stack(spec):
+    """The per-term row source writes each tile's blocks side by side into a
+    column slice of an F-ordered stack, neither F- nor C-contiguous, as
+    _compress_rows' fill does.  Tiles full, then short, then full again,
+    formed in one workspace, give loop_term_gram's blocks bit for bit, as
+    does term_gram, and the stack's entries outside the slice keep their
+    NaN."""
     x = spec_rows(spec, 40, seed=3)
     z = x[::4]
-    terms = spec.penalized_terms
-    blocks = term_grams(terms, spec.domains, x, z)
-    for term, block in zip(terms, blocks, strict=True):
-        assert np.array_equal(block, term_gram(term, spec.domains, x, z))
-        assert np.array_equal(block, loop_term_gram(term, spec.domains, x, z))
-        block[...] = np.nan  # the caller owns each block: later ones are unaffected
+    terms, m = spec.penalized_terms, z.shape[0]
+    width = len(terms) * m
+    rows = kernels.KernelRows(terms, spec.domains, x, z)
+    stack = np.full((x.shape[0] + 6, 3 + width + 2), np.nan, order="F")
+    work = None
+    for a, b in [(0, 16), (16, 21), (21, 37), (37, 40)]:
+        view = stack[a:b, 3:3 + width]
+        assert not (view.flags.f_contiguous or view.flags.c_contiguous)
+        assert rows.tile(a, b, view) is view
+        work = work or rows._work
+        assert rows._work is work
+    assert np.isnan(stack[:, :3]).all() and np.isnan(stack[:, 3 + width:]).all()
+    assert np.isnan(stack[x.shape[0]:]).all()
+    for i, term in enumerate(terms):
+        ref = loop_term_gram(term, spec.domains, x, z)
+        assert np.array_equal(stack[:x.shape[0], 3 + i * m:3 + (i + 1) * m], ref)
+        assert np.array_equal(term_gram(term, spec.domains, x, z), ref)
 
 
 @pytest.mark.parametrize("spec", ASSEMBLY_SPECS, ids=["u2", "m1", "m2", "m4", "discrete"])
@@ -375,6 +391,21 @@ def test_assemble_blocks_unchanged_by_shared_factors(spec):
         assert np.array_equal(qp, (q_ref + q_ref.T) / 2.0)
 
 
+def test_kernel_rows_are_the_one_row_source():
+    """Kernel rows are formed one way, by ``KernelRows``: no ``term_grams``
+    is left in kernels or solver, and ``_gram_factor``, which forms each
+    factor, is called from ``KernelRows`` alone.  A second row path that
+    creeps back fails here."""
+    import inspect
+
+    from spanova import solver
+
+    assert [mod.__name__ for mod in (kernels, solver) if hasattr(mod, "term_grams")] == []
+    assert inspect.getsource(kernels).count("_gram_factor(") == 2  # its definition and one call
+    assert "_gram_factor(" in inspect.getsource(kernels.KernelRows)
+    assert "_gram_factor" not in inspect.getsource(solver)
+
+
 # points where x == z, where x or z is 0, 0.5 or 1, and pairs one ulp apart
 OUTER_POINTS = np.array([0.0, 0.5, 1.0, 0.3, np.nextafter(0.3, 1.0), np.nextafter(0.5, 0.0),
                          np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)])
@@ -385,7 +416,7 @@ OUTER_POINTS = np.array([0.0, 0.5, 1.0, 0.3, np.nextafter(0.3, 1.0), np.nextafte
 def test_rank2_products_equal_ufunc_outer(h, q):
     """x_i - z_j as [x, 1][1; -z] and a_i b_j as [a, 0][b; 0], by dgemm,
     equal np.subtract.outer and np.multiply.outer, written in place into
-    F- and C-ordered outputs whose old entries (NaN) are never read.  The
+    an F-ordered output whose old entries (NaN) are never read.  The
     random points beyond OUTER_POINTS pair x_i with z_i one ulp above it."""
     rng = np.random.default_rng(h * q)
     base = rng.uniform(size=max(h, q))
@@ -394,14 +425,13 @@ def test_rank2_products_equal_ufunc_outer(h, q):
             x = np.concatenate([np.roll(OUTER_POINTS, sx), base])[:h]
             z = np.concatenate([np.roll(OUTER_POINTS, sz), np.nextafter(base, 1.0)])[:q]
             a, b = x - 0.5, z - 0.5
-            for out in (np.empty((h, q), order="F"), np.empty((h, q))):
-                out[...] = np.nan
-                diff = kernels._rank2(x, 1.0, kernels._basis_operand(1.0, -z), out)
-                assert np.shares_memory(diff, out)
-                assert np.array_equal(out, np.subtract.outer(x, z))
-                out[...] = np.nan
-                kernels._rank2(a, 0.0, kernels._basis_operand(b, 0.0), out)
-                assert np.array_equal(out, np.multiply.outer(a, b))
+            out = np.full((h, q), np.nan, order="F")
+            diff = kernels._rank2(x, 1.0, kernels._basis_operand(1.0, -z), out)
+            assert np.shares_memory(diff, out)
+            assert np.array_equal(out, np.subtract.outer(x, z))
+            out[...] = np.nan
+            kernels._rank2(a, 0.0, kernels._basis_operand(b, 0.0), out)
+            assert np.array_equal(out, np.multiply.outer(a, b))
 
 
 # --------------------------------------------------------------------- domains

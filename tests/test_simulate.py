@@ -4,6 +4,7 @@ from scipy.stats import beta as beta_dist
 
 from spanova import asp, simulate
 from spanova.asp import AspConfig
+from spanova.kernels import KernelRows
 from spanova.simulate import (
     SCENARIOS,
     analytic_lambda_periodic,
@@ -297,13 +298,13 @@ def test_run_benchmark_refits_build_no_per_term_blocks(monkeypatch):
     for module in (asp, gcv, simulate, solver):
         monkeypatch.setattr(module, "assemble_blocks", forbidden, raising=False)
     block_rows = []
-    real_grams = solver.term_grams
+    real_tile = KernelRows.tile
 
-    def recording(terms, domains, x_rows, z_rows):
-        block_rows.append(np.atleast_2d(x_rows).shape[0])
-        return real_grams(terms, domains, x_rows, z_rows)
+    def recording(self, lo, hi, out=None):
+        block_rows.append(hi - lo)
+        return real_tile(self, lo, hi, out)
 
-    monkeypatch.setattr(solver, "term_grams", recording)
+    monkeypatch.setattr(KernelRows, "tile", recording)
     monkeypatch.setattr(solver, "COMPRESS_CHUNK", 64)
     records = run_benchmark("u2", 300, 5.0, ["order", "skip"], 1, config=AspConfig(jobs=1))
     assert [r.method for r in records] == ["gcv", "order", "skip"]

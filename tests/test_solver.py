@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from spanova import kernels, solver
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import (PredictorDomain, full_two_way_model, main_effects_model,
-                             null_basis_matrix, term_grams)
+                             null_basis_matrix, term_gram)
 from spanova.gcv import _trial, gcv_score, minimize_lambda
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
@@ -356,8 +356,7 @@ def test_null_design_rank_check_agrees_with_matrix_rank(case, monkeypatch):
         calls.append(args)
         raise AssertionError("a kernel row was formed")
 
-    for module in (kernels, solver):
-        monkeypatch.setattr(module, "term_grams", spy)
+    monkeypatch.setattr(kernels.KernelRows, "tile", spy)
     if not deficient:
         solver.null_design(ds, spec, basis)
         return
@@ -532,7 +531,7 @@ def test_assemble_equals_blocks_combine(name, n):
 @pytest.mark.parametrize("name", ["u2", "m1", "m2", "m4", "discrete"])
 def test_kernel_tiles_equal_the_weighted_sum_of_term_grams(name):
     """K(theta)'s tiles, read full, then shorter, then full again in one
-    reused workspace, equal _weighted_sum(theta, term_grams(...)) at their
+    reused workspace, equal _weighted_sum of the term_gram blocks at their
     rows bit for bit, as does a plain call, which returns rows the caller
     owns.  A row slice of one F-ordered 2-D buffer would not be contiguous,
     so dgemm would write into a copy and leave the short tile stale with no
@@ -547,8 +546,8 @@ def test_kernel_tiles_equal_the_weighted_sum_of_term_grams(name):
     (_, full), *_ = solver._tiles(0, ds.n, z.shape[0])
     tiles = []
     for a, b in [(0, full), (full, full + 5), (full + 5, 2 * full + 5)]:
-        ref = solver._weighted_sum(theta, term_grams(spec.penalized_terms, spec.domains,
-                                                    ds.x[a:b], z))
+        ref = solver._weighted_sum(theta, [term_gram(term, spec.domains, ds.x[a:b], z)
+                                           for term in spec.penalized_terms])
         tile = rows.tile(a, b)
         assert tile.shape == (b - a, z.shape[0]) and tile.flags.f_contiguous
         assert np.array_equal(tile, ref)
@@ -692,13 +691,13 @@ def test_refits_and_predict_form_no_per_term_n_row_block(monkeypatch, tmp_path):
     for module in (spanova, solver, asp, cli, simulate):
         monkeypatch.setattr(module, "assemble_blocks", forbidden, raising=False)
     block_rows = []
-    real_grams = solver.term_grams
+    real_tile = kernels.KernelRows.tile
 
-    def recording(terms, domains, x_rows, z_rows):
-        block_rows.append(np.atleast_2d(x_rows).shape[0])
-        return real_grams(terms, domains, x_rows, z_rows)
+    def recording(self, lo, hi, out=None):
+        block_rows.append(hi - lo)
+        return real_tile(self, lo, hi, out)
 
-    monkeypatch.setattr(solver, "term_grams", recording)
+    monkeypatch.setattr(kernels.KernelRows, "tile", recording)
     n = 5000
     sim = gen_data("m1", n, 5.0, seed=4)
     spec = SCENARIOS["m1"].spec
