@@ -407,73 +407,80 @@ def _product(factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def weighted_sum(weights, parts, out=None, scratch=None) -> np.ndarray:
+    """sum_t w_t parts_t, accumulated in term order into ``out``.
+
+    Later terms are scaled in one reused buffer, ``scratch``, which a part
+    may itself be.  Missing buffers are allocated.  K(theta) and Q(theta)
+    built from per-term blocks (``solver.DesignBlocks.combine``) and
+    ``KernelRows``' sum form both add their terms here, so the same blocks
+    give the same sum bit for bit.
+    """
+    for i, (w, part) in enumerate(zip(weights, parts)):
+        if i == 0:
+            out = np.multiply(w, part, out=out)
+        else:
+            scratch = np.multiply(w, part, out=scratch)
+            out += scratch
+    return out
+
+
 class KernelRows:
-    """The row source of several terms' kernels between two point sets, in one of two forms.
+    """The kernels of several terms between given rows x and one basis z, tile by tile.
 
-    The form is set by whoever builds the source.  With ``weights`` w it
-    gives sum_t w_t R_t(x_i, z_j), m columns (for K(theta) the terms are a
-    model's penalized terms and w is theta); without, the per-term blocks
-    R_t side by side, m columns each, in term order.  ``tile(lo, hi, out)``
-    forms rows lo .. hi of ``x_rows`` in one F-ordered workspace, reused
-    for every tile of a pass: one buffer per distinct (predictor, label)
-    factor, one scratch and, in the sum form, one sum, each a flat array
-    viewed F-contiguous at the tile's height, so no factor or block is
-    allocated per tile and dgemm writes each product in place.  The rows
-    are written into ``out``, any float64 view, such as a QR stack's rows;
-    with no ``out``, the sum form returns its sum, valid until the next
-    tile forms.  A plain ``(lo, hi)`` call returns the rows in an array
-    the caller owns.
-
+    The basis side of every distinct (predictor, label) factor
+    (``_basis_side``) is formed once, here.  ``tile(x, out, weights)``
+    forms the kernel at the rows x in one of two forms: without
+    ``weights``, the per-term blocks R_t(x_i, z_j) side by side, m columns
+    each, in term order; with weights w, sum_t w_t R_t(x_i, z_j), m
+    columns (for K(theta) the terms are a model's penalized terms and w is
+    theta).  Each tile is formed in one F-ordered workspace, reused by
+    every tile of either form: one buffer per factor, one scratch and, once
+    a sum is asked for, one sum, each a flat array grown to the tallest
+    tile and viewed F-contiguous at the tile's height, so no factor or
+    block is allocated per tile and dgemm writes each product in place.
     Each block is its factors' product in predictor order (``_product``),
-    and the sum adds w_t times each block in term order, the operations of
-    ``solver._weighted_sum`` over the per-term blocks, so the sum form's
-    rows equal that sum's bit for bit.  The basis points' side of every
-    factor is formed once, here.
+    and the sum adds the blocks by ``weighted_sum``.
     """
 
-    def __init__(self, terms, domains, x_rows: np.ndarray, z_rows: np.ndarray, weights=None):
+    def __init__(self, terms, domains, z_rows: np.ndarray):
         z_rows = np.atleast_2d(np.asarray(z_rows, dtype=float))
-        self.x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-        self.weights, self.m = weights, z_rows.shape[0]
+        self.m = z_rows.shape[0]
         # each term's (predictor, label) factors, in predictor order
         self.keys = [tuple(zip(term.predictors, term.labels)) for term in terms]
-        self.width = self.m * (1 if weights is not None else len(terms))
         factors = dict.fromkeys(key for term_keys in self.keys for key in term_keys)
         self.sides = {(j, lab): (domains[j], _basis_side(domains[j], lab, z_rows[:, j]))
                       for j, lab in factors}
-        self._work = self._workspace(0)
+        self._work = {}
 
-    def _workspace(self, rows: int) -> dict:
-        keys = [*self.sides, "scratch", *(["sum"] if self.weights is not None else [])]
-        return {key: np.empty(rows * self.m) for key in keys}
+    def tile(self, x: np.ndarray, out: np.ndarray | None = None, weights=None) -> np.ndarray:
+        """The kernel at the rows ``x``, in the form ``weights`` asks for, written into ``out``.
 
-    def __call__(self, lo: int, hi: int) -> np.ndarray:
-        return self.tile(lo, hi, np.empty((hi - lo, self.width), order="F"))
-
-    def tile(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The rows lo .. hi, written into ``out``, of shape (hi - lo, ``width``)."""
-        shape = (hi - lo, self.m)
-        if self._work["scratch"].size < shape[0] * shape[1]:
-            self._work = self._workspace(shape[0])
+        ``out`` may be any float64 view of x's height.  With none, the
+        per-term blocks come in a fresh F-ordered array, and the sum in the
+        workspace, valid until the next tile.
+        """
+        shape, size = (x.shape[0], self.m), x.shape[0] * self.m
+        keys = [*self.sides, "scratch", *([] if weights is None else ["sum"])]
+        for key in keys:
+            if key not in self._work or self._work[key].size < size:
+                # one buffer at a time, so a grown workspace never sits beside the old one
+                self._work[key] = np.empty(size)
         # a row slice of an F-ordered 2-D buffer is not contiguous, so dgemm would write a copy
-        view = {key: flat[:shape[0] * shape[1]].reshape(shape, order="F")
-                for key, flat in self._work.items()}
+        view = {key: self._work[key][:size].reshape(shape, order="F") for key in keys}
         scratch = view["scratch"]
-        x = self.x_rows[lo:hi]
         factors = {(j, lab): _gram_factor(domain, lab, x[:, j], side, view[j, lab], scratch)
                    for (j, lab), (domain, side) in self.sides.items()}
         blocks = ([factors[key] for key in term_keys] for term_keys in self.keys)
-        if self.weights is None:
+        if weights is None:
+            if out is None:
+                out = np.empty((shape[0], len(self.keys) * self.m), order="F")
             for i, term_factors in enumerate(blocks):
                 _product(term_factors, out[:, i * self.m:(i + 1) * self.m])
             return out
-        total = view["sum"]
-        for i, (w, term_factors) in enumerate(zip(self.weights, blocks)):
-            block = term_factors[0] if len(term_factors) == 1 else _product(term_factors, scratch)
-            if i == 0:
-                np.multiply(w, block, out=total)
-            else:
-                total += np.multiply(w, block, out=scratch)
+        parts = (term_factors[0] if len(term_factors) == 1 else _product(term_factors, scratch)
+                 for term_factors in blocks)
+        total = weighted_sum(weights, parts, view["sum"], scratch)
         if out is None:
             return total
         out[...] = total  # one copy: on m4, 87 sums straight into a QR stack's rows slowed a fit
@@ -486,8 +493,8 @@ def term_gram(term: AnovaTerm, domains, x_rows: np.ndarray, z_rows: np.ndarray) 
     Vectorized equivalent of evaluating ``term_kernel`` pairwise, read from
     the term's ``KernelRows``.
     """
-    rows = KernelRows((term,), domains, x_rows, z_rows)
-    return rows(0, rows.x_rows.shape[0])
+    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    return KernelRows((term,), domains, z_rows).tile(x_rows)
 
 
 def term_gram_diag(term: AnovaTerm, domains, x_rows: np.ndarray) -> np.ndarray:

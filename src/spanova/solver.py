@@ -42,12 +42,12 @@ its (p + 1 + chunk) x (p + 1) stack and then one (p + 1)^2 copy of R, not
 S n q doubles.  Only a search where p + 1 >= n, with nothing to compress,
 forms the blocks over all n rows, in one array that T's QR (``NullQR``)
 rotates in place; ``compressed_blocks`` alone makes this choice
-(``streams_rows``).  Kernel rows come from one source,
+(``streams_rows``).  Kernel rows come from one source per basis,
 ``kernels.KernelRows``, one cache-sized tile at a time, each formed in
-the one workspace that the pass reuses for every tile and written into
-the caller's array: the per-term blocks side by side for a search
-(``DesignRows.kernel_rows``), and K(theta) = sum_delta theta_delta
-K_delta for a design at one theta (``_kernel_rows``).  T's rows come
+the one workspace that the source reuses for every tile and written into
+the caller's array.  Each tile asks for its form: the per-term blocks
+side by side for a search, or K(theta) = sum_delta theta_delta K_delta
+for a design at one theta (``DesignRows.kernel_rows``).  T's rows come
 from another source (``_null_rows``), chunk by chunk: skip's two designs,
 the p estimate's one and the refit (``fit_model``) compress
 [T, K(theta), y], M + q + 1 columns, as the rows come
@@ -84,7 +84,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .data import Dataset, rescale_columns
-from .kernels import KernelRows, ModelSpec, null_basis_matrix, term_gram_diag
+from .kernels import KernelRows, ModelSpec, null_basis_matrix, term_gram_diag, weighted_sum
 from .util import InputError, NumericalError, derive_rng, round_half_up
 
 # Relative size of the ridge added to Q before factorization.
@@ -198,7 +198,7 @@ class DesignBlocks:
     def combine(self, theta) -> tuple[np.ndarray, np.ndarray]:
         """Weighted kernel design and penalty, K(theta) and Q(theta)."""
         theta = _theta_vector(theta, self.n_penalized)
-        return _weighted_sum(theta, self.k_parts), _weighted_sum(theta, self.q_parts)
+        return weighted_sum(theta, self.k_parts), weighted_sum(theta, self.q_parts)
 
     def design_at(self, theta) -> "CompiledDesign":
         """The design of [T, K(theta), y] and Q(theta); raises unless T reads [R_T; 0]."""
@@ -256,7 +256,7 @@ def _compress_rows(null_rows, kernel_rows, y: np.ndarray, m: int, n_blocks: int,
     ``null_rows(lo, hi)`` gives T's M columns at rows lo .. hi
     (``_null_rows``), and ``kernel_rows(lo, hi, out)`` writes the B kernel
     blocks' rows lo .. hi, each q wide, side by side into ``out``, the
-    stack's rows (``KernelRows.tile``); the kernel rows are asked for one
+    stack's rows (``DesignRows.kernel_rows``); the kernel rows are asked for one
     tile (``_tiles``) at a time.  n is y's length.
     Returns (T', (K_1' ... K_B'), f): column views of R, F-contiguous, as
     the searches' stacks and products read them.
@@ -297,23 +297,6 @@ def _theta_vector(theta, n_penalized: int) -> np.ndarray:
     if theta.shape != (n_penalized,):
         raise InputError(f"theta must have length {n_penalized}")
     return theta
-
-
-def _weighted_sum(theta: np.ndarray, parts) -> np.ndarray:
-    """sum_delta theta_delta parts_delta, accumulated in term order.
-
-    Later terms are scaled in one reused buffer.  The operations and their
-    order are ``KernelRows``' sum form's, so a sum over per-term blocks
-    equals the same rows of that form bit for bit.
-    """
-    out = scaled = None
-    for i, (w, part) in enumerate(zip(theta, parts)):
-        if i == 0:
-            out = np.multiply(w, part)
-        else:
-            scaled = np.multiply(w, part, out=scaled)
-            out += scaled
-    return out
 
 
 def _r_factor(stack: np.ndarray) -> np.ndarray:
@@ -436,7 +419,7 @@ def assemble_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) ->
     """
     rows = DesignRows(dataset, spec, basis)
     return DesignBlocks(t=rows.null_rows(0, dataset.n),
-                        k_parts=_column_blocks(rows.kernel_rows(0, dataset.n), basis.q),
+                        k_parts=_column_blocks(rows.kernel.tile(dataset.x), basis.q),
                         q_parts=rows.q_parts, y=dataset.y, basis=basis, n_obs=dataset.n)
 
 
@@ -449,30 +432,40 @@ class DesignRows:
     """The rows of [T, K_1 ... K_S, y] for one dataset and basis, formed on demand.
 
     Holds T's row source ``null_rows`` (``null_design``, whose checks it
-    runs), the kernel blocks' ``kernel_rows``, a ``KernelRows`` of the
-    per-term form (K_1 ... K_S side by side), the basis rows and the
-    penalty parts Q_delta.  Rows of T and of the kernel blocks are formed
-    at the rows asked for, so compressing COMPRESS_CHUNK rows at a time
-    needs O(p^2 + chunk p) memory and no n-row block, T's included, exists.
+    runs), the basis rows ``z``, the one ``KernelRows`` at them,
+    ``kernel``, and the penalty parts Q_delta read from it.  Rows of T and
+    of the kernel are formed at the rows asked for, so compressing
+    COMPRESS_CHUNK rows at a time needs O(p^2 + chunk p) memory and no
+    n-row block, T's included, exists.
     """
 
     def __init__(self, dataset: Dataset, spec: ModelSpec, basis: BasisSelection):
         self.null_rows = null_design(dataset, spec, basis)
-        self.dataset, self.spec, self.basis = dataset, spec, basis
+        self.dataset, self.spec = dataset, spec
         self.z = dataset.x[basis.indices]
-        self.kernel_rows = KernelRows(spec.penalized_terms, spec.domains, dataset.x, self.z)
-        self.q_parts = _penalty_parts(spec, self.z)
+        self.kernel = KernelRows(spec.penalized_terms, spec.domains, self.z)
+        self.q_parts = _penalty_parts(self.kernel, self.z)
+
+    def kernel_rows(self, theta=None):
+        """The row source (lo, hi, out) that writes the kernel's rows lo .. hi into ``out``.
+
+        Without ``theta`` the rows are K_1 ... K_S side by side, with it
+        K(theta); in any tiling they equal the same rows of
+        ``assemble_blocks``' blocks, or of their ``DesignBlocks.combine``,
+        bit for bit.
+        """
+        x = self.dataset.x
+        return lambda lo, hi, out: self.kernel.tile(x[lo:hi], out, theta)
 
     def design_at(self, theta) -> CompiledDesign:
         """Design of [T, K(theta), y] at one theta, compressed to M + q + 1 rows.
 
         The QR reads T and K(theta) from their row sources (``_null_rows``,
-        ``_kernel_rows``) one chunk or tile at a time, so neither is whole.
+        ``kernel_rows``) one chunk or tile at a time, so neither is whole.
         """
         theta = _theta_vector(theta, self.spec.n_penalized)
-        return _compressed_design(self.null_rows, self.spec.null_dim,
-                                  _kernel_rows(self.spec, self.dataset.x, self.z, theta).tile,
-                                  _weighted_sum(theta, self.q_parts), self.dataset.y)
+        return _compressed_design(self.null_rows, self.spec.null_dim, self.kernel_rows(theta),
+                                  weighted_sum(theta, self.q_parts), self.dataset.y)
 
 
 def streams_rows(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) -> bool:
@@ -492,19 +485,19 @@ def compressed_blocks(dataset: Dataset, spec: ModelSpec, basis: BasisSelection) 
     rows = DesignRows(dataset, spec, basis)
     s, q = spec.n_penalized, basis.q
     if streams_rows(dataset, spec, basis):
-        t, k_parts, f = _compress_rows(rows.null_rows, rows.kernel_rows.tile, dataset.y,
+        t, k_parts, f = _compress_rows(rows.null_rows, rows.kernel_rows(), dataset.y,
                                        spec.null_dim, s, q)
     else:
         null = NullQR(rows.null_rows(0, dataset.n))
         t, f = null.triangle(), null.rotate(dataset.y)
-        k_parts = _rotated_blocks(null, rows.kernel_rows.tile, dataset.n, q, s)
+        k_parts = _rotated_blocks(null, rows.kernel_rows(), dataset.n, q, s)
     return DesignBlocks(t=t, k_parts=k_parts, q_parts=rows.q_parts, y=f, basis=basis,
                         n_obs=dataset.n)
 
 
-def _penalty_parts(spec: ModelSpec, z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Symmetrized per-term kernel Grams Q_delta at the basis rows."""
-    grams = KernelRows(spec.penalized_terms, spec.domains, z, z)(0, z.shape[0])
+def _penalty_parts(kernel: KernelRows, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Symmetrized per-term kernel Grams Q_delta at the basis rows ``z``, read from ``kernel``."""
+    grams = kernel.tile(z)
     return tuple((qb + qb.T) / 2.0 for qb in _column_blocks(grams, z.shape[0]))
 
 
@@ -515,19 +508,6 @@ def _null_rows(spec: ModelSpec, x_rows: np.ndarray):
     rows equal the same rows of T formed at once bit for bit.
     """
     return lambda lo, hi: null_basis_matrix(spec, x_rows[lo:hi])
-
-
-def _kernel_rows(spec: ModelSpec, x_rows: np.ndarray, z_rows: np.ndarray, theta) -> KernelRows:
-    """The row source (lo, hi) -> K(theta)[lo:hi] between two point sets.
-
-    K(theta) = sum_delta theta_delta K_delta, the rows formed at those rows
-    alone: ``kernels.KernelRows``' sum form.  A pass reads it one tile
-    (``_tiles``) at a time through ``tile``, in one reused workspace; in
-    any tiling the rows equal the same rows of ``DesignBlocks.combine``'s K
-    bit for bit.
-    """
-    return KernelRows(spec.penalized_terms, spec.domains, x_rows, z_rows,
-                      _theta_vector(theta, spec.n_penalized))
 
 
 class CompiledDesign:
@@ -584,7 +564,7 @@ def _compressed_design(t, m: int, k, q: np.ndarray, y: np.ndarray) -> CompiledDe
     """The design of [T, K, y] compressed to M + q + 1 rows by ``_compress_rows``.
 
     ``t(lo, hi)`` gives T's M columns and ``k(lo, hi, out)`` writes K's
-    rows into ``out`` (``_null_rows``, ``_kernel_rows``'s ``tile``), so
+    rows into ``out`` (``_null_rows``, ``DesignRows.kernel_rows``), so
     each tile of K lands in the QR's stack before the next one forms.  The
     design scores y's n rows.
     """
@@ -799,9 +779,10 @@ def _eta(spec: ModelSpec, xs: np.ndarray, z: np.ndarray, theta, d: np.ndarray,
     """T d + K(theta) c at model-scale rows ``xs``, basis rows ``z``.
 
     T d and then K(theta) c are summed over tiles (``_tiles``) of their
-    row sources (``_null_rows``, ``_kernel_rows``), so they need memory for
-    one tile, not for all rows; each F-ordered kernel tile goes to dgemv as
-    it is, before the next one forms.  Each row of T d is its own length-M dot
+    row sources (``_null_rows``, a ``KernelRows`` at ``z`` built here), so
+    they need memory for one tile, not for all rows, and no fit keeps a
+    workspace; each F-ordered kernel tile goes to dgemv as it is, before
+    the next one forms.  Each row of T d is its own length-M dot
     product, so the tiles give the bits of the product over all rows.  T's
     tiles, M columns wide, span up to COMPRESS_CHUNK rows: in the kernel's
     tiles (152 rows at q = 215), T d on m1 took 0.29 s per 10^6 rows, and
@@ -809,9 +790,10 @@ def _eta(spec: ModelSpec, xs: np.ndarray, z: np.ndarray, theta, d: np.ndarray,
     """
     n = xs.shape[0]
     eta = np.empty(n)
-    null_rows, kernel_rows = _null_rows(spec, xs), _kernel_rows(spec, xs, z, theta)
+    theta = _theta_vector(theta, spec.n_penalized)
+    null_rows, kernel = _null_rows(spec, xs), KernelRows(spec.penalized_terms, spec.domains, z)
     for a, b in _tiles(0, n, d.shape[0]):
         eta[a:b] = _dot(null_rows(a, b), d)
     for a, b in _tiles(0, n, c.shape[0]):
-        eta[a:b] += _dot(kernel_rows.tile(a, b), c)
+        eta[a:b] += _dot(kernel.tile(xs[a:b], weights=theta), c)
     return eta

@@ -361,15 +361,15 @@ def test_per_term_blocks_fill_a_column_slice_of_a_stack(spec):
     z = x[::4]
     terms, m = spec.penalized_terms, z.shape[0]
     width = len(terms) * m
-    rows = kernels.KernelRows(terms, spec.domains, x, z)
+    rows = kernels.KernelRows(terms, spec.domains, z)
     stack = np.full((x.shape[0] + 6, 3 + width + 2), np.nan, order="F")
     work = None
     for a, b in [(0, 16), (16, 21), (21, 37), (37, 40)]:
         view = stack[a:b, 3:3 + width]
         assert not (view.flags.f_contiguous or view.flags.c_contiguous)
-        assert rows.tile(a, b, view) is view
-        work = work or rows._work
-        assert rows._work is work
+        assert rows.tile(x[a:b], view) is view
+        work = work or list(rows._work.values())
+        assert all(a is b for a, b in zip(rows._work.values(), work, strict=True))
     assert np.isnan(stack[:, :3]).all() and np.isnan(stack[:, 3 + width:]).all()
     assert np.isnan(stack[x.shape[0]:]).all()
     for i, term in enumerate(terms):
@@ -391,16 +391,46 @@ def test_assemble_blocks_unchanged_by_shared_factors(spec):
         assert np.array_equal(qp, (q_ref + q_ref.T) / 2.0)
 
 
+@pytest.mark.parametrize("spec", ASSEMBLY_SPECS, ids=["u2", "m1", "m2", "m4", "discrete"])
+def test_one_workspace_serves_every_form_and_height(spec):
+    """One source, asked in turn for per-term tiles into a column slice of a
+    NaN-filled stack, a taller K(theta) tile that grows its workspace, the
+    Gram at its basis rows and a short K(theta) tile, gives each the bits
+    that a fresh source gives it.  A view kept across the workspace's
+    growth, or a form that reads another form's buffers, fails here."""
+    x = spec_rows(spec, 60, seed=5)
+    z = x[::4]
+    terms, m = spec.penalized_terms, z.shape[0]
+    theta = 10.0 ** np.random.default_rng(6).uniform(-1.0, 1.0, len(terms))
+
+    def per_term(source):
+        stack = np.full((24, 2 + len(terms) * m + 1), np.nan, order="F")
+        source.tile(x[:20], stack[2:22, 2:-1])
+        return stack
+
+    calls = [per_term,
+             lambda source: source.tile(x, weights=theta).copy(),
+             lambda source: source.tile(z),
+             lambda source: source.tile(x[5:12], weights=theta).copy()]
+    shared = kernels.KernelRows(terms, spec.domains, z)
+    for call in calls:
+        fresh = call(kernels.KernelRows(terms, spec.domains, z))
+        assert np.array_equal(call(shared), fresh, equal_nan=True)
+
+
 def test_kernel_rows_are_the_one_row_source():
     """Kernel rows are formed one way, by ``KernelRows``: no ``term_grams``
-    is left in kernels or solver, and ``_gram_factor``, which forms each
-    factor, is called from ``KernelRows`` alone.  A second row path that
-    creeps back fails here."""
+    or ``_kernel_rows`` is left in kernels or solver, a source is not
+    called for rows but given them per tile, and ``_gram_factor``, which
+    forms each factor, is called from ``KernelRows`` alone.  A second row
+    path that creeps back fails here."""
     import inspect
 
     from spanova import solver
 
-    assert [mod.__name__ for mod in (kernels, solver) if hasattr(mod, "term_grams")] == []
+    assert [(mod.__name__, name) for mod in (kernels, solver)
+            for name in ("term_grams", "_kernel_rows") if hasattr(mod, name)] == []
+    assert "__call__" not in vars(kernels.KernelRows)
     assert inspect.getsource(kernels).count("_gram_factor(") == 2  # its definition and one call
     assert "_gram_factor(" in inspect.getsource(kernels.KernelRows)
     assert "_gram_factor" not in inspect.getsource(solver)

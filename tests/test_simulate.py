@@ -300,9 +300,9 @@ def test_run_benchmark_refits_build_no_per_term_blocks(monkeypatch):
     block_rows = []
     real_tile = KernelRows.tile
 
-    def recording(self, lo, hi, out=None):
-        block_rows.append(hi - lo)
-        return real_tile(self, lo, hi, out)
+    def recording(self, x, out=None, weights=None):
+        block_rows.append(len(x))
+        return real_tile(self, x, out, weights)
 
     monkeypatch.setattr(KernelRows, "tile", recording)
     monkeypatch.setattr(solver, "COMPRESS_CHUNK", 64)

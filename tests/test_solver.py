@@ -10,7 +10,7 @@ from spanova import kernels, solver
 from spanova.data import Dataset, unit_domains
 from spanova.kernels import (PredictorDomain, full_two_way_model, main_effects_model,
                              null_basis_matrix, term_gram)
-from spanova.gcv import _trial, gcv_score, minimize_lambda
+from spanova.gcv import _trial, full_gcv, gcv_score, minimize_lambda, skip_select
 from spanova.simulate import SCENARIOS, gen_data
 from spanova.solver import (
     SmoothingParams,
@@ -515,25 +515,26 @@ def test_assemble_equals_blocks_combine(name, n):
     blocks = assemble_blocks(ds, spec, basis)
     theta = 10.0 ** np.random.default_rng(2).uniform(-1.0, 1.0, spec.n_penalized)
     k_ref, q_ref = blocks.combine(theta)
-    rows = solver._kernel_rows(spec, ds.x, ds.x[basis.indices], theta)
     tiles = list(solver._tiles(0, ds.n, basis.q))
     chunks = [(lo, min(lo + solver.COMPRESS_CHUNK, ds.n))
               for lo in range(0, ds.n, solver.COMPRESS_CHUNK)]
     assert len(chunks) == (2 if name == "m1" else 1)
     design = solver.DesignRows(ds, spec, basis)
+    rows = design.kernel_rows(theta)
     for spans in (tiles, chunks, [(0, ds.n)]):
-        assert np.array_equal(np.vstack([rows(a, b) for a, b in spans]), k_ref)
+        assert np.array_equal(np.vstack([rows(a, b, np.empty((b - a, basis.q)))
+                                         for a, b in spans]), k_ref)
         assert np.array_equal(np.vstack([design.null_rows(a, b) for a, b in spans]),
                               null_basis_matrix(spec, ds.x))
-    assert np.array_equal(solver._weighted_sum(theta, design.q_parts), q_ref)
+    assert np.array_equal(kernels.weighted_sum(theta, design.q_parts), q_ref)
 
 
 @pytest.mark.parametrize("name", ["u2", "m1", "m2", "m4", "discrete"])
 def test_kernel_tiles_equal_the_weighted_sum_of_term_grams(name):
     """K(theta)'s tiles, read full, then shorter, then full again in one
-    reused workspace, equal _weighted_sum of the term_gram blocks at their
-    rows bit for bit, as does a plain call, which returns rows the caller
-    owns.  A row slice of one F-ordered 2-D buffer would not be contiguous,
+    reused workspace, equal weighted_sum of the term_gram blocks at their
+    rows bit for bit, as does a tile written into rows the caller owns.
+    A row slice of one F-ordered 2-D buffer would not be contiguous,
     so dgemm would write into a copy and leave the short tile stale with no
     error."""
     if name == "discrete":
@@ -542,19 +543,48 @@ def test_kernel_tiles_equal_the_weighted_sum_of_term_grams(name):
         ds, spec = gen_data(name, 1000, 5.0, seed=2).dataset, SCENARIOS[name].spec
     z = ds.x[select_basis(ds.n, 77, seed=1).indices]
     theta = 10.0 ** np.random.default_rng(4).uniform(-1.0, 1.0, spec.n_penalized)
-    rows = solver._kernel_rows(spec, ds.x, z, theta)
+    rows = kernels.KernelRows(spec.penalized_terms, spec.domains, z)
     (_, full), *_ = solver._tiles(0, ds.n, z.shape[0])
     tiles = []
     for a, b in [(0, full), (full, full + 5), (full + 5, 2 * full + 5)]:
-        ref = solver._weighted_sum(theta, [term_gram(term, spec.domains, ds.x[a:b], z)
+        ref = kernels.weighted_sum(theta, [term_gram(term, spec.domains, ds.x[a:b], z)
                                            for term in spec.penalized_terms])
-        tile = rows.tile(a, b)
+        tile = rows.tile(ds.x[a:b], weights=theta)
         assert tile.shape == (b - a, z.shape[0]) and tile.flags.f_contiguous
         assert np.array_equal(tile, ref)
         tiles.append(tile)
-        owned = rows(a, b)
+        owned = rows.tile(ds.x[a:b], np.empty((b - a, z.shape[0])), theta)
         assert np.array_equal(owned, ref) and not np.shares_memory(owned, tile)
     assert all(np.shares_memory(tile, tiles[0]) for tile in tiles)
+
+
+@pytest.mark.parametrize("name, n, factors", [("m1", 600, 4), ("m4", 300, 36)])
+def test_each_design_forms_each_basis_side_once(monkeypatch, name, n, factors):
+    """A fit, skip, compressed_blocks and gcv form the basis side of each
+    distinct (predictor, label) factor once: one source serves Q's parts,
+    the per-term blocks and K(theta) at every design.  At 600 rows m1
+    streams its rows; at 300, m4 takes the wide path."""
+    sim, spec = gen_data(name, n, 5.0, seed=1), SCENARIOS[name].spec
+    basis = select_basis(n, basis_count(n), seed=3)
+    assert len({key for term in spec.penalized_terms
+                for key in zip(term.predictors, term.labels)}) == factors
+    assert solver.streams_rows(sim.dataset, spec, basis) == (name == "m1")
+    calls = []
+    real_side = kernels._basis_side
+
+    def counting(*args):
+        calls.append(args)
+        return real_side(*args)
+
+    monkeypatch.setattr(kernels, "_basis_side", counting)
+    params = SmoothingParams.from_values(1e-3 * n, np.ones(spec.n_penalized))
+    for run in (lambda: fit_model(sim.dataset, spec, params, basis),
+                lambda: skip_select(sim.dataset, spec, basis),
+                lambda: compressed_blocks(sim.dataset, spec, basis),
+                lambda: full_gcv(sim.dataset, spec, basis, max_iter=1)):
+        calls.clear()
+        run()
+        assert len(calls) == factors
 
 
 def test_a_kernel_pass_reuses_one_workspace():
@@ -570,8 +600,8 @@ def test_a_kernel_pass_reuses_one_workspace():
     assert len(spans) >= 20
 
     def one_pass(stop):
-        rows = solver._kernel_rows(spec, ds.x, z, theta)
-        return [rows.tile(a, b) for a, b in solver._tiles(0, stop, z.shape[0])]
+        rows = kernels.KernelRows(spec.penalized_terms, spec.domains, z)
+        return [rows.tile(ds.x[a:b], weights=theta) for a, b in solver._tiles(0, stop, z.shape[0])]
 
     tile_bytes = full * z.shape[0] * 8
     assert _traced_peak(lambda: one_pass(ds.n)) <= _traced_peak(lambda: one_pass(full)) + tile_bytes
@@ -693,9 +723,9 @@ def test_refits_and_predict_form_no_per_term_n_row_block(monkeypatch, tmp_path):
     block_rows = []
     real_tile = kernels.KernelRows.tile
 
-    def recording(self, lo, hi, out=None):
-        block_rows.append(hi - lo)
-        return real_tile(self, lo, hi, out)
+    def recording(self, x, out=None, weights=None):
+        block_rows.append(len(x))
+        return real_tile(self, x, out, weights)
 
     monkeypatch.setattr(kernels.KernelRows, "tile", recording)
     n = 5000
